@@ -168,27 +168,12 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _covers(poset):
-    out = []
-    for x in range(poset.n):
-        for y in range(poset.n):
-            if x == y or not poset.leq(x, y):
-                continue
-            if any(
-                z != x and z != y and poset.leq(x, z) and poset.leq(z, y)
-                for z in range(poset.n)
-            ):
-                continue
-            out.append((x, y))
-    return out
-
-
 def _cluster(lines, tag, title, space, labels):
     lines.append(f"  subgraph cluster_{tag} {{")
     lines.append(f'    label="{title}";')
     for k, text in enumerate(labels):
         lines.append(f'    {tag}{k} [label="{text}"];')
-    for x, y in _covers(space.points):
+    for x, y in sorted(space.points.covers()):
         lines.append(f"    {tag}{x} -> {tag}{y};")
     lines.append("  }")
 

@@ -612,7 +612,6 @@ def _check_C49(d: InclusionData):
 
 
 def _check_L51(m: MultiplicityInclusion):
-    width = len(m.mult[0])
     ok = True
     for s in range(1 << len(m.mult)):
         if is_symmetric(m, s) and restrict(m, induce(m, s)) != s:

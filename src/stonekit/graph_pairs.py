@@ -119,14 +119,19 @@ class JPairLattice:
 
     def __post_init__(self):
         for inv, upper in self.pairs:
-            assert is_positively_invariant(self.graph, inv)
-            assert (self.j | inv) & ~upper == 0
-            assert upper & ~_pair_bound(self.graph, inv) == 0
-        assert self.lattice.labels == self.pairs
+            if not is_positively_invariant(self.graph, inv):
+                raise AssertionError(f"pair ({inv:#x}, {upper:#x}) is not invariant")
+            if (self.j | inv) & ~upper:
+                raise AssertionError(f"pair ({inv:#x}, {upper:#x}) misses J | I")
+            if upper & ~_pair_bound(self.graph, inv):
+                raise AssertionError(f"pair ({inv:#x}, {upper:#x}) exceeds its bound")
+        if self.lattice.labels != self.pairs:
+            raise AssertionError("lattice labels are not the pairs")
         for a, (ia, ua) in enumerate(self.pairs):
             for b, (ib, ub) in enumerate(self.pairs):
                 wanted = ia & ~ib == 0 and ua & ~ub == 0
-                assert self.lattice.leq(a, b) == wanted
+                if self.lattice.leq(a, b) != wanted:
+                    raise AssertionError(f"order is not componentwise at ({a}, {b})")
 
 
 def j_pairs(g: FiniteGraph, j: int) -> JPairLattice:

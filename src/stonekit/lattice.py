@@ -2,8 +2,10 @@
 
 Elements are ints 0..n-1. Order is stored as bitmask rows: ``below[i]``
 has bit j set exactly when j <= i. Down-sets, opens and element subsets
-are all masks in the same convention. Every value here is immutable;
-operations build new objects.
+are all masks in the same convention. Every value here is immutable.
+Operations build new objects, while what a lattice certifies about
+itself (its frame witness, its prime spectrum) is computed on first use
+and cached on the instance, so every caller shares one copy.
 
 The element count is soft-capped (default 4096, override with the
 STONE_MAX_LATTICE environment variable, read per call). Meet and join
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import _accel
 from ._kernels import bits
@@ -77,6 +80,14 @@ class FinitePoset:
         return (self.below[j] >> i) & 1 == 1
 
     def above(self) -> tuple[int, ...]:
+        """The transposed masks: ``above[i]`` has bit j set when i <= j.
+
+        Computed once per poset, since closures ask for it per call.
+        """
+        return self._above
+
+    @cached_property
+    def _above(self) -> tuple[int, ...]:
         return tuple(_accel.transpose(list(self.below)))
 
     def is_down_closed(self, mask: int) -> bool:
@@ -185,10 +196,31 @@ class FiniteLattice:
             return int(label)
         return self.labels.index(label)
 
+    @cached_property
+    def frame_witness(self) -> "FrameWitness":
+        """The distributivity certificate, computed once; see is_frame."""
+        if _birkhoff_distributive(self):
+            return FrameWitness(self, True)
+        witness = _accel.distributive_witness(self.meet_table, self.join_table)
+        if witness is None:
+            raise AssertionError("Birkhoff count and distributivity scan disagree")
+        return FrameWitness(self, False, witness)
+
+    @cached_property
+    def prime_spectrum(self):
+        """The prime spectrum, built once; see spectrum.primes."""
+        from .spectrum import _prime_spectrum
+
+        return _prime_spectrum(self)
+
 
 @dataclass(frozen=True)
 class FrameWitness:
-    """Outcome of the exhaustive distributivity scan of one lattice."""
+    """Outcome of the distributivity check of one lattice.
+
+    ``witness`` is the first breaking triple of the exhaustive scan, or
+    None for a frame.
+    """
 
     lattice: FiniteLattice
     distributive: bool
@@ -235,21 +267,68 @@ def big_join(lat: FiniteLattice, xs) -> int:
     return lat.big_join(xs)
 
 
+def join_irreducibles(lat: FiniteLattice) -> tuple[int, ...]:
+    """Elements with exactly one lower cover, ascending.
+
+    x qualifies when the join of everything strictly below it falls
+    short of x; the bottom, an empty join, never does. O(n^2).
+    """
+    below, jt = lat.order.below, lat.join_table
+    out = []
+    for x in range(lat.n):
+        j = lat.bottom
+        for y in bits(below[x] & ~(1 << x)):
+            j = jt[j][y]
+        if j != x:
+            out.append(x)
+    return tuple(out)
+
+
+def meet_irreducibles(lat: FiniteLattice) -> tuple[int, ...]:
+    """Elements with exactly one upper cover, ascending; the dual of
+    join_irreducibles, so the top never qualifies. O(n^2)."""
+    above, mt = lat.order.above(), lat.meet_table
+    out = []
+    for x in range(lat.n):
+        m = lat.top
+        for y in bits(above[x] & ~(1 << x)):
+            m = mt[m][y]
+        if m != x:
+            out.append(x)
+    return tuple(out)
+
+
+def _birkhoff_distributive(lat: FiniteLattice) -> bool:
+    # x -> {join-irreducibles below x} embeds any finite lattice into the
+    # down-sets of its join-irreducibles, and it is onto exactly when the
+    # lattice is distributive (Birkhoff). So counting those down-sets,
+    # stopping past n, decides distributivity in O(n^2).
+    sub = lat.order.subposet(join_irreducibles(lat))
+    masks = _accel.downset_masks(list(sub.below), lat.n)
+    return masks is not None and len(masks) == lat.n
+
+
 def is_frame(lat: FiniteLattice) -> FrameWitness:
-    """Exhaustive triple check of the distributive law.
+    """Certify the distributive law, once per lattice.
 
     On finite carriers distributivity over binary joins is the whole
-    frame condition, since every join is a finite one.
+    frame condition, since every join is a finite one. The certificate
+    comes from Birkhoff's count (a lattice is distributive iff it has as
+    many elements as its join-irreducibles have down-sets) and is cached
+    on the lattice, so repeated calls return the same object. Only on
+    failure does the exhaustive triple scan run, to find the first
+    breaking triple as the witness; the scan
+    (``_kernels.distributive_witness``) stays the test oracle.
     """
-    witness = _accel.distributive_witness(lat.meet_table, lat.join_table)
-    return FrameWitness(lat, witness is None, witness)
+    return lat.frame_witness
 
 
 def downset_lattice(poset: FinitePoset) -> FiniteLattice:
     """The lattice of down-sets, labeled by their masks.
 
-    Always a frame; the exhaustive scan in is_frame confirms this in
-    tests rather than being assumed here.
+    Always a frame, yet not marked as one here: is_frame certifies it
+    like any other lattice, and tests confirm it against the scan. Each
+    call builds a new lattice; opens_lattice keeps one per space.
     """
     cap = max_lattice_size()
     masks = _accel.downset_masks(list(poset.below), cap)

@@ -108,8 +108,10 @@ class InclusionData:
         for x in range(lat.n):
             for y in range(lat.n):
                 ax, ay = lat.labels[x], lat.labels[y]
-                assert lat.labels[lat.meet(x, y)] == amb.meet(ax, ay)
-                assert lat.labels[lat.join(x, y)] == ri[amb.join(ax, ay)]
+                if lat.labels[lat.meet(x, y)] != amb.meet(ax, ay):
+                    raise AssertionError("restricted meet is not the ambient meet")
+                if lat.labels[lat.join(x, y)] != ri[amb.join(ax, ay)]:
+                    raise AssertionError("restricted join is not the closed join")
         return lat
 
     @cached_property
@@ -120,8 +122,10 @@ class InclusionData:
         for x in range(lat.n):
             for y in range(lat.n):
                 ax, ay = lat.labels[x], lat.labels[y]
-                assert lat.labels[lat.join(x, y)] == amb.join(ax, ay)
-                assert lat.labels[lat.meet(x, y)] == ir[amb.meet(ax, ay)]
+                if lat.labels[lat.join(x, y)] != amb.join(ax, ay):
+                    raise AssertionError("induced join is not the ambient join")
+                if lat.labels[lat.meet(x, y)] != ir[amb.meet(ax, ay)]:
+                    raise AssertionError("induced meet is not the interior meet")
         return lat
 
     @cached_property
@@ -228,7 +232,8 @@ def F_map(d: InclusionData) -> MonotoneMap:
     )
     f = MonotoneMap(b, ind_lat, values)
     insertion = MonotoneMap(ind_lat, b, tuple(ind_lat.labels))
-    assert is_adjoint_pair(f, insertion)
+    if not is_adjoint_pair(f, insertion):
+        raise AssertionError("least-cover map is not adjoint to the insertion")
     return f
 
 
@@ -262,7 +267,8 @@ def pi_map(d: InclusionData) -> PointMap:
     values = []
     for p in spec_a.primes:
         below = a.big_join(x for x in d.restricted if a.leq(x, p))
-        assert below in set(d.restricted)
+        if below not in set(d.restricted):
+            raise AssertionError("join of restricted elements escaped them")
         values.append(prime_index[res_lat.index_of_label(below)])
     pm = PointMap(spec_a.space, spec_r.space, tuple(values))
 
@@ -272,7 +278,8 @@ def pi_map(d: InclusionData) -> PointMap:
         olat,
         tuple(olat.index_of_label(spec_a.open_of[x]) for x in res_lat.labels),
     )
-    assert adjunct_point_map(g, spec_a.space).values == pm.values
+    if adjunct_point_map(g, spec_a.space).values != pm.values:
+        raise AssertionError("pi disagrees with the adjunct point map")
     return pm
 
 
@@ -312,7 +319,8 @@ def quasi_orbit_space(d: InclusionData) -> QuasiOrbitSpace:
     qos = QuasiOrbitSpace(pi.source, classes, quotient, class_of)
     if check_C1(d):
         comparison = PointMap(quotient, pi.target, tuple(image))
-        assert is_homeomorphism(comparison)
+        if not is_homeomorphism(comparison):
+            raise AssertionError("quotient comparison is not a homeomorphism under C1")
     return qos
 
 
@@ -372,7 +380,8 @@ def induced_prime_map(d: InclusionData) -> PointMap:
     values = []
     for q in spec_b.primes:
         k = ind_lat.index_of_label(ir[q])
-        assert k in prime_index
+        if k not in prime_index:
+            raise AssertionError("induced image of a prime is not prime")
         values.append(prime_index[k])
     return PointMap(spec_b.space, spec_i.space, tuple(values))
 
@@ -390,13 +399,16 @@ def quasi_orbit_map(d: InclusionData) -> PointMap:
             raise ConditionViolated(f"precondition {name} fails", condition=name)
     qos = quasi_orbit_space(d)
     rpm = restricted_prime_map(d)
-    assert isinstance(rpm, PointMap)
+    if not isinstance(rpm, PointMap):
+        raise AssertionError(f"restricted prime map obstructed: {rpm}")
     pi = pi_map(d)
     class_over = {}
     for point, v in enumerate(pi.values):
         class_over[v] = qos.class_of[point]
     values = tuple(class_over[v] for v in rpm.values)
     rho = PointMap(d.spectrum_b.space, qos.quotient, values)
-    assert (is_open_map(rho) and is_surjective(rho)) == check_C2(d)
-    assert is_homeomorphism(rho) == separates(d.gc)
+    if (is_open_map(rho) and is_surjective(rho)) != check_C2(d):
+        raise AssertionError("rho open surjection and C2 disagree")
+    if is_homeomorphism(rho) != separates(d.gc):
+        raise AssertionError("rho homeomorphism and separation disagree")
     return rho

@@ -10,6 +10,7 @@ open point of the two-point connected space is the minimal one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import galois
 from ._kernels import bits
@@ -26,6 +27,7 @@ from .lattice import (
     FinitePoset,
     downset_lattice,
     is_frame,
+    meet_irreducibles,
     poset_isomorphism,
 )
 
@@ -88,6 +90,14 @@ class FiniteT0Space:
     def is_open(self, mask: int) -> bool:
         return self.points.is_down_closed(mask)
 
+    @cached_property
+    def opens_lattice(self) -> FiniteLattice:
+        """The frame of opens, built once; see opens_lattice."""
+        lat = downset_lattice(self.points)
+        if lat.labels != self.opens:
+            raise AssertionError("down-set lattice labels are not the opens")
+        return lat
+
 
 def _all_downsets(points: FinitePoset) -> tuple[int, ...]:
     from . import _accel
@@ -100,16 +110,20 @@ def _all_downsets(points: FinitePoset) -> tuple[int, ...]:
 
 
 def opens_lattice(space: FiniteT0Space) -> FiniteLattice:
-    """The frame of opens, labeled by open masks."""
-    lat = downset_lattice(space.points)
-    assert lat.labels == space.opens
-    return lat
+    """The frame of opens, labeled by open masks.
+
+    Built on first use and cached on the space, so every caller shares
+    one lattice (and with it one frame certificate and one spectrum).
+    """
+    return space.opens_lattice
 
 
 def prime_elements(lat: FiniteLattice) -> tuple[int, ...]:
     """Meet-prime elements below the top, by the definitional scan.
 
-    Works on any finite lattice; no distributivity is assumed.
+    Works on any finite lattice; no distributivity is assumed. primes
+    takes the O(n^2) meet-irreducible route on frames instead; this
+    O(n^3) scan stays as its test oracle and serves non-frames.
     """
     out = []
     mt = lat.meet_table
@@ -153,17 +167,25 @@ class PrimeSpectrum:
 
 
 def primes(lat: FiniteLattice) -> PrimeSpectrum:
-    """The prime spectrum of a finite frame.
+    """The prime spectrum of a finite frame, built once per lattice.
 
-    Raises NotAFrame (with a witness triple) when distributivity fails;
-    primes of non-frames are still reachable through prime_elements.
+    In a frame the primes are exactly the meet-irreducible elements, so
+    they are found in O(n^2) rather than by the prime_elements scan. The
+    spectrum is cached on the lattice: repeated calls return the same
+    object. Raises NotAFrame (with the is_frame witness triple) when
+    distributivity fails; primes of non-frames are still reachable
+    through prime_elements.
     """
+    return lat.prime_spectrum
+
+
+def _prime_spectrum(lat: FiniteLattice) -> PrimeSpectrum:
     fw = is_frame(lat)
     if not fw.distributive:
         raise NotAFrame(
             f"distributivity fails at triple {fw.witness}", witness=fw.witness
         )
-    ps = prime_elements(lat)
+    ps = meet_irreducibles(lat)
     sub = lat.order.subposet(list(ps))
     space = FiniteT0Space.from_poset(sub)
     open_of = []
@@ -305,22 +327,7 @@ def homeomorphic(x: FiniteT0Space, y: FiniteT0Space) -> bool:
 
 def is_locale_morphism(g: MonotoneMap) -> bool:
     """Preserves all joins and all finite meets, top and bottom included."""
-    return galois.is_join_preserving(g) and (
-        g.values[g.source.top] == g.target.top
-        and _binary_meets_ok(g)
-    )
-
-
-def _binary_meets_ok(g: MonotoneMap) -> bool:
-    mt_s = g.source.meet_table
-    mt_t = g.target.meet_table
-    vals = g.values
-    for x in range(g.source.n):
-        vx = vals[x]
-        for y in range(x + 1, g.source.n):
-            if vals[mt_s[x][y]] != mt_t[vx][vals[y]]:
-                return False
-    return True
+    return galois.is_join_preserving(g) and galois.is_meet_preserving(g)
 
 
 def adjunct_point_map(g: MonotoneMap, space: FiniteT0Space) -> PointMap:

@@ -133,7 +133,8 @@ def invariant_opens(a: FiniteGroupAction) -> tuple[FiniteLattice, MonotoneMap]:
     kept = [k for k, u in enumerate(olat.labels) if a.is_invariant(u)]
     inv = sublattice(olat, kept)
     insertion = MonotoneMap(inv, olat, tuple(inv.labels))
-    assert is_locale_morphism(insertion)
+    if not is_locale_morphism(insertion):
+        raise AssertionError("invariant-open insertion is not a locale morphism")
     return inv, insertion
 
 

@@ -70,21 +70,63 @@ def chain_lattice(n):
     return validate_lattice(FinitePoset.chain(n))
 
 
-def diamond():
+def _cube_pairs():
+    return [(s, s | (1 << b)) for s in range(8) for b in range(3) if not s >> b & 1]
+
+
+# Small lattices with bottom 0 and top n - 1, as (n, cover pairs): two
+# frames, the two forbidden sublattices of distributivity, and the cube.
+LATTICE_BASES = {
+    "chain2": (2, [(0, 1)]),
     # 0 bottom, 1 and 2 incomparable, 3 top
-    return lattice_from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    "B2": (4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
+    # 0 bottom, atoms 1, 2, 3, top 4
+    "M3": (5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]),
+    # 0 < 1 < 3 < 4 and 0 < 2 < 4
+    "N5": (5, [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)]),
+    "B3": (8, _cube_pairs()),
+}
+
+
+def diamond():
+    return lattice_from_pairs(*LATTICE_BASES["B2"])
 
 
 def pentagon():
-    # 0 < 1 < 3 < 4 and 0 < 2 < 4
-    return lattice_from_pairs(5, [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)])
+    return lattice_from_pairs(*LATTICE_BASES["N5"])
 
 
 def three_atom_diamond():
-    # 0 bottom, atoms 1, 2, 3, top 4
-    return lattice_from_pairs(
-        5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
-    )
+    return lattice_from_pairs(*LATTICE_BASES["M3"])
+
+
+def _product_pairs(na, pa, nb, pb):
+    """Cover pairs of the product order; (a, b) is index a * nb + b."""
+    out = [(a * nb + x, a * nb + y) for a in range(na) for x, y in pb]
+    out += [(x * nb + b, y * nb + b) for b in range(nb) for x, y in pa]
+    return na * nb, out
+
+
+@st.composite
+def padded_lattices(draw):
+    """A base lattice (or its product with another base), padded by a
+    chain of 0 to 2 points below and above, its points relabeled at
+    random. Distributive exactly when every base used is."""
+    n, pairs = LATTICE_BASES[draw(st.sampled_from(sorted(LATTICE_BASES)))]
+    if draw(st.booleans()):
+        nb, pb = LATTICE_BASES[draw(st.sampled_from(["chain2", "B2", "M3", "N5"]))]
+        n, pairs = _product_pairs(n, pairs, nb, pb)
+    pairs = list(pairs)
+    low, high = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    bottom, top = 0, n - 1
+    for _ in range(low):
+        pairs.append((n, bottom))
+        bottom, n = n, n + 1
+    for _ in range(high):
+        pairs.append((top, n))
+        top, n = n, n + 1
+    perm = draw(st.permutations(range(n)))
+    return lattice_from_pairs(n, [(perm[x], perm[y]) for x, y in pairs])
 
 
 def matrix_connection(mult):
