@@ -1,11 +1,10 @@
-"""Compare the compiled bitmask kernels against the pure Python twins.
+"""Time the bitmask kernels on seeded random inputs.
 
 Workloads mirror what the sweeps spend their time on: closing and
 validating random orders, enumerating their down-sets, synthesizing
 meet/join tables for the resulting lattices, and scanning those tables
-for distributivity. Both backends run over identical inputs and their
-outputs are compared, so this doubles as a large randomized
-equivalence check.
+for distributivity. Each kernel runs ``--repeat`` passes over the same
+inputs and the best pass is reported.
 
     python3 benchmarks/bench_kernels.py --count 200 --points 6
 """
@@ -15,11 +14,6 @@ import random
 import time
 
 from stonekit import _kernels
-
-try:
-    from stonekit import _core
-except ImportError:
-    _core = None
 
 
 def random_raw_masks(rng, n):
@@ -69,35 +63,19 @@ def build_workloads(seed, count, points):
     }
 
 
-def run(module, kernel, inputs):
-    fn = getattr(module, kernel)
-    out = []
+def run(kernel, inputs):
+    fn = getattr(_kernels, kernel)
     t0 = time.perf_counter()
     if kernel == "downset_masks":
         for arg in inputs:
-            out.append(fn(arg, 4096))
+            fn(arg, 4096)
     elif kernel == "distributive_witness":
         for meet, join in inputs:
-            out.append(fn(meet, join))
+            fn(meet, join)
     else:
         for arg in inputs:
-            out.append(fn(arg))
-    return time.perf_counter() - t0, out
-
-
-def normalize(kernel, results):
-    if kernel == "bound_tables":
-        return [
-            (
-                [list(r) for r in meet] if meet else None,
-                [list(r) for r in join] if join else None,
-                missing,
-            )
-            for meet, join, missing in results
-        ]
-    if kernel in ("closure", "downset_masks"):
-        return [list(r) if r is not None else None for r in results]
-    return results
+            fn(arg)
+    return time.perf_counter() - t0
 
 
 def main():
@@ -111,27 +89,10 @@ def main():
         parser.error("--points must be between 2 and 6")
 
     workloads = build_workloads(args.seed, args.count, args.points)
-    if _core is None:
-        print("compiled backend not built; timing the pure backend only")
-    header = f"{'kernel':<22}{'inputs':>7}{'pure ms':>10}"
-    if _core is not None:
-        header += f"{'core ms':>10}{'speedup':>9}{'agree':>7}"
-    print(header)
+    print(f"{'kernel':<22}{'inputs':>7}{'ms':>10}")
     for kernel, inputs in workloads.items():
-        best_pure, pure_out = min(
-            (run(_kernels, kernel, inputs) for _ in range(args.repeat)),
-            key=lambda pair: pair[0],
-        )
-        row = f"{kernel:<22}{len(inputs):>7}{best_pure * 1000:>10.2f}"
-        if _core is not None:
-            best_core, core_out = min(
-                (run(_core, kernel, inputs) for _ in range(args.repeat)),
-                key=lambda pair: pair[0],
-            )
-            agree = normalize(kernel, pure_out) == normalize(kernel, core_out)
-            ratio = best_pure / best_core if best_core else float("inf")
-            row += f"{best_core * 1000:>10.2f}{ratio:>8.1f}x{'yes' if agree else 'NO':>7}"
-        print(row)
+        best = min(run(kernel, inputs) for _ in range(args.repeat))
+        print(f"{kernel:<22}{len(inputs):>7}{best * 1000:>10.2f}")
 
 
 if __name__ == "__main__":

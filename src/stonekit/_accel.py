@@ -1,66 +1,31 @@
-"""Backend selection for the bitmask kernels.
+"""The bitmask kernels as the library calls them.
 
-The compiled core stores one uint64 per mask, so it only takes carriers
-with at most 64 elements whose masks fit a machine word; anything wider
-uses the pure kernels, which work on unbounded ints. Set STONEKIT_PURE=1
-before import to force the pure path everywhere (the flag is read once).
+``_kernels`` is the one implementation; this module re-exports its six
+kernels so that every library call site goes through ``_accel.X(...)``.
+That single indirection is the seam a profiler or tracer patches to
+count and time kernel calls, and ``backend_name()`` reports the backend
+for benchmark records.
 """
 
-import os
+from ._kernels import (
+    bound_tables,
+    check_poset,
+    closure,
+    distributive_witness,
+    downset_masks,
+    transpose,
+)
 
-from . import _kernels
-
-try:
-    from . import _core
-except ImportError:
-    _core = None
-
-_PURE = os.environ.get("STONEKIT_PURE", "") not in ("", "0")
-
-WORD = 64
+__all__ = [
+    "backend_name",
+    "bound_tables",
+    "check_poset",
+    "closure",
+    "distributive_witness",
+    "downset_masks",
+    "transpose",
+]
 
 
 def backend_name():
-    return "pure" if (_core is None or _PURE) else "compiled"
-
-
-def _fits(masks):
-    if _core is None or _PURE or len(masks) > WORD:
-        return False
-    return all(0 <= m < (1 << WORD) for m in masks)
-
-
-def closure(below):
-    if _fits(below):
-        return _core.closure(below)
-    return _kernels.closure(below)
-
-
-def check_poset(below):
-    if _fits(below):
-        return _core.check_poset(below)
-    return _kernels.check_poset(below)
-
-
-def transpose(below):
-    if _fits(below):
-        return _core.transpose(below)
-    return _kernels.transpose(below)
-
-
-def bound_tables(below):
-    if _fits(below):
-        return _core.bound_tables(below)
-    return _kernels.bound_tables(below)
-
-
-def distributive_witness(meet, join):
-    if _core is not None and not _PURE:
-        return _core.distributive_witness(meet, join)
-    return _kernels.distributive_witness(meet, join)
-
-
-def downset_masks(below, cap):
-    if _fits(below):
-        return _core.downset_masks(below, cap)
-    return _kernels.downset_masks(below, cap)
+    return "pure"

@@ -1,9 +1,8 @@
-"""Bitmask kernels, pure Python reference implementation.
+"""Bitmask kernels, in pure Python.
 
 Posets live as ``below`` masks: ``below[i]`` has bit j set exactly when
 j <= i. Masks are plain ints, so carriers wider than a machine word work
-unchanged. The compiled twin in ``_core`` must agree with these functions
-bit for bit; ``_accel`` picks a backend per call.
+unchanged.
 """
 
 

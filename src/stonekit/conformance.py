@@ -36,9 +36,10 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
+from . import _accel
 from ._kernels import bits
 from .documents import document_for
-from .errors import ConditionViolated, StonekitError, SweepFailed
+from .errors import ClosureTooLarge, ConditionViolated, StonekitError, SweepFailed
 from .galois import GaloisConnection, MonotoneMap, separates
 from .graph_pairs import FiniteGraph, j_x
 from .lattice import FiniteLattice, FinitePoset, downset_lattice, poset_isomorphism
@@ -77,6 +78,7 @@ from .topo_models import (
     action_inclusion_data,
     action_quasi_orbit_agreement,
     bundle_inclusion_data,
+    group_closure,
 )
 
 FAMILIES = (
@@ -157,10 +159,6 @@ def _random_poset(rng: random.Random, max_points: int) -> FinitePoset:
     return FinitePoset.from_pairs(n, pairs)
 
 
-def _downset_masks(poset: FinitePoset) -> list[int]:
-    return [m for m in range(1 << poset.n) if poset.is_down_closed(m)]
-
-
 def _random_point_values(
     rng: random.Random, source: FinitePoset, target: FinitePoset
 ) -> tuple[int, ...]:
@@ -204,7 +202,7 @@ def _random_galois_seed(rng: random.Random, max_points: int) -> _GaloisSeed:
         f = _random_point_values(rng, source, target)
         values = tuple(target.below[f[p]] for p in range(source.n))
         return _GaloisSeed(source, target, values)
-    downs = _downset_masks(target)
+    downs = _accel.downset_masks(list(target.below), 1 << target.n)
     values = [0] * source.n
     for p in _linear_extension(source):
         strict = source.below[p] & ~(1 << p)
@@ -308,8 +306,8 @@ def all_posets(max_points: int, include_empty: bool = False) -> list[FinitePoset
 def _extensions(poset: FinitePoset) -> list[FinitePoset]:
     n = poset.n
     full = (1 << n) - 1
-    downsets = _downset_masks(poset)
-    upsets = [m for m in range(1 << n) if poset.is_down_closed(full ^ m)]
+    downsets = _accel.downset_masks(list(poset.below), 1 << n)
+    upsets = sorted(full ^ m for m in downsets)
     out = []
     for low in downsets:
         for high in upsets:
@@ -342,7 +340,7 @@ def all_frame_posets(max_size: int) -> list[FinitePoset]:
         raise ValueError("frame enumeration supports at most 7 elements")
     reps: list[FinitePoset] = []
     for poset in all_posets(min(max_size - 1, 6), include_empty=True):
-        if len(_downset_masks(poset)) > max_size:
+        if _accel.downset_masks(list(poset.below), max_size) is None:
             continue
         if any(poset_isomorphism(poset, seen) for seen in reps):
             continue
@@ -428,23 +426,6 @@ def order_automorphisms(poset: FinitePoset) -> list[tuple[int, ...]]:
     return out
 
 
-def _closure_capped(generators, identity, max_order: int):
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in generators:
-                composed = tuple(g[h[x]] for x in range(len(identity)))
-                if composed not in seen:
-                    if len(seen) >= max_order:
-                        return None
-                    seen.add(composed)
-                    nxt.append(composed)
-        frontier = nxt
-    return frozenset(seen)
-
-
 def small_group_actions(space: FiniteT0Space, max_order: int = 6):
     """One action per automorphism subgroup of order <= ``max_order``.
 
@@ -455,8 +436,11 @@ def small_group_actions(space: FiniteT0Space, max_order: int = 6):
     auts = [g for g in order_automorphisms(space.points) if g != identity]
     seen = set()
     for gens in [(), *((g,) for g in auts), *combinations(auts, 2)]:
-        closure = _closure_capped(gens, identity, max_order)
-        if closure is None or closure in seen:
+        try:
+            closure = group_closure(gens, space.points.n, max_order)
+        except ClosureTooLarge:
+            continue
+        if closure in seen:
             continue
         seen.add(closure)
         yield FiniteGroupAction(space, gens)
@@ -572,10 +556,6 @@ def _shrink_bundle(b: BundleMap):
             yield BundleMap(b.total, sub, PointMap(b.total, sub, moved))
 
 
-def _no_shrink(_instance):
-    return ()
-
-
 def _check_T42(d: InclusionData):
     if not check_JR(d):
         return False, True
@@ -632,7 +612,18 @@ def _check_C54(m: MultiplicityInclusion):
     return True, check_JR(d) and check_C1(d) and check_MIf(d)
 
 
-def _run_random_sweep(tag, budget, seed, family_cycle, check, shrink, serialize):
+# tag -> (family cycle, check) of the randomized sweeps
+_RANDOM_SWEEPS = {
+    "T42": (("random-galois",), _check_T42),
+    "T47": (("random-galois",), _check_T47),
+    "C48": (("random-galois", "action", "bundle"), _check_C48),
+    "C49": (("random-galois", "action", "bundle"), _check_C49),
+}
+
+_MATRIX_SWEEPS = {"L51": _check_L51, "C54": _check_C54}
+
+
+def _run_random_sweep(tag, budget, seed, family_cycle, check):
     checked = applicable = 0
     for k in range(budget):
         child = InstanceGenerator(
@@ -650,8 +641,8 @@ def _run_random_sweep(tag, budget, seed, family_cycle, check, shrink, serialize)
                 a, o = check(_materialize(cand))
                 return a and not o
 
-            small = _greedy_minimize(instance, shrink, reproduces)
-            doc = document_for(serialize(small))
+            small = _greedy_minimize(instance, _shrink_instance, reproduces)
+            doc = document_for(_serialize_instance(small))
             report = SweepReport(
                 tag, seed, budget, checked, applicable, 1, counterexample=doc
             )
@@ -784,48 +775,9 @@ def sweep_theorem(tag: str, budget: int | None = None, seed: int = 0) -> SweepRe
 
     if tag == "T33":
         return _run_T33(budget, seed)
-    if tag == "T42":
-        return _run_random_sweep(
-            "T42",
-            budget,
-            seed,
-            ("random-galois",),
-            _check_T42,
-            _shrink_instance,
-            _serialize_instance,
-        )
-    if tag == "T47":
-        return _run_random_sweep(
-            "T47",
-            budget,
-            seed,
-            ("random-galois",),
-            _check_T47,
-            _shrink_instance,
-            _serialize_instance,
-        )
-    if tag == "C48":
-        return _run_random_sweep(
-            "C48",
-            budget,
-            seed,
-            ("random-galois", "action", "bundle"),
-            _check_C48,
-            _shrink_instance,
-            _serialize_instance,
-        )
-    if tag == "C49":
-        return _run_random_sweep(
-            "C49",
-            budget,
-            seed,
-            ("random-galois", "action", "bundle"),
-            _check_C49,
-            _shrink_instance,
-            _serialize_instance,
-        )
-    if tag == "L51":
-        return _run_matrix_sweep("L51", budget, seed, _check_L51)
-    if tag == "C54":
-        return _run_matrix_sweep("C54", budget, seed, _check_C54)
-    return _run_T62(budget, seed)
+    if tag == "T62":
+        return _run_T62(budget, seed)
+    if tag in _MATRIX_SWEEPS:
+        return _run_matrix_sweep(tag, budget, seed, _MATRIX_SWEEPS[tag])
+    family_cycle, check = _RANDOM_SWEEPS[tag]
+    return _run_random_sweep(tag, budget, seed, family_cycle, check)

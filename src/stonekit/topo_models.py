@@ -36,6 +36,7 @@ from .spectrum import (
 __all__ = [
     "FiniteGroupAction",
     "BundleMap",
+    "group_closure",
     "invariant_opens",
     "orbit_closure_relation",
     "action_inclusion_data",
@@ -48,6 +49,29 @@ _MAX_ORDER = 10_000
 
 def _compose(g: tuple, h: tuple) -> tuple:
     return tuple(g[h[x]] for x in range(len(h)))
+
+
+def group_closure(generators, n: int, max_order: int):
+    """The group the permutations of range(n) generate, sorted.
+
+    Raises ClosureTooLarge as soon as the group has more than
+    ``max_order`` elements, without expanding the rest of it.
+    """
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in generators:
+                gh = _compose(g, h)
+                if gh not in seen:
+                    if len(seen) >= max_order:
+                        raise ClosureTooLarge(f"group order exceeds {max_order}")
+                    seen.add(gh)
+                    nxt.append(gh)
+        frontier = nxt
+    return tuple(sorted(seen))
 
 
 @dataclass(frozen=True)
@@ -81,23 +105,7 @@ class FiniteGroupAction:
 
     @cached_property
     def closure(self) -> tuple[tuple[int, ...], ...]:
-        identity = tuple(range(self.space.n))
-        seen = {identity}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g in self.generators:
-                    gh = _compose(g, h)
-                    if gh not in seen:
-                        if len(seen) >= self.max_order:
-                            raise ClosureTooLarge(
-                                f"group order exceeds {self.max_order}"
-                            )
-                        seen.add(gh)
-                        nxt.append(gh)
-            frontier = nxt
-        return tuple(sorted(seen))
+        return group_closure(self.generators, self.space.n, self.max_order)
 
     def image_mask(self, g: tuple[int, ...], mask: int) -> int:
         out = 0

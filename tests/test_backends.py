@@ -1,77 +1,19 @@
-"""Pure and compiled kernels must be bit-for-bit interchangeable."""
+"""``_accel`` is the pure kernels under the names the library calls."""
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from conftest import posets
 from stonekit import _accel, _kernels
 
-core = _accel._core
-needs_core = pytest.mark.skipif(core is None, reason="compiled core not built")
-
-
-@st.composite
-def raw_relations(draw, max_points=6):
-    """Arbitrary bit matrices, valid posets or not."""
-    n = draw(st.integers(1, max_points))
-    full = (1 << n) - 1
-    return [draw(st.integers(0, full)) for _ in range(n)]
-
-
-@needs_core
-class TestKernelAgreement:
-    @settings(max_examples=200)
-    @given(raw_relations())
-    def test_closure(self, below):
-        assert core.closure(below) == _kernels.closure(below)
-
-    @settings(max_examples=200)
-    @given(raw_relations())
-    def test_check_poset_including_witness(self, below):
-        assert core.check_poset(below) == _kernels.check_poset(below)
-
-    @settings(max_examples=200)
-    @given(raw_relations())
-    def test_transpose(self, below):
-        assert core.transpose(below) == _kernels.transpose(below)
-
-    @settings(max_examples=200)
-    @given(posets(max_points=6))
-    def test_bound_tables(self, p):
-        below = list(p.below)
-        got = core.bound_tables(below)
-        want = _kernels.bound_tables(below)
-        assert got == want
-
-    @settings(max_examples=100)
-    @given(posets(max_points=5))
-    def test_downset_masks(self, p):
-        below = list(p.below)
-        assert core.downset_masks(below, 4096) == _kernels.downset_masks(below, 4096)
-        assert core.downset_masks(below, 1) == _kernels.downset_masks(below, 1)
-
-    @settings(max_examples=100)
-    @given(posets(max_points=5))
-    def test_distributive_witness(self, p):
-        meet, join, bad = _kernels.bound_tables(list(p.below))
-        if bad is not None:
-            return
-        got = core.distributive_witness(meet, join)
-        want = _kernels.distributive_witness(meet, join)
-        # witness choice must match exactly, not just presence
-        assert got == want
+KERNELS = (
+    "bound_tables",
+    "check_poset",
+    "closure",
+    "distributive_witness",
+    "downset_masks",
+    "transpose",
+)
 
 
 class TestDispatch:
-    def test_backend_name_is_reported(self):
-        assert _accel.backend_name() in ("compiled", "pure")
-
-    def test_oversized_masks_fall_back_to_pure(self):
-        assert not _accel._fits([1 << 70])
-        assert not _accel._fits([1] * 80)
-
-    def test_dispatcher_results_match_direct_pure_calls(self):
-        below = [0b001, 0b011, 0b101]
-        assert _accel.closure(below) == _kernels.closure(below)
-        assert _accel.check_poset(below) == _kernels.check_poset(below)
+    def test_accel_is_the_pure_kernels(self):
+        assert _accel.backend_name() == "pure"
+        for name in KERNELS:
+            assert getattr(_accel, name) is getattr(_kernels, name), name

@@ -39,6 +39,7 @@ from stonekit import (
     orbit_closure_relation,
     restricted_prime_map,
 )
+from stonekit.topo_models import group_closure
 
 
 def discrete(n):
@@ -88,6 +89,12 @@ class TestActionValidation:
     def test_order_cap(self):
         with pytest.raises(ClosureTooLarge):
             FiniteGroupAction(discrete(5), ((1, 2, 3, 4, 0),), max_order=3)
+
+    def test_order_cap_is_inclusive(self):
+        rotation = ((1, 2, 3, 4, 0),)
+        assert len(group_closure(rotation, 5, max_order=5)) == 5
+        with pytest.raises(ClosureTooLarge):
+            group_closure(rotation, 5, max_order=4)
 
     def test_no_generators_means_trivial_group(self):
         a = FiniteGroupAction(vee(), ())
