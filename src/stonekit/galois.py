@@ -297,7 +297,13 @@ def _is_monotone_values(lat_src, lat_tgt, values) -> bool:
 
 
 def verify_prop26(gc: GaloisConnection) -> LawReport:
-    """Check the eight structural laws of an adjoint pair, itemized."""
+    """Check the eight structural laws of an adjoint pair, itemized.
+
+    Every law is a consequence of what a GaloisConnection certifies on
+    construction (both maps monotone, the adjunction law exhaustively),
+    so InclusionData does not re-run this; it stays public as the test
+    oracle for that certificate and for hand-built or synthesized pairs.
+    """
     a, b = gc.lattice_a, gc.lattice_b
     i, r = gc.lower.values, gc.upper.values
     ri = gc.closure_values()

@@ -48,7 +48,16 @@ class FiniteT0Space:
 
     @classmethod
     def from_poset(cls, points: FinitePoset) -> "FiniteT0Space":
-        return cls(points, _all_downsets(points))
+        """The space whose opens are the down-sets of ``points``.
+
+        The opens are enumerated here once; validating them would only
+        enumerate them again, so this path skips ``__post_init__``. The
+        direct constructor still validates whatever it is given.
+        """
+        space = object.__new__(cls)
+        object.__setattr__(space, "points", points)
+        object.__setattr__(space, "opens", _all_downsets(points))
+        return space
 
     @classmethod
     def from_opens(cls, n: int, opens) -> "FiniteT0Space":
@@ -203,7 +212,14 @@ def point_space(lat: FiniteLattice) -> FiniteT0Space:
 
 
 def is_spatial(lat: FiniteLattice) -> bool:
-    """Elements are separated by primes. True for every finite frame."""
+    """Elements are separated by primes. True for every finite frame.
+
+    On a frame this reads the certified spectrum, whose element-to-open
+    map PrimeSpectrum has already checked injective; only non-frames pay
+    for the O(n^3) prime_elements scan.
+    """
+    if is_frame(lat).distributive:
+        return len(set(primes(lat).open_of)) == lat.n
     ps = prime_elements(lat)
     seen = set()
     for i in range(lat.n):

@@ -55,6 +55,8 @@ from stonekit import (
     quasi_orbit_space,
     restricted_prime_map,
     separates,
+    sublattice,
+    verify_prop26,
 )
 
 CROSSED = ((1, 0), (0, 1), (1, 1))
@@ -128,6 +130,16 @@ class TestInclusionData:
         assert not is_frame(lat).distributive
         with pytest.raises(NotAFrame):
             d.restricted_spectrum
+
+    def test_m3_restricted_lattice_matches_the_validated_route(self):
+        d = m3_closure()
+        oracle = sublattice(d.lattice_a, d.restricted)
+        assert d.restricted_lattice == oracle
+        assert d.induced_lattice == sublattice(d.lattice_b, d.induced)
+        assert verify_prop26(d.gc).all_ok
+        with pytest.raises(NotAFrame) as ei:
+            d.restricted_spectrum
+        assert ei.value.witness == is_frame(oracle).witness == (1, 2, 3)
 
 
 class TestJoinClosure:
@@ -395,8 +407,9 @@ class TestFixturesAgainstLawReport:
         ],
     )
     def test_every_fixture_is_a_valid_connection(self, d):
-        # InclusionData construction re-runs the eight-law report
-        assert d() is not None
+        # the eight laws follow from the certified adjunction; the report
+        # is the oracle for that certificate
+        assert verify_prop26(d().gc).all_ok
 
 
 @settings(max_examples=80, deadline=None)
