@@ -212,25 +212,16 @@ def point_space(lat: FiniteLattice) -> FiniteT0Space:
 
 
 def is_spatial(lat: FiniteLattice) -> bool:
-    """Elements are separated by primes. True for every finite frame.
+    """Elements are separated by primes.
 
-    On a frame this reads the certified spectrum, whose element-to-open
-    map PrimeSpectrum has already checked injective; only non-frames pay
-    for the O(n^3) prime_elements scan.
+    On a finite lattice this holds exactly when the lattice is
+    distributive: if x -> {primes not above x} is injective, it turns
+    meets into intersections and joins into unions, embedding the lattice
+    in a powerset; conversely the meet-irreducibles of a finite frame are
+    prime and separate elements. So the answer is the cached is_frame
+    certificate; the tests check it against the prime_elements scan.
     """
-    if is_frame(lat).distributive:
-        return len(set(primes(lat).open_of)) == lat.n
-    ps = prime_elements(lat)
-    seen = set()
-    for i in range(lat.n):
-        u = 0
-        for k, p in enumerate(ps):
-            if not lat.leq(i, p):
-                u |= 1 << k
-        if u in seen:
-            return False
-        seen.add(u)
-    return True
+    return is_frame(lat).distributive
 
 
 def is_sober(space: FiniteT0Space) -> bool:

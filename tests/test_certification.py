@@ -1,8 +1,8 @@
 """Frame certificates, spectra and opens lattices: fast and computed once.
 
 is_frame decides distributivity by Birkhoff's count, primes reads the
-meet-irreducibles and is_spatial reads a frame's certified spectrum;
-all three are checked here against the definitional scans
+meet-irreducibles and is_spatial reads the frame certificate; all
+three are checked here against the definitional scans
 (``_kernels.distributive_witness`` and ``prime_elements``), which stay
 in the package as oracles. The fixed-point lattices of a connection are
 read off the ambient tables and checked against the validated
