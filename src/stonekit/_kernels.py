@@ -14,6 +14,23 @@ def bits(mask):
         mask ^= low
 
 
+def monotone_witness(below, target_below, values):
+    """The first pair x <= y whose values are not ordered, else None.
+
+    ``below`` and ``target_below`` are the source and target rows and
+    ``values`` the map; pairs come y-major, x ascending.
+    """
+    for y, t in enumerate(below):
+        vy = target_below[values[y]]
+        while t:
+            low = t & -t
+            t ^= low
+            x = low.bit_length() - 1
+            if not (vy >> values[x]) & 1:
+                return (x, y)
+    return None
+
+
 def closure(below):
     """Reflexive-transitive closure of the given masks."""
     n = len(below)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from . import _accel
 from ._kernels import bits
@@ -410,19 +410,39 @@ def _join_preserving_maps(poset: FinitePoset, la: FiniteLattice, lb: FiniteLatti
 
 
 def order_automorphisms(poset: FinitePoset) -> list[tuple[int, ...]]:
-    """Every permutation of the points preserving the order both ways."""
+    """Every permutation of the points preserving the order both ways.
+
+    Backtracking: points 0, 1, ... are assigned in turn, each to an
+    unused image that is related to the images already placed exactly
+    as the point is related to their preimages. Images are tried in
+    ascending order, so the list comes out in lexicographic order, the
+    order of ``itertools.permutations``.
+    """
+    n = poset.n
+    below, above = poset.below, poset.above()
+    perm = [0] * n
     out = []
-    for perm in permutations(range(poset.n)):
-        ok = True
-        for j in range(poset.n):
-            moved = 0
-            for i in bits(poset.below[j]):
-                moved |= 1 << perm[i]
-            if moved != poset.below[perm[j]]:
-                ok = False
-                break
-        if ok:
-            out.append(perm)
+
+    def place(k: int, used: int):
+        if k == n:
+            out.append(tuple(perm))
+            return
+        placed = (1 << k) - 1
+        down = up = 0
+        for j in bits(below[k] & placed):
+            down |= 1 << perm[j]
+        for j in bits(above[k] & placed):
+            up |= 1 << perm[j]
+        for v in range(n):
+            if (
+                not (used >> v) & 1
+                and below[v] & used == down
+                and above[v] & used == up
+            ):
+                perm[k] = v
+                place(k + 1, used | (1 << v))
+
+    place(0, 0)
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._kernels import bits, monotone_witness
 from .errors import AdjunctionFailure, NotMonotone, ShapeMismatch
 from .lattice import FiniteLattice
 
@@ -32,15 +33,11 @@ class MonotoneMap:
         for v in self.values:
             if not (0 <= v < self.target.n):
                 raise ShapeMismatch(f"value {v} outside the target carrier")
-        below = self.source.order.below
-        tgt = self.target.order
-        for y in range(n):
-            vy = self.values[y]
-            for x in range(n):
-                if (below[y] >> x) & 1 and not tgt.leq(self.values[x], vy):
-                    raise NotMonotone(
-                        f"order not preserved at ({x}, {y})", witness=(x, y)
-                    )
+        bad = monotone_witness(
+            self.source.order.below, self.target.order.below, self.values
+        )
+        if bad is not None:
+            raise NotMonotone(f"order not preserved at {bad}", witness=bad)
 
     @classmethod
     def identity(cls, lat: FiniteLattice) -> "MonotoneMap":
@@ -109,13 +106,22 @@ class AbsenceWitness:
 
 
 def _adjunction_witness(lower: MonotoneMap, upper: MonotoneMap):
-    b = lower.target
-    a = lower.source
-    for x in range(a.n):
-        ix = lower.values[x]
-        for y in range(b.n):
-            if b.leq(ix, y) != a.leq(x, upper.values[y]):
-                return (x, y)
+    # The first (x, y), x-major, with i(x) <= y and x <= r(y) disagreeing.
+    # Per x both sides are masks over B: {y : i(x) <= y} is a row of B's
+    # above table, {y : x <= r(y)} the union of the r-fibers of the
+    # elements above x, and the lowest differing bit is the first y.
+    a_above = lower.source.order.above()
+    b_above = lower.target.order.above()
+    fiber = [0] * lower.source.n
+    for y, v in enumerate(upper.values):
+        fiber[v] |= 1 << y
+    for x, ix in enumerate(lower.values):
+        reach = 0
+        for v in bits(a_above[x]):
+            reach |= fiber[v]
+        diff = b_above[ix] ^ reach
+        if diff:
+            return (x, (diff & -diff).bit_length() - 1)
     return None
 
 

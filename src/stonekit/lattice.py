@@ -110,9 +110,17 @@ class FinitePoset:
         return out
 
     def subposet(self, elements) -> "FinitePoset":
-        """Induced subposet; element k is ``elements[k]`` of the parent."""
+        """Induced subposet; element k is ``elements[k]`` of the parent.
+
+        The restriction of a certified order to distinct points is
+        always a poset, so the result skips ``check_poset``, as
+        ``FiniteT0Space.from_poset`` skips its re-validation; only the
+        points themselves are checked.
+        """
         elements = list(elements)
         pos = {e: k for k, e in enumerate(elements)}
+        if len(pos) != len(elements) or not all(0 <= e < self.n for e in elements):
+            raise NotAPoset("subposet points must be distinct points of the poset")
         below = []
         for e in elements:
             m = 0
@@ -120,7 +128,10 @@ class FinitePoset:
                 if f in pos:
                     m |= 1 << pos[f]
             below.append(m)
-        return FinitePoset(len(elements), tuple(below))
+        sub = object.__new__(FinitePoset)
+        object.__setattr__(sub, "n", len(elements))
+        object.__setattr__(sub, "below", tuple(below))
+        return sub
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with j covering i, for rendering."""
@@ -323,19 +334,22 @@ def is_frame(lat: FiniteLattice) -> FrameWitness:
     return lat.frame_witness
 
 
-def downset_lattice(poset: FinitePoset) -> FiniteLattice:
+def downset_lattice(poset: FinitePoset, masks=None) -> FiniteLattice:
     """The lattice of down-sets, labeled by their masks.
 
     Always a frame, yet not marked as one here: is_frame certifies it
     like any other lattice, and tests confirm it against the scan. Each
-    call builds a new lattice; opens_lattice keeps one per space.
+    call builds a new lattice; opens_lattice keeps one per space and
+    passes the space's opens as ``masks``, the ascending down-sets of
+    ``poset``, so they are not enumerated again.
     """
-    cap = max_lattice_size()
-    masks = _accel.downset_masks(list(poset.below), cap)
     if masks is None:
-        raise LatticeTooLarge(
-            f"more than {cap} down-sets; raise STONE_MAX_LATTICE to allow"
-        )
+        cap = max_lattice_size()
+        masks = _accel.downset_masks(list(poset.below), cap)
+        if masks is None:
+            raise LatticeTooLarge(
+                f"more than {cap} down-sets; raise STONE_MAX_LATTICE to allow"
+            )
     index = {m: k for k, m in enumerate(masks)}
     n = len(masks)
     below = []

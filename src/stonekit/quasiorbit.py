@@ -108,7 +108,17 @@ class InclusionData:
 
     @cached_property
     def restricted_lattice(self) -> FiniteLattice:
-        """Ambient meets; joins are closed up by r.i."""
+        """Ambient meets; joins are closed up by r.i.
+
+        When the upper map is the insertion of lattice_b, labeled by the
+        ambient indices it inserts, lattice_b is that lattice already:
+        an injective upper adjoint is an order embedding onto the fixed
+        points of r.i, so its order, tables and labels are exactly the
+        ones built here, and lattice_b (with its cached spectrum) is
+        returned instead of a second copy.
+        """
+        if self.gc.upper.values == self.lattice_b.labels == self.restricted:
+            return self.lattice_b
         return fixed_point_lattice(
             self.lattice_a, self.restricted, join_fix=self.gc.closure_values()
         )
@@ -158,12 +168,12 @@ def check_JR(d: InclusionData) -> bool:
 
 
 def check_C1(d: InclusionData) -> bool:
-    a = d.lattice_a
+    mt = d.lattice_a.meet_table
     ri = d.gc.closure_values()
     for i in d.restricted:
-        for j in range(a.n):
-            if a.meet(i, ri[j]) != ri[a.meet(i, j)]:
-                return False
+        row = mt[i]
+        if [row[v] for v in ri] != [ri[v] for v in row]:
+            return False
     return True
 
 

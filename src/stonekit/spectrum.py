@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import galois
-from ._kernels import bits
+from ._kernels import bits, monotone_witness
 from .errors import (
     InvalidTopology,
     NotAFrame,
@@ -101,11 +101,8 @@ class FiniteT0Space:
 
     @cached_property
     def opens_lattice(self) -> FiniteLattice:
-        """The frame of opens, built once; see opens_lattice."""
-        lat = downset_lattice(self.points)
-        if lat.labels != self.opens:
-            raise AssertionError("down-set lattice labels are not the opens")
-        return lat
+        """The frame of opens, built once from ``opens``; see opens_lattice."""
+        return downset_lattice(self.points, self.opens)
 
 
 def _all_downsets(points: FinitePoset) -> tuple[int, ...]:
@@ -197,14 +194,15 @@ def _prime_spectrum(lat: FiniteLattice) -> PrimeSpectrum:
     ps = meet_irreducibles(lat)
     sub = lat.order.subposet(list(ps))
     space = FiniteT0Space.from_poset(sub)
-    open_of = []
-    for i in range(lat.n):
-        m = 0
-        for k, p in enumerate(ps):
-            if not lat.leq(i, p):
-                m |= 1 << k
-        open_of.append(m)
-    return PrimeSpectrum(lat, ps, space, tuple(open_of))
+    # U_i is the complement of the primes above i
+    below = lat.order.below
+    under = [0] * lat.n
+    for k, p in enumerate(ps):
+        for i in bits(below[p]):
+            under[i] |= 1 << k
+    full = (1 << len(ps)) - 1
+    open_of = tuple(full & ~m for m in under)
+    return PrimeSpectrum(lat, ps, space, open_of)
 
 
 def point_space(lat: FiniteLattice) -> FiniteT0Space:
@@ -283,12 +281,9 @@ class PointMap:
                 by_preimage = False
                 bad = u
                 break
-        by_order = all(
-            not self.source.points.leq(x, y)
-            or self.target.points.leq(self.values[x], self.values[y])
-            for x in range(self.source.n)
-            for y in range(self.source.n)
-        )
+        by_order = monotone_witness(
+            self.source.points.below, self.target.points.below, self.values
+        ) is None
         if by_preimage != by_order:
             raise AssertionError("continuity characterizations disagree")
         if not by_preimage:

@@ -7,30 +7,44 @@ three are checked here against the definitional scans
 in the package as oracles. The fixed-point lattices of a connection are
 read off the ambient tables and checked against the validated
 ``sublattice`` route, with ``verify_prop26`` as the oracle for the
-certificate they rely on. The last part pins that each certificate is
-computed once per instance and shared by every caller, and that no
-certificate is re-checked on the T62 path.
+certificate they rely on. The bit-row certification loops (monotone
+maps, the adjunction law, continuity, subposets, automorphisms) are
+checked against the per-pair definitions they replaced, witnesses
+included. The last part pins that each certificate is computed once per
+instance and shared by every caller, and that no certificate is
+re-checked on the T62 path.
 """
 
 import json
+import random
 import re
 import sys
+from itertools import permutations
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stonekit.galois as galois_module
 import stonekit.spectrum as spectrum_module
 from conftest import downset_frames, padded_lattices, pentagon
 from stonekit import (
+    AbsenceWitness,
+    AdjunctionFailure,
     FiniteGroupAction,
     FinitePoset,
     FiniteT0Space,
     InstanceGenerator,
+    GaloisConnection,
     InvalidTopology,
+    MonotoneMap,
     NotAFrame,
     NotALattice,
+    NotAPoset,
+    NotContinuous,
+    NotMonotone,
+    PointMap,
     action_inclusion_data,
     action_quasi_orbit_agreement,
     all_posets,
@@ -40,17 +54,20 @@ from stonekit import (
     is_frame,
     is_locale_morphism,
     is_spatial,
+    lower_adjoint,
     opens_lattice,
     prime_elements,
     primes,
     small_group_actions,
     sublattice,
+    upper_adjoint,
     validate_lattice,
     verify_prop26,
 )
 from stonekit import _accel, _kernels
 from stonekit.cli import main
-from stonekit.conformance import FAMILIES
+from stonekit.conformance import FAMILIES, order_automorphisms
+from stonekit.quasiorbit import check_C1
 from stonekit.lattice import (
     fixed_point_lattice,
     join_irreducibles,
@@ -150,6 +167,9 @@ class TestFixedPointLattices:
                 inv, insertion = invariant_opens(action)
                 assert inv == sublattice(opens_lattice(space), inv.labels)
                 assert inv == d.restricted_lattice
+                # the upper map is the insertion: no second lattice is built
+                assert d.restricted_lattice is d.lattice_b
+                assert d.restricted_spectrum is d.spectrum_b
                 assert is_locale_morphism(insertion)
                 count += 1
         assert count == 426
@@ -162,6 +182,189 @@ class TestFixedPointLattices:
         # closing joins up to the top keeps the subset a lattice
         closed = fixed_point_lattice(lat, (0, 1, 3), join_fix=(0, 1, 3, 3))
         assert closed == sublattice(lat, (0, 1, 3))
+
+
+def automorphisms_by_filter(poset):
+    # the permutation filter order_automorphisms replaced
+    out = []
+    for perm in permutations(range(poset.n)):
+        ok = True
+        for j in range(poset.n):
+            moved = 0
+            for i in _kernels.bits(poset.below[j]):
+                moved |= 1 << perm[i]
+            if moved != poset.below[perm[j]]:
+                ok = False
+                break
+        if ok:
+            out.append(perm)
+    return out
+
+
+def unordered_pair(src, tgt, values):
+    # monotonicity by definition, pair by pair: y-major, x ascending
+    for y in range(src.n):
+        for x in range(src.n):
+            if src.leq(x, y) and not tgt.leq(values[x], values[y]):
+                return (x, y)
+    return None
+
+
+def adjunction_break(lower, upper):
+    # i(x) <= y iff x <= r(y), pair by pair: x-major, y ascending
+    a, b = lower.source, lower.target
+    for x in range(a.n):
+        for y in range(b.n):
+            if b.leq(lower.values[x], y) != a.leq(x, upper.values[y]):
+                return (x, y)
+    return None
+
+
+def non_open_preimage(source, target, values):
+    # the first open of the target whose preimage is not open
+    for u in target.opens:
+        pre = sum(1 << x for x, v in enumerate(values) if (u >> v) & 1)
+        if pre not in source.opens:
+            return u
+    return None
+
+
+def monotone_from(lat, tgt, raw):
+    # x -> join of the raw values below x: monotone for any raw table
+    below = lat.order.below
+    values = (tgt.big_join(raw[y] for y in _kernels.bits(row)) for row in below)
+    return MonotoneMap(lat, tgt, tuple(values))
+
+
+def c1_by_pairs(d):
+    a = d.lattice_a
+    ri = d.gc.closure_values()
+    return all(
+        a.meet(i, ri[j]) == ri[a.meet(i, j)] for i in d.restricted for j in range(a.n)
+    )
+
+
+def assert_monotone_witness(src, tgt, values):
+    want = unordered_pair(src.order, tgt.order, values)
+    if want is None:
+        assert MonotoneMap(src, tgt, values).values == values
+    else:
+        with pytest.raises(NotMonotone) as ei:
+            MonotoneMap(src, tgt, values)
+        assert ei.value.witness == want
+
+
+def assert_adjunction_witness(lower, upper):
+    want = adjunction_break(lower, upper)
+    if want is None:
+        GaloisConnection(lower, upper)
+    else:
+        with pytest.raises(AdjunctionFailure) as ei:
+            GaloisConnection(lower, upper)
+        assert ei.value.witness == want
+    # synthesis reports the pair the definition finds, or a true adjoint
+    up = upper_adjoint(lower)
+    if isinstance(up, AbsenceWitness):
+        assert (up.x, up.y) == adjunction_break(lower, up.candidate)
+    else:
+        assert adjunction_break(lower, up) is None
+    down = lower_adjoint(upper)
+    if isinstance(down, AbsenceWitness):
+        assert (down.x, down.y) == adjunction_break(down.candidate, upper)
+    else:
+        assert adjunction_break(down, upper) is None
+
+
+def assert_continuity_witness(source, target, values):
+    by_pairs = all(
+        not source.points.leq(x, y) or target.points.leq(values[x], values[y])
+        for x in range(source.n)
+        for y in range(source.n)
+    )
+    want = non_open_preimage(source, target, values)
+    assert by_pairs == (want is None)
+    if want is None:
+        PointMap(source, target, values)
+    else:
+        with pytest.raises(NotContinuous) as ei:
+            PointMap(source, target, values)
+        assert ei.value.witness == want
+
+
+class TestBitRowLoopsAgainstPairLoops:
+    def test_automorphisms_match_the_permutation_filter(self):
+        # all 4,473 labeled posets of at most 5 points, same list, same order
+        posets = all_posets(5)
+        assert len(posets) == 4473
+        for p in posets:
+            assert order_automorphisms(p) == automorphisms_by_filter(p)
+
+    def test_census_subposets_pass_check_poset(self):
+        for p in all_posets(5):
+            for mask in range(1 << p.n):
+                points = list(_kernels.bits(mask))
+                sub = p.subposet(points)
+                assert _kernels.check_poset(list(sub.below)) is None
+                assert sub == FinitePoset(
+                    len(points),
+                    tuple(
+                        sum(1 << k for k, f in enumerate(points) if p.leq(f, e))
+                        for e in points
+                    ),
+                )
+            backwards = p.subposet(range(p.n - 1, -1, -1))
+            assert _kernels.check_poset(list(backwards.below)) is None
+
+    def test_subposet_refuses_repeated_or_foreign_points(self):
+        p = FinitePoset.chain(3)
+        for points in ([0, 0], [0, 3], [-1, 1]):
+            with pytest.raises(NotAPoset):
+                p.subposet(points)
+
+    @settings(max_examples=200, deadline=None)
+    @given(padded_lattices(), st.data())
+    def test_padded_lattice_maps(self, lat, data):
+        draw_table = st.lists(
+            st.integers(0, lat.n - 1), min_size=lat.n, max_size=lat.n
+        )
+        assert_monotone_witness(lat, lat, tuple(data.draw(draw_table)))
+        lower = monotone_from(lat, lat, data.draw(draw_table))
+        upper = monotone_from(lat, lat, data.draw(draw_table))
+        assert_adjunction_witness(lower, upper)
+        assert_adjunction_witness(MonotoneMap.identity(lat), upper)
+
+    def test_check_C1_matches_the_pair_loop(self):
+        outcomes = set()
+        for family in FAMILIES:
+            if family == "graph":
+                continue
+            for seed in range(40):
+                for max_points in (3, 5):
+                    gen = InstanceGenerator(
+                        seed=seed, family=family, max_points=max_points
+                    )
+                    d = gen_inclusion_data(gen)
+                    holds = check_C1(d)
+                    assert holds == c1_by_pairs(d)
+                    outcomes.add(holds)
+        assert outcomes == {True, False}
+
+    def test_census_maps(self):
+        rng = random.Random(5)
+        posets = all_posets(4)
+        for p in posets:
+            q = rng.choice(posets)
+            la, lb = downset_lattice(p), downset_lattice(q)
+            for _ in range(3):
+                values = tuple(rng.randrange(lb.n) for _ in range(la.n))
+                assert_monotone_witness(la, lb, values)
+                lower = monotone_from(la, lb, [rng.randrange(lb.n) for _ in range(la.n)])
+                upper = monotone_from(lb, la, [rng.randrange(la.n) for _ in range(lb.n)])
+                assert_adjunction_witness(lower, upper)
+                source = FiniteT0Space.from_poset(p)
+                target = FiniteT0Space.from_poset(q)
+                values = tuple(rng.randrange(q.n) for _ in range(p.n))
+                assert_continuity_witness(source, target, values)
 
 
 def counted(monkeypatch, module, name):
@@ -205,9 +408,9 @@ class TestCertifyOnce:
         real_downsets = spectrum_module.downset_lattice
         real_scan = _accel.distributive_witness
 
-        def counting_downsets(poset):
+        def counting_downsets(poset, *masks):
             built.append(poset)
-            return real_downsets(poset)
+            return real_downsets(poset, *masks)
 
         def counting_scan(meet, join):
             scans.append(len(meet))
@@ -246,6 +449,8 @@ class TestCertifyOnce:
         poset = FinitePoset.from_pairs(3, [(0, 1), (0, 2)])
         calls = counted(monkeypatch, _accel, "downset_masks")
         space = FiniteT0Space.from_poset(poset)
+        # the opens lattice is built from the space's opens
+        assert opens_lattice(space).labels == space.opens
         assert len(calls) == 1
         assert space.opens == (0, 1, 3, 5, 7)
         # the direct constructor still validates what it is given
