@@ -36,13 +36,6 @@ def max_lattice_size() -> int:
     return DEFAULT_MAX_LATTICE
 
 
-def mask_of(items) -> int:
-    m = 0
-    for i in items:
-        m |= 1 << i
-    return m
-
-
 @dataclass(frozen=True)
 class FinitePoset:
     """A finite poset as reflexive-transitive ``below`` masks."""
@@ -57,6 +50,17 @@ class FinitePoset:
         if bad is not None:
             reason, i, j = bad
             raise NotAPoset(f"{reason} at elements ({i}, {j})")
+
+    @classmethod
+    def _trusted(cls, below) -> "FinitePoset":
+        """A poset from rows already known to encode a partial order.
+
+        Skips ``check_poset``; each caller says why its rows qualify.
+        """
+        poset = object.__new__(cls)
+        object.__setattr__(poset, "n", len(below))
+        object.__setattr__(poset, "below", tuple(below))
+        return poset
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "FinitePoset":
@@ -128,10 +132,7 @@ class FinitePoset:
                 if f in pos:
                     m |= 1 << pos[f]
             below.append(m)
-        sub = object.__new__(FinitePoset)
-        object.__setattr__(sub, "n", len(elements))
-        object.__setattr__(sub, "below", tuple(below))
-        return sub
+        return FinitePoset._trusted(below)
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with j covering i, for rendering."""
@@ -341,7 +342,9 @@ def downset_lattice(poset: FinitePoset, masks=None) -> FiniteLattice:
     like any other lattice, and tests confirm it against the scan. Each
     call builds a new lattice; opens_lattice keeps one per space and
     passes the space's opens as ``masks``, the ascending down-sets of
-    ``poset``, so they are not enumerated again.
+    ``poset``, so they are not enumerated again. Set inclusion is always
+    a partial order, so the inclusion order skips ``check_poset``, as
+    ``FinitePoset.subposet`` does.
     """
     if masks is None:
         cap = max_lattice_size()
@@ -359,7 +362,7 @@ def downset_lattice(poset: FinitePoset, masks=None) -> FiniteLattice:
             if other & ~m == 0:
                 row |= 1 << k
         below.append(row)
-    order = FinitePoset(n, tuple(below))
+    order = FinitePoset._trusted(below)
     meet = tuple(
         tuple(index[a & b] for b in masks) for a in masks
     )

@@ -105,10 +105,12 @@ def assert_agrees_with_scans(lat):
 
 class TestBirkhoffAgainstScan:
     def test_census_down_set_lattices(self):
-        # every labeled poset of at most 5 points: 4,473 frames
+        # every labeled poset of at most 5 points: 4,473 frames, whose
+        # inclusion orders are built without check_poset
         for p in all_posets(5):
             lat = downset_lattice(p)
             assert is_frame(lat).distributive and scan(lat) is None
+            assert _kernels.check_poset(list(lat.order.below)) is None
 
     def test_census_posets_that_are_lattices(self):
         # labeled lattices of at most 5 points, M3 and N5 among them
@@ -441,9 +443,11 @@ class TestCertifyOnce:
         a = vee_action()
         laws = counted(monkeypatch, galois_module, "verify_prop26")
         tables = counted(monkeypatch, _accel, "bound_tables")
+        orders = counted(monkeypatch, _accel, "check_poset")
         assert action_quasi_orbit_agreement(a)
         assert laws == []
         assert tables == []
+        assert orders == []
 
     def test_from_poset_enumerates_the_down_sets_once(self, monkeypatch):
         poset = FinitePoset.from_pairs(3, [(0, 1), (0, 2)])

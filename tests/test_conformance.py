@@ -8,6 +8,7 @@ built by an independent method.
 
 from collections import Counter
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -36,16 +37,19 @@ from stonekit import (
     validate_lattice,
     verify_prop26,
 )
+import stonekit.conformance as conformance_module
 from stonekit.conformance import (
     _compile_seed,
     _greedy_minimize,
+    _poset_classes,
     _random_galois_seed,
     _run_matrix_sweep,
+    _run_T62_labeled,
     _shrink_action,
     _shrink_bundle,
     _shrink_seed,
 )
-from stonekit.lattice import downset_lattice
+from stonekit.lattice import downset_lattice, poset_isomorphism
 from stonekit.quasiorbit import check_JR
 from stonekit.spectrum import PointMap
 from stonekit.topo_models import BundleMap, FiniteGroupAction
@@ -296,6 +300,48 @@ class TestSweeps:
         report = sweep_theorem("L51", budget=2)
         body = json.dumps(report.as_dict(), sort_keys=True)
         assert '"tag": "L51"' in body
+
+
+class TestT62BySymmetry:
+    """The sweep checks one poset per isomorphism class; the labeled
+    census is the oracle that would catch a labeling-dependent bug."""
+
+    def test_labeled_census_matches_the_reduced_sweep(self):
+        assert _run_T62_labeled(5, 0) == sweep_theorem("T62")
+
+    def test_reduced_and_labeled_sweeps_agree_on_small_budgets(self):
+        for budget in range(1, 5):
+            assert sweep_theorem("T62", budget, seed=3) == _run_T62_labeled(budget, 3)
+
+    def test_classes_are_distinct_and_count_the_labeled_posets(self):
+        classes = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
+        labeled = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
+        for max_points in range(1, 6):
+            reps = _poset_classes(max_points)
+            for i, a in enumerate(reps):
+                assert not any(poset_isomorphism(a, b) for b in reps[i + 1 :])
+            assert Counter(r.n for r in reps) == {
+                n: classes[n] for n in range(1, max_points + 1)
+            }
+            copies = Counter()
+            for r in reps:
+                copies[r.n] += factorial(r.n) // len(order_automorphisms(r))
+            assert copies == {n: labeled[n] for n in range(1, max_points + 1)}
+
+    def test_injected_violation_gives_the_labeled_report(self, monkeypatch):
+        # an isomorphism-invariant fault: every group of order 2 on 3 points
+        def agreement(action):
+            return not (action.space.n == 3 and len(action.closure) == 2)
+
+        monkeypatch.setattr(conformance_module, "action_quasi_orbit_agreement", agreement)
+        with pytest.raises(SweepFailed) as reduced:
+            sweep_theorem("T62")
+        with pytest.raises(SweepFailed) as labeled:
+            _run_T62_labeled(5, 0)
+        assert str(reduced.value) == str(labeled.value)
+        assert reduced.value.report == labeled.value.report
+        assert reduced.value.report.violations == 1
+        assert reduced.value.report.counterexample["kind"] == "action"
 
 
 class TestMinimization:

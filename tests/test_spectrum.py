@@ -4,8 +4,12 @@ Frozen prime sets were derived once by the definitional scan written
 inline here (oracle_primes); the library must keep agreeing with it.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings
+
+import stonekit.quasiorbit as quasiorbit_module
 
 from conftest import (
     chain_lattice,
@@ -18,15 +22,20 @@ from conftest import (
 from stonekit import (
     FinitePoset,
     FiniteT0Space,
+    InstanceGenerator,
     InvalidTopology,
+    JRViolated,
     MonotoneMap,
     NotAFrame,
     NotContinuous,
     NotLocaleMorphism,
     PointMap,
+    action_inclusion_data,
     adjunct_point_map,
+    all_spaces,
     boolean_lattice,
     downset_lattice,
+    gen_inclusion_data,
     homeomorphic,
     is_homeomorphism,
     is_locale_morphism,
@@ -39,7 +48,9 @@ from stonekit import (
     point_space,
     prime_elements,
     primes,
+    quasi_orbit_space,
     quotient_space,
+    small_group_actions,
     soberification,
     sublattice,
     theorem33_check,
@@ -59,6 +70,31 @@ def oracle_primes(lat):
         ):
             out.append(p)
     return tuple(out)
+
+
+def set_partitions(n):
+    """Every partition of range(n), as lists of disjoint nonempty masks."""
+    if n == 0:
+        yield []
+        return
+    bit = 1 << (n - 1)
+    for blocks in set_partitions(n - 1):
+        for k in range(len(blocks)):
+            yield blocks[:k] + [blocks[k] | bit] + blocks[k + 1 :]
+        yield blocks + [bit]
+
+
+def quotient_by_from_opens(space, classes):
+    """The quotient through the validating constructor: the oracle."""
+    opens = set()
+    for u in space.opens:
+        if all(c & u in (0, c) for c in classes):
+            opens.add(sum(1 << k for k, c in enumerate(classes) if c & u))
+    class_of = tuple(
+        next(k for k, c in enumerate(classes) if (c >> x) & 1)
+        for x in range(space.n)
+    )
+    return FiniteT0Space.from_opens(len(classes), opens), class_of
 
 
 def sierpinski():
@@ -360,3 +396,44 @@ class TestQuotient:
         )
         with pytest.raises(InvalidTopology):
             quotient_space(space, [0b1001, 0b0010, 0b0100])
+
+    def test_matches_from_opens_on_every_partition(self):
+        # all partitions of every labeled space of at most 4 points; the
+        # non-T0 quotients must fail with the oracle's message
+        outcomes = set()
+        for space in all_spaces(4):
+            for classes in set_partitions(space.n):
+                try:
+                    want = quotient_by_from_opens(space, classes)
+                except InvalidTopology as e:
+                    with pytest.raises(InvalidTopology, match=re.escape(str(e))):
+                        quotient_space(space, classes)
+                    outcomes.add("not T0")
+                    continue
+                assert quotient_space(space, classes) == want
+                outcomes.add("T0")
+        assert outcomes == {"T0", "not T0"}
+
+    def test_quasi_orbit_quotients_match_from_opens(self, monkeypatch):
+        real = quasiorbit_module.quotient_space
+        built = []
+
+        def compared(space, classes):
+            got = real(space, classes)
+            assert got == quotient_by_from_opens(space, classes)
+            built.append(got)
+            return got
+
+        monkeypatch.setattr(quasiorbit_module, "quotient_space", compared)
+        families = ("random-galois", "random-poset-downsets", "multiplicity", "action", "bundle")
+        for family in families:
+            for seed in range(40):
+                d = gen_inclusion_data(InstanceGenerator(seed=seed, family=family))
+                try:
+                    quasi_orbit_space(d)
+                except JRViolated:
+                    continue
+        for space in all_spaces(4):
+            for action in small_group_actions(space):
+                quasi_orbit_space(action_inclusion_data(action))
+        assert len(built) > 200
