@@ -793,10 +793,8 @@ def _poset_classes(max_points: int) -> list[FinitePoset]:
 
 
 def _run_T62(budget: int, seed: int) -> SweepReport:
-    # One representative per isomorphism class stands for its n!/|Aut|
-    # labelings, each carrying as many subgroup actions as it does. On a
-    # violation the labeled census runs instead, so the report names the
-    # same labeled action and the same minimized document.
+    # A representative R stands for its n!/|Aut(R)| labelings, each with
+    # as many subgroup actions as R; see the module docstring.
     checked = 0
     for rep in _poset_classes(budget):
         copies = factorial(rep.n) // len(order_automorphisms(rep))

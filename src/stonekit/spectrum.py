@@ -489,15 +489,10 @@ def quotient_space(space: FiniteT0Space, classes) -> tuple[FiniteT0Space, tuple[
     for w in family:
         for k in bits(w):
             below[k] &= w
-    first: dict[int, int] = {}
-    clashes = []
-    for k, m in enumerate(below):
-        if m in first:
-            clashes.append((first[m], k))
-        else:
-            first[m] = k
-    if clashes:
-        i, j = min(clashes)
+    if len(set(below)) != len(below):
+        # name the first clashing pair, as check_poset does for from_opens
+        i = min(k for k, m in enumerate(below) if below.count(m) > 1)
+        j = below.index(below[i], i + 1)
         raise InvalidTopology(
             f"family is not T0: not antisymmetric at elements ({i}, {j})"
         )

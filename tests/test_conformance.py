@@ -329,9 +329,14 @@ class TestT62BySymmetry:
             assert copies == {n: labeled[n] for n in range(1, max_points + 1)}
 
     def test_injected_violation_gives_the_labeled_report(self, monkeypatch):
-        # an isomorphism-invariant fault: every group of order 2 on 3 points
+        # an isomorphism-invariant fault: every group of order 2 on a
+        # 3-point poset with a strict relation. The antichain, first of
+        # its size in both walks, escapes it, so a count of copies would
+        # name another action than the labeled census does.
         def agreement(action):
-            return not (action.space.n == 3 and len(action.closure) == 2)
+            points = action.space.points
+            related = any(row & (row - 1) for row in points.below)
+            return not (points.n == 3 and len(action.closure) == 2 and related)
 
         monkeypatch.setattr(conformance_module, "action_quasi_orbit_agreement", agreement)
         with pytest.raises(SweepFailed) as reduced:

@@ -1,16 +1,16 @@
 """Replay the committed golden corpus against the current tree.
 
 Every entry of ``golden/sweep_reports.json`` names its sweep (tag, seed,
-budget); the sweep is run again and its whole report, counterexample
-document included, must equal the pinned one. Regenerate the corpus
-with ``golden/regenerate.py``.
+budget); the sweep is run again and its whole report must equal the
+pinned one. Regenerate the corpus with ``golden/regenerate.py``.
 """
 
 import json
 
 import pytest
 
-from golden.regenerate import SWEEP_REPORTS, sweep_report
+from golden.regenerate import SWEEP_REPORTS
+from stonekit import sweep_theorem
 
 PINNED = json.loads(SWEEP_REPORTS.read_text())
 
@@ -21,5 +21,5 @@ PINNED = json.loads(SWEEP_REPORTS.read_text())
     ids=[f"{r['tag']}-seed{r['seed']}-budget{r['budget']}" for r in PINNED],
 )
 def test_sweep_report_matches_golden(pinned):
-    report = sweep_report(pinned["tag"], pinned["seed"], pinned["budget"])
-    assert report == pinned
+    report = sweep_theorem(pinned["tag"], budget=pinned["budget"], seed=pinned["seed"])
+    assert report.as_dict() == pinned
