@@ -16,7 +16,7 @@ import sys
 import click
 
 from ._kernels import bits
-from .documents import compile_document, load_document
+from .documents import compile_document, inclusion_data_for, load_document
 from .errors import (
     ConditionViolated,
     DocumentError,
@@ -26,9 +26,8 @@ from .errors import (
 from .conformance import sweep_theorem
 from .galois import detects, separates
 from .graph_pairs import j_pairs, pair_prime_space
-from .multiplicity import MultiplicityInclusion, is_symmetric, to_inclusion_data
+from .multiplicity import is_symmetric
 from .quasiorbit import (
-    InclusionData,
     _mi_witness,
     check_C1,
     check_C2,
@@ -37,12 +36,6 @@ from .quasiorbit import (
     check_MIf,
     quasi_orbit_map,
     quasi_orbit_space,
-)
-from .topo_models import (
-    BundleMap,
-    FiniteGroupAction,
-    action_inclusion_data,
-    bundle_inclusion_data,
 )
 
 # usage errors are input errors (exit 1); 2 is reserved for --assert
@@ -65,18 +58,6 @@ def _load(path):
         sys.exit(1)
 
 
-def _as_inclusion(kind, model):
-    if isinstance(model, InclusionData):
-        return model
-    if isinstance(model, MultiplicityInclusion):
-        return to_inclusion_data(model)
-    if isinstance(model, FiniteGroupAction):
-        return action_inclusion_data(model)
-    if isinstance(model, BundleMap):
-        return bundle_inclusion_data(model)
-    raise AssertionError(f"no inclusion view for {kind}")
-
-
 def _condition_report(doc, model) -> dict:
     if doc.kind == "graph":
         graph, jmask = model
@@ -88,7 +69,7 @@ def _condition_report(doc, model) -> dict:
             "pairs": len(pl.pairs),
             "primes": len(pair_prime_space(pl).primes),
         }
-    d = _as_inclusion(doc.kind, model)
+    d = inclusion_data_for(model)
     jr = check_JR(d)
     mif = check_MIf(d)
     mi = check_MI(d)
@@ -115,7 +96,7 @@ def _condition_report(doc, model) -> dict:
         x, y = _mi_witness(d, include_top=False)
         meet = d.lattice_b.meet(x, y)
         report["MIf_witness"] = list(bits(d.lattice_b.labels[meet]))
-    if isinstance(model, MultiplicityInclusion):
+    if doc.kind == "multiplicity":
         rows = len(model.mult)
         report["symmetric"] = [
             list(bits(s)) for s in range(1 << rows) if is_symmetric(model, s)
@@ -200,7 +181,7 @@ def _dot_text(doc, model) -> str:
         d = model
         _cluster(lines, "p", "primes", d.spectrum_a.space, _spectrum_labels(d.spectrum_a))
     else:
-        d = _as_inclusion(doc.kind, model)
+        d = inclusion_data_for(model)
         _cluster(lines, "s", "source primes", d.spectrum_a.space, _spectrum_labels(d.spectrum_a))
         _cluster(lines, "t", "target primes", d.spectrum_b.space, _spectrum_labels(d.spectrum_b))
         if check_JR(d):

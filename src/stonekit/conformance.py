@@ -4,13 +4,22 @@ Two halves. The generators draw reproducible random instances of every
 model family from a 64-bit seed. The sweeps run a named conformance
 check (a biconditional or an implication shadowing one of the package's
 structure theorems) over either an exhaustive enumeration of small
-structures or a stream of seeded random instances, and raise SweepFailed
-with a greedily minimized counterexample document on any violation.
+structures or a stream of seeded random instances.
+
+Every sweep but the reduced T62 is an instance stream plus a check, run
+by one loop (``_sweep``): it counts the instances and the applicable
+ones, and at the first violation shrinks the instance greedily with the
+shrinker of its kind and raises SweepFailed with the minimized
+counterexample document. One table (``_KINDS``) gives each instance kind
+its shrinker and the model its document describes; one table
+(``_SWEEPS``) gives each tag its default budget, its cap and its runner.
 
 Sweep tags and their budgets:
 
   T33  equivalence_verified on every locale morphism from a frame with
-       at most ``budget`` elements into O(X), X a space with <= 3 points
+       at most ``budget`` elements into O(X), X a space with <= 3 points;
+       the frames are the down-set frames of one poset per isomorphism
+       class, taken from ``_poset_classes``
   T42  under join-closure, the first meet identity iff the point map of
        the restricted insertion is open and surjective; ``budget``
        random instances
@@ -41,12 +50,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from math import factorial
+from typing import NamedTuple
 
 from . import _accel
 from ._kernels import bits
-from .documents import document_for
+from .documents import document_for, inclusion_data_for
 from .errors import ClosureTooLarge, ConditionViolated, StonekitError, SweepFailed
 from .galois import GaloisConnection, MonotoneMap, separates
 from .graph_pairs import FiniteGraph, j_x
@@ -89,35 +100,9 @@ from .spectrum import (
 from .topo_models import (
     BundleMap,
     FiniteGroupAction,
-    action_inclusion_data,
     action_quasi_orbit_agreement,
-    bundle_inclusion_data,
     group_closure,
 )
-
-FAMILIES = (
-    "random-poset-downsets",
-    "random-galois",
-    "multiplicity",
-    "action",
-    "bundle",
-    "graph",
-)
-
-SWEEP_TAGS = ("T33", "T42", "T47", "C48", "C49", "L51", "C54", "T62")
-
-_DEFAULT_BUDGETS = {
-    "T33": 5,
-    "T42": 1000,
-    "T47": 1000,
-    "C48": 1000,
-    "C49": 1000,
-    "L51": 3,
-    "C54": 3,
-    "T62": 5,
-}
-
-_BUDGET_CAPS = {"T33": 6, "L51": 4, "C54": 4, "T62": 5}
 
 _MASK64 = (1 << 64) - 1
 
@@ -278,19 +263,35 @@ def gen_graph(gen: InstanceGenerator):
     return graph, j_x(graph)
 
 
+def _random_seed_of(rng: random.Random, gen: InstanceGenerator) -> _GaloisSeed:
+    return _random_galois_seed(rng, gen.max_points)
+
+
+# family -> draw(rng, generator); graph instances are drawn by gen_graph
+_DRAWS = {
+    "random-poset-downsets": _random_seed_of,
+    "random-galois": _random_seed_of,
+    "multiplicity": _random_matrix,
+    "action": _random_action,
+    "bundle": _random_bundle,
+}
+
+FAMILIES = (*_DRAWS, "graph")
+
+
+def _draw(gen: InstanceGenerator):
+    if gen.family not in _DRAWS:
+        raise ValueError("graph instances compile to pair lattices; use gen_graph")
+    return _DRAWS[gen.family](gen.rng(), gen)
+
+
 def gen_inclusion_data(gen: InstanceGenerator) -> InclusionData:
-    """The instance a generator describes, as a certified connection."""
-    rng = gen.rng()
-    family = gen.family
-    if family in ("random-poset-downsets", "random-galois"):
-        return _compile_seed(_random_galois_seed(rng, gen.max_points))
-    if family == "multiplicity":
-        return to_inclusion_data(_random_matrix(rng, gen))
-    if family == "action":
-        return action_inclusion_data(_random_action(rng, gen))
-    if family == "bundle":
-        return bundle_inclusion_data(_random_bundle(rng, gen))
-    raise ValueError("graph instances compile to pair lattices; use gen_graph")
+    """The instance a generator describes, as a certified connection.
+
+    This is the draw-then-materialize path of the randomized sweeps, so
+    instance k of a sweep is ``gen_inclusion_data`` of its child seed.
+    """
+    return _inclusion(_draw(gen))
 
 
 # -- exhaustive enumerations -------------------------------------------------
@@ -345,21 +346,47 @@ def all_spaces(max_points: int, include_empty: bool = False) -> list[FiniteT0Spa
     ]
 
 
+def _poset_classes(max_points: int) -> list[FinitePoset]:
+    """One poset per isomorphism class on 1..``max_points`` points.
+
+    Grown level by level: deleting the highest-numbered point of any
+    n-point poset leaves one isomorphic to an (n-1)-point
+    representative, so the ``_extensions`` of those representatives meet
+    every n-point class. A candidate is kept unless it is isomorphic to
+    a class already found with the same sorted invariant keys. Counts
+    follow the unlabeled-poset sequence 1, 2, 5, 16, 63.
+    """
+    reps: list[FinitePoset] = []
+    layer = [FinitePoset(0, ())]
+    for _ in range(max_points):
+        buckets: dict[tuple, list[FinitePoset]] = {}
+        for poset in layer:
+            for cand in _extensions(poset):
+                bucket = buckets.setdefault(tuple(sorted(_invariant_keys(cand))), [])
+                if not any(poset_isomorphism(cand, seen) for seen in bucket):
+                    bucket.append(cand)
+        layer = [p for bucket in buckets.values() for p in bucket]
+        reps.extend(layer)
+    return reps
+
+
 def all_frame_posets(max_size: int) -> list[FinitePoset]:
     """One poset per isomorphism class whose down-set frame has at most
-    ``max_size`` elements (Birkhoff: that classifies such frames)."""
+    ``max_size`` elements (Birkhoff: that classifies such frames).
+
+    A frame of k elements has at most k - 1 join-irreducibles, so the
+    empty poset and the classes on up to ``max_size - 1`` points cover
+    every such frame.
+    """
     if max_size < 1:
         raise ValueError("frames have at least one element")
     if max_size > 7:
         raise ValueError("frame enumeration supports at most 7 elements")
-    reps: list[FinitePoset] = []
-    for poset in all_posets(min(max_size - 1, 6), include_empty=True):
-        if _accel.downset_masks(list(poset.below), max_size) is None:
-            continue
-        if any(poset_isomorphism(poset, seen) for seen in reps):
-            continue
-        reps.append(poset)
-    return reps
+    return [
+        poset
+        for poset in (FinitePoset(0, ()), *_poset_classes(max_size - 1))
+        if _accel.downset_masks(list(poset.below), max_size) is not None
+    ]
 
 
 def all_frames(max_size: int) -> list[FiniteLattice]:
@@ -377,11 +404,16 @@ def monotone_maps(src: FiniteLattice, dst: FiniteLattice, cap: int = 10_000_000)
     """
     if dst.n**src.n > cap:
         raise ValueError("candidate table exceeds the enumeration cap")
-    order = _linear_extension(src.order)
+    yield from _monotone_values(src.order, dst)
+
+
+def _monotone_values(poset: FinitePoset, dst: FiniteLattice):
+    """Every monotone assignment of ``dst`` elements to the points."""
+    order = _linear_extension(poset)
     preds = [
-        [q for q in order[:k] if src.leq(q, order[k])] for k in range(len(order))
+        [q for q in order[:k] if poset.leq(q, order[k])] for k in range(len(order))
     ]
-    values = [0] * src.n
+    values = [0] * poset.n
 
     def walk(k: int):
         if k == len(order):
@@ -397,30 +429,12 @@ def monotone_maps(src: FiniteLattice, dst: FiniteLattice, cap: int = 10_000_000)
 
 
 def _join_preserving_maps(poset: FinitePoset, la: FiniteLattice, lb: FiniteLattice):
-    """Join-preserving maps out of a down-set frame, via its point poset."""
-    order = _linear_extension(poset)
-    preds = [
-        [q for q in order[:k] if poset.leq(q, order[k])] for k in range(len(order))
-    ]
-    assigned = [0] * poset.n
-
-    def walk(k: int):
-        if k == len(order):
-            values = []
-            for x in range(la.n):
-                acc = lb.bottom
-                for p in bits(la.labels[x]):
-                    acc = lb.join(acc, assigned[p])
-                values.append(acc)
-            yield tuple(values)
-            return
-        x = order[k]
-        for v in range(lb.n):
-            if all(lb.leq(assigned[q], v) for q in preds[k]):
-                assigned[x] = v
-                yield from walk(k + 1)
-
-    yield from walk(0)
+    """Join-preserving maps out of a down-set frame, via its point poset:
+    each monotone assignment to the points, extended by joins."""
+    for assigned in _monotone_values(poset, lb):
+        yield tuple(
+            lb.big_join(assigned[p] for p in bits(la.labels[x])) for x in range(la.n)
+        )
 
 
 def order_automorphisms(poset: FinitePoset) -> list[tuple[int, ...]]:
@@ -590,6 +604,40 @@ def _shrink_bundle(b: BundleMap):
             yield BundleMap(b.total, sub, PointMap(b.total, sub, moved))
 
 
+class _Morphism(NamedTuple):
+    """A T33 instance: a locale morphism into the opens of a space."""
+
+    g: MonotoneMap
+    space: FiniteT0Space
+
+
+def _same(model):
+    return model
+
+
+def _morphism_model(m: _Morphism) -> InclusionData:
+    return InclusionData(GaloisConnection.from_lower(m.g))
+
+
+# instance kind -> (shrinker, the model its document describes); a T33
+# morphism has no shrinker and is reported as enumerated
+_KINDS = {
+    _GaloisSeed: (_shrink_seed, _compile_seed),
+    MultiplicityInclusion: (_shrink_matrix, _same),
+    FiniteGroupAction: (_shrink_action, _same),
+    BundleMap: (_shrink_bundle, _same),
+    _Morphism: (lambda m: (), _morphism_model),
+}
+
+
+def _inclusion(instance) -> InclusionData:
+    return inclusion_data_for(_KINDS[type(instance)][1](instance))
+
+
+def _check_T33(m: _Morphism):
+    return True, theorem33_check(m.g, m.space).equivalence_verified
+
+
 def _check_T42(d: InclusionData):
     if not check_JR(d):
         return False, True
@@ -646,85 +694,66 @@ def _check_C54(m: MultiplicityInclusion):
     return True, check_JR(d) and check_C1(d) and check_MIf(d)
 
 
-# tag -> (family cycle, check) of the randomized sweeps
-_RANDOM_SWEEPS = {
-    "T42": (("random-galois",), _check_T42),
-    "T47": (("random-galois",), _check_T47),
-    "C48": (("random-galois", "action", "bundle"), _check_C48),
-    "C49": (("random-galois", "action", "bundle"), _check_C49),
-}
-
-_MATRIX_SWEEPS = {"L51": _check_L51, "C54": _check_C54}
+def _check_T62(a: FiniteGroupAction):
+    return True, action_quasi_orbit_agreement(a)
 
 
-def _run_random_sweep(tag, budget, seed, family_cycle, check):
+def _sweep(tag, budget, seed, instances, check, where) -> SweepReport:
+    """The violation loop behind every sweep but the reduced T62.
+
+    ``check`` maps an instance to (applicable, ok). The first applicable
+    instance that is not ok is shrunk with its kind's shrinker and
+    raises SweepFailed with the minimized document; ``where`` names it
+    from ``k`` (its index), ``n`` (the count so far) and ``seed``.
+    """
+
+    def violates(instance):
+        applicable, ok = check(instance)
+        return applicable and not ok
+
     checked = applicable = 0
-    for k in range(budget):
-        child = InstanceGenerator(
-            seed=(seed ^ (0x9E3779B97F4A7C15 * (k + 1))) & _MASK64,
-            family=family_cycle[k % len(family_cycle)],
-            max_points=6,
-        )
-        instance = _draw(child)
+    for instance in instances:
         checked += 1
-        app, ok = check(_materialize(instance))
+        app, ok = check(instance)
         applicable += app
         if app and not ok:
-
-            def reproduces(cand):
-                a, o = check(_materialize(cand))
-                return a and not o
-
-            small = _greedy_minimize(instance, _shrink_instance, reproduces)
-            doc = document_for(_serialize_instance(small))
+            shrink, model = _KINDS[type(instance)]
+            small = _greedy_minimize(instance, shrink, violates)
             report = SweepReport(
-                tag, seed, budget, checked, applicable, 1, counterexample=doc
+                tag, seed, budget, checked, applicable, 1, document_for(model(small))
             )
-            raise SweepFailed(
-                f"{tag}: violation at instance {k} (seed {seed})", report=report
-            )
+            at = where.format(k=checked - 1, n=checked, seed=seed)
+            raise SweepFailed(f"{tag}: violation at {at}", report=report)
     return SweepReport(tag, seed, budget, checked, applicable, 0)
 
 
-def _draw(gen: InstanceGenerator):
-    rng = gen.rng()
-    if gen.family in ("random-poset-downsets", "random-galois"):
-        return _random_galois_seed(rng, gen.max_points)
-    if gen.family == "action":
-        return _random_action(rng, gen)
-    if gen.family == "bundle":
-        return _random_bundle(rng, gen)
-    raise ValueError(f"no sweep drawing for family {gen.family!r}")
+def _run_random(tag, families, check, budget: int, seed: int) -> SweepReport:
+    instances = (
+        _draw(
+            InstanceGenerator(
+                seed=(seed ^ (0x9E3779B97F4A7C15 * (k + 1))) & _MASK64,
+                family=families[k % len(families)],
+                max_points=6,
+            )
+        )
+        for k in range(budget)
+    )
+    return _sweep(
+        tag,
+        budget,
+        seed,
+        instances,
+        lambda instance: check(_inclusion(instance)),
+        "instance {k} (seed {seed})",
+    )
 
 
-def _materialize(instance) -> InclusionData:
-    if isinstance(instance, _GaloisSeed):
-        return _compile_seed(instance)
-    if isinstance(instance, FiniteGroupAction):
-        return action_inclusion_data(instance)
-    if isinstance(instance, BundleMap):
-        return bundle_inclusion_data(instance)
-    raise TypeError(type(instance).__name__)
+def _run_matrices(tag, check, budget: int, seed: int) -> SweepReport:
+    instances = binary_matrices(budget, budget, injective_only=True)
+    return _sweep(tag, budget, seed, instances, check, "matrix {n}")
 
 
-def _shrink_instance(instance):
-    if isinstance(instance, _GaloisSeed):
-        return _shrink_seed(instance)
-    if isinstance(instance, FiniteGroupAction):
-        return _shrink_action(instance)
-    if isinstance(instance, BundleMap):
-        return _shrink_bundle(instance)
-    return ()
-
-
-def _serialize_instance(instance):
-    if isinstance(instance, _GaloisSeed):
-        return _compile_seed(instance)
-    return instance
-
-
-def _run_T33(budget: int, seed: int) -> SweepReport:
-    checked = 0
+def _locale_morphisms(budget: int):
     spaces = all_spaces(3)
     for poset in all_frame_posets(budget):
         la = downset_lattice(poset)
@@ -732,64 +761,13 @@ def _run_T33(budget: int, seed: int) -> SweepReport:
             lb = opens_lattice(space)
             for values in _join_preserving_maps(poset, la, lb):
                 g = MonotoneMap(la, lb, values)
-                if not is_locale_morphism(g):
-                    continue
-                checked += 1
-                if not theorem33_check(g, space).equivalence_verified:
-                    doc = document_for(
-                        InclusionData(GaloisConnection.from_lower(g))
-                    )
-                    report = SweepReport(
-                        "T33", seed, budget, checked, checked, 1, doc
-                    )
-                    raise SweepFailed(
-                        f"T33: violation at morphism {checked}", report=report
-                    )
-    return SweepReport("T33", seed, budget, checked, checked, 0)
+                if is_locale_morphism(g):
+                    yield _Morphism(g, space)
 
 
-def _run_matrix_sweep(tag, budget, seed, check) -> SweepReport:
-    checked = applicable = 0
-    for m in binary_matrices(budget, budget, injective_only=True):
-        checked += 1
-        app, ok = check(m)
-        applicable += app
-        if app and not ok:
-
-            def reproduces(cand):
-                a, o = check(cand)
-                return a and not o
-
-            small = _greedy_minimize(m, _shrink_matrix, reproduces)
-            report = SweepReport(
-                tag, seed, budget, checked, applicable, 1, document_for(small)
-            )
-            raise SweepFailed(f"{tag}: violation at matrix {checked}", report=report)
-    return SweepReport(tag, seed, budget, checked, applicable, 0)
-
-
-def _poset_classes(max_points: int) -> list[FinitePoset]:
-    """One poset per isomorphism class on 1..``max_points`` points.
-
-    Grown level by level: deleting the highest-numbered point of any
-    n-point poset leaves one isomorphic to an (n-1)-point
-    representative, so the ``_extensions`` of those representatives meet
-    every n-point class. A candidate is kept unless it is isomorphic to
-    a class already found with the same sorted invariant keys. Counts
-    follow the unlabeled-poset sequence 1, 2, 5, 16, 63.
-    """
-    reps: list[FinitePoset] = []
-    layer = [FinitePoset(0, ())]
-    for _ in range(max_points):
-        buckets: dict[tuple, list[FinitePoset]] = {}
-        for poset in layer:
-            for cand in _extensions(poset):
-                bucket = buckets.setdefault(tuple(sorted(_invariant_keys(cand))), [])
-                if not any(poset_isomorphism(cand, seen) for seen in bucket):
-                    bucket.append(cand)
-        layer = [p for bucket in buckets.values() for p in bucket]
-        reps.extend(layer)
-    return reps
+def _run_T33(budget: int, seed: int) -> SweepReport:
+    morphisms = _locale_morphisms(budget)
+    return _sweep("T33", budget, seed, morphisms, _check_T33, "morphism {n}")
 
 
 def _run_T62(budget: int, seed: int) -> SweepReport:
@@ -807,24 +785,29 @@ def _run_T62(budget: int, seed: int) -> SweepReport:
 
 def _run_T62_labeled(budget: int, seed: int) -> SweepReport:
     """T62 over every labeled poset: the violation path and test oracle."""
-    checked = 0
-    for poset in all_posets(budget):
-        space = FiniteT0Space.from_poset(poset)
-        for action in small_group_actions(space):
-            checked += 1
-            if not action_quasi_orbit_agreement(action):
+    actions = (
+        action
+        for poset in all_posets(budget)
+        for action in small_group_actions(FiniteT0Space.from_poset(poset))
+    )
+    return _sweep("T62", budget, seed, actions, _check_T62, "action {n}")
 
-                def reproduces(cand):
-                    return not action_quasi_orbit_agreement(cand)
 
-                small = _greedy_minimize(action, _shrink_action, reproduces)
-                report = SweepReport(
-                    "T62", seed, budget, checked, checked, 1, document_for(small)
-                )
-                raise SweepFailed(
-                    f"T62: violation at action {checked}", report=report
-                )
-    return SweepReport("T62", seed, budget, checked, checked, 0)
+_QUASI_ORBIT_FAMILIES = ("random-galois", "action", "bundle")
+
+# tag -> (default budget, budget cap or None, runner(budget, seed))
+_SWEEPS = {
+    "T33": (5, 6, _run_T33),
+    "T42": (1000, None, partial(_run_random, "T42", ("random-galois",), _check_T42)),
+    "T47": (1000, None, partial(_run_random, "T47", ("random-galois",), _check_T47)),
+    "C48": (1000, None, partial(_run_random, "C48", _QUASI_ORBIT_FAMILIES, _check_C48)),
+    "C49": (1000, None, partial(_run_random, "C49", _QUASI_ORBIT_FAMILIES, _check_C49)),
+    "L51": (3, 4, partial(_run_matrices, "L51", _check_L51)),
+    "C54": (3, 4, partial(_run_matrices, "C54", _check_C54)),
+    "T62": (5, 5, _run_T62),
+}
+
+SWEEP_TAGS = tuple(_SWEEPS)
 
 
 def sweep_theorem(tag: str, budget: int | None = None, seed: int = 0) -> SweepReport:
@@ -833,23 +816,15 @@ def sweep_theorem(tag: str, budget: int | None = None, seed: int = 0) -> SweepRe
     Returns a report with zero violations, or raises SweepFailed whose
     ``report`` carries a minimized counterexample document.
     """
-    if tag not in SWEEP_TAGS:
+    if tag not in _SWEEPS:
         raise ValueError(f"unknown sweep tag {tag!r}; expected one of {SWEEP_TAGS}")
+    default, cap, run = _SWEEPS[tag]
     if budget is None:
-        budget = _DEFAULT_BUDGETS[tag]
+        budget = default
     if budget < 1:
         raise ValueError("budget must be positive")
-    cap = _BUDGET_CAPS.get(tag)
     if cap is not None and budget > cap:
         raise ValueError(f"{tag} budget is capped at {cap}")
     if not 0 <= seed <= _MASK64:
         raise ValueError("seed must fit in 64 bits")
-
-    if tag == "T33":
-        return _run_T33(budget, seed)
-    if tag == "T62":
-        return _run_T62(budget, seed)
-    if tag in _MATRIX_SWEEPS:
-        return _run_matrix_sweep(tag, budget, seed, _MATRIX_SWEEPS[tag])
-    family_cycle, check = _RANDOM_SWEEPS[tag]
-    return _run_random_sweep(tag, budget, seed, family_cycle, check)
+    return run(budget, seed)

@@ -26,10 +26,15 @@ from .errors import DocumentError
 from .galois import GaloisConnection, MonotoneMap
 from .graph_pairs import FiniteGraph, j_x
 from .lattice import FinitePoset, validate_lattice
-from .multiplicity import MultiplicityInclusion
+from .multiplicity import MultiplicityInclusion, to_inclusion_data
 from .quasiorbit import InclusionData
 from .spectrum import FiniteT0Space, PointMap
-from .topo_models import BundleMap, FiniteGroupAction
+from .topo_models import (
+    BundleMap,
+    FiniteGroupAction,
+    action_inclusion_data,
+    bundle_inclusion_data,
+)
 
 KINDS = ("lattice", "galois", "multiplicity", "bundle", "action", "graph")
 
@@ -249,6 +254,20 @@ def compile_document(doc: InstanceDocument):
         jmask = j_x(graph) if j is None else sum(1 << v for v in set(j))
         return graph, jmask
     raise DocumentError(f"$.kind: unknown kind {doc.kind!r}")
+
+
+def inclusion_data_for(model) -> InclusionData:
+    """The inclusion a model object describes, for every kind that
+    compile_document produces except the graph pair."""
+    if isinstance(model, InclusionData):
+        return model
+    if isinstance(model, MultiplicityInclusion):
+        return to_inclusion_data(model)
+    if isinstance(model, FiniteGroupAction):
+        return action_inclusion_data(model)
+    if isinstance(model, BundleMap):
+        return bundle_inclusion_data(model)
+    raise TypeError(f"no inclusion view for {type(model).__name__}")
 
 
 def _poset_payload(poset: FinitePoset) -> dict:

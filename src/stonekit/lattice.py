@@ -204,9 +204,20 @@ class FiniteLattice:
         return self.labels[x] if self.labels is not None else x
 
     def index_of_label(self, label) -> int:
+        """The first element carrying ``label``; ValueError if none does."""
         if self.labels is None:
             return int(label)
-        return self.labels.index(label)
+        try:
+            return self._label_index[label]
+        except KeyError:
+            raise ValueError(f"no element is labeled {label!r}") from None
+
+    @cached_property
+    def _label_index(self) -> dict:
+        index: dict = {}
+        for k, label in enumerate(self.labels):
+            index.setdefault(label, k)
+        return index
 
     @cached_property
     def frame_witness(self) -> "FrameWitness":

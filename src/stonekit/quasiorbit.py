@@ -265,13 +265,12 @@ def pi_map(d: InclusionData) -> PointMap:
     spec_a = d.spectrum_a
     spec_r = d.restricted_spectrum
     res_lat = d.restricted_lattice
-    prime_index = {p: k for k, p in enumerate(spec_r.primes)}
     values = []
     for p in spec_a.primes:
         below = a.big_join(x for x in d.restricted if a.leq(x, p))
         if below not in set(d.restricted):
             raise AssertionError("join of restricted elements escaped them")
-        values.append(prime_index[res_lat.index_of_label(below)])
+        values.append(spec_r.prime_index[res_lat.index_of_label(below)])
     pm = PointMap(spec_a.space, spec_r.space, tuple(values))
 
     olat = opens_lattice(spec_a.space)
@@ -311,7 +310,10 @@ def quasi_orbit_space(d: InclusionData) -> QuasiOrbitSpace:
     When C1 also holds, the induced comparison with the restricted
     spectrum is asserted to be a homeomorphism.
     """
-    pi = pi_map(d)
+    return _quasi_orbit_space(d, pi_map(d))
+
+
+def _quasi_orbit_space(d: InclusionData, pi: PointMap) -> QuasiOrbitSpace:
     fibers: dict[int, int] = {}
     for point, v in enumerate(pi.values):
         fibers[v] = fibers.get(v, 0) | (1 << point)
@@ -351,7 +353,7 @@ def restricted_prime_map(d: InclusionData):
     except NotAFrame as e:
         return PrimeMapObstruction("restricted-not-frame", (e.witness,))
     res_lat = d.restricted_lattice
-    prime_index = {p: k for k, p in enumerate(spec_r.primes)}
+    prime_index = spec_r.prime_index
     spec_b = d.spectrum_b
     r = d.gc.upper.values
     values = []
@@ -376,7 +378,7 @@ def induced_prime_map(d: InclusionData) -> PointMap:
         )
     ind_lat = d.induced_lattice
     spec_i = d.induced_spectrum
-    prime_index = {p: k for k, p in enumerate(spec_i.primes)}
+    prime_index = spec_i.prime_index
     ir = d.gc.kernel_values()
     spec_b = d.spectrum_b
     values = []
@@ -399,11 +401,11 @@ def quasi_orbit_map(d: InclusionData) -> PointMap:
     for name, ok in (("JR", check_JR), ("C1", check_C1), ("MI", check_MI)):
         if not ok(d):
             raise ConditionViolated(f"precondition {name} fails", condition=name)
-    qos = quasi_orbit_space(d)
+    pi = pi_map(d)
+    qos = _quasi_orbit_space(d, pi)
     rpm = restricted_prime_map(d)
     if not isinstance(rpm, PointMap):
         raise AssertionError(f"restricted prime map obstructed: {rpm}")
-    pi = pi_map(d)
     class_over = {}
     for point, v in enumerate(pi.values):
         class_over[v] = qos.class_of[point]

@@ -177,6 +177,11 @@ class PrimeSpectrum:
         if set(self.open_of) != set(self.space.opens):
             raise NotAFrame("element-to-open map is not onto the opens")
 
+    @cached_property
+    def prime_index(self) -> dict[int, int]:
+        """Each prime element's index among the primes (its point)."""
+        return {p: k for k, p in enumerate(self.primes)}
+
 
 def primes(lat: FiniteLattice) -> PrimeSpectrum:
     """The prime spectrum of a finite frame, built once per lattice.
@@ -349,16 +354,15 @@ def adjunct_point_map(g: MonotoneMap, space: FiniteT0Space) -> PointMap:
     if g.target.labels != space.opens:
         raise NotLocaleMorphism("target lattice is not the opens of the space")
     spec = primes(g.source)
-    prime_index = {p: k for k, p in enumerate(spec.primes)}
     values = []
     for x in range(space.n):
         px = g.source.big_join(
             i for i in range(g.source.n)
             if not (g.target.labels[g.values[i]] >> x) & 1
         )
-        if px not in prime_index:
+        if px not in spec.prime_index:
             raise AssertionError("adjunct value escaped the primes")
-        values.append(prime_index[px])
+        values.append(spec.prime_index[px])
     pm = PointMap(space, spec.space, tuple(values))
     for i in range(g.source.n):
         if pm.preimage(spec.open_of[i]) != g.target.labels[g.values[i]]:
@@ -433,12 +437,10 @@ def soberification(space: FiniteT0Space) -> PointMap:
     lat = opens_lattice(space)
     spec = primes(lat)
     full = (1 << space.n) - 1
-    label_index = {m: i for i, m in enumerate(lat.labels)}
-    prime_index = {p: k for k, p in enumerate(spec.primes)}
     values = []
     for x in range(space.n):
-        px = label_index[full & ~space.closure(1 << x)]
-        values.append(prime_index[px])
+        px = lat.index_of_label(full & ~space.closure(1 << x))
+        values.append(spec.prime_index[px])
     pm = PointMap(space, spec.space, tuple(values))
     if not is_homeomorphism(pm):
         raise AssertionError("soberification unit failed to be a homeomorphism")

@@ -148,12 +148,12 @@ def action_inclusion_data(a: FiniteGroupAction) -> InclusionData:
     """Saturation below, insertion above; restricted = invariant opens."""
     olat = opens_lattice(a.space)
     inv, insertion = invariant_opens(a)
-    ambient_index = {u: k for k, u in enumerate(olat.labels)}
     lower = MonotoneMap(
         olat,
         inv,
         tuple(
-            inv.index_of_label(ambient_index[a.saturate(u)]) for u in olat.labels
+            inv.index_of_label(olat.index_of_label(a.saturate(u)))
+            for u in olat.labels
         ),
     )
     return InclusionData(GaloisConnection(lower, insertion))

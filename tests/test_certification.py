@@ -27,12 +27,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stonekit.galois as galois_module
+import stonekit.quasiorbit as quasiorbit_module
 import stonekit.spectrum as spectrum_module
 from conftest import downset_frames, padded_lattices, pentagon
 from stonekit import (
     AbsenceWitness,
     AdjunctionFailure,
     FiniteGroupAction,
+    FiniteLattice,
     FinitePoset,
     FiniteT0Space,
     InstanceGenerator,
@@ -58,6 +60,8 @@ from stonekit import (
     opens_lattice,
     prime_elements,
     primes,
+    quasi_orbit_map,
+    quasi_orbit_space,
     small_group_actions,
     sublattice,
     upper_adjoint,
@@ -448,6 +452,31 @@ class TestCertifyOnce:
         assert laws == []
         assert tables == []
         assert orders == []
+
+    def test_quasi_orbit_map_builds_pi_once(self, monkeypatch):
+        d = action_inclusion_data(vee_action())
+        calls = counted(monkeypatch, quasiorbit_module, "pi_map")
+        rho = quasi_orbit_map(d)
+        assert len(calls) == 1
+        # the quotient is the one quasi_orbit_space builds on its own
+        assert rho.target == quasi_orbit_space(d).quotient
+
+    def test_label_and_prime_indices_match_the_scans(self):
+        # the cached dicts against tuple.index: first occurrence wins and
+        # a missing label still raises ValueError
+        for poset in all_posets(3):
+            lat = downset_lattice(poset)
+            spec = primes(lat)
+            for label in lat.labels:
+                assert lat.index_of_label(label) == lat.labels.index(label)
+            assert {p: spec.primes.index(p) for p in spec.primes} == spec.prime_index
+            with pytest.raises(ValueError):
+                lat.index_of_label(1 << poset.n)
+        lat = downset_lattice(FinitePoset.chain(2))
+        repeated = FiniteLattice(
+            lat.order, lat.meet_table, lat.join_table, lat.bottom, lat.top, ("x", "y", "x")
+        )
+        assert repeated.index_of_label("x") == ("x", "y", "x").index("x") == 0
 
     def test_from_poset_enumerates_the_down_sets_once(self, monkeypatch):
         poset = FinitePoset.from_pairs(3, [(0, 1), (0, 2)])

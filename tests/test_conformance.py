@@ -7,6 +7,7 @@ built by an independent method.
 """
 
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 from math import factorial
 
@@ -25,6 +26,7 @@ from stonekit import (
     all_frames,
     all_posets,
     all_spaces,
+    binary_matrices,
     gen_graph,
     gen_inclusion_data,
     is_frame,
@@ -41,13 +43,14 @@ import stonekit.conformance as conformance_module
 from stonekit.conformance import (
     _compile_seed,
     _greedy_minimize,
+    all_frame_posets,
     _poset_classes,
     _random_galois_seed,
-    _run_matrix_sweep,
     _run_T62_labeled,
     _shrink_action,
     _shrink_bundle,
     _shrink_seed,
+    _sweep,
 )
 from stonekit.lattice import downset_lattice, poset_isomorphism
 from stonekit.quasiorbit import check_JR
@@ -151,6 +154,18 @@ class TestFrameEnumeration:
         for i, a in enumerate(reps):
             for b in reps[i + 1 :]:
                 assert lattice_isomorphism(a, b) is None
+
+    def test_classes_match_the_pairwise_filter(self):
+        # the labeled enumeration, keeping each poset unless it is
+        # isomorphic to one kept before: same posets, same order
+        for max_size in range(1, 7):
+            reps = []
+            for poset in all_posets(max_size - 1, include_empty=True):
+                if len(downset_lattice(poset).labels) > max_size:
+                    continue
+                if not any(poset_isomorphism(poset, seen) for seen in reps):
+                    reps.append(poset)
+            assert all_frame_posets(max_size) == reps
 
     def test_census_against_brute_upper_triangular_orders(self):
         # independent route: every order relabels along a linear
@@ -349,6 +364,132 @@ class TestT62BySymmetry:
         assert reduced.value.report.counterexample["kind"] == "action"
 
 
+def _flip_where(condition):
+    """A fault: the patched function's verdict, flipped where ``condition``
+    holds on its arguments."""
+
+    def fault(real):
+        def fake(*args):
+            out = real(*args)
+            return (not out) if condition(*args) else out
+
+        return fake
+
+    return fault
+
+
+def _t33_fault(real):
+    # non-injective morphisms from the 3-element chain into a 2-point space
+    def fake(g, space):
+        report = real(g, space)
+        if space.n == 2 and g.source.n == 3 and not report.g_injective:
+            return replace(report, equivalence_verified=False)
+        return report
+
+    return fake
+
+
+def _chain(n):
+    return {"points": n, "covers": [[i, i + 1] for i in range(n - 1)]}
+
+
+# (tag, budget, patched name, fault, message, report), recorded on the
+# engine before the sweeps shared one violation loop. Between them the
+# counterexamples are galois, action and bundle documents, so every
+# shrinker and serializer of the randomized sweeps runs.
+_INJECTED_VIOLATIONS = [
+    (
+        "T33",
+        3,
+        "theorem33_check",
+        _t33_fault,
+        "T33: violation at morphism 26",
+        (
+            26,
+            26,
+            "galois",
+            {
+                "source": _chain(3),
+                "target": {"points": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]},
+                "lower": [0, 0, 3],
+            },
+        ),
+    ),
+    (
+        "T42",
+        100,
+        "check_C1",
+        _flip_where(lambda d: d.lattice_a.n >= 4 and d.lattice_b.n >= 3),
+        "T42: violation at instance 1 (seed 0)",
+        (2, 2, "galois", {"source": _chain(4), "target": _chain(3), "lower": [0, 1, 2, 2]}),
+    ),
+    (
+        "T47",
+        100,
+        "check_C2",
+        _flip_where(lambda d: d.lattice_b.n == 3),
+        "T47: violation at instance 60 (seed 0)",
+        (61, 61, "galois", {"source": _chain(2), "target": _chain(3), "lower": [0, 2]}),
+    ),
+    (
+        "C48",
+        100,
+        "check_C2",
+        _flip_where(lambda d: d.gc.upper.values == d.lattice_b.labels),
+        "C48: violation at instance 1 (seed 0)",
+        (2, 2, "action", {"space": {"points": 1, "covers": []}, "generators": []}),
+    ),
+    (
+        "C49",
+        100,
+        "separates",
+        _flip_where(
+            lambda gc: gc.lattice_a.n < gc.lattice_b.n == 4
+            and gc.upper.values != gc.lattice_a.labels
+        ),
+        "C49: violation at instance 5 (seed 0)",
+        (
+            6,
+            4,
+            "bundle",
+            {
+                "total": {"points": 3, "covers": [[1, 0], [2, 1]]},
+                "base": _chain(2),
+                "proj": [1, 0, 0],
+            },
+        ),
+    ),
+]
+
+
+class TestViolationPaths:
+    """An injected fault must come back as the same message and the same
+    minimized report, whichever way the engine reaches it."""
+
+    @pytest.mark.parametrize(
+        "tag, budget, name, fault, message, expected",
+        _INJECTED_VIOLATIONS,
+        ids=[case[0] for case in _INJECTED_VIOLATIONS],
+    )
+    def test_injected_fault_gives_the_pinned_report(
+        self, monkeypatch, tag, budget, name, fault, message, expected
+    ):
+        monkeypatch.setattr(conformance_module, name, fault(getattr(conformance_module, name)))
+        with pytest.raises(SweepFailed) as excinfo:
+            sweep_theorem(tag, budget=budget)
+        checked, applicable, kind, payload = expected
+        assert str(excinfo.value) == message
+        assert excinfo.value.report.as_dict() == {
+            "tag": tag,
+            "seed": 0,
+            "budget": budget,
+            "checked": checked,
+            "applicable": applicable,
+            "violations": 1,
+            "counterexample": {"kind": kind, "payload": payload},
+        }
+
+
 class TestMinimization:
     def test_greedy_deletion_shrinks_galois_seeds(self):
         rng = random.Random("drill")
@@ -396,7 +537,7 @@ class TestMinimization:
             return True, len(m.mult[0]) < 2
 
         with pytest.raises(SweepFailed) as excinfo:
-            _run_matrix_sweep("L51", 3, 0, check)
+            _sweep("L51", 3, 0, binary_matrices(3, 3, injective_only=True), check, "matrix {n}")
         report = excinfo.value.report
         assert isinstance(report, SweepReport)
         assert report.violations == 1
