@@ -18,16 +18,30 @@ def monotone_witness(below, target_below, values):
     """The first pair x <= y whose values are not ordered, else None.
 
     ``below`` and ``target_below`` are the source and target rows and
-    ``values`` the map; pairs come y-major, x ascending.
+    ``values`` the map; pairs come y-major, x ascending. Per value w in
+    the image, the points mapped at or below w form one mask (the union
+    of the fibers over w's row), so each y costs one mask test: the
+    points below y outside that mask are exactly its failing x.
     """
-    for y, t in enumerate(below):
-        vy = target_below[values[y]]
+    fiber = {}
+    for x, v in enumerate(values):
+        fiber[v] = fiber.get(v, 0) | (1 << x)
+    image = 0
+    for v in fiber:
+        image |= 1 << v
+    reach = {}
+    for w in fiber:
+        acc = 0
+        t = target_below[w] & image
         while t:
             low = t & -t
             t ^= low
-            x = low.bit_length() - 1
-            if not (vy >> values[x]) & 1:
-                return (x, y)
+            acc |= fiber[low.bit_length() - 1]
+        reach[w] = acc
+    for y, row in enumerate(below):
+        bad = row & ~reach[values[y]]
+        if bad:
+            return ((bad & -bad).bit_length() - 1, y)
     return None
 
 

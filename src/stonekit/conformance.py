@@ -479,19 +479,46 @@ def small_group_actions(space: FiniteT0Space, max_order: int = 6):
 
     Subgroups are enumerated through generator sets of size <= 2 (every
     group of order <= 6 is 2-generated) and deduplicated by closure.
+    A pair {g, h} is closed only when its group can be new. If h lies
+    in <g>, or g in <h>, the pair generates that cyclic group, which
+    the single generators came to first. Otherwise <g, h> properly
+    contains both cyclic groups, so by Lagrange its order is at least
+    twice the larger one's; past ``max_order`` its closure would be
+    refused anyway. The actions, and their order, are those of closing
+    every pair.
     """
-    identity = tuple(range(space.points.n))
+    n = space.points.n
+    identity = tuple(range(n))
     auts = [g for g in order_automorphisms(space.points) if g != identity]
     seen = set()
-    for gens in [(), *((g,) for g in auts), *combinations(auts, 2)]:
+    cyclic = {}  # g -> the group it generates, None past max_order
+
+    def close(gens):
         try:
-            closure = group_closure(gens, space.points.n, max_order)
+            return group_closure(gens, n, max_order)
         except ClosureTooLarge:
-            continue
-        if closure in seen:
-            continue
+            return None
+
+    def new(closure):
+        if closure is None or closure in seen:
+            return False
         seen.add(closure)
-        yield FiniteGroupAction(space, gens)
+        return True
+
+    if new(close(())):
+        yield FiniteGroupAction(space, ())
+    for g in auts:
+        cyclic[g] = close((g,))
+        if new(cyclic[g]):
+            yield FiniteGroupAction(space, (g,))
+    for g, h in combinations(auts, 2):
+        cg, ch = cyclic[g], cyclic[h]
+        if cg is None or ch is None or h in cg or g in ch:
+            continue
+        if 2 * max(len(cg), len(ch)) > max_order:
+            continue
+        if new(close((g, h))):
+            yield FiniteGroupAction(space, (g, h))
 
 
 # -- sweeps ------------------------------------------------------------------

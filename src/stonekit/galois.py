@@ -1,10 +1,13 @@
 """Monotone maps and Galois connections between finite lattices.
 
 A connection is an adjoint pair (i, r) with i: A -> B lower and
-r: B -> A upper, characterized by i(x) <= y iff x <= r(y). Constructors
-always re-validate the adjunction; there is no unchecked path. Missing
-adjoints are reported as values carrying a witness pair, not as
-exceptions, since absence is a legitimate outcome of synthesis.
+r: B -> A upper, characterized by i(x) <= y iff x <= r(y). The
+adjunction law is checked exactly once per connection: the public
+constructor checks the pair it is given, and from_lower/from_upper
+check the adjoint they synthesize while synthesizing it, so neither
+path trusts an unchecked pair. Missing adjoints are reported as values
+carrying a witness pair, not as exceptions, since absence is a
+legitimate outcome of synthesis.
 """
 
 from __future__ import annotations
@@ -62,30 +65,28 @@ class MonotoneMap:
 
 def is_join_preserving(f: MonotoneMap) -> bool:
     """Preservation of all joins, the empty one included."""
-    if f.values[f.source.bottom] != f.target.bottom:
+    s, t, vals = f.source, f.target, f.values
+    if vals[s.bottom] != t.bottom:
         return False
-    jt_s = f.source.join_table
-    jt_t = f.target.join_table
-    vals = f.values
-    for x in range(f.source.n):
-        vx = vals[x]
-        for y in range(x + 1, f.source.n):
-            if vals[jt_s[x][y]] != jt_t[vx][vals[y]]:
+    sm, si, tm, ti = s._join_masks, s._join_index, t._join_masks, t._join_index
+    for x in range(s.n):
+        mx, tx = sm[x], tm[vals[x]]
+        for y in range(x + 1, s.n):
+            if vals[si[mx | sm[y]]] != ti[tx | tm[vals[y]]]:
                 return False
     return True
 
 
 def is_meet_preserving(f: MonotoneMap) -> bool:
     """Preservation of all meets, the empty one included."""
-    if f.values[f.source.top] != f.target.top:
+    s, t, vals = f.source, f.target, f.values
+    if vals[s.top] != t.top:
         return False
-    mt_s = f.source.meet_table
-    mt_t = f.target.meet_table
-    vals = f.values
-    for x in range(f.source.n):
-        vx = vals[x]
-        for y in range(x + 1, f.source.n):
-            if vals[mt_s[x][y]] != mt_t[vx][vals[y]]:
+    sm, si, tm, ti = s._meet_masks, s._meet_index, t._meet_masks, t._meet_index
+    for x in range(s.n):
+        mx, tx = sm[x], tm[vals[x]]
+        for y in range(x + 1, s.n):
+            if vals[si[mx & sm[y]]] != ti[tx & tm[vals[y]]]:
                 return False
     return True
 
@@ -105,19 +106,31 @@ class AbsenceWitness:
     reason: str
 
 
+def _fibers(values, n: int):
+    """Per element of the target, the mask of the points mapped onto it,
+    and the mask of the image."""
+    fiber = [0] * n
+    for x, v in enumerate(values):
+        fiber[v] |= 1 << x
+    image = 0
+    for v, f in enumerate(fiber):
+        if f:
+            image |= 1 << v
+    return fiber, image
+
+
 def _adjunction_witness(lower: MonotoneMap, upper: MonotoneMap):
     # The first (x, y), x-major, with i(x) <= y and x <= r(y) disagreeing.
     # Per x both sides are masks over B: {y : i(x) <= y} is a row of B's
     # above table, {y : x <= r(y)} the union of the r-fibers of the
-    # elements above x, and the lowest differing bit is the first y.
+    # elements above x (only those in the image of r have any), and the
+    # lowest differing bit is the first y.
     a_above = lower.source.order.above()
     b_above = lower.target.order.above()
-    fiber = [0] * lower.source.n
-    for y, v in enumerate(upper.values):
-        fiber[v] |= 1 << y
+    fiber, image = _fibers(upper.values, lower.source.n)
     for x, ix in enumerate(lower.values):
         reach = 0
-        for v in bits(a_above[x]):
+        for v in bits(a_above[x] & image):
             reach |= fiber[v]
         diff = b_above[ix] ^ reach
         if diff:
@@ -136,12 +149,23 @@ def upper_adjoint(lower: MonotoneMap):
     """The upper adjoint of ``lower``, or an AbsenceWitness.
 
     Candidate: r(y) = join of every x with i(x) <= y. On a finite
-    lattice this is the adjoint whenever one exists.
+    lattice this is the adjoint whenever one exists. Each i-fiber is
+    joined once, as the union of its join masks; r(y) then joins the
+    fibers over the elements of B's row below y.
     """
     a, b = lower.source, lower.target
+    fiber, image = _fibers(lower.values, b.n)
+    jm, bottom = a._join_masks, a._join_masks[a.bottom]
+    joined = [bottom] * b.n
+    for v in bits(image):
+        for x in bits(fiber[v]):
+            joined[v] |= jm[x]
     values = []
-    for y in range(b.n):
-        values.append(a.big_join(x for x in range(a.n) if b.leq(lower.values[x], y)))
+    for row in b.order.below:
+        acc = bottom
+        for v in bits(row & image):
+            acc |= joined[v]
+        values.append(a._join_index[acc])
     candidate = MonotoneMap(b, a, tuple(values))
     bad = _adjunction_witness(lower, candidate)
     if bad is None:
@@ -152,11 +176,24 @@ def upper_adjoint(lower: MonotoneMap):
 
 
 def lower_adjoint(upper: MonotoneMap):
-    """The lower adjoint of ``upper``, or an AbsenceWitness."""
+    """The lower adjoint of ``upper``, or an AbsenceWitness.
+
+    Candidate: i(x) = meet of every y with x <= r(y), read through the
+    r-fibers over A's row above x, as upper_adjoint does dually.
+    """
     b, a = upper.source, upper.target
+    fiber, image = _fibers(upper.values, a.n)
+    mm, top = b._meet_masks, b._meet_masks[b.top]
+    met = [top] * a.n
+    for u in bits(image):
+        for y in bits(fiber[u]):
+            met[u] &= mm[y]
     values = []
-    for x in range(a.n):
-        values.append(b.big_meet(y for y in range(b.n) if a.leq(x, upper.values[y])))
+    for row in a.order.above():
+        acc = top
+        for u in bits(row & image):
+            acc &= met[u]
+        values.append(b._meet_index[acc])
     candidate = MonotoneMap(a, b, tuple(values))
     bad = _adjunction_witness(candidate, upper)
     if bad is None:
@@ -168,7 +205,12 @@ def lower_adjoint(upper: MonotoneMap):
 
 @dataclass(frozen=True)
 class GaloisConnection:
-    """A certified adjoint pair; construction re-validates the law."""
+    """A certified adjoint pair.
+
+    The constructor checks the law on the pair it is given; the two
+    synthesizing class methods build a pair whose law was just checked
+    and do not check it again.
+    """
 
     lower: MonotoneMap
     upper: MonotoneMap
@@ -186,6 +228,15 @@ class GaloisConnection:
             )
 
     @classmethod
+    def _checked(cls, lower: MonotoneMap, upper: MonotoneMap) -> "GaloisConnection":
+        # upper_adjoint and lower_adjoint return a candidate only after
+        # _adjunction_witness passed it, so the law holds already
+        gc = object.__new__(cls)
+        object.__setattr__(gc, "lower", lower)
+        object.__setattr__(gc, "upper", upper)
+        return gc
+
+    @classmethod
     def from_lower(cls, lower: MonotoneMap) -> "GaloisConnection":
         upper = upper_adjoint(lower)
         if isinstance(upper, AbsenceWitness):
@@ -193,7 +244,7 @@ class GaloisConnection:
                 "no upper adjoint: " + upper.reason,
                 witness=(upper.x, upper.y),
             )
-        return cls(lower, upper)
+        return cls._checked(lower, upper)
 
     @classmethod
     def from_upper(cls, upper: MonotoneMap) -> "GaloisConnection":
@@ -203,7 +254,7 @@ class GaloisConnection:
                 "no lower adjoint: " + lower.reason,
                 witness=(lower.x, lower.y),
             )
-        return cls(lower, upper)
+        return cls._checked(lower, upper)
 
     @property
     def lattice_a(self) -> FiniteLattice:
@@ -341,12 +392,8 @@ def verify_prop26(gc: GaloisConnection) -> LawReport:
     sublattice_closure = (
         a.top in res_set
         and b.bottom in ind_set
-        and all(
-            a.meet_table[x][y] in res_set for x in restricted for y in restricted
-        )
-        and all(
-            b.join_table[x][y] in ind_set for x in induced for y in induced
-        )
+        and all(a.meet(x, y) in res_set for x in restricted for y in restricted)
+        and all(b.join(x, y) in ind_set for x in induced for y in induced)
     )
 
     insertion_adjunctions = all(

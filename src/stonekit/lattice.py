@@ -7,17 +7,26 @@ Operations build new objects, while what a lattice certifies about
 itself (its frame witness, its prime spectrum) is computed on first use
 and cached on the instance, so every caller shares one copy.
 
+Meets and joins are mask operations plus one lookup (see
+FiniteLattice). Every frame this package builds is the lattice of
+down-sets of its join-irreducibles (Birkhoff), so down-set, opens and
+boolean lattices carry their ascending masks and nothing else: meet is
+``&``, join is ``|`` and order is inclusion. No n x n table is built for
+them; ``meet_table`` and ``join_table`` appear on first read. Only
+validate_lattice, which certifies an arbitrary order through
+``bound_tables``, holds tables from the start.
+
 The element count is soft-capped (default 4096, override with the
-STONE_MAX_LATTICE environment variable, read per call). Meet and join
-tables are materialized up front, so lattices near the cap are memory
-hungry; the sizes this package sweeps stay far below it.
+STONE_MAX_LATTICE environment variable, read per call).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import repeat
+from operator import and_, or_
 
 from . import _accel
 from ._kernels import bits
@@ -52,14 +61,17 @@ class FinitePoset:
             raise NotAPoset(f"{reason} at elements ({i}, {j})")
 
     @classmethod
-    def _trusted(cls, below) -> "FinitePoset":
+    def _trusted(cls, below, above=None) -> "FinitePoset":
         """A poset from rows already known to encode a partial order.
 
         Skips ``check_poset``; each caller says why its rows qualify.
+        ``above``, when the caller has it, is kept as the transpose.
         """
         poset = object.__new__(cls)
         object.__setattr__(poset, "n", len(below))
         object.__setattr__(poset, "below", tuple(below))
+        if above is not None:
+            poset.__dict__["_above"] = tuple(above)
         return poset
 
     @classmethod
@@ -125,12 +137,15 @@ class FinitePoset:
         pos = {e: k for k, e in enumerate(elements)}
         if len(pos) != len(elements) or not all(0 <= e < self.n for e in elements):
             raise NotAPoset("subposet points must be distinct points of the poset")
+        kept = sum(1 << e for e in elements)
         below = []
         for e in elements:
             m = 0
-            for f in bits(self.below[e]):
-                if f in pos:
-                    m |= 1 << pos[f]
+            t = self.below[e] & kept
+            while t:
+                low = t & -t
+                t ^= low
+                m |= 1 << pos[low.bit_length() - 1]
             below.append(m)
         return FinitePoset._trusted(below)
 
@@ -153,52 +168,141 @@ class FinitePoset:
         return [i for i in range(self.n) if above[i] == 1 << i]
 
 
-@dataclass(frozen=True)
 class FiniteLattice:
-    """A finite bounded lattice with materialized meet and join tables.
+    """A finite bounded lattice: its order, its bounds and its labels.
 
-    ``labels`` optionally names each element (down-set masks for Birkhoff
-    duals, ambient indices for sublattices); it never affects semantics.
+    Meet and join are one mask operation plus one lookup. Every element
+    has a meet mask and a join mask: meet(x, y) is the element whose
+    meet mask is ``mm[x] & mm[y]``, and join(x, y) the element whose
+    join mask is ``jm[x] | jm[y]``.
+
+    * Any lattice can use its ``below`` rows as meet masks, since the
+      down-set of x /\\ y is the intersection of the two down-sets, and
+      the complements of its ``above`` rows as join masks.
+    * A down-set frame (downset_lattice) uses its labels, the down-sets
+      themselves, for both: by Birkhoff, meet is intersection and join
+      is union there.
+    * A fixed-point lattice (fixed_point_lattice) keeps the ambient
+      masks on the side whose operation it shares with the ambient
+      lattice.
+
+    ``meet_table`` and ``join_table`` are built on first read, for the
+    definitional scans that serve as oracles and for the distributivity
+    witness of a non-frame. The public constructor takes the table form
+    that validate_lattice builds from ``bound_tables``, and keeps those
+    tables as the two attributes.
+
+    ``labels`` optionally names each element (down-set masks for
+    Birkhoff duals, ambient indices for sublattices); it never affects
+    semantics. A lattice is determined by its order, so two lattices
+    are equal when their orders and labels are. Instances are
+    immutable; what a lattice certifies about itself is cached on it.
     """
 
-    order: FinitePoset
-    meet_table: tuple[tuple[int, ...], ...]
-    join_table: tuple[tuple[int, ...], ...]
-    bottom: int
-    top: int
-    labels: tuple | None = None
-
-    def __post_init__(self):
-        n = self.order.n
-        if len(self.meet_table) != n or len(self.join_table) != n:
+    def __init__(self, order, meet_table, join_table, bottom, top, labels=None):
+        n = order.n
+        if len(meet_table) != n or len(join_table) != n:
             raise NotALattice("table size does not match the carrier")
-        if self.labels is not None and len(self.labels) != n:
+        if labels is not None and len(labels) != n:
             raise NotALattice("label count does not match the carrier")
+        rows = {row: k for k, row in enumerate(order.below)}
+        full = (1 << n) - 1
+        join_masks = tuple(full ^ row for row in order.above())
+        self._set(
+            order, bottom, top, labels,
+            order.below, rows, join_masks, {m: k for k, m in enumerate(join_masks)},
+        )
+        self.__dict__.update(meet_table=meet_table, join_table=join_table, _row_index=rows)
 
-    @property
-    def n(self) -> int:
-        return self.order.n
+    @classmethod
+    def _from_masks(cls, order, labels, meet_masks, meet_index, join_masks, join_index):
+        """The lattice whose operations the given masks encode; the bounds
+        are the meet and the join of everything."""
+        lat = object.__new__(cls)
+        bottom = meet_index[reduce(and_, meet_masks)]
+        top = join_index[reduce(or_, join_masks)]
+        lat._set(order, bottom, top, labels, meet_masks, meet_index, join_masks, join_index)
+        return lat
+
+    def _set(self, order, bottom, top, labels, meet_masks, meet_index, join_masks, join_index):
+        self.__dict__.update(
+            order=order,
+            n=order.n,
+            bottom=bottom,
+            top=top,
+            labels=labels,
+            _meet_masks=meet_masks,
+            _meet_index=meet_index,
+            _join_masks=join_masks,
+            _join_index=join_index,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FiniteLattice is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, FiniteLattice):
+            return NotImplemented
+        return self.order == other.order and self.labels == other.labels
+
+    def __hash__(self):
+        return hash((self.order.below, self.labels))
+
+    def __repr__(self):
+        return f"FiniteLattice(n={self.n}, bottom={self.bottom}, top={self.top}, labels={self.labels!r})"
 
     def leq(self, x: int, y: int) -> bool:
-        return self.order.leq(x, y)
+        return (self.order.below[y] >> x) & 1 == 1
 
     def meet(self, x: int, y: int) -> int:
-        return self.meet_table[x][y]
+        mm = self._meet_masks
+        return self._meet_index[mm[x] & mm[y]]
 
     def join(self, x: int, y: int) -> int:
-        return self.join_table[x][y]
+        jm = self._join_masks
+        return self._join_index[jm[x] | jm[y]]
 
     def big_meet(self, xs) -> int:
-        out = self.top
+        mm = self._meet_masks
+        acc = mm[self.top]
         for x in xs:
-            out = self.meet_table[out][x]
-        return out
+            acc &= mm[x]
+        return self._meet_index[acc]
 
     def big_join(self, xs) -> int:
-        out = self.bottom
+        jm = self._join_masks
+        acc = jm[self.bottom]
         for x in xs:
-            out = self.join_table[out][x]
-        return out
+            acc |= jm[x]
+        return self._join_index[acc]
+
+    def meet_row(self, x: int) -> tuple[int, ...]:
+        """The meet of x with every element, in element order."""
+        mm = self._meet_masks
+        return tuple(map(self._meet_index.__getitem__, map(and_, repeat(mm[x]), mm)))
+
+    def join_row(self, x: int) -> tuple[int, ...]:
+        """The join of x with every element, in element order."""
+        jm = self._join_masks
+        return tuple(map(self._join_index.__getitem__, map(or_, repeat(jm[x]), jm)))
+
+    @cached_property
+    def meet_table(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(self.meet_row, range(self.n)))
+
+    @cached_property
+    def join_table(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(self.join_row, range(self.n)))
+
+    @cached_property
+    def _row_index(self) -> dict[int, int]:
+        return {row: k for k, row in enumerate(self.order.below)}
+
+    @cached_property
+    def _above_index(self) -> dict[int, int]:
+        return {row: k for k, row in enumerate(self.order.above())}
 
     def label(self, x: int):
         return self.labels[x] if self.labels is not None else x
@@ -293,39 +397,30 @@ def big_join(lat: FiniteLattice, xs) -> int:
 def join_irreducibles(lat: FiniteLattice) -> tuple[int, ...]:
     """Elements with exactly one lower cover, ascending.
 
-    x qualifies when the join of everything strictly below it falls
-    short of x; the bottom, an empty join, never does. O(n^2).
+    x qualifies when the elements strictly below it form the down-set
+    of a single element, its one lower cover: one row lookup per
+    element. The bottom, with nothing below it, never does.
     """
-    below, jt = lat.order.below, lat.join_table
-    out = []
-    for x in range(lat.n):
-        j = lat.bottom
-        for y in bits(below[x] & ~(1 << x)):
-            j = jt[j][y]
-        if j != x:
-            out.append(x)
-    return tuple(out)
+    rows = lat._row_index
+    return tuple(
+        x for x, row in enumerate(lat.order.below) if row ^ (1 << x) in rows
+    )
 
 
 def meet_irreducibles(lat: FiniteLattice) -> tuple[int, ...]:
     """Elements with exactly one upper cover, ascending; the dual of
-    join_irreducibles, so the top never qualifies. O(n^2)."""
-    above, mt = lat.order.above(), lat.meet_table
-    out = []
-    for x in range(lat.n):
-        m = lat.top
-        for y in bits(above[x] & ~(1 << x)):
-            m = mt[m][y]
-        if m != x:
-            out.append(x)
-    return tuple(out)
+    join_irreducibles, so the top never qualifies."""
+    rows = lat._above_index
+    return tuple(
+        x for x, row in enumerate(lat.order.above()) if row ^ (1 << x) in rows
+    )
 
 
 def _birkhoff_distributive(lat: FiniteLattice) -> bool:
     # x -> {join-irreducibles below x} embeds any finite lattice into the
     # down-sets of its join-irreducibles, and it is onto exactly when the
     # lattice is distributive (Birkhoff). So counting those down-sets,
-    # stopping past n, decides distributivity in O(n^2).
+    # stopping past n, decides distributivity.
     sub = lat.order.subposet(join_irreducibles(lat))
     masks = _accel.downset_masks(list(sub.below), lat.n)
     return masks is not None and len(masks) == lat.n
@@ -337,10 +432,12 @@ def is_frame(lat: FiniteLattice) -> FrameWitness:
     On finite carriers distributivity over binary joins is the whole
     frame condition, since every join is a finite one. The certificate
     comes from Birkhoff's count (a lattice is distributive iff it has as
-    many elements as its join-irreducibles have down-sets) and is cached
-    on the lattice, so repeated calls return the same object. Only on
-    failure does the exhaustive triple scan run, to find the first
-    breaking triple as the witness; the scan
+    many elements as its join-irreducibles have down-sets), with the
+    join-irreducibles read off the order rows, and is cached on the
+    lattice, so repeated calls return the same object. It is computed
+    for every lattice, down-set frames included; no builder marks a
+    lattice as a frame. Only on failure does the exhaustive triple scan
+    run, to find the first breaking triple as the witness; the scan
     (``_kernels.distributive_witness``) stays the test oracle.
     """
     return lat.frame_witness
@@ -349,13 +446,13 @@ def is_frame(lat: FiniteLattice) -> FrameWitness:
 def downset_lattice(poset: FinitePoset, masks=None) -> FiniteLattice:
     """The lattice of down-sets, labeled by their masks.
 
-    Always a frame, yet not marked as one here: is_frame certifies it
-    like any other lattice, and tests confirm it against the scan. Each
-    call builds a new lattice; opens_lattice keeps one per space and
-    passes the space's opens as ``masks``, the ascending down-sets of
-    ``poset``, so they are not enumerated again. Set inclusion is always
-    a partial order, so the inclusion order skips ``check_poset``, as
-    ``FinitePoset.subposet`` does.
+    Meet is intersection and join is union of the labels, so the
+    lattice carries its ascending masks and one mask -> index dict and
+    builds no table. Always a frame, yet not marked as one here:
+    is_frame certifies it like any other lattice, and tests confirm it
+    against the scan. Each call builds a new lattice; opens_lattice
+    keeps one per space and passes the space's opens as ``masks``, the
+    ascending down-sets of ``poset``, so they are not enumerated again.
     """
     if masks is None:
         cap = max_lattice_size()
@@ -364,31 +461,50 @@ def downset_lattice(poset: FinitePoset, masks=None) -> FiniteLattice:
             raise LatticeTooLarge(
                 f"more than {cap} down-sets; raise STONE_MAX_LATTICE to allow"
             )
+    masks = tuple(masks)
     index = {m: k for k, m in enumerate(masks)}
+    below, above = _inclusion_rows(masks, index)
+    lat = FiniteLattice._from_masks(
+        FinitePoset._trusted(below, above), masks, masks, index, masks, index
+    )
+    lat.__dict__["_label_index"] = index
+    return lat
+
+
+def _inclusion_rows(masks, index):
+    # The below and above rows of inclusion on the ascending down-sets.
+    # A down-set strictly inside m misses some maximal point p of m, so
+    # it lies inside m - p, which is a down-set exactly when p is
+    # maximal: the row of m is m itself plus the rows of the down-sets
+    # m - p, all earlier in ascending order. Dually, the up-row of m
+    # collects those of the down-sets m + p. O(n * points) mask
+    # operations and lookups, against n^2 subset tests.
     n = len(masks)
-    below = []
-    for m in masks:
-        row = 0
-        for k, other in enumerate(masks):
-            if other & ~m == 0:
-                row |= 1 << k
-        below.append(row)
-    order = FinitePoset._trusted(below)
-    meet = tuple(
-        tuple(index[a & b] for b in masks) for a in masks
-    )
-    join = tuple(
-        tuple(index[a | b] for b in masks) for a in masks
-    )
+    below = [0] * n
+    for k, m in enumerate(masks):
+        row = 1 << k
+        t = m
+        while t:
+            low = t & -t
+            t ^= low
+            j = index.get(m ^ low)
+            if j is not None:
+                row |= below[j]
+        below[k] = row
     full = masks[-1]
-    return FiniteLattice(
-        order=order,
-        meet_table=meet,
-        join_table=join,
-        bottom=index[0],
-        top=index[full],
-        labels=tuple(masks),
-    )
+    above = [0] * n
+    for k in range(n - 1, -1, -1):
+        m = masks[k]
+        row = 1 << k
+        t = full ^ m
+        while t:
+            low = t & -t
+            t ^= low
+            j = index.get(m | low)
+            if j is not None:
+                row |= above[j]
+        above[k] = row
+    return below, above
 
 
 def boolean_lattice(k: int) -> FiniteLattice:
@@ -412,7 +528,7 @@ def sublattice(lat: FiniteLattice, elements) -> FiniteLattice:
 def fixed_point_lattice(
     lat: FiniteLattice, elements, meet_fix=None, join_fix=None
 ) -> FiniteLattice:
-    """A sublattice read straight off the ambient tables.
+    """A sublattice read straight off the ambient masks.
 
     ``elements`` are ascending ambient indices. The meet of two of them
     is ``meet_fix`` applied to their ambient meet (the ambient meet
@@ -421,44 +537,59 @@ def fixed_point_lattice(
     ambient meets and close joins, those of an interior operator the
     dual, and a subset closed under both keeps both. The result equals
     ``sublattice(lat, elements)`` whenever that description is true, at
-    O(k^2) table lookups with no bound search; an operation that leaves
-    the subset raises NotALattice.
+    O(k^2) mask operations with no bound search and no table; an
+    operation that leaves the subset raises NotALattice, with the first
+    such pair, meets before joins, as the witness.
+
+    A side that keeps the ambient operation keeps the ambient masks of
+    its elements; a side that applies a fix reads the rows of the
+    induced order instead.
     """
     elements = tuple(elements)
     if not elements:
         raise NotALattice("empty carrier has no bounds")
     pos = {e: k for k, e in enumerate(elements)}
-
-    def table(ambient, fix, kind):
-        # ambient index -> position of its (fixed) image, -1 outside
-        fix = range(lat.n) if fix is None else fix
-        to_pos = [pos.get(fix[v], -1) for v in range(lat.n)]
-        rows = tuple(
-            tuple(map(to_pos.__getitem__, map(ambient[a].__getitem__, elements)))
-            for a in elements
-        )
-        for a, row in zip(elements, rows):
-            if -1 in row:
-                b = elements[row.index(-1)]
-                raise NotALattice(
-                    f"the {kind} of {a} and {b} leaves the subset", witness=(a, b)
-                )
-        return rows
-
-    meet = table(lat.meet_table, meet_fix, "meet")
-    join = table(lat.join_table, join_fix, "join")
-    bottom = top = 0
-    for x in range(len(elements)):
-        bottom = meet[bottom][x]
-        top = join[top][x]
-    return FiniteLattice(
-        order=lat.order.subposet(elements),
-        meet_table=meet,
-        join_table=join,
-        bottom=bottom,
-        top=top,
-        labels=elements,
+    _refuse_escapes(lat._meet_masks, lat._meet_index, and_, meet_fix, elements, pos, "meet")
+    _refuse_escapes(lat._join_masks, lat._join_index, or_, join_fix, elements, pos, "join")
+    order = lat.order.subposet(elements)
+    if meet_fix is None:
+        meet_masks = tuple(lat._meet_masks[e] for e in elements)
+    else:
+        meet_masks = order.below
+    if join_fix is None:
+        join_masks = tuple(lat._join_masks[e] for e in elements)
+    else:
+        full = (1 << len(elements)) - 1
+        join_masks = tuple(full ^ row for row in order.above())
+    out = FiniteLattice._from_masks(
+        order,
+        elements,
+        meet_masks,
+        {m: k for k, m in enumerate(meet_masks)},
+        join_masks,
+        {m: k for k, m in enumerate(join_masks)},
     )
+    out.__dict__["_label_index"] = pos
+    return out
+
+
+def _refuse_escapes(masks, index, op, fix, elements, pos, kind):
+    # The ambient operation, then the fix, on every pair of elements,
+    # row by row; the first pair that lands outside the subset is the
+    # witness.
+    sub = [masks[e] for e in elements]
+    inside = pos.__contains__
+    for a in elements:
+        landed = map(index.__getitem__, map(op, repeat(masks[a]), sub))
+        if fix is not None:
+            landed = map(fix.__getitem__, landed)
+        if not all(map(inside, landed)):
+            for b in elements:
+                v = index[op(masks[a], masks[b])]
+                if (v if fix is None else fix[v]) not in pos:
+                    raise NotALattice(
+                        f"the {kind} of {a} and {b} leaves the subset", witness=(a, b)
+                    )
 
 
 def _invariant_keys(poset: FinitePoset):

@@ -22,7 +22,7 @@ values; rho factors r through that quotient and needs JR, C1 and MI.
 Everything here rests on the adjunction certified when the
 GaloisConnection was built. The eight structural laws of Prop 2.6
 (verify_prop26) follow from it and are checked by the tests, not on
-construction; the fixed-point lattices are read off the ambient tables
+construction; the fixed-point lattices are read off the ambient masks
 by the same laws (restricted: ambient meets, closed joins; induced:
 ambient joins, opened meets).
 """
@@ -75,6 +75,11 @@ class InclusionData:
     (ambient meets, closure of ambient joins) even when no condition
     holds; distributivity of that sublattice is NOT automatic, so its
     spectrum is computed lazily and may refuse.
+
+    The JR, C1, MI and C2 verdicts and the map F are computed once per
+    instance, on first use, and shared by every caller: the sweeps'
+    checks and the cross-checks inside quasi_orbit_map read the same
+    values.
     """
 
     gc: GaloisConnection
@@ -107,13 +112,49 @@ class InclusionData:
         return tuple(y for y in range(self.lattice_b.n) if ir[y] == y)
 
     @cached_property
+    def _restricted_mask(self) -> int:
+        return sum(1 << x for x in self.restricted)
+
+    @cached_property
+    def _induced_mask(self) -> int:
+        return sum(1 << y for y in self.induced)
+
+    @cached_property
+    def induced_covers(self) -> tuple[int, ...]:
+        """Per target element j, the meet of the induced elements above
+        j: its least induced cover whenever that meet is induced."""
+        b = self.lattice_b
+        ind = self._induced_mask
+        return tuple(b.big_meet(bits(row & ind)) for row in b.order.above())
+
+    @cached_property
+    def _jr_bad(self):
+        return _jr_witness(self)
+
+    @cached_property
+    def _c1_holds(self) -> bool:
+        return _check_C1(self)
+
+    @cached_property
+    def _mi_holds(self) -> bool:
+        return _check_MI(self)
+
+    @cached_property
+    def _f(self) -> MonotoneMap:
+        return _F_map(self)
+
+    @cached_property
+    def _c2_holds(self) -> bool:
+        return _check_C2(self)
+
+    @cached_property
     def restricted_lattice(self) -> FiniteLattice:
         """Ambient meets; joins are closed up by r.i.
 
         When the upper map is the insertion of lattice_b, labeled by the
         ambient indices it inserts, lattice_b is that lattice already:
         an injective upper adjoint is an order embedding onto the fixed
-        points of r.i, so its order, tables and labels are exactly the
+        points of r.i, so its order, operations and labels are exactly the
         ones built here, and lattice_b (with its cached spectrum) is
         returned instead of a second copy.
         """
@@ -163,15 +204,22 @@ def _jr_witness(d: InclusionData):
 
 
 def check_JR(d: InclusionData) -> bool:
-    """Restricted elements closed under every ambient join."""
-    return _jr_witness(d) is None
+    """Restricted elements closed under every ambient join; computed
+    once per instance."""
+    return d._jr_bad is None
 
 
 def check_C1(d: InclusionData) -> bool:
-    mt = d.lattice_a.meet_table
+    """meet(I, r(i(J))) = r(i(meet(I, J))) for restricted I and every J;
+    computed once per instance."""
+    return d._c1_holds
+
+
+def _check_C1(d: InclusionData) -> bool:
+    a = d.lattice_a
     ri = d.gc.closure_values()
     for i in d.restricted:
-        row = mt[i]
+        row = a.meet_row(i)
         if [row[v] for v in ri] != [ri[v] for v in row]:
             return False
     return True
@@ -185,18 +233,18 @@ def check_MIf(d: InclusionData) -> bool:
 def check_MI(d: InclusionData) -> bool:
     """Every target element has a least induced element above it.
 
-    Computed from that definition, then asserted equal to MIf plus an
-    induced top; the two readings differ exactly over the empty meet.
+    Computed once per instance from that definition (the meet of the
+    induced elements above j must be induced, for every j), then
+    asserted equal to MIf plus an induced top; the two readings differ
+    exactly over the empty meet.
     """
-    b = d.lattice_b
+    return d._mi_holds
+
+
+def _check_MI(d: InclusionData) -> bool:
     ind = set(d.induced)
-    by_def = True
-    for j in range(b.n):
-        cover = b.big_meet(k for k in d.induced if b.leq(j, k))
-        if cover not in ind:
-            by_def = False
-            break
-    collapsed = check_MIf(d) and b.top in ind
+    by_def = all(cover in ind for cover in d.induced_covers)
+    collapsed = check_MIf(d) and d.lattice_b.top in ind
     if by_def != collapsed:
         raise AssertionError("least-cover and closure readings disagree")
     return by_def
@@ -220,18 +268,20 @@ def F_map(d: InclusionData) -> MonotoneMap:
     """Least-induced-cover map from the target into the induced lattice.
 
     The lower adjoint of the induced-insertion; total exactly under MI.
+    Built and certified once per instance.
     """
     if not check_MI(d):
         raise MIViolated(
             "some meet of induced elements is not induced",
             witness=_mi_witness(d),
         )
+    return d._f
+
+
+def _F_map(d: InclusionData) -> MonotoneMap:
     b = d.lattice_b
     ind_lat = d.induced_lattice
-    values = tuple(
-        ind_lat.index_of_label(b.big_meet(k for k in d.induced if b.leq(j, k)))
-        for j in range(b.n)
-    )
+    values = tuple(map(ind_lat.index_of_label, d.induced_covers))
     f = MonotoneMap(b, ind_lat, values)
     insertion = MonotoneMap(ind_lat, b, tuple(ind_lat.labels))
     if not is_adjoint_pair(f, insertion):
@@ -240,13 +290,19 @@ def F_map(d: InclusionData) -> MonotoneMap:
 
 
 def check_C2(d: InclusionData) -> bool:
+    """meet(I, F(J)) = F(meet(I, J)) for induced I and every J; computed
+    once per instance. Raises MIViolated where F does not exist."""
+    return d._c2_holds
+
+
+def _check_C2(d: InclusionData) -> bool:
     b = d.lattice_b
     f = F_map(d)
     amb_f = tuple(f.target.labels[v] for v in f.values)
     for i in d.induced:
-        for j in range(b.n):
-            if b.meet(i, amb_f[j]) != amb_f[b.meet(i, j)]:
-                return False
+        row = b.meet_row(i)
+        if [row[v] for v in amb_f] != [amb_f[v] for v in row]:
+            return False
     return True
 
 
@@ -256,7 +312,7 @@ def pi_map(d: InclusionData) -> PointMap:
     Under JR this is the point map adjunct to the restricted insertion;
     both routes are computed and must agree.
     """
-    bad = _jr_witness(d)
+    bad = d._jr_bad
     if bad is not None:
         raise JRViolated(
             "restricted elements are not closed under joins", witness=bad
@@ -265,10 +321,11 @@ def pi_map(d: InclusionData) -> PointMap:
     spec_a = d.spectrum_a
     spec_r = d.restricted_spectrum
     res_lat = d.restricted_lattice
+    res = d._restricted_mask
     values = []
     for p in spec_a.primes:
-        below = a.big_join(x for x in d.restricted if a.leq(x, p))
-        if below not in set(d.restricted):
+        below = a.big_join(bits(a.order.below[p] & res))
+        if not (res >> below) & 1:
             raise AssertionError("join of restricted elements escaped them")
         values.append(spec_r.prime_index[res_lat.index_of_label(below)])
     pm = PointMap(spec_a.space, spec_r.space, tuple(values))

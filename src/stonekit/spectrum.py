@@ -393,15 +393,11 @@ def theorem33_check(g: MonotoneMap, space: FiniteT0Space) -> Theorem33Report:
     eq32 = False
     if has_f:
         eq32 = True
-        lat = g.source
-        ox = g.target
-        for i in range(lat.n):
-            gi = g.values[i]
-            for v in range(ox.n):
-                if lat.meet_table[i][f.values[v]] != f.values[ox.meet_table[gi][v]]:
-                    eq32 = False
-                    break
-            if not eq32:
+        fv = f.values
+        for i, gi in enumerate(g.values):
+            row, image_row = g.source.meet_row(i), g.target.meet_row(gi)
+            if [row[v] for v in fv] != [fv[v] for v in image_row]:
+                eq32 = False
                 break
     inj = len(set(g.values)) == g.source.n
 

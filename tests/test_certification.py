@@ -5,7 +5,7 @@ meet-irreducibles and is_spatial reads the frame certificate; all
 three are checked here against the definitional scans
 (``_kernels.distributive_witness`` and ``prime_elements``), which stay
 in the package as oracles. The fixed-point lattices of a connection are
-read off the ambient tables and checked against the validated
+read off the ambient masks and checked against the validated
 ``sublattice`` route, with ``verify_prop26`` as the oracle for the
 certificate they rely on. The bit-row certification loops (monotone
 maps, the adjunction law, continuity, subposets, automorphisms) are
@@ -64,6 +64,7 @@ from stonekit import (
     quasi_orbit_space,
     small_group_actions,
     sublattice,
+    sweep_theorem,
     upper_adjoint,
     validate_lattice,
     verify_prop26,
@@ -71,7 +72,7 @@ from stonekit import (
 from stonekit import _accel, _kernels
 from stonekit.cli import main
 from stonekit.conformance import FAMILIES, order_automorphisms
-from stonekit.quasiorbit import check_C1
+from stonekit.quasiorbit import check_C1, check_C2, check_MI
 from stonekit.lattice import (
     fixed_point_lattice,
     join_irreducibles,
@@ -149,8 +150,12 @@ class TestBirkhoffAgainstScan:
 
 
 def assert_fixed_point_lattices_match_the_oracle(d):
-    assert d.restricted_lattice == sublattice(d.lattice_a, d.restricted)
-    assert d.induced_lattice == sublattice(d.lattice_b, d.induced)
+    for got, want in (
+        (d.restricted_lattice, sublattice(d.lattice_a, d.restricted)),
+        (d.induced_lattice, sublattice(d.lattice_b, d.induced)),
+    ):
+        assert got == want
+        assert (got.meet_table, got.join_table) == (want.meet_table, want.join_table)
     assert verify_prop26(d.gc).all_ok
 
 
@@ -248,6 +253,18 @@ def c1_by_pairs(d):
     return all(
         a.meet(i, ri[j]) == ri[a.meet(i, j)] for i in d.restricted for j in range(a.n)
     )
+
+
+def covers_by_pairs(d):
+    # per target element, the meet of the induced elements above it
+    b = d.lattice_b
+    return tuple(b.big_meet(k for k in d.induced if b.leq(j, k)) for j in range(b.n))
+
+
+def c2_by_pairs(d):
+    b = d.lattice_b
+    f = covers_by_pairs(d)
+    return all(b.meet(i, f[j]) == f[b.meet(i, j)] for i in d.induced for j in range(b.n))
 
 
 def assert_monotone_witness(src, tgt, values):
@@ -355,6 +372,23 @@ class TestBitRowLoopsAgainstPairLoops:
                     outcomes.add(holds)
         assert outcomes == {True, False}
 
+    def test_mi_and_c2_match_the_pair_loops(self):
+        outcomes = set()
+        for family in FAMILIES:
+            if family == "graph":
+                continue
+            for seed in range(40):
+                for max_points in (3, 5):
+                    gen = InstanceGenerator(seed=seed, family=family, max_points=max_points)
+                    d = gen_inclusion_data(gen)
+                    covers = covers_by_pairs(d)
+                    assert d.induced_covers == covers
+                    assert check_MI(d) == (set(covers) <= set(d.induced))
+                    if check_MI(d):
+                        assert check_C2(d) == c2_by_pairs(d)
+                        outcomes.add(check_C2(d))
+        assert outcomes == {True, False}
+
     def test_census_maps(self):
         rng = random.Random(5)
         posets = all_posets(4)
@@ -460,6 +494,19 @@ class TestCertifyOnce:
         assert len(calls) == 1
         # the quotient is the one quasi_orbit_space builds on its own
         assert rho.target == quasi_orbit_space(d).quotient
+
+    def test_conditions_are_evaluated_once_per_instance(self, monkeypatch):
+        # quasi_orbit_map cross-checks rho against C2, and the C48 check
+        # compares them again: both read one verdict per instance
+        c2 = counted(monkeypatch, quasiorbit_module, "_check_C2")
+        mi = counted(monkeypatch, quasiorbit_module, "_check_MI")
+        f = counted(monkeypatch, quasiorbit_module, "_F_map")
+        jr = counted(monkeypatch, quasiorbit_module, "_jr_witness")
+        report = sweep_theorem("C48", seed=7)
+        assert (report.checked, report.applicable) == (1000, 575)
+        assert len(c2) == len(f) == 575
+        assert len(jr) == 1000
+        assert len({id(args[0]) for args in mi}) == len(mi)
 
     def test_label_and_prime_indices_match_the_scans(self):
         # the cached dicts against tuple.index: first occurrence wins and

@@ -8,7 +8,7 @@ built by an independent method.
 
 from collections import Counter
 from dataclasses import replace
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 
 import pytest
@@ -54,8 +54,9 @@ from stonekit.conformance import (
 )
 from stonekit.lattice import downset_lattice, poset_isomorphism
 from stonekit.quasiorbit import check_JR
+from stonekit.errors import ClosureTooLarge
 from stonekit.spectrum import PointMap
-from stonekit.topo_models import BundleMap, FiniteGroupAction
+from stonekit.topo_models import BundleMap, FiniteGroupAction, group_closure
 import random
 
 
@@ -245,6 +246,31 @@ class TestGroupEnumeration:
         assert all(len(a.closure) <= 6 for a in actions)
         # S4 itself (order 24) must have been cut off
         assert not any(len(a.closure) == 24 for a in actions)
+
+    def test_pruned_pairs_give_the_all_pairs_actions(self):
+        # the enumeration that closes every pair of automorphisms is the
+        # oracle: same actions, same generators, same order
+        def all_pairs(space, max_order=6):
+            identity = tuple(range(space.n))
+            auts = [g for g in order_automorphisms(space.points) if g != identity]
+            seen = set()
+            for gens in [(), *((g,) for g in auts), *combinations(auts, 2)]:
+                try:
+                    closure = group_closure(gens, space.n, max_order)
+                except ClosureTooLarge:
+                    continue
+                if closure not in seen:
+                    seen.add(closure)
+                    yield gens
+
+        for poset in all_posets(5):
+            space = FiniteT0Space.from_poset(poset)
+            got = [a.generators for a in small_group_actions(space)]
+            assert got == list(all_pairs(space))
+        space = FiniteT0Space.from_poset(FinitePoset.antichain(4))
+        for max_order in (1, 2, 4, 8, 24):
+            got = [a.generators for a in small_group_actions(space, max_order)]
+            assert got == list(all_pairs(space, max_order))
 
 
 class TestSweeps:

@@ -7,6 +7,8 @@ every frozen value here is independent of the package's own model code.
 import pytest
 from hypothesis import given, settings
 
+import stonekit.galois as galois_module
+
 from conftest import (
     chain_lattice,
     connections,
@@ -158,6 +160,24 @@ class TestSynthesis:
 
     @settings(max_examples=150)
     @given(monotone_maps())
+    def test_candidates_are_the_pointwise_formulas(self, f):
+        # r(y) = join of the x with i(x) <= y, and dually for the lower
+        # adjoint of r, read pair by pair
+        a, b = f.source, f.target
+        want_upper = tuple(
+            a.big_join(x for x in range(a.n) if b.leq(f.values[x], y)) for y in range(b.n)
+        )
+        r = upper_adjoint(f)
+        assert (r if isinstance(r, MonotoneMap) else r.candidate).values == want_upper
+        back = MonotoneMap(b, a, want_upper)
+        want_lower = tuple(
+            b.big_meet(y for y in range(b.n) if a.leq(x, back.values[y])) for x in range(a.n)
+        )
+        i = lower_adjoint(back)
+        assert (i if isinstance(i, MonotoneMap) else i.candidate).values == want_lower
+
+    @settings(max_examples=150)
+    @given(monotone_maps())
     def test_round_trip_when_adjoint_exists(self, f):
         r = upper_adjoint(f)
         if isinstance(r, AbsenceWitness):
@@ -185,6 +205,33 @@ class TestConnectionConstruction:
         gc = matrix_connection(CROSSED)
         rebuilt = GaloisConnection.from_upper(gc.upper)
         assert rebuilt.lower.values == gc.lower.values
+
+    def test_the_law_is_checked_once_per_connection(self, monkeypatch):
+        real = galois_module._adjunction_witness
+        calls = []
+
+        def counting(lower, upper):
+            calls.append(1)
+            return real(lower, upper)
+
+        monkeypatch.setattr(galois_module, "_adjunction_witness", counting)
+        gc = matrix_connection(CROSSED)
+        calls.clear()
+        assert GaloisConnection.from_lower(gc.lower) == gc
+        assert len(calls) == 1
+        assert GaloisConnection.from_upper(gc.upper) == gc
+        assert len(calls) == 2
+        assert GaloisConnection(gc.lower, gc.upper) == gc
+        assert len(calls) == 3
+
+    def test_public_constructor_still_refuses_a_bogus_pair(self):
+        # a synthesized upper adjoint, paired with a lower map it does
+        # not belong to
+        gc = matrix_connection(CROSSED)
+        bottom = MonotoneMap(gc.lattice_a, gc.lattice_b, (gc.lattice_b.bottom,) * gc.lattice_a.n)
+        with pytest.raises(AdjunctionFailure) as ei:
+            GaloisConnection(bottom, gc.upper)
+        assert ei.value.witness is not None
 
 
 class TestFixedPoints:

@@ -18,6 +18,8 @@ from conftest import (
 )
 from stonekit import (
     FinitePoset,
+    _kernels,
+    all_frames,
     LatticeTooLarge,
     NotALattice,
     NotAPoset,
@@ -30,7 +32,12 @@ from stonekit import (
     sublattice,
     validate_lattice,
 )
-from stonekit.lattice import poset_isomorphism
+from stonekit.lattice import (
+    fixed_point_lattice,
+    join_irreducibles,
+    meet_irreducibles,
+    poset_isomorphism,
+)
 
 
 def oracle_bounds(poset):
@@ -269,3 +276,115 @@ class TestSubAndIso:
             rev[perm[x]] = m
         q = FinitePoset(p.n, tuple(rev))
         assert poset_isomorphism(p, q) is not None
+
+
+def irreducibles_by_tables(lat):
+    """The table scans: x is join-irreducible when the join of everything
+    strictly below it falls short of x, and dually."""
+    mt, jt = lat.meet_table, lat.join_table
+    above = lat.order.above()
+    joins, meets = [], []
+    for x in range(lat.n):
+        j = lat.bottom
+        for y in _kernels.bits(lat.order.below[x] & ~(1 << x)):
+            j = jt[j][y]
+        if j != x:
+            joins.append(x)
+        m = lat.top
+        for y in _kernels.bits(above[x] & ~(1 << x)):
+            m = mt[m][y]
+        if m != x:
+            meets.append(x)
+    return tuple(joins), tuple(meets)
+
+
+MASK_FRAMES = [
+    *((f"frame-{k}-{i}", lat) for k in range(1, 7) for i, lat in enumerate(all_frames(k))),
+    *((f"boolean-{k}", boolean_lattice(k)) for k in range(7)),
+]
+
+
+class TestMaskFramesAgainstTables:
+    """Down-set frames answer from masks; the table forms are the oracle."""
+
+    @pytest.mark.parametrize("lat", [f for _, f in MASK_FRAMES], ids=[i for i, _ in MASK_FRAMES])
+    def test_order_rows_are_inclusion(self, lat):
+        # the subset test on every pair of masks, and its transpose
+        masks = lat.labels
+        below = tuple(
+            sum(1 << j for j, other in enumerate(masks) if other & ~m == 0) for m in masks
+        )
+        assert lat.order.below == below
+        assert lat.order.above() == tuple(_kernels.transpose(list(below)))
+
+    @pytest.mark.parametrize("lat", [f for _, f in MASK_FRAMES], ids=[i for i, _ in MASK_FRAMES])
+    def test_lazy_tables_are_the_validated_tables(self, lat):
+        validated = validate_lattice(lat.order)
+        assert lat.meet_table == validated.meet_table
+        assert lat.join_table == validated.join_table
+        assert (lat.bottom, lat.top) == (validated.bottom, validated.top)
+        assert lat == validate_lattice(lat.order, labels=lat.labels)
+
+    @pytest.mark.parametrize("lat", [f for _, f in MASK_FRAMES], ids=[i for i, _ in MASK_FRAMES])
+    def test_operations_read_like_the_tables(self, lat):
+        validated = validate_lattice(lat.order)
+        mt, jt = validated.meet_table, validated.join_table
+        for x in range(lat.n):
+            assert lat.meet_row(x) == mt[x] and lat.join_row(x) == jt[x]
+            for y in range(lat.n):
+                assert lat.meet(x, y) == mt[x][y]
+                assert lat.join(x, y) == jt[x][y]
+        # big meets and joins of the rows, and of the empty subset
+        for row in (*lat.order.below, *lat.order.above(), 0):
+            xs = list(_kernels.bits(row))
+            m, j = lat.top, lat.bottom
+            for x in xs:
+                m, j = mt[m][x], jt[j][x]
+            assert big_meet(lat, xs) == m
+            assert big_join(lat, xs) == j
+
+    @pytest.mark.parametrize("lat", [f for _, f in MASK_FRAMES], ids=[i for i, _ in MASK_FRAMES])
+    def test_certificate_and_irreducibles_match_the_scans(self, lat):
+        scan = _kernels.distributive_witness(lat.meet_table, lat.join_table)
+        assert is_frame(lat).distributive == (scan is None)
+        assert (join_irreducibles(lat), meet_irreducibles(lat)) == irreducibles_by_tables(lat)
+
+    @pytest.mark.parametrize("lat", [f for _, f in MASK_FRAMES], ids=[i for i, _ in MASK_FRAMES])
+    def test_fixed_point_lattices_match_sublattice(self, lat):
+        cases = []
+        # x -> x \/ a closes onto the up-set of a, x -> x /\ a opens onto
+        # the down-set of a, and both sets are closed under both operations
+        for a in range(lat.n):
+            up = tuple(_kernels.bits(lat.order.above()[a]))
+            down = tuple(_kernels.bits(lat.order.below[a]))
+            cases.append((up, {"join_fix": tuple(lat.join(x, a) for x in range(lat.n))}))
+            cases.append((down, {"meet_fix": tuple(lat.meet(x, a) for x in range(lat.n))}))
+            cases.append((up, {}))
+        # the meets of the join-irreducibles and the top are the fixed
+        # points of a closure whose joins are not the ambient ones, and
+        # dually for the joins of the meet-irreducibles and the bottom
+        moore = _closed(lat, lat.meet, {*join_irreducibles(lat), lat.top})
+        cases.append((moore, {"join_fix": tuple(
+            lat.big_meet(s for s in moore if lat.leq(x, s)) for x in range(lat.n)
+        )}))
+        dual = _closed(lat, lat.join, {*meet_irreducibles(lat), lat.bottom})
+        cases.append((dual, {"meet_fix": tuple(
+            lat.big_join(s for s in dual if lat.leq(s, x)) for x in range(lat.n)
+        )}))
+        for elements, kwargs in cases:
+            got = fixed_point_lattice(lat, elements, **kwargs)
+            want = sublattice(lat, elements)
+            assert got == want
+            assert got.meet_table == want.meet_table
+            assert got.join_table == want.join_table
+            assert (got.bottom, got.top) == (want.bottom, want.top)
+
+
+def _closed(lat, op, seed):
+    """The closure of ``seed`` under the binary operation, ascending."""
+    out = set(seed)
+    while True:
+        more = {op(x, y) for x in out for y in out} - out
+        if not more:
+            return tuple(sorted(out))
+        out |= more
