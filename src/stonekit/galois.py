@@ -110,12 +110,10 @@ def _fibers(values, n: int):
     """Per element of the target, the mask of the points mapped onto it,
     and the mask of the image."""
     fiber = [0] * n
+    image = 0
     for x, v in enumerate(values):
         fiber[v] |= 1 << x
-    image = 0
-    for v, f in enumerate(fiber):
-        if f:
-            image |= 1 << v
+        image |= 1 << v
     return fiber, image
 
 

@@ -18,7 +18,6 @@ from conftest import (
 )
 from stonekit import (
     FinitePoset,
-    _kernels,
     all_frames,
     LatticeTooLarge,
     NotALattice,
@@ -32,6 +31,7 @@ from stonekit import (
     sublattice,
     validate_lattice,
 )
+from stonekit import _kernels
 from stonekit.lattice import (
     fixed_point_lattice,
     join_irreducibles,
