@@ -188,9 +188,8 @@ class FiniteLattice:
 
     ``meet_table`` and ``join_table`` are built on first read, for the
     definitional scans that serve as oracles and for the distributivity
-    witness of a non-frame. The public constructor takes the table form
-    that validate_lattice builds from ``bound_tables``, and keeps those
-    tables as the two attributes.
+    witness of a non-frame; validate_lattice fills them in from the
+    ``bound_tables`` it certifies with.
 
     ``labels`` optionally names each element (down-set masks for
     Birkhoff duals, ambient indices for sublattices); it never affects
@@ -199,37 +198,35 @@ class FiniteLattice:
     immutable; what a lattice certifies about itself is cached on it.
     """
 
-    def __init__(self, order, meet_table, join_table, bottom, top, labels=None):
-        n = order.n
-        if len(meet_table) != n or len(join_table) != n:
-            raise NotALattice("table size does not match the carrier")
-        if labels is not None and len(labels) != n:
+    def __init__(self, order, labels=None):
+        """The lattice of ``order``, which must be a lattice order
+        (validate_lattice certifies one): meet masks are its ``below``
+        rows, join masks the complements of its ``above`` rows, and the
+        bounds are read off them."""
+        if labels is not None and len(labels) != order.n:
             raise NotALattice("label count does not match the carrier")
         rows = {row: k for k, row in enumerate(order.below)}
-        full = (1 << n) - 1
+        full = (1 << order.n) - 1
         join_masks = tuple(full ^ row for row in order.above())
         self._set(
-            order, bottom, top, labels,
-            order.below, rows, join_masks, {m: k for k, m in enumerate(join_masks)},
+            order, labels, order.below, rows, join_masks, {m: k for k, m in enumerate(join_masks)}
         )
-        self.__dict__.update(meet_table=meet_table, join_table=join_table, _row_index=rows)
+        self.__dict__["_row_index"] = rows
 
     @classmethod
     def _from_masks(cls, order, labels, meet_masks, meet_index, join_masks, join_index):
-        """The lattice whose operations the given masks encode; the bounds
-        are the meet and the join of everything."""
+        """The lattice whose operations the given masks encode."""
         lat = object.__new__(cls)
-        bottom = meet_index[reduce(and_, meet_masks)]
-        top = join_index[reduce(or_, join_masks)]
-        lat._set(order, bottom, top, labels, meet_masks, meet_index, join_masks, join_index)
+        lat._set(order, labels, meet_masks, meet_index, join_masks, join_index)
         return lat
 
-    def _set(self, order, bottom, top, labels, meet_masks, meet_index, join_masks, join_index):
+    def _set(self, order, labels, meet_masks, meet_index, join_masks, join_index):
+        # the bounds are the meet and the join of everything
         self.__dict__.update(
             order=order,
             n=order.n,
-            bottom=bottom,
-            top=top,
+            bottom=meet_index[reduce(and_, meet_masks)],
+            top=join_index[reduce(or_, join_masks)],
             labels=labels,
             _meet_masks=meet_masks,
             _meet_index=meet_index,
@@ -355,7 +352,8 @@ class FrameWitness:
 
 
 def validate_lattice(order: FinitePoset, labels=None) -> FiniteLattice:
-    """Certify that ``order`` is a lattice and build the table form.
+    """Certify that ``order`` is a lattice through ``bound_tables``,
+    whose meet and join tables the lattice keeps.
 
     Raises NotALattice with a witness pair when some meet or join is
     missing, and LatticeTooLarge past the soft cap.
@@ -369,19 +367,12 @@ def validate_lattice(order: FinitePoset, labels=None) -> FiniteLattice:
     if bad is not None:
         kind, x, y = bad
         raise NotALattice(f"elements {x} and {y} have no {kind}", witness=bad)
-    bottom = 0
-    top = 0
-    for x in range(order.n):
-        bottom = meet[bottom][x]
-        top = join[top][x]
-    return FiniteLattice(
-        order=order,
+    lat = FiniteLattice(order, tuple(labels) if labels is not None else None)
+    lat.__dict__.update(
         meet_table=tuple(tuple(row) for row in meet),
         join_table=tuple(tuple(row) for row in join),
-        bottom=bottom,
-        top=top,
-        labels=tuple(labels) if labels is not None else None,
     )
+    return lat
 
 
 def big_meet(lat: FiniteLattice, xs) -> int:
@@ -578,18 +569,15 @@ def _refuse_escapes(masks, index, op, fix, elements, pos, kind):
     # row by row; the first pair that lands outside the subset is the
     # witness.
     sub = [masks[e] for e in elements]
-    inside = pos.__contains__
     for a in elements:
         landed = map(index.__getitem__, map(op, repeat(masks[a]), sub))
         if fix is not None:
             landed = map(fix.__getitem__, landed)
-        if not all(map(inside, landed)):
-            for b in elements:
-                v = index[op(masks[a], masks[b])]
-                if (v if fix is None else fix[v]) not in pos:
-                    raise NotALattice(
-                        f"the {kind} of {a} and {b} leaves the subset", witness=(a, b)
-                    )
+        for b, v in zip(elements, landed):
+            if v not in pos:
+                raise NotALattice(
+                    f"the {kind} of {a} and {b} leaves the subset", witness=(a, b)
+                )
 
 
 def _invariant_keys(poset: FinitePoset):

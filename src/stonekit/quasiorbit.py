@@ -129,23 +129,58 @@ class InclusionData:
 
     @cached_property
     def _jr_bad(self):
-        return _jr_witness(self)
+        """None when JR holds, else the offending join (empty tuple = bottom)."""
+        a = self.lattice_a
+        res = set(self.restricted)
+        if a.bottom not in res:
+            return ()
+        for x in self.restricted:
+            for y in self.restricted:
+                if y > x and a.join(x, y) not in res:
+                    return (x, y)
+        return None
 
     @cached_property
     def _c1_holds(self) -> bool:
-        return _check_C1(self)
+        a = self.lattice_a
+        ri = self.gc.closure_values()
+        for i in self.restricted:
+            row = a.meet_row(i)
+            if [row[v] for v in ri] != [ri[v] for v in row]:
+                return False
+        return True
 
     @cached_property
     def _mi_holds(self) -> bool:
-        return _check_MI(self)
+        ind = set(self.induced)
+        by_def = all(cover in ind for cover in self.induced_covers)
+        collapsed = check_MIf(self) and self.lattice_b.top in ind
+        if by_def != collapsed:
+            raise AssertionError("least-cover and closure readings disagree")
+        return by_def
 
     @cached_property
     def _f(self) -> MonotoneMap:
-        return _F_map(self)
+        # read through F_map, which refuses first when MI fails
+        b = self.lattice_b
+        ind_lat = self.induced_lattice
+        values = tuple(map(ind_lat.index_of_label, self.induced_covers))
+        f = MonotoneMap(b, ind_lat, values)
+        insertion = MonotoneMap(ind_lat, b, tuple(ind_lat.labels))
+        if not is_adjoint_pair(f, insertion):
+            raise AssertionError("least-cover map is not adjoint to the insertion")
+        return f
 
     @cached_property
     def _c2_holds(self) -> bool:
-        return _check_C2(self)
+        b = self.lattice_b
+        f = F_map(self)
+        amb_f = tuple(f.target.labels[v] for v in f.values)
+        for i in self.induced:
+            row = b.meet_row(i)
+            if [row[v] for v in amb_f] != [amb_f[v] for v in row]:
+                return False
+        return True
 
     @cached_property
     def restricted_lattice(self) -> FiniteLattice:
@@ -190,19 +225,6 @@ class InclusionData:
         return primes(self.induced_lattice)
 
 
-def _jr_witness(d: InclusionData):
-    """None when JR holds, else the offending join (empty tuple = bottom)."""
-    a = d.lattice_a
-    res = set(d.restricted)
-    if a.bottom not in res:
-        return ()
-    for x in d.restricted:
-        for y in d.restricted:
-            if y > x and a.join(x, y) not in res:
-                return (x, y)
-    return None
-
-
 def check_JR(d: InclusionData) -> bool:
     """Restricted elements closed under every ambient join; computed
     once per instance."""
@@ -213,16 +235,6 @@ def check_C1(d: InclusionData) -> bool:
     """meet(I, r(i(J))) = r(i(meet(I, J))) for restricted I and every J;
     computed once per instance."""
     return d._c1_holds
-
-
-def _check_C1(d: InclusionData) -> bool:
-    a = d.lattice_a
-    ri = d.gc.closure_values()
-    for i in d.restricted:
-        row = a.meet_row(i)
-        if [row[v] for v in ri] != [ri[v] for v in row]:
-            return False
-    return True
 
 
 def check_MIf(d: InclusionData) -> bool:
@@ -239,15 +251,6 @@ def check_MI(d: InclusionData) -> bool:
     exactly over the empty meet.
     """
     return d._mi_holds
-
-
-def _check_MI(d: InclusionData) -> bool:
-    ind = set(d.induced)
-    by_def = all(cover in ind for cover in d.induced_covers)
-    collapsed = check_MIf(d) and d.lattice_b.top in ind
-    if by_def != collapsed:
-        raise AssertionError("least-cover and closure readings disagree")
-    return by_def
 
 
 def _mi_witness(d: InclusionData, include_top=True):
@@ -278,32 +281,10 @@ def F_map(d: InclusionData) -> MonotoneMap:
     return d._f
 
 
-def _F_map(d: InclusionData) -> MonotoneMap:
-    b = d.lattice_b
-    ind_lat = d.induced_lattice
-    values = tuple(map(ind_lat.index_of_label, d.induced_covers))
-    f = MonotoneMap(b, ind_lat, values)
-    insertion = MonotoneMap(ind_lat, b, tuple(ind_lat.labels))
-    if not is_adjoint_pair(f, insertion):
-        raise AssertionError("least-cover map is not adjoint to the insertion")
-    return f
-
-
 def check_C2(d: InclusionData) -> bool:
     """meet(I, F(J)) = F(meet(I, J)) for induced I and every J; computed
     once per instance. Raises MIViolated where F does not exist."""
     return d._c2_holds
-
-
-def _check_C2(d: InclusionData) -> bool:
-    b = d.lattice_b
-    f = F_map(d)
-    amb_f = tuple(f.target.labels[v] for v in f.values)
-    for i in d.induced:
-        row = b.meet_row(i)
-        if [row[v] for v in amb_f] != [amb_f[v] for v in row]:
-            return False
-    return True
 
 
 def pi_map(d: InclusionData) -> PointMap:

@@ -62,6 +62,16 @@ def automorphisms(poset):
     ]
 
 
+def assert_same_lattice(got, want):
+    """Equal as lattices and in every operation: lattice equality reads
+    only the order and the labels, so the tables and the bounds are
+    compared on their own."""
+    assert got == want
+    assert got.meet_table == want.meet_table
+    assert got.join_table == want.join_table
+    assert (got.bottom, got.top) == (want.bottom, want.top)
+
+
 def lattice_from_pairs(n, pairs, labels=None):
     return validate_lattice(FinitePoset.from_pairs(n, pairs), labels)
 

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    assert_same_lattice,
     chain_lattice,
     diamond,
     downset_frames,
     lattice_from_pairs,
+    padded_lattices,
     pentagon,
     posets,
     three_atom_diamond,
@@ -142,6 +144,10 @@ class TestValidateLattice:
         lat = validate_lattice(p)
         assert [list(r) for r in lat.meet_table] == meet
         assert [list(r) for r in lat.join_table] == join
+        # the operations read masks, not these tables: they agree too
+        assert [list(lat.meet_row(x)) for x in range(p.n)] == meet
+        assert [list(lat.join_row(x)) for x in range(p.n)] == join
+        assert all(p.leq(lat.bottom, x) and p.leq(x, lat.top) for x in range(p.n))
 
 
 class TestBigOps:
@@ -319,11 +325,7 @@ class TestMaskFramesAgainstTables:
 
     @pytest.mark.parametrize("lat", [f for _, f in MASK_FRAMES], ids=[i for i, _ in MASK_FRAMES])
     def test_lazy_tables_are_the_validated_tables(self, lat):
-        validated = validate_lattice(lat.order)
-        assert lat.meet_table == validated.meet_table
-        assert lat.join_table == validated.join_table
-        assert (lat.bottom, lat.top) == (validated.bottom, validated.top)
-        assert lat == validate_lattice(lat.order, labels=lat.labels)
+        assert_same_lattice(lat, validate_lattice(lat.order, labels=lat.labels))
 
     @pytest.mark.parametrize("lat", [f for _, f in MASK_FRAMES], ids=[i for i, _ in MASK_FRAMES])
     def test_operations_read_like_the_tables(self, lat):
@@ -351,33 +353,51 @@ class TestMaskFramesAgainstTables:
 
     @pytest.mark.parametrize("lat", [f for _, f in MASK_FRAMES], ids=[i for i, _ in MASK_FRAMES])
     def test_fixed_point_lattices_match_sublattice(self, lat):
-        cases = []
-        # x -> x \/ a closes onto the up-set of a, x -> x /\ a opens onto
-        # the down-set of a, and both sets are closed under both operations
-        for a in range(lat.n):
-            up = tuple(_kernels.bits(lat.order.above()[a]))
-            down = tuple(_kernels.bits(lat.order.below[a]))
-            cases.append((up, {"join_fix": tuple(lat.join(x, a) for x in range(lat.n))}))
-            cases.append((down, {"meet_fix": tuple(lat.meet(x, a) for x in range(lat.n))}))
-            cases.append((up, {}))
-        # the meets of the join-irreducibles and the top are the fixed
-        # points of a closure whose joins are not the ambient ones, and
-        # dually for the joins of the meet-irreducibles and the bottom
-        moore = _closed(lat, lat.meet, {*join_irreducibles(lat), lat.top})
+        assert_fixed_point_lattices_match_sublattice(lat)
+
+
+class TestFixedPointLatticesOfNonFrames:
+    """The same cases on validated lattices that are not distributive,
+    whose join masks are the complements of their up-rows."""
+
+    @pytest.mark.parametrize("build", [pentagon, three_atom_diamond])
+    def test_forbidden_sublattices(self, build):
+        lat = build()
+        assert not is_frame(lat).distributive
+        assert_fixed_point_lattices_match_sublattice(lat)
+
+    @settings(max_examples=60, deadline=None)
+    @given(padded_lattices())
+    def test_padded_lattices(self, lat):
+        assert_fixed_point_lattices_match_sublattice(lat)
+
+
+def assert_fixed_point_lattices_match_sublattice(lat):
+    cases = []
+    # x -> x \/ a closes onto the up-set of a, x -> x /\ a opens onto
+    # the down-set of a, and both sets are closed under both operations
+    for a in range(lat.n):
+        up = tuple(_kernels.bits(lat.order.above()[a]))
+        down = tuple(_kernels.bits(lat.order.below[a]))
+        cases.append((up, {"join_fix": tuple(lat.join(x, a) for x in range(lat.n))}))
+        cases.append((down, {"meet_fix": tuple(lat.meet(x, a) for x in range(lat.n))}))
+        cases.append((up, {}))
+    # a meet-closed set with the top is the fixed-point set of a closure
+    # whose joins need not be the ambient ones, and dually: the meets of
+    # the join-irreducibles, and {a, b, a /\ b, top} for every pair
+    seeds = [({*join_irreducibles(lat), lat.top}, {*meet_irreducibles(lat), lat.bottom})]
+    seeds += [({a, b, lat.top}, {a, b, lat.bottom}) for a in range(lat.n) for b in range(a)]
+    for up_seed, down_seed in seeds:
+        moore = _closed(lat, lat.meet, up_seed)
         cases.append((moore, {"join_fix": tuple(
             lat.big_meet(s for s in moore if lat.leq(x, s)) for x in range(lat.n)
         )}))
-        dual = _closed(lat, lat.join, {*meet_irreducibles(lat), lat.bottom})
+        dual = _closed(lat, lat.join, down_seed)
         cases.append((dual, {"meet_fix": tuple(
             lat.big_join(s for s in dual if lat.leq(s, x)) for x in range(lat.n)
         )}))
-        for elements, kwargs in cases:
-            got = fixed_point_lattice(lat, elements, **kwargs)
-            want = sublattice(lat, elements)
-            assert got == want
-            assert got.meet_table == want.meet_table
-            assert got.join_table == want.join_table
-            assert (got.bottom, got.top) == (want.bottom, want.top)
+    for elements, kwargs in cases:
+        assert_same_lattice(fixed_point_lattice(lat, elements, **kwargs), sublattice(lat, elements))
 
 
 def _closed(lat, op, seed):

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    assert_same_lattice,
     chain_lattice,
     connections,
     diamond,
@@ -134,8 +135,8 @@ class TestInclusionData:
     def test_m3_restricted_lattice_matches_the_validated_route(self):
         d = m3_closure()
         oracle = sublattice(d.lattice_a, d.restricted)
-        assert d.restricted_lattice == oracle
-        assert d.induced_lattice == sublattice(d.lattice_b, d.induced)
+        assert_same_lattice(d.restricted_lattice, oracle)
+        assert_same_lattice(d.induced_lattice, sublattice(d.lattice_b, d.induced))
         assert verify_prop26(d.gc).all_ok
         with pytest.raises(NotAFrame) as ei:
             d.restricted_spectrum
