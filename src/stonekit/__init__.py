@@ -55,6 +55,7 @@ from .lattice import (
     downset_lattice,
     is_frame,
     lattice_isomorphism,
+    order_automorphisms,
     sublattice,
     validate_lattice,
 )
@@ -68,7 +69,6 @@ from .conformance import (
     gen_graph,
     gen_inclusion_data,
     monotone_maps,
-    order_automorphisms,
     small_group_actions,
     sweep_theorem,
 )

@@ -28,7 +28,6 @@ from .galois import detects, separates
 from .graph_pairs import j_pairs, pair_prime_space
 from .multiplicity import is_symmetric
 from .quasiorbit import (
-    _mi_witness,
     check_C1,
     check_C2,
     check_JR,
@@ -93,7 +92,7 @@ def _condition_report(doc, model) -> dict:
         "separates": separates(d.gc),
     }
     if not mif:
-        x, y = _mi_witness(d, include_top=False)
+        x, y = d._mif_bad
         meet = d.lattice_b.meet(x, y)
         report["MIf_witness"] = list(bits(d.lattice_b.labels[meet]))
     if doc.kind == "multiplicity":

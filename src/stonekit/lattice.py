@@ -11,10 +11,10 @@ Meets and joins are mask operations plus one lookup (see
 FiniteLattice). Every frame this package builds is the lattice of
 down-sets of its join-irreducibles (Birkhoff), so down-set, opens and
 boolean lattices carry their ascending masks and nothing else: meet is
-``&``, join is ``|`` and order is inclusion. No n x n table is built for
-them; ``meet_table`` and ``join_table`` appear on first read. Only
-validate_lattice, which certifies an arbitrary order through
-``bound_tables``, holds tables from the start.
+``&``, join is ``|`` and order is inclusion. No lattice holds an n x n
+table; ``meet_table`` and ``join_table`` appear on first read.
+validate_lattice certifies an arbitrary order with the same lookups
+that answer its meets and joins.
 
 The element count is soft-capped (default 4096, override with the
 STONE_MAX_LATTICE environment variable, read per call).
@@ -188,8 +188,7 @@ class FiniteLattice:
 
     ``meet_table`` and ``join_table`` are built on first read, for the
     definitional scans that serve as oracles and for the distributivity
-    witness of a non-frame; validate_lattice fills them in from the
-    ``bound_tables`` it certifies with.
+    witness of a non-frame.
 
     ``labels`` optionally names each element (down-set masks for
     Birkhoff duals, ambient indices for sublattices); it never affects
@@ -203,15 +202,7 @@ class FiniteLattice:
         (validate_lattice certifies one): meet masks are its ``below``
         rows, join masks the complements of its ``above`` rows, and the
         bounds are read off them."""
-        if labels is not None and len(labels) != order.n:
-            raise NotALattice("label count does not match the carrier")
-        rows = {row: k for k, row in enumerate(order.below)}
-        full = (1 << order.n) - 1
-        join_masks = tuple(full ^ row for row in order.above())
-        self._set(
-            order, labels, order.below, rows, join_masks, {m: k for k, m in enumerate(join_masks)}
-        )
-        self.__dict__["_row_index"] = rows
+        self._set(order, labels, *_order_masks(order))
 
     @classmethod
     def _from_masks(cls, order, labels, meet_masks, meet_index, join_masks, join_index):
@@ -221,6 +212,8 @@ class FiniteLattice:
         return lat
 
     def _set(self, order, labels, meet_masks, meet_index, join_masks, join_index):
+        if labels is not None and len(labels) != order.n:
+            raise NotALattice("label count does not match the carrier")
         # the bounds are the meet and the join of everything
         self.__dict__.update(
             order=order,
@@ -233,6 +226,8 @@ class FiniteLattice:
             _join_masks=join_masks,
             _join_index=join_index,
         )
+        if meet_masks is order.below:
+            self.__dict__["_row_index"] = meet_index
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FiniteLattice is immutable; cannot set {name!r}")
@@ -351,9 +346,30 @@ class FrameWitness:
     witness: tuple[int, int, int] | None = None
 
 
+def _order_masks(order: FinitePoset):
+    # The meet and join masks of a lattice order with their indices:
+    # below rows, and the complements of the above rows.
+    full = (1 << order.n) - 1
+    join_masks = tuple(full ^ row for row in order.above())
+    return (
+        order.below,
+        {row: k for k, row in enumerate(order.below)},
+        join_masks,
+        {m: k for k, m in enumerate(join_masks)},
+    )
+
+
 def validate_lattice(order: FinitePoset, labels=None) -> FiniteLattice:
-    """Certify that ``order`` is a lattice through ``bound_tables``,
-    whose meet and join tables the lattice keeps.
+    """Certify that ``order`` is a lattice with the lookups that answer
+    its meets and joins.
+
+    x /\\ y exists exactly when the common lower set of x and y is some
+    element's down-set, that is when ``below[x] & below[y]`` is a key of
+    the meet index FiniteLattice.meet reads; dually for joins. Pairs
+    are walked x ascending, y >= x, meet before join (the order of the
+    ``bound_tables`` oracle), so NotALattice names the pair that
+    ``bound_tables`` would. O(n^2) mask operations and lookups; the
+    indices built here are the lattice's own.
 
     Raises NotALattice with a witness pair when some meet or join is
     missing, and LatticeTooLarge past the soft cap.
@@ -363,16 +379,32 @@ def validate_lattice(order: FinitePoset, labels=None) -> FiniteLattice:
         raise LatticeTooLarge(f"{order.n} elements exceeds the cap of {cap}")
     if order.n == 0:
         raise NotALattice("empty carrier has no bounds", witness=None)
-    meet, join, bad = _accel.bound_tables(list(order.below))
+    masks = _order_masks(order)
+    bad = _missing_bound(*masks)
     if bad is not None:
         kind, x, y = bad
         raise NotALattice(f"elements {x} and {y} have no {kind}", witness=bad)
-    lat = FiniteLattice(order, tuple(labels) if labels is not None else None)
-    lat.__dict__.update(
-        meet_table=tuple(tuple(row) for row in meet),
-        join_table=tuple(tuple(row) for row in join),
+    return FiniteLattice._from_masks(
+        order, tuple(labels) if labels is not None else None, *masks
     )
-    return lat
+
+
+def _missing_bound(meet_masks, meet_index, join_masks, join_index):
+    # Row by row, all lookups of row x at once; only a failing row is
+    # walked pair by pair, for its first missing bound.
+    for x in range(len(meet_masks)):
+        meets = list(map(and_, repeat(meet_masks[x]), meet_masks[x:]))
+        joins = list(map(or_, repeat(join_masks[x]), join_masks[x:]))
+        if all(map(meet_index.__contains__, meets)) and all(
+            map(join_index.__contains__, joins)
+        ):
+            continue
+        for y, m, j in zip(range(x, len(meet_masks)), meets, joins):
+            if m not in meet_index:
+                return ("meet", x, y)
+            if j not in join_index:
+                return ("join", x, y)
+    return None
 
 
 def big_meet(lat: FiniteLattice, xs) -> int:
@@ -539,9 +571,11 @@ def fixed_point_lattice(
     elements = tuple(elements)
     if not elements:
         raise NotALattice("empty carrier has no bounds")
-    pos = {e: k for k, e in enumerate(elements)}
-    _refuse_escapes(lat._meet_masks, lat._meet_index, and_, meet_fix, elements, pos, "meet")
-    _refuse_escapes(lat._join_masks, lat._join_index, or_, join_fix, elements, pos, "join")
+    for side, fix in (("meet", meet_fix), ("join", join_fix)):
+        bad = escaping_pair(lat, side, elements, fix)
+        if bad is not None:
+            a, b = bad
+            raise NotALattice(f"the {side} of {a} and {b} leaves the subset", witness=bad)
     order = lat.order.subposet(elements)
     if meet_fix is None:
         meet_masks = tuple(lat._meet_masks[e] for e in elements)
@@ -560,24 +594,32 @@ def fixed_point_lattice(
         join_masks,
         {m: k for k, m in enumerate(join_masks)},
     )
-    out.__dict__["_label_index"] = pos
+    out.__dict__["_label_index"] = {e: k for k, e in enumerate(elements)}
     return out
 
 
-def _refuse_escapes(masks, index, op, fix, elements, pos, kind):
-    # The ambient operation, then the fix, on every pair of elements,
-    # row by row; the first pair that lands outside the subset is the
-    # witness.
+def escaping_pair(lat: FiniteLattice, side: str, elements, fix=None):
+    """The first pair (a, b) of ``elements``, a-major in their order,
+    whose ambient ``side`` ("meet" or "join"), followed by ``fix`` when
+    given, lands outside them; None when the subset is closed.
+
+    The scan covers every ordered pair, one mask row per a. For a
+    commutative operation that keeps each element of the subset, the
+    first escaping pair of ascending elements has a < b.
+    """
+    if side == "meet":
+        masks, index, op = lat._meet_masks, lat._meet_index, and_
+    else:
+        masks, index, op = lat._join_masks, lat._join_index, or_
+    inside = set(elements)
     sub = [masks[e] for e in elements]
     for a in elements:
-        landed = map(index.__getitem__, map(op, repeat(masks[a]), sub))
+        landed = list(map(index.__getitem__, map(op, repeat(masks[a]), sub)))
         if fix is not None:
-            landed = map(fix.__getitem__, landed)
-        for b, v in zip(elements, landed):
-            if v not in pos:
-                raise NotALattice(
-                    f"the {kind} of {a} and {b} leaves the subset", witness=(a, b)
-                )
+            landed = list(map(fix.__getitem__, landed))
+        if not inside.issuperset(landed):
+            return a, next(b for b, v in zip(elements, landed) if v not in inside)
+    return None
 
 
 def _invariant_keys(poset: FinitePoset):
@@ -588,49 +630,57 @@ def _invariant_keys(poset: FinitePoset):
     ]
 
 
-def poset_isomorphism(a: FinitePoset, b: FinitePoset):
-    """An order isomorphism a -> b as a tuple, or None.
+def _isomorphisms(a: FinitePoset, b: FinitePoset):
+    """Every order isomorphism a -> b as a tuple, in lexicographic order.
 
-    Backtracking over degree-compatible candidates; fine at the sizes
-    this package handles, not meant for large carriers.
+    Backtracking over masks: points 0, 1, ... of a are assigned in turn,
+    each to an unused point of b with the same invariant keys that is
+    related to the images already placed exactly as the point is
+    related to their preimages. Images are tried in ascending order,
+    so the isomorphisms come out in lexicographic order.
     """
-    if a.n != b.n:
-        return None
-    ka = _invariant_keys(a)
-    kb = _invariant_keys(b)
-    if sorted(ka) != sorted(kb):
-        return None
-    candidates = [
-        [j for j in range(b.n) if kb[j] == ka[i]] for i in range(a.n)
-    ]
-    order = sorted(range(a.n), key=lambda i: len(candidates[i]))
-    assign = [-1] * a.n
-    used = [False] * b.n
+    n = a.n
+    ka, kb = _invariant_keys(a), _invariant_keys(b)
+    if n != b.n or sorted(ka) != sorted(kb):
+        return
+    candidates = [[v for v in range(n) if kb[v] == key] for key in ka]
+    below_a, above_a = a.below, a.above()
+    below_b, above_b = b.below, b.above()
+    perm = [0] * n
 
-    def place(k: int) -> bool:
-        if k == a.n:
-            return True
-        i = order[k]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for prev in order[:k]:
-                if a.leq(i, prev) != b.leq(j, assign[prev]) or a.leq(
-                    prev, i
-                ) != b.leq(assign[prev], j):
-                    ok = False
-                    break
-            if ok:
-                assign[i] = j
-                used[j] = True
-                if place(k + 1):
-                    return True
-                assign[i] = -1
-                used[j] = False
-        return False
+    def place(k: int, used: int):
+        if k == n:
+            yield tuple(perm)
+            return
+        placed = (1 << k) - 1
+        down = up = 0
+        for j in bits(below_a[k] & placed):
+            down |= 1 << perm[j]
+        for j in bits(above_a[k] & placed):
+            up |= 1 << perm[j]
+        for v in candidates[k]:
+            if (
+                not (used >> v) & 1
+                and below_b[v] & used == down
+                and above_b[v] & used == up
+            ):
+                perm[k] = v
+                yield from place(k + 1, used | (1 << v))
 
-    return tuple(assign) if place(0) else None
+    yield from place(0, 0)
+
+
+def poset_isomorphism(a: FinitePoset, b: FinitePoset):
+    """The lexicographically first order isomorphism a -> b as a tuple,
+    or None; fine at the sizes this package handles, not meant for
+    large carriers."""
+    return next(_isomorphisms(a, b), None)
+
+
+def order_automorphisms(poset: FinitePoset) -> list[tuple[int, ...]]:
+    """Every permutation of the points preserving the order both ways,
+    in lexicographic order, the order of ``itertools.permutations``."""
+    return list(_isomorphisms(poset, poset))
 
 
 def lattice_isomorphism(a: FiniteLattice, b: FiniteLattice):

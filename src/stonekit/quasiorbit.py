@@ -45,7 +45,7 @@ from .galois import (
     is_adjoint_pair,
     separates,
 )
-from .lattice import FiniteLattice, fixed_point_lattice, is_frame
+from .lattice import FiniteLattice, escaping_pair, fixed_point_lattice, is_frame
 from .spectrum import (
     FiniteT0Space,
     PointMap,
@@ -130,25 +130,19 @@ class InclusionData:
     @cached_property
     def _jr_bad(self):
         """None when JR holds, else the offending join (empty tuple = bottom)."""
-        a = self.lattice_a
-        res = set(self.restricted)
-        if a.bottom not in res:
+        if self.lattice_a.bottom not in self.restricted:
             return ()
-        for x in self.restricted:
-            for y in self.restricted:
-                if y > x and a.join(x, y) not in res:
-                    return (x, y)
-        return None
+        return escaping_pair(self.lattice_a, "join", self.restricted)
+
+    @cached_property
+    def _mif_bad(self):
+        """None when MIf holds, else the first pair of induced elements
+        whose meet is not induced."""
+        return escaping_pair(self.lattice_b, "meet", self.induced)
 
     @cached_property
     def _c1_holds(self) -> bool:
-        a = self.lattice_a
-        ri = self.gc.closure_values()
-        for i in self.restricted:
-            row = a.meet_row(i)
-            if [row[v] for v in ri] != [ri[v] for v in row]:
-                return False
-        return True
+        return _meets_commute(self.lattice_a, self.restricted, self.gc.closure_values())
 
     @cached_property
     def _mi_holds(self) -> bool:
@@ -173,14 +167,10 @@ class InclusionData:
 
     @cached_property
     def _c2_holds(self) -> bool:
-        b = self.lattice_b
         f = F_map(self)
-        amb_f = tuple(f.target.labels[v] for v in f.values)
-        for i in self.induced:
-            row = b.meet_row(i)
-            if [row[v] for v in amb_f] != [amb_f[v] for v in row]:
-                return False
-        return True
+        return _meets_commute(
+            self.lattice_b, self.induced, tuple(f.target.labels[v] for v in f.values)
+        )
 
     @cached_property
     def restricted_lattice(self) -> FiniteLattice:
@@ -225,6 +215,16 @@ class InclusionData:
         return primes(self.induced_lattice)
 
 
+def _meets_commute(lat: FiniteLattice, elements, values) -> bool:
+    # meet(I, values[J]) = values[meet(I, J)] for I in elements and every
+    # J, one meet row per I
+    for i in elements:
+        row = lat.meet_row(i)
+        if [row[v] for v in values] != [values[v] for v in row]:
+            return False
+    return True
+
+
 def check_JR(d: InclusionData) -> bool:
     """Restricted elements closed under every ambient join; computed
     once per instance."""
@@ -238,8 +238,9 @@ def check_C1(d: InclusionData) -> bool:
 
 
 def check_MIf(d: InclusionData) -> bool:
-    """Induced elements closed under binary (nonempty) meets."""
-    return _mi_witness(d, include_top=False) is None
+    """Induced elements closed under binary (nonempty) meets; computed
+    once per instance."""
+    return d._mif_bad is None
 
 
 def check_MI(d: InclusionData) -> bool:
@@ -253,18 +254,13 @@ def check_MI(d: InclusionData) -> bool:
     return d._mi_holds
 
 
-def _mi_witness(d: InclusionData, include_top=True):
-    """None, or the induced subset whose meet escapes; () means the
-    empty subset (an induced top is missing)."""
-    b = d.lattice_b
-    ind = set(d.induced)
-    for x in d.induced:
-        for y in d.induced:
-            if y > x and b.meet(x, y) not in ind:
-                return (x, y)
-    if include_top and b.top not in ind:
-        return ()
-    return None
+def _require_MI(d: InclusionData):
+    if not check_MI(d):
+        # the escaping pair, or () for the empty meet: a missing top
+        raise MIViolated(
+            "some meet of induced elements is not induced",
+            witness=d._mif_bad or (),
+        )
 
 
 def F_map(d: InclusionData) -> MonotoneMap:
@@ -273,11 +269,7 @@ def F_map(d: InclusionData) -> MonotoneMap:
     The lower adjoint of the induced-insertion; total exactly under MI.
     Built and certified once per instance.
     """
-    if not check_MI(d):
-        raise MIViolated(
-            "some meet of induced elements is not induced",
-            witness=_mi_witness(d),
-        )
+    _require_MI(d)
     return d._f
 
 
@@ -332,14 +324,22 @@ class QuasiOrbitSpace:
     class_of: tuple[int, ...]
 
     def __post_init__(self):
-        # quotient opens are exactly the class-sets with open preimage
-        opens = set(self.quotient.opens)
-        for w in range(1 << len(self.classes)):
+        # Quotient opens are exactly the class-sets with open preimage.
+        # The classes partition the base, so preimage is injective on
+        # class-sets: every quotient open having an open preimage, and
+        # the quotient having as many opens as the base has saturated
+        # opens, together say exactly that.
+        for w in self.quotient.opens:
             pre = 0
             for k in bits(w):
                 pre |= self.classes[k]
-            if (w in opens) != self.base.is_open(pre):
+            if not self.base.is_open(pre):
                 raise AssertionError("quotient topology mismatch")
+        saturated = sum(
+            all(u & c in (0, c) for c in self.classes) for u in self.base.opens
+        )
+        if saturated != len(self.quotient.opens):
+            raise AssertionError("quotient topology mismatch")
 
 
 def quasi_orbit_space(d: InclusionData) -> QuasiOrbitSpace:
@@ -409,11 +409,7 @@ def induced_prime_map(d: InclusionData) -> PointMap:
     Under binary-only meet closure the composite can land on the top of
     the induced lattice, which is not a prime; MI rules that out.
     """
-    if not check_MI(d):
-        raise MIViolated(
-            "some meet of induced elements is not induced",
-            witness=_mi_witness(d),
-        )
+    _require_MI(d)
     ind_lat = d.induced_lattice
     spec_i = d.induced_spectrum
     prime_index = spec_i.prime_index

@@ -18,6 +18,7 @@ from stonekit import (
     downset_lattice,
     validate_lattice,
 )
+from stonekit import _kernels
 
 
 def labeled_posets(n):
@@ -65,10 +66,16 @@ def automorphisms(poset):
 def assert_same_lattice(got, want):
     """Equal as lattices and in every operation: lattice equality reads
     only the order and the labels, so the tables and the bounds are
-    compared on their own."""
+    compared on their own, and the tables once more with
+    ``_kernels.bound_tables`` of the order, a bound search that shares
+    no lookup with either lattice."""
     assert got == want
     assert got.meet_table == want.meet_table
     assert got.join_table == want.join_table
+    meet, join, bad = _kernels.bound_tables(list(got.order.below))
+    assert bad is None
+    assert got.meet_table == tuple(map(tuple, meet))
+    assert got.join_table == tuple(map(tuple, join))
     assert (got.bottom, got.top) == (want.bottom, want.top)
 
 

@@ -20,6 +20,7 @@ from stonekit import (
     FinitePoset,
     FiniteT0Space,
     InstanceGenerator,
+    MonotoneMap,
     MultiplicityInclusion,
     SweepFailed,
     SweepReport,
@@ -30,9 +31,11 @@ from stonekit import (
     gen_graph,
     gen_inclusion_data,
     is_frame,
+    is_join_preserving,
     lattice_isomorphism,
     NotALattice,
     monotone_maps,
+    opens_lattice,
     order_automorphisms,
     small_group_actions,
     sweep_theorem,
@@ -43,6 +46,7 @@ import stonekit.conformance as conformance_module
 from stonekit.conformance import (
     _compile_seed,
     _greedy_minimize,
+    _join_preserving_maps,
     all_frame_posets,
     _poset_classes,
     _random_galois_seed,
@@ -218,6 +222,17 @@ class TestMonotoneMaps:
         lat = downset_lattice(FinitePoset.antichain(2))
         with pytest.raises(ValueError, match="cap"):
             next(monotone_maps(lat, lat, cap=3))
+
+    def test_join_preserving_maps_preserve_joins(self):
+        # T33 checks only the meet half of the locale-morphism law on
+        # these maps; the join half holds by construction
+        spaces = all_spaces(2)
+        for poset in all_frame_posets(5):
+            la = downset_lattice(poset)
+            for space in spaces:
+                lb = opens_lattice(space)
+                for values in _join_preserving_maps(poset, la, lb):
+                    assert is_join_preserving(MonotoneMap(la, lb, values))
 
 
 class TestGroupEnumeration:

@@ -6,6 +6,7 @@ the raw order relation alone.
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     assert_same_lattice,
@@ -21,6 +22,7 @@ from conftest import (
 from stonekit import (
     FinitePoset,
     all_frames,
+    all_posets,
     LatticeTooLarge,
     NotALattice,
     NotAPoset,
@@ -122,6 +124,10 @@ class TestValidateLattice:
         with pytest.raises(NotALattice):
             validate_lattice(FinitePoset.antichain(0))
 
+    def test_label_count_must_match(self):
+        with pytest.raises(NotALattice, match="label count"):
+            validate_lattice(FinitePoset.chain(3), labels=("a", "b"))
+
     def test_missing_meet_rejected(self):
         # two minimal and two maximal points: joins of minimals not unique
         p = FinitePoset.from_pairs(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
@@ -148,6 +154,34 @@ class TestValidateLattice:
         assert [list(lat.meet_row(x)) for x in range(p.n)] == meet
         assert [list(lat.join_row(x)) for x in range(p.n)] == join
         assert all(p.leq(lat.bottom, x) and p.leq(x, lat.top) for x in range(p.n))
+
+    def test_every_small_poset_against_bound_tables(self):
+        # the mask lookups certify exactly what bound_tables does, and
+        # refuse with its witness pair
+        for p in all_posets(5):
+            assert_validated_like_bound_tables(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(padded_lattices(), st.integers(0, 3))
+    def test_padded_shapes_against_bound_tables(self, lat, drop):
+        # the padded M3/N5 shapes and products, and the same orders with
+        # a point removed, which can leave some pair without a bound
+        assert_validated_like_bound_tables(lat.order)
+        keep = [x for x in range(lat.n) if x != drop % lat.n]
+        assert_validated_like_bound_tables(lat.order.subposet(keep))
+
+
+def assert_validated_like_bound_tables(p):
+    meet, join, bad = _kernels.bound_tables(list(p.below))
+    if bad is not None:
+        with pytest.raises(NotALattice) as caught:
+            validate_lattice(p)
+        assert caught.value.witness == bad
+        return
+    lat = validate_lattice(p)
+    assert "meet_table" not in vars(lat) and "join_table" not in vars(lat)
+    assert lat.meet_table == tuple(map(tuple, meet))
+    assert lat.join_table == tuple(map(tuple, join))
 
 
 class TestBigOps:

@@ -30,6 +30,7 @@ from stonekit import (
     ConditionViolated,
     F_map,
     FinitePoset,
+    FiniteT0Space,
     GaloisConnection,
     InclusionData,
     JRViolated,
@@ -38,6 +39,7 @@ from stonekit import (
     NotAFrame,
     PointMap,
     PrimeMapObstruction,
+    QuasiOrbitSpace,
     boolean_lattice,
     check_C1,
     check_C2,
@@ -297,6 +299,18 @@ class TestQuasiOrbitSpace:
     def test_defined_without_c1(self):
         qos = quasi_orbit_space(c1_breaker())
         assert qos.quotient.n == 2
+
+    def test_tampered_quotient_is_refused(self):
+        sierpinski = FiniteT0Space.from_poset(FinitePoset.chain(2))
+        discrete = FiniteT0Space.from_poset(FinitePoset.antichain(2))
+        classes, class_of = (0b01, 0b10), (0, 1)
+        for space in (sierpinski, discrete):
+            QuasiOrbitSpace(space, classes, space, class_of)
+        # a quotient open whose preimage is not open, then a quotient
+        # missing a saturated open while every preimage is open
+        for base, quotient in ((sierpinski, discrete), (discrete, sierpinski)):
+            with pytest.raises(AssertionError, match="quotient topology"):
+                QuasiOrbitSpace(base, classes, quotient, class_of)
 
 
 class TestRestrictedPrimeMap:
