@@ -14,15 +14,18 @@ where POSET is {"points": int, "covers": [[int, int], ...]} and the
 order is the reflexive-transitive closure of the cover pairs.  Schema
 problems raise DocumentError with a path anchor ("$.payload.matrix[2]");
 semantic problems (a non-lattice order, a failed adjunction) surface as
-the model's own errors when the payload is compiled.
+the model's own errors when the payload is compiled. The schema check
+builds each poset once and keeps it on the document with the values it
+read, so compiling reads nothing off the payload again.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import DocumentError
+from .errors import DocumentError, NotAPoset
 from .galois import GaloisConnection, MonotoneMap
 from .graph_pairs import FiniteGraph, j_x
 from .lattice import FinitePoset, validate_lattice
@@ -46,6 +49,16 @@ class InstanceDocument:
     kind: str
     payload: dict
     name: str | None = None
+
+    @cached_property
+    def checked(self) -> dict:
+        """The payload's posets, built once, and its values, as the
+        kind's schema check read them; parse_document computes this, and
+        it stays outside equality. Raises DocumentError on a schema
+        problem."""
+        if self.kind not in _CHECKERS:
+            _fail("$.kind", f"unknown kind {self.kind!r}")
+        return _CHECKERS[self.kind](self.payload, "$.payload")
 
 
 def _fail(path: str, message: str):
@@ -95,7 +108,7 @@ def _load_poset(value, path: str) -> FinitePoset:
         pairs.append((row[0], row[1]))
     try:
         return FinitePoset.from_pairs(points, pairs)
-    except Exception as exc:
+    except NotAPoset as exc:
         _fail(path, f"cover relation is not acyclic: {exc}")
 
 
@@ -118,9 +131,9 @@ def parse_document(text: str) -> InstanceDocument:
     payload = _field(raw, "$", "payload")
     if not isinstance(payload, dict):
         _fail("$.payload", f"expected an object, got {type(payload).__name__}")
-    checker = _CHECKERS[kind]
-    checker(payload, "$.payload")
-    return InstanceDocument(kind=kind, payload=payload, name=name)
+    doc = InstanceDocument(kind=kind, payload=payload, name=name)
+    doc.checked  # the schema check now; compile_document reuses its result
+    return doc
 
 
 def load_document(path) -> InstanceDocument:
@@ -128,11 +141,11 @@ def load_document(path) -> InstanceDocument:
         return parse_document(handle.read())
 
 
-def _check_lattice(payload: dict, path: str):
-    _load_poset(_field(payload, path, "order"), f"{path}.order")
+def _check_lattice(payload: dict, path: str) -> dict:
+    return {"order": _load_poset(_field(payload, path, "order"), f"{path}.order")}
 
 
-def _check_galois(payload: dict, path: str):
+def _check_galois(payload: dict, path: str) -> dict:
     source = _load_poset(_field(payload, path, "source"), f"{path}.source")
     target = _load_poset(_field(payload, path, "target"), f"{path}.target")
     lower = _as_int_list(
@@ -140,43 +153,50 @@ def _check_galois(payload: dict, path: str):
     )
     if len(lower) != source.n:
         _fail(f"{path}.lower", f"expected {source.n} values, got {len(lower)}")
+    return {"source": source, "target": target, "lower": tuple(lower)}
 
 
-def _check_multiplicity(payload: dict, path: str):
+def _check_multiplicity(payload: dict, path: str) -> dict:
     matrix = _field(payload, path, "matrix")
     if not isinstance(matrix, list) or not matrix:
         _fail(f"{path}.matrix", "expected a non-empty list of rows")
-    width = None
+    rows = []
     for k, row in enumerate(matrix):
         entries = _as_int_list(row, f"{path}.matrix[{k}]")
         if not entries:
             _fail(f"{path}.matrix[{k}]", "rows must be non-empty")
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
+        if rows and len(entries) != len(rows[0]):
             _fail(f"{path}.matrix[{k}]", "ragged rows")
-    for key, count in (("a_dims", len(matrix)), ("b_dims", width)):
+        rows.append(tuple(entries))
+    out = {"matrix": tuple(rows)}
+    for key, count in (("a_dims", len(rows)), ("b_dims", len(rows[0]))):
         dims = _field(payload, path, key, required=False)
-        if dims is None:
-            continue
-        dims = _as_int_list(dims, f"{path}.{key}")
-        if len(dims) != count:
-            _fail(f"{path}.{key}", f"expected {count} entries, got {len(dims)}")
+        if dims is not None:
+            dims = _as_int_list(dims, f"{path}.{key}")
+            for k, dim in enumerate(dims):
+                _as_int(dim, f"{path}.{key}[{k}]", minimum=1)
+            if len(dims) != count:
+                _fail(f"{path}.{key}", f"expected {count} entries, got {len(dims)}")
+            dims = tuple(dims)
+        out[key] = dims
+    return out
 
 
-def _check_bundle(payload: dict, path: str):
+def _check_bundle(payload: dict, path: str) -> dict:
     total = _load_poset(_field(payload, path, "total"), f"{path}.total")
     base = _load_poset(_field(payload, path, "base"), f"{path}.base")
     proj = _as_int_list(_field(payload, path, "proj"), f"{path}.proj", bound=base.n)
     if len(proj) != total.n:
         _fail(f"{path}.proj", f"expected {total.n} values, got {len(proj)}")
+    return {"total": total, "base": base, "proj": tuple(proj)}
 
 
-def _check_action(payload: dict, path: str):
+def _check_action(payload: dict, path: str) -> dict:
     space = _load_poset(_field(payload, path, "space"), f"{path}.space")
     generators = _field(payload, path, "generators")
     if not isinstance(generators, list):
         _fail(f"{path}.generators", "expected a list of permutations")
+    gens = []
     for k, gen in enumerate(generators):
         values = _as_int_list(gen, f"{path}.generators[{k}]", bound=space.n)
         if len(values) != space.n:
@@ -184,22 +204,27 @@ def _check_action(payload: dict, path: str):
                 f"{path}.generators[{k}]",
                 f"expected {space.n} values, got {len(values)}",
             )
+        gens.append(tuple(values))
+    return {"space": space, "generators": tuple(gens)}
 
 
-def _check_graph(payload: dict, path: str):
+def _check_graph(payload: dict, path: str) -> dict:
     vertices = _as_int(
         _field(payload, path, "vertices"), f"{path}.vertices", minimum=0
     )
     edges = _field(payload, path, "edges", required=False, default=[])
     if not isinstance(edges, list):
         _fail(f"{path}.edges", "expected a list of [source, range] pairs")
+    pairs = []
     for k, edge in enumerate(edges):
         row = _as_int_list(edge, f"{path}.edges[{k}]", bound=vertices)
         if len(row) != 2:
             _fail(f"{path}.edges[{k}]", f"expected 2 entries, got {len(row)}")
+        pairs.append(tuple(row))
     j = _field(payload, path, "j", required=False)
     if j is not None:
-        _as_int_list(j, f"{path}.j", bound=vertices)
+        j = _as_int_list(j, f"{path}.j", bound=vertices)
+    return {"vertices": vertices, "edges": tuple(pairs), "j": j}
 
 
 _CHECKERS = {
@@ -216,44 +241,31 @@ def compile_document(doc: InstanceDocument):
     """The model object a document describes.
 
     Returns an InclusionData (lattice, galois), MultiplicityInclusion,
-    BundleMap, FiniteGroupAction, or (FiniteGraph, j-mask) pair.
-    Semantic failures raise the model's own error types.
+    BundleMap, FiniteGroupAction, or (FiniteGraph, j-mask) pair, built
+    from the posets and values the schema check kept. Semantic failures
+    raise the model's own error types.
     """
-    payload = doc.payload
+    c = doc.checked
     if doc.kind == "lattice":
-        lat = validate_lattice(_load_poset(payload["order"], "$.payload.order"))
-        identity = MonotoneMap.identity(lat)
+        identity = MonotoneMap.identity(validate_lattice(c["order"]))
         return InclusionData(GaloisConnection(identity, identity))
     if doc.kind == "galois":
-        source = validate_lattice(_load_poset(payload["source"], "$.payload.source"))
-        target = validate_lattice(_load_poset(payload["target"], "$.payload.target"))
-        lower = MonotoneMap(source, target, tuple(payload["lower"]))
+        source = validate_lattice(c["source"])
+        target = validate_lattice(c["target"])
+        lower = MonotoneMap(source, target, c["lower"])
         return InclusionData(GaloisConnection.from_lower(lower))
     if doc.kind == "multiplicity":
-        a_dims = payload.get("a_dims")
-        b_dims = payload.get("b_dims")
-        return MultiplicityInclusion(
-            tuple(tuple(row) for row in payload["matrix"]),
-            a_dims=None if a_dims is None else tuple(a_dims),
-            b_dims=None if b_dims is None else tuple(b_dims),
-        )
+        return MultiplicityInclusion(c["matrix"], a_dims=c["a_dims"], b_dims=c["b_dims"])
     if doc.kind == "bundle":
-        total = FiniteT0Space.from_poset(_load_poset(payload["total"], "$.payload.total"))
-        base = FiniteT0Space.from_poset(_load_poset(payload["base"], "$.payload.base"))
-        return BundleMap(total, base, PointMap(total, base, tuple(payload["proj"])))
+        total = FiniteT0Space.from_poset(c["total"])
+        base = FiniteT0Space.from_poset(c["base"])
+        return BundleMap(total, base, PointMap(total, base, c["proj"]))
     if doc.kind == "action":
-        space = FiniteT0Space.from_poset(_load_poset(payload["space"], "$.payload.space"))
-        return FiniteGroupAction(
-            space, tuple(tuple(gen) for gen in payload["generators"])
-        )
-    if doc.kind == "graph":
-        graph = FiniteGraph(
-            payload["vertices"], tuple(tuple(edge) for edge in payload["edges"])
-        )
-        j = payload.get("j")
-        jmask = j_x(graph) if j is None else sum(1 << v for v in set(j))
-        return graph, jmask
-    raise DocumentError(f"$.kind: unknown kind {doc.kind!r}")
+        return FiniteGroupAction(FiniteT0Space.from_poset(c["space"]), c["generators"])
+    graph = FiniteGraph(c["vertices"], c["edges"])
+    j = c["j"]
+    jmask = j_x(graph) if j is None else sum(1 << v for v in set(j))
+    return graph, jmask
 
 
 def inclusion_data_for(model) -> InclusionData:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ._kernels import bits, monotone_witness
 from .errors import AdjunctionFailure, NotMonotone, ShapeMismatch
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, _fiber_fold, _preserves
 
 
 @dataclass(frozen=True)
@@ -59,36 +59,15 @@ class MonotoneMap:
             tuple(self.values[v] for v in inner.values),
         )
 
-    def image(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.values)))
-
 
 def is_join_preserving(f: MonotoneMap) -> bool:
     """Preservation of all joins, the empty one included."""
-    s, t, vals = f.source, f.target, f.values
-    if vals[s.bottom] != t.bottom:
-        return False
-    sm, si, tm, ti = s._join_masks, s._join_index, t._join_masks, t._join_index
-    for x in range(s.n):
-        mx, tx = sm[x], tm[vals[x]]
-        for y in range(x + 1, s.n):
-            if vals[si[mx | sm[y]]] != ti[tx | tm[vals[y]]]:
-                return False
-    return True
+    return _preserves(f.values, f.source, f.target, "join")
 
 
 def is_meet_preserving(f: MonotoneMap) -> bool:
     """Preservation of all meets, the empty one included."""
-    s, t, vals = f.source, f.target, f.values
-    if vals[s.top] != t.top:
-        return False
-    sm, si, tm, ti = s._meet_masks, s._meet_index, t._meet_masks, t._meet_index
-    for x in range(s.n):
-        mx, tx = sm[x], tm[vals[x]]
-        for y in range(x + 1, s.n):
-            if vals[si[mx & sm[y]]] != ti[tx & tm[vals[y]]]:
-                return False
-    return True
+    return _preserves(f.values, f.source, f.target, "meet")
 
 
 @dataclass(frozen=True)
@@ -106,17 +85,6 @@ class AbsenceWitness:
     reason: str
 
 
-def _fibers(values, n: int):
-    """Per element of the target, the mask of the points mapped onto it,
-    and the mask of the image."""
-    fiber = [0] * n
-    image = 0
-    for x, v in enumerate(values):
-        fiber[v] |= 1 << x
-        image |= 1 << v
-    return fiber, image
-
-
 def _adjunction_witness(lower: MonotoneMap, upper: MonotoneMap):
     # The first (x, y), x-major, with i(x) <= y and x <= r(y) disagreeing.
     # Per x both sides are masks over B: {y : i(x) <= y} is a row of B's
@@ -125,7 +93,11 @@ def _adjunction_witness(lower: MonotoneMap, upper: MonotoneMap):
     # lowest differing bit is the first y.
     a_above = lower.source.order.above()
     b_above = lower.target.order.above()
-    fiber, image = _fibers(upper.values, lower.source.n)
+    fiber = [0] * lower.source.n
+    image = 0
+    for y, v in enumerate(upper.values):
+        fiber[v] |= 1 << y
+        image |= 1 << v
     for x, ix in enumerate(lower.values):
         reach = 0
         for v in bits(a_above[x] & image):
@@ -148,23 +120,11 @@ def upper_adjoint(lower: MonotoneMap):
 
     Candidate: r(y) = join of every x with i(x) <= y. On a finite
     lattice this is the adjoint whenever one exists. Each i-fiber is
-    joined once, as the union of its join masks; r(y) then joins the
-    fibers over the elements of B's row below y.
+    joined once; r(y) then joins the fibers over the elements of B's
+    row below y.
     """
     a, b = lower.source, lower.target
-    fiber, image = _fibers(lower.values, b.n)
-    jm, bottom = a._join_masks, a._join_masks[a.bottom]
-    joined = [bottom] * b.n
-    for v in bits(image):
-        for x in bits(fiber[v]):
-            joined[v] |= jm[x]
-    values = []
-    for row in b.order.below:
-        acc = bottom
-        for v in bits(row & image):
-            acc |= joined[v]
-        values.append(a._join_index[acc])
-    candidate = MonotoneMap(b, a, tuple(values))
+    candidate = MonotoneMap(b, a, _fiber_fold(a, "join", lower.values, b.order.below))
     bad = _adjunction_witness(lower, candidate)
     if bad is None:
         return candidate
@@ -180,19 +140,7 @@ def lower_adjoint(upper: MonotoneMap):
     r-fibers over A's row above x, as upper_adjoint does dually.
     """
     b, a = upper.source, upper.target
-    fiber, image = _fibers(upper.values, a.n)
-    mm, top = b._meet_masks, b._meet_masks[b.top]
-    met = [top] * a.n
-    for u in bits(image):
-        for y in bits(fiber[u]):
-            met[u] &= mm[y]
-    values = []
-    for row in a.order.above():
-        acc = top
-        for u in bits(row & image):
-            acc &= met[u]
-        values.append(b._meet_index[acc])
-    candidate = MonotoneMap(a, b, tuple(values))
+    candidate = MonotoneMap(a, b, _fiber_fold(b, "meet", upper.values, a.order.above()))
     bad = _adjunction_witness(candidate, upper)
     if bad is None:
         return candidate

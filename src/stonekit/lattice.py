@@ -7,14 +7,17 @@ Operations build new objects, while what a lattice certifies about
 itself (its frame witness, its prime spectrum) is computed on first use
 and cached on the instance, so every caller shares one copy.
 
-Meets and joins are mask operations plus one lookup (see
-FiniteLattice). Every frame this package builds is the lattice of
+Meets and joins are one ``&`` on masks plus one lookup (see
+FiniteLattice): a lattice has two sides of one shape, its meet side and
+its join side, and a join is a meet of the dual side, whose masks are
+co-masks. So every algorithm that has a meet and a join form is written
+once, over a side. Every frame this package builds is the lattice of
 down-sets of its join-irreducibles (Birkhoff), so down-set, opens and
-boolean lattices carry their ascending masks and nothing else: meet is
-``&``, join is ``|`` and order is inclusion. No lattice holds an n x n
-table; ``meet_table`` and ``join_table`` appear on first read.
-validate_lattice certifies an arbitrary order with the same lookups
-that answer its meets and joins.
+boolean lattices carry their ascending masks as meet masks and their
+complements as join co-masks: meet is intersection, join is union and
+order is inclusion. No lattice holds an n x n table; ``meet_table`` and
+``join_table`` appear on first read. validate_lattice certifies an
+arbitrary order with the same lookups that answer its meets and joins.
 
 The element count is soft-capped (default 4096, override with the
 STONE_MAX_LATTICE environment variable, read per call).
@@ -26,7 +29,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import repeat
-from operator import and_, or_
+from operator import and_
 
 from . import _accel
 from ._kernels import bits
@@ -112,12 +115,6 @@ class FinitePoset:
                 return False
         return True
 
-    def down_closure(self, mask: int) -> int:
-        out = mask
-        for i in bits(mask):
-            out |= self.below[i]
-        return out
-
     def up_closure(self, mask: int) -> int:
         out = mask
         above = self.above()
@@ -160,28 +157,24 @@ class FinitePoset:
                     out.append((i, j))
         return out
 
-    def minimal_elements(self) -> list[int]:
-        return [i for i in range(self.n) if self.below[i] == 1 << i]
-
-    def maximal_elements(self) -> list[int]:
-        above = self.above()
-        return [i for i in range(self.n) if above[i] == 1 << i]
-
 
 class FiniteLattice:
     """A finite bounded lattice: its order, its bounds and its labels.
 
-    Meet and join are one mask operation plus one lookup. Every element
-    has a meet mask and a join mask: meet(x, y) is the element whose
-    meet mask is ``mm[x] & mm[y]``, and join(x, y) the element whose
-    join mask is ``jm[x] | jm[y]``.
+    Meet and join are one ``&`` plus one lookup. The lattice has two
+    sides of one shape, ``_meet`` and ``_join``, each a triple (masks,
+    index, unit): ``masks[x]`` is the mask of element x, ``index`` maps
+    a mask back to its element, and ``unit`` is the mask of the
+    operation's identity (the top for meets, the bottom for joins).
+    meet(x, y) is the element whose meet mask is ``mm[x] & mm[y]``, and
+    join(x, y) the element whose join co-mask is ``co[x] & co[y]``.
 
     * Any lattice can use its ``below`` rows as meet masks, since the
       down-set of x /\\ y is the intersection of the two down-sets, and
-      the complements of its ``above`` rows as join masks.
+      its ``above`` rows as join co-masks, dually.
     * A down-set frame (downset_lattice) uses its labels, the down-sets
-      themselves, for both: by Birkhoff, meet is intersection and join
-      is union there.
+      themselves, as meet masks and their complements as co-masks: by
+      Birkhoff, meet is intersection and join is union there.
     * A fixed-point lattice (fixed_point_lattice) keeps the ambient
       masks on the side whose operation it shares with the ambient
       lattice.
@@ -200,34 +193,33 @@ class FiniteLattice:
     def __init__(self, order, labels=None):
         """The lattice of ``order``, which must be a lattice order
         (validate_lattice certifies one): meet masks are its ``below``
-        rows, join masks the complements of its ``above`` rows, and the
-        bounds are read off them."""
+        rows, join co-masks its ``above`` rows, and the bounds are read
+        off them."""
         self._set(order, labels, *_order_masks(order))
 
     @classmethod
-    def _from_masks(cls, order, labels, meet_masks, meet_index, join_masks, join_index):
-        """The lattice whose operations the given masks encode."""
+    def _from_masks(cls, order, labels, meet, join):
+        """The lattice whose operations the given (masks, index) sides
+        encode."""
         lat = object.__new__(cls)
-        lat._set(order, labels, meet_masks, meet_index, join_masks, join_index)
+        lat._set(order, labels, meet, join)
         return lat
 
-    def _set(self, order, labels, meet_masks, meet_index, join_masks, join_index):
+    def _set(self, order, labels, meet, join):
         if labels is not None and len(labels) != order.n:
             raise NotALattice("label count does not match the carrier")
+        (mm, mi), (jm, ji) = meet, join
         # the bounds are the meet and the join of everything
+        bottom, top = mi[reduce(and_, mm)], ji[reduce(and_, jm)]
         self.__dict__.update(
             order=order,
             n=order.n,
-            bottom=meet_index[reduce(and_, meet_masks)],
-            top=join_index[reduce(or_, join_masks)],
+            bottom=bottom,
+            top=top,
             labels=labels,
-            _meet_masks=meet_masks,
-            _meet_index=meet_index,
-            _join_masks=join_masks,
-            _join_index=join_index,
+            _meet=(mm, mi, mm[top]),
+            _join=(jm, ji, jm[bottom]),
         )
-        if meet_masks is order.below:
-            self.__dict__["_row_index"] = meet_index
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FiniteLattice is immutable; cannot set {name!r}")
@@ -249,36 +241,26 @@ class FiniteLattice:
         return (self.order.below[y] >> x) & 1 == 1
 
     def meet(self, x: int, y: int) -> int:
-        mm = self._meet_masks
-        return self._meet_index[mm[x] & mm[y]]
+        masks, index, _ = self._meet
+        return index[masks[x] & masks[y]]
 
     def join(self, x: int, y: int) -> int:
-        jm = self._join_masks
-        return self._join_index[jm[x] | jm[y]]
+        masks, index, _ = self._join
+        return index[masks[x] & masks[y]]
 
     def big_meet(self, xs) -> int:
-        mm = self._meet_masks
-        acc = mm[self.top]
-        for x in xs:
-            acc &= mm[x]
-        return self._meet_index[acc]
+        return _fold(self._meet, xs)
 
     def big_join(self, xs) -> int:
-        jm = self._join_masks
-        acc = jm[self.bottom]
-        for x in xs:
-            acc |= jm[x]
-        return self._join_index[acc]
+        return _fold(self._join, xs)
 
     def meet_row(self, x: int) -> tuple[int, ...]:
         """The meet of x with every element, in element order."""
-        mm = self._meet_masks
-        return tuple(map(self._meet_index.__getitem__, map(and_, repeat(mm[x]), mm)))
+        return tuple(_row(self._meet, x))
 
     def join_row(self, x: int) -> tuple[int, ...]:
         """The join of x with every element, in element order."""
-        jm = self._join_masks
-        return tuple(map(self._join_index.__getitem__, map(or_, repeat(jm[x]), jm)))
+        return tuple(_row(self._join, x))
 
     @cached_property
     def meet_table(self) -> tuple[tuple[int, ...], ...]:
@@ -287,14 +269,6 @@ class FiniteLattice:
     @cached_property
     def join_table(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(self.join_row, range(self.n)))
-
-    @cached_property
-    def _row_index(self) -> dict[int, int]:
-        return {row: k for k, row in enumerate(self.order.below)}
-
-    @cached_property
-    def _above_index(self) -> dict[int, int]:
-        return {row: k for k, row in enumerate(self.order.above())}
 
     def label(self, x: int):
         return self.labels[x] if self.labels is not None else x
@@ -346,17 +320,34 @@ class FrameWitness:
     witness: tuple[int, int, int] | None = None
 
 
+def _indexed(masks):
+    # A (masks, index) pair: the masks and the element of each mask.
+    return masks, dict(zip(masks, range(len(masks))))
+
+
 def _order_masks(order: FinitePoset):
-    # The meet and join masks of a lattice order with their indices:
-    # below rows, and the complements of the above rows.
-    full = (1 << order.n) - 1
-    join_masks = tuple(full ^ row for row in order.above())
-    return (
-        order.below,
-        {row: k for k, row in enumerate(order.below)},
-        join_masks,
-        {m: k for k, m in enumerate(join_masks)},
-    )
+    # The meet and join sides of a lattice order: its below rows and its
+    # above rows, with their indices.
+    return _indexed(order.below), _indexed(order.above())
+
+
+def _side(lat: FiniteLattice, side: str):
+    return lat._meet if side == "meet" else lat._join
+
+
+def _fold(side, xs) -> int:
+    # The meet of xs on a side; the empty fold gives the unit.
+    masks, index, acc = side
+    for x in xs:
+        acc &= masks[x]
+    return index[acc]
+
+
+def _row(side, x: int, start: int = 0):
+    # The element of ``masks[x] & masks[y]`` per y >= start, None where
+    # no element has that mask. Reads the (masks, index) part only.
+    masks, index = side[0], side[1]
+    return map(index.get, map(and_, repeat(masks[x]), masks[start:]))
 
 
 def validate_lattice(order: FinitePoset, labels=None) -> FiniteLattice:
@@ -365,11 +356,13 @@ def validate_lattice(order: FinitePoset, labels=None) -> FiniteLattice:
 
     x /\\ y exists exactly when the common lower set of x and y is some
     element's down-set, that is when ``below[x] & below[y]`` is a key of
-    the meet index FiniteLattice.meet reads; dually for joins. Pairs
-    are walked x ascending, y >= x, meet before join (the order of the
-    ``bound_tables`` oracle), so NotALattice names the pair that
-    ``bound_tables`` would. O(n^2) mask operations and lookups; the
-    indices built here are the lattice's own.
+    the meet index FiniteLattice.meet reads; x \\/ y exists exactly when
+    ``above[x] & above[y]``, the common upper set, is a key of the join
+    index. Both sides are one ``&`` and one lookup per pair, run by one
+    row scan. Pairs are walked x ascending, y >= x, meet before join
+    (the order of the ``bound_tables`` oracle), so NotALattice names the
+    pair that ``bound_tables`` would. O(n^2) mask operations and
+    lookups; the indices built here are the lattice's own.
 
     Raises NotALattice with a witness pair when some meet or join is
     missing, and LatticeTooLarge past the soft cap.
@@ -379,30 +372,28 @@ def validate_lattice(order: FinitePoset, labels=None) -> FiniteLattice:
         raise LatticeTooLarge(f"{order.n} elements exceeds the cap of {cap}")
     if order.n == 0:
         raise NotALattice("empty carrier has no bounds", witness=None)
-    masks = _order_masks(order)
-    bad = _missing_bound(*masks)
+    meet, join = _order_masks(order)
+    bad = _missing_bound(meet, join)
     if bad is not None:
         kind, x, y = bad
         raise NotALattice(f"elements {x} and {y} have no {kind}", witness=bad)
     return FiniteLattice._from_masks(
-        order, tuple(labels) if labels is not None else None, *masks
+        order, tuple(labels) if labels is not None else None, meet, join
     )
 
 
-def _missing_bound(meet_masks, meet_index, join_masks, join_index):
+def _missing_bound(meet, join):
     # Row by row, all lookups of row x at once; only a failing row is
     # walked pair by pair, for its first missing bound.
-    for x in range(len(meet_masks)):
-        meets = list(map(and_, repeat(meet_masks[x]), meet_masks[x:]))
-        joins = list(map(or_, repeat(join_masks[x]), join_masks[x:]))
-        if all(map(meet_index.__contains__, meets)) and all(
-            map(join_index.__contains__, joins)
-        ):
+    n = len(meet[0])
+    for x in range(n):
+        meets, joins = list(_row(meet, x, x)), list(_row(join, x, x))
+        if None not in meets and None not in joins:
             continue
-        for y, m, j in zip(range(x, len(meet_masks)), meets, joins):
-            if m not in meet_index:
+        for y, m, j in zip(range(x, n), meets, joins):
+            if m is None:
                 return ("meet", x, y)
-            if j not in join_index:
+            if j is None:
                 return ("join", x, y)
     return None
 
@@ -424,19 +415,22 @@ def join_irreducibles(lat: FiniteLattice) -> tuple[int, ...]:
     of a single element, its one lower cover: one row lookup per
     element. The bottom, with nothing below it, never does.
     """
-    rows = lat._row_index
-    return tuple(
-        x for x, row in enumerate(lat.order.below) if row ^ (1 << x) in rows
-    )
+    return _irreducibles(lat._meet, lat.order.below)
 
 
 def meet_irreducibles(lat: FiniteLattice) -> tuple[int, ...]:
     """Elements with exactly one upper cover, ascending; the dual of
     join_irreducibles, so the top never qualifies."""
-    rows = lat._above_index
-    return tuple(
-        x for x, row in enumerate(lat.order.above()) if row ^ (1 << x) in rows
-    )
+    return _irreducibles(lat._join, lat.order.above())
+
+
+def _irreducibles(side, rows) -> tuple[int, ...]:
+    # The x whose strict row is some element's row. A side whose masks
+    # are the rows lends its index.
+    masks, index, _ = side
+    if masks is not rows:
+        index = _indexed(rows)[1]
+    return tuple(x for x, row in enumerate(rows) if row ^ (1 << x) in index)
 
 
 def _birkhoff_distributive(lat: FiniteLattice) -> bool:
@@ -485,26 +479,31 @@ def downset_lattice(poset: FinitePoset, masks=None) -> FiniteLattice:
                 f"more than {cap} down-sets; raise STONE_MAX_LATTICE to allow"
             )
     masks = tuple(masks)
-    index = {m: k for k, m in enumerate(masks)}
-    below, above = _inclusion_rows(masks, index)
+    full = masks[-1]
+    meet = _indexed(masks)
+    join = _indexed(tuple(map(full.__xor__, masks)))
+    below = _subset_rows(*meet, range(len(masks)))
+    above = _subset_rows(*join, reversed(range(len(masks))))
     lat = FiniteLattice._from_masks(
-        FinitePoset._trusted(below, above), masks, masks, index, masks, index
+        FinitePoset._trusted(below, above), masks, meet, join
     )
-    lat.__dict__["_label_index"] = index
+    lat.__dict__["_label_index"] = meet[1]
     return lat
 
 
-def _inclusion_rows(masks, index):
-    # The below and above rows of inclusion on the ascending down-sets.
-    # A down-set strictly inside m misses some maximal point p of m, so
-    # it lies inside m - p, which is a down-set exactly when p is
-    # maximal: the row of m is m itself plus the rows of the down-sets
-    # m - p, all earlier in ascending order. Dually, the up-row of m
-    # collects those of the down-sets m + p. O(n * points) mask
-    # operations and lookups, against n^2 subset tests.
-    n = len(masks)
-    below = [0] * n
-    for k, m in enumerate(masks):
+def _subset_rows(masks, index, ks):
+    # Row k collects every j whose mask lies inside masks[k], for a
+    # family of down-sets or of their complements, the up-sets; ``ks``
+    # visits each mask after the smaller ones. A down-set strictly
+    # inside m misses some maximal point p of m, so it lies inside
+    # m - p, which is a down-set exactly when p is maximal: the row of m
+    # is m itself plus the rows of the sets m - p in the family, and
+    # dually for up-sets and minimal points. Run on the down-sets it
+    # gives the below rows, on the up-sets the above rows. O(n * points)
+    # mask operations and lookups, against n^2 subset tests.
+    rows = [0] * len(masks)
+    for k in ks:
+        m = masks[k]
         row = 1 << k
         t = m
         while t:
@@ -512,22 +511,9 @@ def _inclusion_rows(masks, index):
             t ^= low
             j = index.get(m ^ low)
             if j is not None:
-                row |= below[j]
-        below[k] = row
-    full = masks[-1]
-    above = [0] * n
-    for k in range(n - 1, -1, -1):
-        m = masks[k]
-        row = 1 << k
-        t = full ^ m
-        while t:
-            low = t & -t
-            t ^= low
-            j = index.get(m | low)
-            if j is not None:
-                row |= above[j]
-        above[k] = row
-    return below, above
+                row |= rows[j]
+        rows[k] = row
+    return rows
 
 
 def boolean_lattice(k: int) -> FiniteLattice:
@@ -566,7 +552,8 @@ def fixed_point_lattice(
 
     A side that keeps the ambient operation keeps the ambient masks of
     its elements; a side that applies a fix reads the rows of the
-    induced order instead.
+    induced order instead, its ``below`` rows for meets and its
+    ``above`` rows for joins.
     """
     elements = tuple(elements)
     if not elements:
@@ -577,23 +564,9 @@ def fixed_point_lattice(
             a, b = bad
             raise NotALattice(f"the {side} of {a} and {b} leaves the subset", witness=bad)
     order = lat.order.subposet(elements)
-    if meet_fix is None:
-        meet_masks = tuple(lat._meet_masks[e] for e in elements)
-    else:
-        meet_masks = order.below
-    if join_fix is None:
-        join_masks = tuple(lat._join_masks[e] for e in elements)
-    else:
-        full = (1 << len(elements)) - 1
-        join_masks = tuple(full ^ row for row in order.above())
-    out = FiniteLattice._from_masks(
-        order,
-        elements,
-        meet_masks,
-        {m: k for k, m in enumerate(meet_masks)},
-        join_masks,
-        {m: k for k, m in enumerate(join_masks)},
-    )
+    meet = order.below if meet_fix is not None else tuple(lat._meet[0][e] for e in elements)
+    join = order.above() if join_fix is not None else tuple(lat._join[0][e] for e in elements)
+    out = FiniteLattice._from_masks(order, elements, _indexed(meet), _indexed(join))
     out.__dict__["_label_index"] = {e: k for k, e in enumerate(elements)}
     return out
 
@@ -603,23 +576,56 @@ def escaping_pair(lat: FiniteLattice, side: str, elements, fix=None):
     whose ambient ``side`` ("meet" or "join"), followed by ``fix`` when
     given, lands outside them; None when the subset is closed.
 
-    The scan covers every ordered pair, one mask row per a. For a
+    Either side is one ``&`` of masks per pair plus one lookup, so the
+    scan covers every ordered pair, one mask row per a. For a
     commutative operation that keeps each element of the subset, the
     first escaping pair of ascending elements has a < b.
     """
-    if side == "meet":
-        masks, index, op = lat._meet_masks, lat._meet_index, and_
-    else:
-        masks, index, op = lat._join_masks, lat._join_index, or_
+    masks, index, _ = _side(lat, side)
     inside = set(elements)
     sub = [masks[e] for e in elements]
     for a in elements:
-        landed = list(map(index.__getitem__, map(op, repeat(masks[a]), sub)))
+        landed = list(map(index.__getitem__, map(and_, repeat(masks[a]), sub)))
         if fix is not None:
             landed = list(map(fix.__getitem__, landed))
         if not inside.issuperset(landed):
             return a, next(b for b, v in zip(elements, landed) if v not in inside)
     return None
+
+
+def _preserves(values, source: FiniteLattice, target: FiniteLattice, side: str) -> bool:
+    # Whether the map source -> target with ``values`` keeps every
+    # ``side`` ("meet" or "join"), the empty one included; the pair scan
+    # stops at the first pair it breaks.
+    sm, si, su = _side(source, side)
+    tm, ti, tu = _side(target, side)
+    if tm[values[si[su]]] != tu:
+        return False
+    for x in range(len(sm)):
+        mx, tx = sm[x], tm[values[x]]
+        for y in range(x + 1, len(sm)):
+            if values[si[mx & sm[y]]] != ti[tx & tm[values[y]]]:
+                return False
+    return True
+
+
+def _fiber_fold(lat: FiniteLattice, side: str, values, rows) -> tuple[int, ...]:
+    # Per row of ``rows`` (masks over the codomain of ``values``), the
+    # ``side`` in lat of the points whose value lies in the row: each
+    # fiber is folded once, then each row folds the fibers over it.
+    masks, index, unit = _side(lat, side)
+    folded = [unit] * len(rows)
+    image = 0
+    for x, v in enumerate(values):
+        folded[v] &= masks[x]
+        image |= 1 << v
+    out = []
+    for row in rows:
+        acc = unit
+        for v in bits(row & image):
+            acc &= folded[v]
+        out.append(index[acc])
+    return tuple(out)
 
 
 def _invariant_keys(poset: FinitePoset):

@@ -113,6 +113,22 @@ class TestAnalyze:
         assert result.exit_code == 1
         assert "$.payload.matrix" in result.output
 
+    @pytest.mark.parametrize(
+        "args, key",
+        [(["analyze"], "a_dims"), (["spectrum", "--dot", "out.dot"], "b_dims")],
+    )
+    def test_zero_summand_dimension_is_one_error_line(self, tmp_path, args, key):
+        payload = {"matrix": [[1, 0], [0, 1]], key: [0, 1]}
+        path = write_raw(
+            tmp_path, "zero.json", json.dumps({"kind": "multiplicity", "payload": payload})
+        )
+        result = CliRunner().invoke(main, [args[0], path, *args[1:]])
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [
+            f"error: $.payload.{key}[0]: expected an integer >= 1, got 0"
+        ]
+        assert "Traceback" not in result.output
+
 
 class TestSpectrum:
     def run_dot(self, tmp_path, doc_path):

@@ -94,6 +94,57 @@ class TestPosetPayload:
             parse_document(text)
 
 
+class TestReadOnce:
+    """The schema check builds each poset; compiling reuses it."""
+
+    @pytest.mark.parametrize(
+        "kind, payload, posets",
+        [
+            ("lattice", {"order": poset_obj(3, [(0, 1), (1, 2)])}, 1),
+            (
+                "galois",
+                {
+                    "source": poset_obj(2, [(0, 1)]),
+                    "target": poset_obj(2, [(0, 1)]),
+                    "lower": [0, 1],
+                },
+                2,
+            ),
+            ("bundle", {"total": poset_obj(2), "base": poset_obj(1), "proj": [0, 0]}, 2),
+            ("action", {"space": poset_obj(2), "generators": [[1, 0]]}, 1),
+        ],
+    )
+    def test_one_poset_build_per_poset(self, monkeypatch, kind, payload, posets):
+        built = []
+        from_pairs = FinitePoset.from_pairs.__func__
+
+        def counting(cls, n, pairs):
+            built.append(n)
+            return from_pairs(cls, n, pairs)
+
+        monkeypatch.setattr(FinitePoset, "from_pairs", classmethod(counting))
+        compile_document(parse_document(doc_text(kind, payload)))
+        assert len(built) == posets
+
+    def test_checked_values_stay_outside_equality(self):
+        text = doc_text("lattice", {"order": poset_obj(2, [(0, 1)])})
+        doc = parse_document(text)
+        assert doc.checked["order"] == FinitePoset.chain(2)
+        assert doc == InstanceDocument(kind="lattice", payload=doc.payload)
+
+    def test_only_order_errors_read_as_cyclic_covers(self, monkeypatch):
+        def broken(cls, n, pairs):
+            raise RuntimeError("not an order problem")
+
+        monkeypatch.setattr(FinitePoset, "from_pairs", classmethod(broken))
+        with pytest.raises(RuntimeError, match="not an order problem"):
+            parse_document(doc_text("lattice", {"order": poset_obj(1)}))
+
+    def test_graph_edges_may_be_omitted(self):
+        graph, jmask = compile_document(parse_document(doc_text("graph", {"vertices": 2})))
+        assert graph.edges == () and jmask == 0
+
+
 class TestKindSchemas:
     def test_galois_lower_length(self):
         payload = {
@@ -124,6 +175,14 @@ class TestKindSchemas:
     def test_multiplicity_dims_length_checks(self):
         payload = {"matrix": [[1, 1]], "b_dims": [1]}
         with pytest.raises(DocumentError, match=r"b_dims: expected 2 entries"):
+            parse_document(doc_text("multiplicity", payload))
+
+    @pytest.mark.parametrize("key", ["a_dims", "b_dims"])
+    def test_multiplicity_dims_are_positive(self, key):
+        payload = {"matrix": [[1, 0], [0, 1]], key: [0, 1]}
+        with pytest.raises(
+            DocumentError, match=rf"^\$\.payload\.{key}\[0\]: expected an integer >= 1, got 0$"
+        ):
             parse_document(doc_text("multiplicity", payload))
 
     def test_bundle_proj_length(self):

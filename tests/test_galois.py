@@ -6,6 +6,7 @@ every frozen value here is independent of the package's own model code.
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stonekit.galois as galois_module
 
@@ -15,7 +16,12 @@ from conftest import (
     diamond,
     matrix_connection,
     monotone_maps,
+    padded_lattices,
 )
+from stonekit import _kernels
+from stonekit.conformance import all_frames
+from stonekit.conformance import monotone_maps as all_monotone_maps
+from stonekit.lattice import join_irreducibles, meet_irreducibles
 from stonekit import (
     AbsenceWitness,
     AdjunctionFailure,
@@ -185,6 +191,67 @@ class TestSynthesis:
         again = lower_adjoint(r)
         assert isinstance(again, MonotoneMap)
         assert again.values == f.values
+
+
+def preserves_by_tables(f, side):
+    """The pair loop over the bound_tables oracle, bounds included: the
+    empty join sends bottom to bottom, the empty meet top to top."""
+    def tables(lat):
+        below = lat.order.below
+        meet, join, _ = _kernels.bound_tables(list(below))
+        bottom = next(x for x, row in enumerate(below) if row == 1 << x)
+        top = below.index((1 << lat.n) - 1)
+        return (join, bottom) if side == "join" else (meet, top)
+
+    (op_s, unit_s), (op_t, unit_t) = tables(f.source), tables(f.target)
+    v = f.values
+    return v[unit_s] == unit_t and all(
+        v[op_s[x][y]] == op_t[v[x]][v[y]] for x in range(f.source.n) for y in range(f.source.n)
+    )
+
+
+CENSUS = all_frames(6)
+
+
+@st.composite
+def maps_between_lattices(draw):
+    """Monotone maps between padded lattices (M3 and N5 among the bases)
+    or census frames. Values are drawn on the join-irreducibles and
+    joined upward, or on the meet-irreducibles and met downward, so
+    preserving and breaking maps both occur."""
+    pick = st.one_of(padded_lattices(), st.sampled_from(CENSUS))
+    a, b = draw(pick), draw(pick)
+    raw = [draw(st.integers(0, b.n - 1)) for _ in range(a.n)]
+    if draw(st.booleans()):
+        gens = join_irreducibles(a)
+        vals = (b.big_join(raw[j] for j in gens if a.leq(j, x)) for x in range(a.n))
+    else:
+        gens = meet_irreducibles(a)
+        vals = (b.big_meet(raw[m] for m in gens if a.leq(x, m)) for x in range(a.n))
+    return MonotoneMap(a, b, tuple(vals))
+
+
+class TestPreservationAgainstTables:
+    """is_join_preserving and is_meet_preserving run one pair scan; the
+    table loop is their oracle."""
+
+    def test_every_monotone_map_between_small_census_frames(self):
+        small = [lat for lat in CENSUS if lat.n <= 4]
+        seen = set()
+        for a in small:
+            for b in small:
+                for vals in all_monotone_maps(a, b):
+                    f = MonotoneMap(a, b, vals)
+                    got = (is_join_preserving(f), is_meet_preserving(f))
+                    assert got == (preserves_by_tables(f, "join"), preserves_by_tables(f, "meet"))
+                    seen.add(got)
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(maps_between_lattices())
+    def test_maps_between_lattices(self, f):
+        assert is_join_preserving(f) == preserves_by_tables(f, "join")
+        assert is_meet_preserving(f) == preserves_by_tables(f, "meet")
 
 
 class TestConnectionConstruction:

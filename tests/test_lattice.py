@@ -392,7 +392,7 @@ class TestMaskFramesAgainstTables:
 
 class TestFixedPointLatticesOfNonFrames:
     """The same cases on validated lattices that are not distributive,
-    whose join masks are the complements of their up-rows."""
+    whose join co-masks are their up-rows."""
 
     @pytest.mark.parametrize("build", [pentagon, three_atom_diamond])
     def test_forbidden_sublattices(self, build):
