@@ -12,17 +12,13 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 
 import click
 
 from ._kernels import bits
 from .documents import compile_document, inclusion_data_for, load_document
-from .errors import (
-    ConditionViolated,
-    DocumentError,
-    StonekitError,
-    SweepFailed,
-)
+from .errors import ConditionViolated, StonekitError, SweepFailed
 from .conformance import sweep_theorem
 from .galois import detects, separates
 from .graph_pairs import j_pairs, pair_prime_space
@@ -45,16 +41,21 @@ def _set_str(mask: int) -> str:
     return "{" + ",".join(str(i) for i in bits(mask)) + "}"
 
 
-def _load(path):
+@contextmanager
+def _input_errors():
+    # One error line and exit 1 for an unreadable file or a refused
+    # document, also when the refusal comes while its lattices are
+    # built, past the size cap for instance.
     try:
-        doc = load_document(path)
-        return doc, compile_document(doc)
-    except OSError as e:
+        yield
+    except (OSError, StonekitError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
-    except (DocumentError, StonekitError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+
+
+def _load(path):
+    doc = load_document(path)
+    return doc, compile_document(doc)
 
 
 def _condition_report(doc, model) -> dict:
@@ -215,8 +216,8 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="machine-readable report")
 def analyze(path, as_json):
     """Print the condition report for an instance document."""
-    doc, model = _load(path)
-    report = _condition_report(doc, model)
+    with _input_errors():
+        report = _condition_report(*_load(path))
     if as_json:
         click.echo(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -228,14 +229,10 @@ def analyze(path, as_json):
 @click.option("--dot", "out", required=True, help="output DOT file")
 def spectrum(path, out):
     """Export the prime spectra of a document as a DOT digraph."""
-    doc, model = _load(path)
-    text = _dot_text(doc, model)
-    try:
+    with _input_errors():
+        text = _dot_text(*_load(path))
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    except OSError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
 
 
 @main.command()

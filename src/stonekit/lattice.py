@@ -482,38 +482,47 @@ def downset_lattice(poset: FinitePoset, masks=None) -> FiniteLattice:
     full = masks[-1]
     meet = _indexed(masks)
     join = _indexed(tuple(map(full.__xor__, masks)))
-    below = _subset_rows(*meet, range(len(masks)))
-    above = _subset_rows(*join, reversed(range(len(masks))))
-    lat = FiniteLattice._from_masks(
-        FinitePoset._trusted(below, above), masks, meet, join
-    )
+    order = FinitePoset._trusted(*inclusion_rows(masks))
+    lat = FiniteLattice._from_masks(order, masks, meet, join)
     lat.__dict__["_label_index"] = meet[1]
     return lat
 
 
-def _subset_rows(masks, index, ks):
-    # Row k collects every j whose mask lies inside masks[k], for a
-    # family of down-sets or of their complements, the up-sets; ``ks``
-    # visits each mask after the smaller ones. A down-set strictly
-    # inside m misses some maximal point p of m, so it lies inside
-    # m - p, which is a down-set exactly when p is maximal: the row of m
-    # is m itself plus the rows of the sets m - p in the family, and
-    # dually for up-sets and minimal points. Run on the down-sets it
-    # gives the below rows, on the up-sets the above rows. O(n * points)
-    # mask operations and lookups, against n^2 subset tests.
-    rows = [0] * len(masks)
-    for k in ks:
-        m = masks[k]
-        row = 1 << k
-        t = m
-        while t:
-            low = t & -t
-            t ^= low
-            j = index.get(m ^ low)
-            if j is not None:
-                row |= rows[j]
-        rows[k] = row
-    return rows
+def inclusion_rows(masks):
+    """The inclusion order of a family of distinct masks, as its
+    ``below`` and ``above`` rows: bit j of ``below[k]`` is set when
+    ``masks[j]`` lies inside ``masks[k]``, and of ``above[k]`` when it
+    contains ``masks[k]``.
+
+    By bit slicing: with S_b the elements whose mask has bit b,
+    ``masks[j]`` lies inside ``masks[k]`` exactly when j is in no S_b
+    for a bit b missing from ``masks[k]``, and contains it exactly when
+    j is in every S_b for a bit b of ``masks[k]``. O(n * bits)
+    operations on n-bit rows, against n^2 subset tests.
+    """
+    everyone = (1 << len(masks)) - 1
+    slices = [0] * max(masks).bit_length()
+    bit = 1
+    for m in masks:
+        b = 0
+        while m:
+            if m & 1:
+                slices[b] |= bit
+            m >>= 1
+            b += 1
+        bit <<= 1
+    below, above = [], []
+    for m in masks:
+        outside, inside = 0, everyone
+        for s in slices:
+            if m & 1:
+                inside &= s
+            else:
+                outside |= s
+            m >>= 1
+        below.append(everyone ^ outside)
+        above.append(inside)
+    return below, above
 
 
 def boolean_lattice(k: int) -> FiniteLattice:

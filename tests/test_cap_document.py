@@ -12,7 +12,12 @@ a 4 s timeout, at least twice what it takes on 2 vCPUs:
   1.3 s in all), where a bound search per pair costs O(n^3) (about 9 s);
 * the identity ``galois`` document on a 40-point chain: ``spectrum
   --dot`` checks the quotient topology over the opens, not over all
-  2^40 sets of classes.
+  2^40 sets of classes;
+* an edgeless 12-vertex ``graph`` document has 4096 admissible pairs,
+  exactly the cap. Its pair order is read off the pair codes bit by bit
+  (about 0.25 s in all), where deriving and certifying it pair by pair
+  took about 13 s. The edgeless 13-vertex document has 8192 pairs; it
+  is refused, by counting them, with exit 1 and one error line.
 """
 
 import json
@@ -29,19 +34,24 @@ SRC = HERE.parent / "src"
 TIMEOUT_S = 4.0
 
 
-def run_cli(tmp_path, doc, command, *options):
-    """stdout of one CLI command on ``doc``, in a child process."""
+def run_child(tmp_path, doc, command, *options):
+    """One CLI command on ``doc``, in a child process."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env.pop("STONE_MAX_LATTICE", None)
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", "from stonekit.cli import main; main()", command, str(path), *options],
         capture_output=True,
         env=env,
         timeout=TIMEOUT_S,
     )
+
+
+def run_cli(tmp_path, doc, command, *options):
+    """stdout of one CLI command on ``doc`` that must succeed."""
+    out = run_child(tmp_path, doc, command, *options)
     assert out.returncode == 0, out.stderr
     assert out.stderr == b""
     return out.stdout
@@ -75,3 +85,19 @@ def test_chain_galois_document_spectrum(tmp_path):
     # a 40-point chain has 39 primes, each its own quasi-orbit class
     classes = re.findall(r"^  s(\d+) -> q(\d+) \[style=dashed\];$", dot.read_text(), re.M)
     assert classes == [(str(k), str(k)) for k in range(39)]
+
+
+def edgeless_graph(vertices):
+    return {"kind": "graph", "payload": {"vertices": vertices, "edges": []}}
+
+
+def test_edgeless_graph_at_the_cap(tmp_path):
+    report = json.loads(run_cli(tmp_path, edgeless_graph(12), "analyze", "--json"))
+    assert (report["pairs"], report["primes"]) == (4096, 12)
+
+
+def test_edgeless_graph_past_the_cap_is_refused(tmp_path):
+    out = run_child(tmp_path, edgeless_graph(13), "analyze", "--json")
+    assert out.returncode == 1
+    assert out.stdout == b""
+    assert out.stderr == b"error: 8192 elements exceeds the cap of 4096\n"

@@ -130,6 +130,39 @@ class TestAnalyze:
         assert "Traceback" not in result.output
 
 
+PAST_THE_CAP = {
+    # a 1 x 13 all-ones matrix has an 8192-element target lattice
+    "matrix": (
+        {"kind": "multiplicity", "payload": {"matrix": [[1] * 13]}},
+        "error: more than 4096 down-sets; raise STONE_MAX_LATTICE to allow",
+    ),
+    # every vertex set of an edgeless graph is one diagonal pair
+    "graph": (
+        {"kind": "graph", "payload": {"vertices": 13, "edges": []}},
+        "error: 8192 elements exceeds the cap of 4096",
+    ),
+}
+
+
+class TestPastTheCap:
+    """Lattices are built after the document is read; a refusal there
+    is one error line too, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+    @pytest.mark.parametrize("kind", sorted(PAST_THE_CAP))
+    def test_refusal_is_one_error_line(self, tmp_path, monkeypatch, command, kind):
+        monkeypatch.delenv("STONE_MAX_LATTICE", raising=False)
+        doc, message = PAST_THE_CAP[kind]
+        path = write_raw(tmp_path, "big.json", json.dumps(doc))
+        dot = tmp_path / "out.dot"
+        options = ["--dot", str(dot)] if command == "spectrum" else []
+        result = CliRunner().invoke(main, [command, path, *options])
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [message]
+        assert "Traceback" not in result.output
+        assert not dot.exists()
+
+
 class TestSpectrum:
     def run_dot(self, tmp_path, doc_path):
         out = tmp_path / "out.dot"

@@ -1,5 +1,7 @@
 """Graph moves, admissible pairs, and the pair-lattice prime space."""
 
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 from stonekit import (
     EX_75,
     FiniteGraph,
+    FinitePoset,
     JNotAdmissible,
-    JPairLattice,
+    LatticeTooLarge,
     boolean_lattice,
     is_frame,
     is_positively_invariant,
@@ -16,9 +19,11 @@ from stonekit import (
     j_x,
     lattice_isomorphism,
     pair_prime_space,
+    validate_lattice,
     x_forward,
     x_inverse,
 )
+from conftest import assert_same_lattice
 
 
 @st.composite
@@ -30,6 +35,36 @@ def graphs(draw, max_vertices=4, max_edges=8):
         for _ in range(m)
     )
     return FiniteGraph(n, edges)
+
+
+def pairwise_pair_lattice(g, j):
+    """The pair lattice straight from the definitions: every pair of
+    vertex sets (I, I') with I positively invariant, J | I inside I' and
+    no vertex of I' - I in x_inverse(I), that is with all its edges
+    landing in I; ordered componentwise pair by pair and certified by
+    validate_lattice."""
+    sets = range(1 << g.vertices)
+    pairs = [
+        (inv, upper)
+        for inv, upper in product(sets, sets)
+        if is_positively_invariant(g, inv)
+        and (j | inv) & ~upper == 0
+        and upper & x_inverse(g, inv) & ~inv == 0
+    ]
+    below = tuple(
+        sum(1 << a for a, (ia, ua) in enumerate(pairs) if ia & ~ib == 0 and ua & ~ub == 0)
+        for ib, ub in pairs
+    )
+    return validate_lattice(FinitePoset(len(pairs), below), labels=tuple(pairs))
+
+
+def all_graphs(max_vertices):
+    """Every edge set, loops included, on 0 to ``max_vertices`` vertices."""
+    for n in range(max_vertices + 1):
+        edges = list(product(range(n), range(n)))
+        for k in range(len(edges) + 1):
+            for chosen in combinations(edges, k):
+                yield FiniteGraph(n, chosen)
 
 
 def loop():
@@ -130,10 +165,25 @@ class TestJPairs:
         assert union not in pl.pairs
         assert pl.pairs[pl.lattice.join(1, 2)] == (7, 7)
 
-    def test_hand_built_lattice_must_match_the_enumeration(self):
-        pl = j_pairs(EX_75(), 0b010)
-        with pytest.raises(AssertionError):
-            JPairLattice(pl.graph, pl.j, pl.pairs[:-1], pl.lattice)
+    def test_every_small_graph_matches_the_pairwise_construction(self):
+        for g in all_graphs(3):
+            for j in range(1 << g.vertices):
+                pl = j_pairs(g, j)
+                assert (pl.graph, pl.j) == (g, j)
+                assert_same_lattice(pl.lattice, pairwise_pair_lattice(g, j))
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs(), st.data())
+    def test_random_graphs_match_the_pairwise_construction(self, g, data):
+        j = data.draw(st.integers(0, (1 << g.vertices) - 1))
+        assert_same_lattice(j_pairs(g, j).lattice, pairwise_pair_lattice(g, j))
+
+    def test_pair_count_past_the_cap_is_refused(self, monkeypatch):
+        monkeypatch.setenv("STONE_MAX_LATTICE", "7")
+        with pytest.raises(LatticeTooLarge, match="^8 elements exceeds the cap of 7$"):
+            j_pairs(edgeless(3), 0)
+        monkeypatch.setenv("STONE_MAX_LATTICE", "8")
+        assert len(j_pairs(edgeless(3), 0).pairs) == 8
 
     @settings(max_examples=80, deadline=None)
     @given(graphs(), st.data())

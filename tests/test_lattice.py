@@ -38,6 +38,7 @@ from stonekit import (
 from stonekit import _kernels
 from stonekit.lattice import (
     fixed_point_lattice,
+    inclusion_rows,
     join_irreducibles,
     meet_irreducibles,
     poset_isomorphism,
@@ -262,6 +263,21 @@ class TestDownsetLattice:
         monkeypatch.setenv("STONE_MAX_LATTICE", "8")
         with pytest.raises(LatticeTooLarge):
             downset_lattice(FinitePoset.antichain(4))
+
+    def test_inclusion_rows_are_the_subset_tests(self):
+        # every down-set family of at most 32 masks, against the
+        # definitional subset and superset test on every pair
+        for p in all_posets(5):
+            masks = _kernels.downset_masks(list(p.below), 1 << p.n)
+            below, above = inclusion_rows(masks)
+            assert below == [
+                sum(1 << j for j, other in enumerate(masks) if other & ~m == 0)
+                for m in masks
+            ]
+            assert above == [
+                sum(1 << j for j, other in enumerate(masks) if m & ~other == 0)
+                for m in masks
+            ]
 
 
 class TestLatticeLaws:
