@@ -644,24 +644,27 @@ def _check_T47(d: InclusionData):
     return True, (check_MI(d) and check_C2(d)) == right
 
 
-def _check_C48(d: InclusionData):
+def _check_rho(d: InclusionData, verdict):
+    # C48 and C49: a refused precondition makes the instance
+    # inapplicable, a broken cross-check inside quasi_orbit_map is a
+    # violation, and otherwise ``verdict(d, rho)`` decides
     try:
         rho = quasi_orbit_map(d)
     except ConditionViolated:
         return False, True
     except AssertionError:
         return True, False
-    return True, (is_open_map(rho) and is_surjective(rho)) == check_C2(d)
+    return True, verdict(d, rho)
+
+
+def _check_C48(d: InclusionData):
+    return _check_rho(
+        d, lambda d, rho: (is_open_map(rho) and is_surjective(rho)) == check_C2(d)
+    )
 
 
 def _check_C49(d: InclusionData):
-    try:
-        rho = quasi_orbit_map(d)
-    except ConditionViolated:
-        return False, True
-    except AssertionError:
-        return True, False
-    return True, is_homeomorphism(rho) == separates(d.gc)
+    return _check_rho(d, lambda d, rho: is_homeomorphism(rho) == separates(d.gc))
 
 
 def _check_L51(m: MultiplicityInclusion):

@@ -2,7 +2,15 @@
 
 
 class StonekitError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``witness`` carries what refutes the property, when the error has
+    one; each subclass documents its shape.
+    """
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class NotAPoset(StonekitError):
@@ -16,10 +24,6 @@ class NotALattice(StonekitError):
     None when the carrier itself is unusable (for example, empty).
     """
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class LatticeTooLarge(StonekitError):
     """Carrier exceeds the soft element cap (STONE_MAX_LATTICE)."""
@@ -27,10 +31,6 @@ class LatticeTooLarge(StonekitError):
 
 class NotAFrame(StonekitError):
     """Distributivity fails; ``witness`` is a failing triple (x, y, z)."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class ShapeMismatch(StonekitError):
@@ -40,17 +40,9 @@ class ShapeMismatch(StonekitError):
 class NotMonotone(StonekitError):
     """``witness`` is a pair (x, y) with x <= y but f(x) !<= f(y)."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class AdjunctionFailure(StonekitError):
     """The adjunction law fails; ``witness`` is the offending pair (x, y)."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class NotLocaleMorphism(StonekitError):
@@ -64,36 +56,34 @@ class InvalidTopology(StonekitError):
 class NotContinuous(StonekitError):
     """Some open has a non-open preimage; ``witness`` is that open's mask."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
-class JRViolated(StonekitError):
-    """Restricted set not closed under joins; the construction refuses.
-
-    ``witness`` is a tuple of restricted elements whose join escapes.
-    """
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
-class MIViolated(StonekitError):
-    """Induced set not closed under meets; ``witness`` is the subset."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class ConditionViolated(StonekitError):
-    """A named precondition failed; ``condition`` holds its tag."""
+    """A named precondition failed; ``condition`` holds its tag and
+    ``witness`` the pair that breaks it.
 
-    def __init__(self, message, condition=None):
-        super().__init__(message)
+    For C1 the witness is the first pair (I, J), I restricted, with
+    meet(I, r(i(J))) != r(i(meet(I, J))).
+    """
+
+    def __init__(self, message, condition=None, witness=None):
+        super().__init__(message, witness)
         self.condition = condition
+
+
+class JRViolated(ConditionViolated):
+    """Restricted set not closed under joins; the construction refuses.
+
+    ``witness`` is the first pair of restricted elements whose join
+    escapes, or ``()`` when the bottom (the empty join) is not restricted.
+    """
+
+
+class MIViolated(ConditionViolated):
+    """Induced set not closed under meets; the construction refuses.
+
+    ``witness`` is the first pair of induced elements whose meet
+    escapes, or ``()`` when the top (the empty meet) is not induced.
+    """
 
 
 class ClosureTooLarge(StonekitError):

@@ -618,6 +618,24 @@ def _preserves(values, source: FiniteLattice, target: FiniteLattice, side: str) 
     return True
 
 
+def _meets_commute(source: FiniteLattice, elements, images, target: FiniteLattice, values):
+    # The Frobenius law F(g(x) /\ v) = x /\ F(v), with g given by
+    # ``images`` (x -> target) and F by ``values`` (target -> source):
+    # the first pair (x, v), x-major in ``elements`` order and v
+    # ascending, with source.meet(x, values[v]) != values[target.meet(
+    # images[x], v)], or None when the law holds. One meet row per side
+    # per x; one row serves both when x is its own image.
+    for x in elements:
+        row = source.meet_row(x)
+        image = images[x]
+        image_row = row if source is target and image == x else target.meet_row(image)
+        left = [row[w] for w in values]
+        right = [values[w] for w in image_row]
+        if left != right:
+            return x, next(v for v, (a, b) in enumerate(zip(left, right)) if a != b)
+    return None
+
+
 def _fiber_fold(lat: FiniteLattice, side: str, values, rows) -> tuple[int, ...]:
     # Per row of ``rows`` (masks over the codomain of ``values``), the
     # ``side`` in lat of the points whose value lies in the row: each

@@ -15,6 +15,15 @@ from locale-theoretic good behavior:
 * C2: meet(I, F(J)) = F(meet(I, J)) for induced I, where F is the least-induced
   cover map.
 
+Each condition is decided by one scan that returns its first witness,
+cached per instance, and holds exactly when that witness is None: the
+first escaping pair for JR, MIf and MI (``()`` for a missing bottom or
+top), the first breaking pair (I, J) of the meet identity for C1 and C2
+(lattice._meets_commute, which also decides Eq. (3.2) of Theorem 3.3).
+A construction that needs a condition refuses through one path, which
+raises the condition's typed error (JRViolated, MIViolated, else
+ConditionViolated) carrying ``condition`` and that witness.
+
 pi sends a prime to the largest restricted element below it; the
 quasi-orbit space is the quotient of the source spectrum by equal pi
 values; rho factors r through that quotient and needs JR, C1 and MI.
@@ -45,7 +54,13 @@ from .galois import (
     is_adjoint_pair,
     separates,
 )
-from .lattice import FiniteLattice, escaping_pair, fixed_point_lattice, is_frame
+from .lattice import (
+    FiniteLattice,
+    _meets_commute,
+    escaping_pair,
+    fixed_point_lattice,
+    is_frame,
+)
 from .spectrum import (
     FiniteT0Space,
     PointMap,
@@ -76,10 +91,11 @@ class InclusionData:
     holds; distributivity of that sublattice is NOT automatic, so its
     spectrum is computed lazily and may refuse.
 
-    The JR, C1, MI and C2 verdicts and the map F are computed once per
-    instance, on first use, and shared by every caller: the sweeps'
-    checks and the cross-checks inside quasi_orbit_map read the same
-    values.
+    Each condition is cached as its first witness (``_jr_bad``,
+    ``_c1_bad``, ``_mif_bad``, ``_mi_bad``, ``_c2_bad``; None when it
+    holds), and so is the map F, computed once per instance on first
+    use and shared by every caller: the sweeps' checks, the refusals
+    and the cross-checks inside quasi_orbit_map read the same values.
     """
 
     gc: GaloisConnection
@@ -141,17 +157,24 @@ class InclusionData:
         return escaping_pair(self.lattice_b, "meet", self.induced)
 
     @cached_property
-    def _c1_holds(self) -> bool:
-        return _meets_commute(self.lattice_a, self.restricted, self.gc.closure_values())
+    def _c1_bad(self):
+        """None when C1 holds, else the first pair (I, J), I restricted,
+        with meet(I, r(i(J))) != r(i(meet(I, J)))."""
+        a = self.lattice_a
+        return _meets_commute(a, self.restricted, range(a.n), a, self.gc.closure_values())
 
     @cached_property
-    def _mi_holds(self) -> bool:
+    def _mi_bad(self):
+        """None when MI holds, else the MIf witness, or () when only the
+        top (the empty meet) is not induced; cross-checked against the
+        least-cover reading."""
         ind = set(self.induced)
-        by_def = all(cover in ind for cover in self.induced_covers)
-        collapsed = check_MIf(self) and self.lattice_b.top in ind
-        if by_def != collapsed:
+        bad = self._mif_bad
+        if bad is None and self.lattice_b.top not in ind:
+            bad = ()
+        if all(cover in ind for cover in self.induced_covers) != (bad is None):
             raise AssertionError("least-cover and closure readings disagree")
-        return by_def
+        return bad
 
     @cached_property
     def _f(self) -> MonotoneMap:
@@ -166,10 +189,13 @@ class InclusionData:
         return f
 
     @cached_property
-    def _c2_holds(self) -> bool:
+    def _c2_bad(self):
+        """None when C2 holds, else the first pair (I, J), I induced,
+        with meet(I, F(J)) != F(meet(I, J)); needs MI."""
         f = F_map(self)
+        b = self.lattice_b
         return _meets_commute(
-            self.lattice_b, self.induced, tuple(f.target.labels[v] for v in f.values)
+            b, self.induced, range(b.n), b, tuple(f.target.labels[v] for v in f.values)
         )
 
     @cached_property
@@ -215,16 +241,6 @@ class InclusionData:
         return primes(self.induced_lattice)
 
 
-def _meets_commute(lat: FiniteLattice, elements, values) -> bool:
-    # meet(I, values[J]) = values[meet(I, J)] for I in elements and every
-    # J, one meet row per I
-    for i in elements:
-        row = lat.meet_row(i)
-        if [row[v] for v in values] != [values[v] for v in row]:
-            return False
-    return True
-
-
 def check_JR(d: InclusionData) -> bool:
     """Restricted elements closed under every ambient join; computed
     once per instance."""
@@ -234,7 +250,7 @@ def check_JR(d: InclusionData) -> bool:
 def check_C1(d: InclusionData) -> bool:
     """meet(I, r(i(J))) = r(i(meet(I, J))) for restricted I and every J;
     computed once per instance."""
-    return d._c1_holds
+    return d._c1_bad is None
 
 
 def check_MIf(d: InclusionData) -> bool:
@@ -251,16 +267,24 @@ def check_MI(d: InclusionData) -> bool:
     asserted equal to MIf plus an induced top; the two readings differ
     exactly over the empty meet.
     """
-    return d._mi_holds
+    return d._mi_bad is None
 
 
-def _require_MI(d: InclusionData):
-    if not check_MI(d):
-        # the escaping pair, or () for the empty meet: a missing top
-        raise MIViolated(
-            "some meet of induced elements is not induced",
-            witness=d._mif_bad or (),
-        )
+# condition -> (its typed error, its cached witness, the refusal message)
+_REFUSALS = {
+    "JR": (JRViolated, "_jr_bad", "restricted elements are not closed under joins"),
+    "C1": (ConditionViolated, "_c1_bad", "the restricted meet identity fails"),
+    "MI": (MIViolated, "_mi_bad", "some meet of induced elements is not induced"),
+}
+
+
+def _require(d: InclusionData, name: str):
+    """Refuse with the typed error of condition ``name`` when its cached
+    witness is not None."""
+    error, attr, message = _REFUSALS[name]
+    bad = getattr(d, attr)
+    if bad is not None:
+        raise error(message, condition=name, witness=bad)
 
 
 def F_map(d: InclusionData) -> MonotoneMap:
@@ -269,14 +293,14 @@ def F_map(d: InclusionData) -> MonotoneMap:
     The lower adjoint of the induced-insertion; total exactly under MI.
     Built and certified once per instance.
     """
-    _require_MI(d)
+    _require(d, "MI")
     return d._f
 
 
 def check_C2(d: InclusionData) -> bool:
     """meet(I, F(J)) = F(meet(I, J)) for induced I and every J; computed
     once per instance. Raises MIViolated where F does not exist."""
-    return d._c2_holds
+    return d._c2_bad is None
 
 
 def pi_map(d: InclusionData) -> PointMap:
@@ -285,11 +309,7 @@ def pi_map(d: InclusionData) -> PointMap:
     Under JR this is the point map adjunct to the restricted insertion;
     both routes are computed and must agree.
     """
-    bad = d._jr_bad
-    if bad is not None:
-        raise JRViolated(
-            "restricted elements are not closed under joins", witness=bad
-        )
+    _require(d, "JR")
     a = d.lattice_a
     spec_a = d.spectrum_a
     spec_r = d.restricted_spectrum
@@ -409,7 +429,7 @@ def induced_prime_map(d: InclusionData) -> PointMap:
     Under binary-only meet closure the composite can land on the top of
     the induced lattice, which is not a prime; MI rules that out.
     """
-    _require_MI(d)
+    _require(d, "MI")
     ind_lat = d.induced_lattice
     spec_i = d.induced_spectrum
     prime_index = spec_i.prime_index
@@ -432,9 +452,8 @@ def quasi_orbit_map(d: InclusionData) -> PointMap:
     given, openness plus surjectivity must agree with C2, and being a
     homeomorphism must agree with separation.
     """
-    for name, ok in (("JR", check_JR), ("C1", check_C1), ("MI", check_MI)):
-        if not ok(d):
-            raise ConditionViolated(f"precondition {name} fails", condition=name)
+    for name in ("JR", "C1", "MI"):
+        _require(d, name)
     pi = pi_map(d)
     qos = _quasi_orbit_space(d, pi)
     rpm = restricted_prime_map(d)

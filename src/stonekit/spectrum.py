@@ -25,6 +25,7 @@ from .galois import AbsenceWitness, MonotoneMap, lower_adjoint
 from .lattice import (
     FiniteLattice,
     FinitePoset,
+    _meets_commute,
     downset_lattice,
     is_frame,
     meet_irreducibles,
@@ -390,15 +391,10 @@ def theorem33_check(g: MonotoneMap, space: FiniteT0Space) -> Theorem33Report:
     """Evaluate the insertion-vs-open-surjection equivalence for G: L -> O(X)."""
     f = lower_adjoint(g)
     has_f = not isinstance(f, AbsenceWitness)
-    eq32 = False
-    if has_f:
-        eq32 = True
-        fv = f.values
-        for i, gi in enumerate(g.values):
-            row, image_row = g.source.meet_row(i), g.target.meet_row(gi)
-            if [row[v] for v in fv] != [fv[v] for v in image_row]:
-                eq32 = False
-                break
+    # Eq. (3.2), F(g(i) /\ v) = i /\ F(v): the law behind C1 and C2
+    eq32 = has_f and (
+        _meets_commute(g.source, range(g.source.n), g.values, g.target, f.values) is None
+    )
     inj = len(set(g.values)) == g.source.n
 
     pi = adjunct_point_map(g, space)

@@ -79,6 +79,18 @@ def assert_same_lattice(got, want):
     assert (got.bottom, got.top) == (want.bottom, want.top)
 
 
+def meets_commute_by_table(source, elements, images, target, values):
+    """The oracle for ``lattice._meets_commute``: the first pair (x, v),
+    x in ``elements`` order and v ascending, with
+    source.meet(x, values[v]) != values[target.meet(images[x], v)],
+    tested pair by pair on the meet tables; None when there is none."""
+    for x in elements:
+        for v in range(target.n):
+            if source.meet_table[x][values[v]] != values[target.meet_table[images[x]][v]]:
+                return x, v
+    return None
+
+
 def lattice_from_pairs(n, pairs, labels=None):
     return validate_lattice(FinitePoset.from_pairs(n, pairs), labels)
 

@@ -513,8 +513,8 @@ class TestCertifyOnce:
     def test_conditions_are_evaluated_once_per_instance(self, monkeypatch):
         # quasi_orbit_map cross-checks rho against C2, and the C48 check
         # compares them again: both read one verdict per instance
-        c2 = counted_property(monkeypatch, InclusionData, "_c2_holds")
-        mi = counted_property(monkeypatch, InclusionData, "_mi_holds")
+        c2 = counted_property(monkeypatch, InclusionData, "_c2_bad")
+        mi = counted_property(monkeypatch, InclusionData, "_mi_bad")
         f = counted_property(monkeypatch, InclusionData, "_f")
         jr = counted_property(monkeypatch, InclusionData, "_jr_bad")
         report = sweep_theorem("C48", seed=7)

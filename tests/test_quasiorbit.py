@@ -18,12 +18,14 @@ Hand-built fixtures pin every branch of the calculus:
 import pytest
 from hypothesis import given, settings
 
+import stonekit.conformance as conformance_module
 from conftest import (
     assert_same_lattice,
     chain_lattice,
     connections,
     diamond,
     matrix_connection,
+    meets_commute_by_table,
     three_atom_diamond,
 )
 from stonekit import (
@@ -59,6 +61,7 @@ from stonekit import (
     restricted_prime_map,
     separates,
     sublattice,
+    sweep_theorem,
     verify_prop26,
 )
 
@@ -259,6 +262,15 @@ class TestLeastCoverMap:
         b = d.lattice_b
         assert tuple(b.labels[x] for x in ei.value.witness) == (0b1101, 0b1110)
 
+    def test_escaping_pair_reported_before_a_missing_top(self):
+        # a dead column also keeps the top from being induced
+        d = data(((1, 0, 1, 1, 0), (0, 1, 1, 1, 0)))
+        b = d.lattice_b
+        assert b.top not in d.induced
+        with pytest.raises(MIViolated) as ei:
+            F_map(d)
+        assert tuple(b.labels[x] for x in ei.value.witness) == (0b1101, 0b1110)
+
     def test_missing_top_reported_as_the_empty_subset(self):
         with pytest.raises(MIViolated) as ei:
             F_map(chain_segment())
@@ -405,6 +417,69 @@ class TestQuasiOrbitMap:
         with pytest.raises(ConditionViolated) as ei:
             quasi_orbit_map(chain_segment())
         assert ei.value.condition == "MI"
+
+    def test_refusals_carry_the_witness_of_their_condition(self):
+        with pytest.raises(JRViolated) as ei:
+            quasi_orbit_map(data(CROSSED))
+        assert (ei.value.condition, ei.value.witness) == ("JR", (1, 2))
+        d = c1_breaker()
+        with pytest.raises(ConditionViolated) as ei:
+            quasi_orbit_map(d)
+        assert type(ei.value) is ConditionViolated
+        assert ei.value.condition == "C1"
+        i, j = ei.value.witness
+        a, ri = d.lattice_a, d.gc.closure_values()
+        assert i in d.restricted
+        assert a.meet(i, ri[j]) != ri[a.meet(i, j)]
+        with pytest.raises(MIViolated) as ei:
+            quasi_orbit_map(chain_segment())
+        assert (ei.value.condition, ei.value.witness) == ("MI", ())
+
+
+@pytest.fixture(scope="module")
+def c48_stream():
+    """The inclusion of every instance the C48 sweep checks at seed 7."""
+    seen = []
+    real = conformance_module._inclusion
+
+    def recorded(instance):
+        seen.append(real(instance))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conformance_module, "_inclusion", recorded)
+        sweep_theorem("C48", seed=7)
+    return seen
+
+
+class TestMeetIdentityScan:
+    """The cached C1 and C2 witnesses against the pair-by-pair oracle:
+    the same verdict and the same first pair (I, J)."""
+
+    def test_c1_on_every_join_closed_instance(self, c48_stream):
+        verdicts = []
+        for d in c48_stream:
+            if check_JR(d):
+                a = d.lattice_a
+                want = meets_commute_by_table(
+                    a, d.restricted, range(a.n), a, d.gc.closure_values()
+                )
+                assert d._c1_bad == want
+                assert check_C1(d) == (want is None)
+                verdicts.append(want is None)
+        assert verdicts.count(True) and verdicts.count(False)
+
+    def test_c2_on_every_meet_closed_instance(self, c48_stream):
+        verdicts = []
+        for d in c48_stream:
+            if check_MI(d):
+                b, f = d.lattice_b, F_map(d)
+                values = tuple(f.target.labels[v] for v in f.values)
+                want = meets_commute_by_table(b, d.induced, range(b.n), b, values)
+                assert d._c2_bad == want
+                assert check_C2(d) == (want is None)
+                verdicts.append(want is None)
+        assert verdicts.count(True) and verdicts.count(False)
 
 
 class TestFixturesAgainstLawReport:

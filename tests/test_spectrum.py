@@ -9,12 +9,15 @@ import re
 import pytest
 from hypothesis import given, settings
 
+import stonekit.conformance as conformance_module
+import stonekit.lattice as lattice_module
 import stonekit.quasiorbit as quasiorbit_module
 
 from conftest import (
     chain_lattice,
     diamond,
     downset_frames,
+    meets_commute_by_table,
     pentagon,
     posets,
     three_atom_diamond,
@@ -44,6 +47,7 @@ from stonekit import (
     is_spatial,
     is_surjective,
     lattice_isomorphism,
+    lower_adjoint,
     opens_lattice,
     point_space,
     prime_elements,
@@ -331,6 +335,20 @@ class TestTheorem33:
         assert not rep.pi_open
         assert rep.pi_surjective
         assert rep.equivalence_verified
+
+    def test_eq32_scan_matches_the_pairwise_oracle(self):
+        # every morphism of the T33 sweep at its default budget (each
+        # preserves meets, so each has F): the shared scan returns the
+        # oracle's first (i, v), and the report's eq32 is its verdict
+        budget = conformance_module._SWEEPS["T33"][0]
+        verdicts = []
+        for g, space in conformance_module._locale_morphisms(budget):
+            args = (g.source, range(g.source.n), g.values, g.target, lower_adjoint(g).values)
+            want = meets_commute_by_table(*args)
+            assert lattice_module._meets_commute(*args) == want
+            assert theorem33_check(g, space).eq32_holds == (want is None)
+            verdicts.append(want is None)
+        assert verdicts.count(True) and verdicts.count(False)
 
     def test_non_injective_morphism(self):
         # boolean square onto the opens of a single point: one atom to
