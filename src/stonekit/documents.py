@@ -13,10 +13,12 @@ A document is an object with a ``kind`` discriminator, an optional
 where POSET is {"points": int, "covers": [[int, int], ...]} and the
 order is the reflexive-transitive closure of the cover pairs.  Schema
 problems raise DocumentError with a path anchor ("$.payload.matrix[2]");
-semantic problems (a non-lattice order, a failed adjunction) surface as
-the model's own errors when the payload is compiled. The schema check
-builds each poset once and keeps it on the document with the values it
-read, so compiling reads nothing off the payload again.
+a poset with more points than the size cap (STONE_MAX_LATTICE) is one,
+refused before its closure is taken. Semantic problems (a non-lattice
+order, a failed adjunction) surface as the model's own errors when the
+payload is compiled. The schema check builds each poset once and keeps
+it on the document with the values it read, so compiling reads nothing
+off the payload again.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import cached_property
 from .errors import DocumentError, NotAPoset
 from .galois import GaloisConnection, MonotoneMap
 from .graph_pairs import FiniteGraph, j_x
-from .lattice import FinitePoset, validate_lattice
+from .lattice import FinitePoset, max_lattice_size, validate_lattice
 from .multiplicity import MultiplicityInclusion, to_inclusion_data
 from .quasiorbit import InclusionData
 from .spectrum import FiniteT0Space, PointMap
@@ -97,6 +99,12 @@ def _load_poset(value, path: str) -> FinitePoset:
     if not isinstance(value, dict):
         _fail(path, f"expected a poset object, got {type(value).__name__}")
     points = _as_int(_field(value, path, "points"), f"{path}.points", minimum=0)
+    # past the cap every poset is refused later anyway: a lattice of
+    # more elements fails validate_lattice, and a space has more opens
+    # than points; refusing here skips the closure
+    cap = max_lattice_size()
+    if points > cap:
+        _fail(f"{path}.points", f"{points} points exceeds the cap of {cap}")
     covers = _field(value, path, "covers", required=False, default=[])
     if not isinstance(covers, list):
         _fail(f"{path}.covers", "expected a list of [lower, upper] pairs")

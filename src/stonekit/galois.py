@@ -12,7 +12,7 @@ legitimate outcome of synthesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ._kernels import bits, monotone_witness
 from .errors import AdjunctionFailure, NotMonotone, ShapeMismatch
@@ -274,16 +274,7 @@ class LawReport:
     insertion_adjunctions: bool
 
     def items(self):
-        return [
-            ("monotone", self.monotone),
-            ("closure_law", self.closure_law),
-            ("interior_law", self.interior_law),
-            ("fixed_point_iso", self.fixed_point_iso),
-            ("preservation", self.preservation),
-            ("unit_laws", self.unit_laws),
-            ("sublattice_closure", self.sublattice_closure),
-            ("insertion_adjunctions", self.insertion_adjunctions),
-        ]
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
     @property
     def all_ok(self) -> bool:

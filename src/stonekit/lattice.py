@@ -15,9 +15,12 @@ once, over a side. Every frame this package builds is the lattice of
 down-sets of its join-irreducibles (Birkhoff), so down-set, opens and
 boolean lattices carry their ascending masks as meet masks and their
 complements as join co-masks: meet is intersection, join is union and
-order is inclusion. No lattice holds an n x n table; ``meet_table`` and
-``join_table`` appear on first read. validate_lattice certifies an
-arbitrary order with the same lookups that answer its meets and joins.
+order is inclusion. Every lattice computes its own Birkhoff dual, the
+down-sets of its meet-irreducibles, once; its frame certificate and
+its prime spectrum both read it. No lattice holds an n x n table;
+``meet_table`` and ``join_table`` appear on first read.
+validate_lattice certifies an arbitrary order with the same lookups
+that answer its meets and joins.
 
 The element count is soft-capped (default 4096, override with the
 STONE_MAX_LATTICE environment variable, read per call).
@@ -187,7 +190,9 @@ class FiniteLattice:
     Birkhoff duals, ambient indices for sublattices); it never affects
     semantics. A lattice is determined by its order, so two lattices
     are equal when their orders and labels are. Instances are
-    immutable; what a lattice certifies about itself is cached on it.
+    immutable; what a lattice certifies about itself is cached on it:
+    its Birkhoff dual (``_birkhoff``), computed once, from which both
+    the frame certificate and the prime spectrum are read.
     """
 
     def __init__(self, order, labels=None):
@@ -290,9 +295,26 @@ class FiniteLattice:
         return index
 
     @cached_property
+    def _birkhoff(self):
+        """Birkhoff's dual, computed once: the meet-irreducibles M, their
+        subposet, and its ascending down-sets, counted up to n (None
+        past n).
+
+        x -> {m in M : x !<= m} maps any finite lattice injectively into
+        the down-sets of M, since x is the meet of the m above it, and
+        it is onto exactly when the lattice is distributive. So n
+        down-sets decide distributivity (is_frame), and for a frame they
+        are the opens of its prime spectrum (spectrum.primes).
+        """
+        ps = meet_irreducibles(self)
+        sub = self.order.subposet(ps)
+        return ps, sub, _accel.downset_masks(list(sub.below), self.n)
+
+    @cached_property
     def frame_witness(self) -> "FrameWitness":
         """The distributivity certificate, computed once; see is_frame."""
-        if _birkhoff_distributive(self):
+        opens = self._birkhoff[2]
+        if opens is not None and len(opens) == self.n:
             return FrameWitness(self, True)
         witness = _accel.distributive_witness(self.meet_table, self.join_table)
         if witness is None:
@@ -433,29 +455,22 @@ def _irreducibles(side, rows) -> tuple[int, ...]:
     return tuple(x for x, row in enumerate(rows) if row ^ (1 << x) in index)
 
 
-def _birkhoff_distributive(lat: FiniteLattice) -> bool:
-    # x -> {join-irreducibles below x} embeds any finite lattice into the
-    # down-sets of its join-irreducibles, and it is onto exactly when the
-    # lattice is distributive (Birkhoff). So counting those down-sets,
-    # stopping past n, decides distributivity.
-    sub = lat.order.subposet(join_irreducibles(lat))
-    masks = _accel.downset_masks(list(sub.below), lat.n)
-    return masks is not None and len(masks) == lat.n
-
-
 def is_frame(lat: FiniteLattice) -> FrameWitness:
     """Certify the distributive law, once per lattice.
 
     On finite carriers distributivity over binary joins is the whole
     frame condition, since every join is a finite one. The certificate
-    comes from Birkhoff's count (a lattice is distributive iff it has as
-    many elements as its join-irreducibles have down-sets), with the
-    join-irreducibles read off the order rows, and is cached on the
-    lattice, so repeated calls return the same object. It is computed
-    for every lattice, down-set frames included; no builder marks a
-    lattice as a frame. Only on failure does the exhaustive triple scan
-    run, to find the first breaking triple as the witness; the scan
-    (``_kernels.distributive_witness``) stays the test oracle.
+    comes from Birkhoff's count: a lattice is distributive iff it has
+    as many elements as its meet-irreducibles have down-sets. Those
+    down-sets are the lattice's cached Birkhoff dual
+    (``FiniteLattice._birkhoff``), which spectrum.primes reads as the
+    opens of the spectrum, so the dual is enumerated once for both.
+    The certificate is cached on the lattice, so repeated calls return
+    the same object. It is computed for every lattice, down-set frames
+    included; no builder marks a lattice as a frame. Only on failure
+    does the exhaustive triple scan run, to find the first breaking
+    triple as the witness; the scan (``_kernels.distributive_witness``)
+    stays the test oracle.
     """
     return lat.frame_witness
 
@@ -470,15 +485,10 @@ def downset_lattice(poset: FinitePoset, masks=None) -> FiniteLattice:
     against the scan. Each call builds a new lattice; opens_lattice
     keeps one per space and passes the space's opens as ``masks``, the
     ascending down-sets of ``poset``, so they are not enumerated again.
+    Without ``masks`` the down-sets are enumerated here, and more than
+    the soft cap of them raise LatticeTooLarge.
     """
-    if masks is None:
-        cap = max_lattice_size()
-        masks = _accel.downset_masks(list(poset.below), cap)
-        if masks is None:
-            raise LatticeTooLarge(
-                f"more than {cap} down-sets; raise STONE_MAX_LATTICE to allow"
-            )
-    masks = tuple(masks)
+    masks = _downsets(poset) if masks is None else tuple(masks)
     full = masks[-1]
     meet = _indexed(masks)
     join = _indexed(tuple(map(full.__xor__, masks)))
@@ -486,6 +496,15 @@ def downset_lattice(poset: FinitePoset, masks=None) -> FiniteLattice:
     lat = FiniteLattice._from_masks(order, masks, meet, join)
     lat.__dict__["_label_index"] = meet[1]
     return lat
+
+
+def _downsets(poset: FinitePoset) -> tuple[int, ...]:
+    # The ascending down-sets of ``poset``; LatticeTooLarge past the cap.
+    cap = max_lattice_size()
+    masks = _accel.downset_masks(list(poset.below), cap)
+    if masks is None:
+        raise LatticeTooLarge(f"more than {cap} down-sets; raise STONE_MAX_LATTICE to allow")
+    return tuple(masks)
 
 
 def inclusion_rows(masks):

@@ -25,10 +25,10 @@ from .galois import AbsenceWitness, MonotoneMap, lower_adjoint
 from .lattice import (
     FiniteLattice,
     FinitePoset,
+    _downsets,
     _meets_commute,
     downset_lattice,
     is_frame,
-    meet_irreducibles,
     poset_isomorphism,
 )
 
@@ -41,8 +41,7 @@ class FiniteT0Space:
     opens: tuple[int, ...]
 
     def __post_init__(self):
-        expected = _all_downsets(self.points)
-        if tuple(self.opens) != expected:
+        if tuple(self.opens) != _downsets(self.points):
             raise InvalidTopology(
                 "opens are not exactly the down-sets of the point order"
             )
@@ -53,9 +52,11 @@ class FiniteT0Space:
 
         The opens are enumerated here once; validating them would only
         enumerate them again, so this path skips ``__post_init__``. The
-        direct constructor still validates whatever it is given.
+        direct constructor still validates whatever it is given. Both
+        raise LatticeTooLarge when there are more opens than the soft
+        cap allows.
         """
-        return cls._trusted(points, _all_downsets(points))
+        return cls._trusted(points, _downsets(points))
 
     @classmethod
     def _trusted(cls, points: FinitePoset, opens: tuple[int, ...]) -> "FiniteT0Space":
@@ -110,16 +111,6 @@ class FiniteT0Space:
     def opens_lattice(self) -> FiniteLattice:
         """The frame of opens, built once from ``opens``; see opens_lattice."""
         return downset_lattice(self.points, self.opens)
-
-
-def _all_downsets(points: FinitePoset) -> tuple[int, ...]:
-    from . import _accel
-    from .lattice import max_lattice_size
-
-    masks = _accel.downset_masks(list(points.below), max_lattice_size())
-    if masks is None:
-        raise InvalidTopology("too many opens; raise STONE_MAX_LATTICE")
-    return tuple(masks)
 
 
 def opens_lattice(space: FiniteT0Space) -> FiniteLattice:
@@ -188,11 +179,13 @@ def primes(lat: FiniteLattice) -> PrimeSpectrum:
     """The prime spectrum of a finite frame, built once per lattice.
 
     In a frame the primes are exactly the meet-irreducible elements, so
-    they are found in O(n^2) rather than by the prime_elements scan. The
-    spectrum is cached on the lattice: repeated calls return the same
-    object. Raises NotAFrame (with the is_frame witness triple) when
-    distributivity fails; primes of non-frames are still reachable
-    through prime_elements.
+    they are found in O(n^2) rather than by the prime_elements scan.
+    The points, their order and the opens are the lattice's Birkhoff
+    dual (``FiniteLattice._birkhoff``), the one is_frame counted, so no
+    down-set is enumerated twice. The spectrum is cached on the
+    lattice: repeated calls return the same object. Raises NotAFrame
+    (with the is_frame witness triple) when distributivity fails;
+    primes of non-frames are still reachable through prime_elements.
     """
     return lat.prime_spectrum
 
@@ -203,9 +196,9 @@ def _prime_spectrum(lat: FiniteLattice) -> PrimeSpectrum:
         raise NotAFrame(
             f"distributivity fails at triple {fw.witness}", witness=fw.witness
         )
-    ps = meet_irreducibles(lat)
-    sub = lat.order.subposet(list(ps))
-    space = FiniteT0Space.from_poset(sub)
+    ps, sub, opens = lat._birkhoff
+    # the opens are the down-sets that is_frame counted
+    space = FiniteT0Space._trusted(sub, tuple(opens))
     # U_i is the complement of the primes above i
     below = lat.order.below
     under = [0] * lat.n

@@ -1,0 +1,107 @@
+"""Hand-written source mutants for the mutation check (see run.py).
+
+Each mutant names one file under ``src/stonekit/``, a target text that
+must occur exactly once in it, the text that replaces it, and the test
+modules expected to kill it. Every mutant plants a fault in a fast
+algorithm that a definitional scan or an oracle in those modules is
+meant to catch. A surviving mutant marks a missing test: add the test,
+never delete the mutant.
+"""
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    before: str
+    after: str
+    modules: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "missing-bound-meet-join-swapped",
+        "lattice.py",
+        "meets, joins = list(_row(meet, x, x)), list(_row(join, x, x))",
+        "meets, joins = list(_row(join, x, x)), list(_row(meet, x, x))",
+        ("test_lattice.py",),
+    ),
+    Mutant(
+        "irreducibles-row-not-made-strict",
+        "lattice.py",
+        "if row ^ (1 << x) in index",
+        "if row in index",
+        ("test_lattice.py", "test_certification.py"),
+    ),
+    Mutant(
+        "row-start-off-by-one",
+        "lattice.py",
+        "repeat(masks[x]), masks[start:]",
+        "repeat(masks[x]), masks[start + 1:]",
+        ("test_lattice.py",),
+    ),
+    Mutant(
+        "escaping-pair-reported-backwards",
+        "lattice.py",
+        "return a, next(b for b, v in zip(elements, landed) if v not in inside)",
+        "return next(b for b, v in zip(elements, landed) if v not in inside), a",
+        ("test_certification.py", "test_lattice.py"),
+    ),
+    Mutant(
+        "preserves-without-unit-check",
+        "lattice.py",
+        "if tm[values[si[su]]] != tu:",
+        "if False:",
+        ("test_galois.py", "test_spectrum.py"),
+    ),
+    Mutant(
+        "inclusion-rows-skip-last-bit-slice",
+        "lattice.py",
+        "        for s in slices:\n",
+        "        for s in slices[:-1]:\n",
+        ("test_lattice.py",),
+    ),
+    Mutant(
+        "birkhoff-count-off-by-one",
+        "lattice.py",
+        "len(opens) == self.n",
+        "len(opens) == self.n - 1",
+        ("test_certification.py",),
+    ),
+    Mutant(
+        "quotient-t0-count-off-by-one",
+        "spectrum.py",
+        "if len(set(below)) != len(below):",
+        "if len(set(below)) < len(below) - 1:",
+        ("test_spectrum.py",),
+    ),
+    Mutant(
+        "birkhoff-capped-below-n",
+        "lattice.py",
+        "_accel.downset_masks(list(sub.below), self.n)",
+        "_accel.downset_masks(list(sub.below), self.n - 1)",
+        ("test_certification.py",),
+    ),
+    Mutant(
+        "birkhoff-over-join-irreducibles",
+        "lattice.py",
+        "ps = meet_irreducibles(self)",
+        "ps = join_irreducibles(self)",
+        ("test_certification.py", "test_spectrum.py"),
+    ),
+    Mutant(
+        "open-of-without-complement",
+        "spectrum.py",
+        "open_of = tuple(full & ~m for m in under)",
+        "open_of = tuple(m for m in under)",
+        ("test_spectrum.py", "test_certification.py"),
+    ),
+    Mutant(
+        "downsets-ignore-the-cap",
+        "lattice.py",
+        "_accel.downset_masks(list(poset.below), cap)",
+        "_accel.downset_masks(list(poset.below), 1 << poset.n)",
+        ("test_spectrum.py", "test_lattice.py"),
+    ),
+)

@@ -17,7 +17,11 @@ a 4 s timeout, at least twice what it takes on 2 vCPUs:
   exactly the cap. Its pair order is read off the pair codes bit by bit
   (about 0.25 s in all), where deriving and certifying it pair by pair
   took about 13 s. The edgeless 13-vertex document has 8192 pairs; it
-  is refused, by counting them, with exit 1 and one error line.
+  is refused, by counting them, with exit 1 and one error line;
+* 6000-point chains, as a ``lattice`` and as an ``action`` document,
+  are refused at the schema step, before their closure is taken (26
+  and 34 s to a later refusal when the cap applied only to the built
+  lattice or space).
 """
 
 import json
@@ -101,3 +105,16 @@ def test_edgeless_graph_past_the_cap_is_refused(tmp_path):
     assert out.returncode == 1
     assert out.stdout == b""
     assert out.stderr == b"error: 8192 elements exceeds the cap of 4096\n"
+
+
+def test_posets_past_the_cap_are_refused_at_the_schema_step(tmp_path):
+    chain = chain_order(6000)
+    docs = {
+        "$.payload.order": {"kind": "lattice", "payload": {"order": chain}},
+        "$.payload.space": {"kind": "action", "payload": {"space": chain, "generators": []}},
+    }
+    for path, doc in docs.items():
+        out = run_child(tmp_path, doc, "analyze", "--json")
+        assert out.returncode == 1
+        assert out.stdout == b""
+        assert out.stderr == f"error: {path}.points: 6000 points exceeds the cap of 4096\n".encode()

@@ -1,8 +1,9 @@
 """Frame certificates, spectra and opens lattices: fast and computed once.
 
-is_frame decides distributivity by Birkhoff's count, primes reads the
-meet-irreducibles and is_spatial reads the frame certificate; all
-three are checked here against the definitional scans
+is_frame decides distributivity by Birkhoff's count over the
+meet-irreducibles, primes reads its points and opens off the same
+Birkhoff dual and is_spatial reads the frame certificate; all three
+are checked here against the definitional scans
 (``_kernels.distributive_witness`` and ``prime_elements``), which stay
 in the package as oracles. The fixed-point lattices of a connection are
 read off the ambient masks and checked against the validated
@@ -95,13 +96,27 @@ def spatial_by_scan(lat):
     return len(opens) == lat.n
 
 
+def downset_count(lat, points):
+    # the down-sets of the subposet on ``points``, counted up to n
+    masks = _kernels.downset_masks(list(lat.order.subposet(points).below), lat.n)
+    return None if masks is None else len(masks)
+
+
 def assert_agrees_with_scans(lat):
     fw = is_frame(lat)
     want = scan(lat)
     assert fw.distributive == (want is None)
     assert fw.witness == want
+    # Birkhoff's count and its order dual decide alike
+    assert downset_count(lat, meet_irreducibles(lat)) == downset_count(
+        lat, join_irreducibles(lat)
+    )
     if fw.distributive:
         assert primes(lat).primes == prime_elements(lat)
+        # the opens read off the Birkhoff dual are the down-sets of the
+        # prime order, enumerated afresh
+        space = primes(lat).space
+        assert space.opens == FiniteT0Space.from_poset(space.points).opens
     else:
         with pytest.raises(NotAFrame) as ei:
             primes(lat)
@@ -537,6 +552,25 @@ class TestCertifyOnce:
         lat = downset_lattice(FinitePoset.chain(2))
         repeated = FiniteLattice(lat.order, ("x", "y", "x"))
         assert repeated.index_of_label("x") == ("x", "y", "x").index("x") == 0
+
+    def test_frame_and_spectrum_share_one_birkhoff_dual(self, monkeypatch):
+        poset = FinitePoset.from_pairs(4, [(0, 1), (0, 2), (2, 3)])
+        lat = validate_lattice(downset_lattice(poset).order)
+        enumerations = counted(monkeypatch, _accel, "downset_masks")
+        real_subposet = FinitePoset.subposet
+        restrictions = []
+
+        def subposet(self, elements):
+            restrictions.append(elements)
+            return real_subposet(self, elements)
+
+        monkeypatch.setattr(FinitePoset, "subposet", subposet)
+        assert is_frame(lat).distributive
+        assert len(enumerations) == len(restrictions) == 1
+        # the spectrum reads the dual that is_frame computed
+        spec = primes(lat)
+        assert len(enumerations) == len(restrictions) == 1
+        assert spec.space.opens == downset_lattice(spec.space.points).labels
 
     def test_from_poset_enumerates_the_down_sets_once(self, monkeypatch):
         poset = FinitePoset.from_pairs(3, [(0, 1), (0, 2)])

@@ -136,6 +136,11 @@ PAST_THE_CAP = {
         {"kind": "multiplicity", "payload": {"matrix": [[1] * 13]}},
         "error: more than 4096 down-sets; raise STONE_MAX_LATTICE to allow",
     ),
+    # every point set of a 13-point antichain is open
+    "action": (
+        {"kind": "action", "payload": {"space": {"points": 13}, "generators": []}},
+        "error: more than 4096 down-sets; raise STONE_MAX_LATTICE to allow",
+    ),
     # every vertex set of an edgeless graph is one diagonal pair
     "graph": (
         {"kind": "graph", "payload": {"vertices": 13, "edges": []}},

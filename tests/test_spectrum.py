@@ -28,6 +28,7 @@ from stonekit import (
     InstanceGenerator,
     InvalidTopology,
     JRViolated,
+    LatticeTooLarge,
     MonotoneMap,
     NotAFrame,
     NotContinuous,
@@ -145,6 +146,17 @@ class TestSpaceConstruction:
     def test_direct_construction_must_list_every_open(self):
         with pytest.raises(InvalidTopology):
             FiniteT0Space(FinitePoset.antichain(2), (0, 3))
+
+    def test_spaces_past_the_cap_are_too_large(self, monkeypatch):
+        # 16 opens against a cap of 8: too large, not a broken topology;
+        # 8 opens are still allowed
+        monkeypatch.setenv("STONE_MAX_LATTICE", "8")
+        message = "^more than 8 down-sets; raise STONE_MAX_LATTICE to allow$"
+        with pytest.raises(LatticeTooLarge, match=message):
+            FiniteT0Space.from_poset(FinitePoset.antichain(4))
+        with pytest.raises(LatticeTooLarge, match=message):
+            FiniteT0Space(FinitePoset.antichain(4), tuple(range(16)))
+        assert FiniteT0Space.from_poset(FinitePoset.antichain(3)).opens == tuple(range(8))
 
 
 class TestPrimes:
