@@ -1,16 +1,17 @@
 """Mutation check: every mutant in mutants.py must be killed by its tests.
 
 Usage:
-    python tests/mutation/run.py [NAME ...] [--list] [--timeout SECONDS]
+    python tests/mutation/run.py [NAME ...]
 
 Runs every mutant, or only the named ones, one at a time, never in
 parallel. For each, ``src/`` and ``tests/`` are copied to a temporary
 directory, the target text is replaced (it must occur exactly once),
 and the mutant's test modules run with ``pytest -x`` in a child
-process, with the copy's ``src/`` first on PYTHONPATH, under a timeout.
-A mutant is killed when its tests fail or time out, and survives when
-they pass. First, the same modules run once on an unmutated copy and
-must pass, so that every kill is the mutant's doing.
+process, with the copy's ``src/`` first on PYTHONPATH, under a
+timeout of TIMEOUT_S seconds. A mutant is killed when its tests fail
+or time out, and survives when they pass. First, the same modules run
+once on an unmutated copy and must pass, so that every kill is the
+mutant's doing.
 
 Exits 0 when every mutant is killed, 1 when one survives, and 2 when
 the check itself cannot run (a missing or repeated target, a failing
@@ -31,6 +32,7 @@ from pathlib import Path
 from mutants import MUTANTS, Mutant
 
 ROOT = Path(__file__).resolve().parents[2]
+TIMEOUT_S = 300
 
 
 class CheckError(Exception):
@@ -54,7 +56,7 @@ def copy_tree(dest: Path, mutant: Mutant | None) -> None:
     target.write_text(text.replace(mutant.before, mutant.after))
 
 
-def run_modules(dest: Path, modules, timeout: float):
+def run_modules(dest: Path, modules):
     """(returncode or None on timeout, output tail) of pytest -x on the copy."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(dest / "src")
@@ -68,7 +70,7 @@ def run_modules(dest: Path, modules, timeout: float):
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
     command += [f"tests/{m}" for m in modules]
     try:
-        out = subprocess.run(command, cwd=dest, env=env, capture_output=True, text=True, timeout=timeout)
+        out = subprocess.run(command, cwd=dest, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return None, ""
     return out.returncode, "\n".join(out.stdout.splitlines()[-15:])
@@ -82,38 +84,32 @@ def first_failure(tail: str) -> str:
     return ""
 
 
-def judge(mutant: Mutant | None, modules, timeout: float):
+def judge(mutant: Mutant | None, modules):
     with tempfile.TemporaryDirectory(prefix="stonekit-mutant-") as tmp:
         dest = Path(tmp)
         copy_tree(dest, mutant)
-        return run_modules(dest, modules, timeout)
+        return run_modules(dest, modules)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per child run")
     args = parser.parse_args(argv)
     by_name = {m.name: m for m in MUTANTS}
-    if args.list:
-        for m in MUTANTS:
-            print(f"{m.name}  ({m.path}; {', '.join(m.modules)})")
-        return 0
     unknown = [n for n in args.names if n not in by_name]
     if unknown:
         parser.error(f"unknown mutants: {', '.join(unknown)}")
     chosen = [by_name[n] for n in args.names] or list(MUTANTS)
     modules = sorted({m for mutant in chosen for m in mutant.modules})
     try:
-        code, tail = judge(None, modules, args.timeout)
+        code, tail = judge(None, modules)
         if code != 0:
             raise CheckError(f"the unmutated modules do not pass (exit {code}):\n{tail}")
         print(f"unmutated: {' '.join(modules)} pass", flush=True)
         survivors = []
         for mutant in chosen:
             start = time.perf_counter()
-            code, tail = judge(mutant, mutant.modules, args.timeout)
+            code, tail = judge(mutant, mutant.modules)
             elapsed = time.perf_counter() - start
             note = ""
             if code is None:
