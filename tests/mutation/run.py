@@ -1,11 +1,10 @@
 """Mutation check: every mutant in mutants.py must be killed by its tests.
 
 Usage:
-    python tests/mutation/run.py [NAME ...]
+    python tests/mutation/run.py
 
-Runs every mutant, or only the named ones, one at a time, never in
-parallel. For each, ``src/`` and ``tests/`` are copied to a temporary
-directory, the target text is replaced (it must occur exactly once),
+Runs every mutant, one at a time, never in parallel. For each,
+``src/`` and ``tests/`` are copied to a temporary directory, the target text is replaced (it must occur exactly once),
 and the mutant's test modules run with ``pytest -x`` in a child
 process, with the copy's ``src/`` first on PYTHONPATH, under a
 timeout of TIMEOUT_S seconds. A mutant is killed when its tests fail
@@ -20,7 +19,6 @@ unmutated suite, a collection error).
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -76,14 +74,6 @@ def run_modules(dest: Path, modules):
     return out.returncode, "\n".join(out.stdout.splitlines()[-15:])
 
 
-def first_failure(tail: str) -> str:
-    # " by <test id>" for the first FAILED line of pytest's summary
-    for line in tail.splitlines():
-        if line.startswith("FAILED "):
-            return " by " + line[len("FAILED "):].split(" - ")[0]
-    return ""
-
-
 def judge(mutant: Mutant | None, modules):
     with tempfile.TemporaryDirectory(prefix="stonekit-mutant-") as tmp:
         dest = Path(tmp)
@@ -91,44 +81,35 @@ def judge(mutant: Mutant | None, modules):
         return run_modules(dest, modules)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    args = parser.parse_args(argv)
-    by_name = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in by_name]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [by_name[n] for n in args.names] or list(MUTANTS)
-    modules = sorted({m for mutant in chosen for m in mutant.modules})
+def main() -> int:
+    modules = sorted({m for mutant in MUTANTS for m in mutant.modules})
     try:
         code, tail = judge(None, modules)
         if code != 0:
             raise CheckError(f"the unmutated modules do not pass (exit {code}):\n{tail}")
         print(f"unmutated: {' '.join(modules)} pass", flush=True)
         survivors = []
-        for mutant in chosen:
+        for mutant in MUTANTS:
             start = time.perf_counter()
             code, tail = judge(mutant, mutant.modules)
             elapsed = time.perf_counter() - start
-            note = ""
             if code is None:
                 verdict = "killed (timeout)"
             elif code == 1:
-                verdict, note = "killed", first_failure(tail)
+                verdict = "killed"
             elif code == 0:
                 verdict = "SURVIVED"
                 survivors.append(mutant.name)
             else:
                 raise CheckError(f"{mutant.name}: pytest exit {code}:\n{tail}")
-            print(f"{verdict:16} {mutant.name} ({elapsed:.1f} s){note}", flush=True)
+            print(f"{verdict:16} {mutant.name} ({elapsed:.1f} s)", flush=True)
     except CheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if survivors:
-        print(f"{len(survivors)} of {len(chosen)} mutants survived: {', '.join(survivors)}")
+        print(f"{len(survivors)} of {len(MUTANTS)} mutants survived: {', '.join(survivors)}")
         return 1
-    print(f"all {len(chosen)} mutants killed")
+    print(f"all {len(MUTANTS)} mutants killed")
     return 0
 
 
