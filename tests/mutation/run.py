@@ -4,13 +4,14 @@ Usage:
     python tests/mutation/run.py
 
 Runs every mutant, one at a time, never in parallel. For each,
-``src/`` and ``tests/`` are copied to a temporary directory, the target text is replaced (it must occur exactly once),
-and the mutant's test modules run with ``pytest -x`` in a child
-process, with the copy's ``src/`` first on PYTHONPATH, under a
-timeout of TIMEOUT_S seconds. A mutant is killed when its tests fail
-or time out, and survives when they pass. First, the same modules run
-once on an unmutated copy and must pass, so that every kill is the
-mutant's doing.
+``src/`` and ``tests/`` are copied to a temporary directory, the
+target text is replaced (it must occur exactly once), and the mutant's
+test modules run with ``pytest -x`` in a child process, with the
+copy's ``src/`` first on PYTHONPATH, under a timeout of TIMEOUT_S
+seconds. A mutant is killed when its tests fail or time out, and
+survives when they pass. First, the same modules run once on an
+unmutated copy and must pass, so that every kill is the mutant's
+doing.
 
 Exits 0 when every mutant is killed, 1 when one survives, and 2 when
 the check itself cannot run (a missing or repeated target, a failing
