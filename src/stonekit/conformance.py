@@ -395,15 +395,19 @@ def all_frames(max_size: int) -> list[FiniteLattice]:
     return [downset_lattice(p) for p in all_frame_posets(max_size)]
 
 
-def monotone_maps(src: FiniteLattice, dst: FiniteLattice, cap: int = 10_000_000):
+_MAX_TABLES = 10_000_000
+
+
+def monotone_maps(src: FiniteLattice, dst: FiniteLattice):
     """All monotone maps src -> dst as value tuples, order-pruned.
 
     The recursion walks a linear extension of the source, so every
     partial assignment already satisfies its order constraints. Above
-    ``cap`` candidate tables (|dst| ** |src|) the walk refuses; callers
-    wanting coverage of larger pairs should sample with a generator.
+    ``_MAX_TABLES`` candidate tables (|dst| ** |src|) the walk refuses;
+    callers wanting coverage of larger pairs should sample with a
+    generator.
     """
-    if dst.n**src.n > cap:
+    if dst.n**src.n > _MAX_TABLES:
         raise ValueError("candidate table exceeds the enumeration cap")
     yield from _monotone_values(src.order, dst)
 

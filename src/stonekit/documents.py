@@ -13,12 +13,12 @@ A document is an object with a ``kind`` discriminator, an optional
 where POSET is {"points": int, "covers": [[int, int], ...]} and the
 order is the reflexive-transitive closure of the cover pairs.  Schema
 problems raise DocumentError with a path anchor ("$.payload.matrix[2]");
-a poset with more points than the size cap (STONE_MAX_LATTICE) is one,
-refused before its closure is taken. Semantic problems (a non-lattice
-order, a failed adjunction) surface as the model's own errors when the
-payload is compiled. The schema check builds each poset once and keeps
-it on the document with the values it read, so compiling reads nothing
-off the payload again.
+a poset with more points, or a graph with more vertices, than the size
+cap (STONE_MAX_LATTICE) is one, refused before its closure is taken.
+Semantic problems (a non-lattice order, a failed adjunction) surface as
+the model's own errors when the payload is compiled. The schema check
+builds each poset once and keeps it on the document with the values it
+read, so compiling reads nothing off the payload again.
 """
 
 from __future__ import annotations
@@ -95,16 +95,21 @@ def _as_int_list(value, path: str, bound=None) -> list[int]:
     return out
 
 
+def _capped_count(value, path: str, noun: str) -> int:
+    count = _as_int(value, path, minimum=0)
+    cap = max_lattice_size()
+    if count > cap:
+        _fail(path, f"{count} {noun} exceeds the cap of {cap}")
+    return count
+
+
 def _load_poset(value, path: str) -> FinitePoset:
     if not isinstance(value, dict):
         _fail(path, f"expected a poset object, got {type(value).__name__}")
-    points = _as_int(_field(value, path, "points"), f"{path}.points", minimum=0)
     # past the cap every poset is refused later anyway: a lattice of
     # more elements fails validate_lattice, and a space has more opens
     # than points; refusing here skips the closure
-    cap = max_lattice_size()
-    if points > cap:
-        _fail(f"{path}.points", f"{points} points exceeds the cap of {cap}")
+    points = _capped_count(_field(value, path, "points"), f"{path}.points", "points")
     covers = _field(value, path, "covers", required=False, default=[])
     if not isinstance(covers, list):
         _fail(f"{path}.covers", "expected a list of [lower, upper] pairs")
@@ -217,8 +222,10 @@ def _check_action(payload: dict, path: str) -> dict:
 
 
 def _check_graph(payload: dict, path: str) -> dict:
-    vertices = _as_int(
-        _field(payload, path, "vertices"), f"{path}.vertices", minimum=0
+    # the reach closure of a graph holds vertices^2 bits, so a graph
+    # past the cap is refused before it is taken
+    vertices = _capped_count(
+        _field(payload, path, "vertices"), f"{path}.vertices", "vertices"
     )
     edges = _field(payload, path, "edges", required=False, default=[])
     if not isinstance(edges, list):

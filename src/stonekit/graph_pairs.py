@@ -21,6 +21,15 @@ order of the codes (``lattice.inclusion_rows``) is already a lattice
 order.  The number of pairs, the sum of 2^|free| over the invariant
 sets, is counted against the size cap before any order is built.
 
+The invariant sets are enumerated, not searched for.  A set is
+positively invariant exactly when it holds everything its vertices
+reach, so it is the union of the reach sets (``_accel.closure`` of the
+edge rows) of its vertices.  The invariant sets are therefore the
+unions of the down-sets of the distinct reach sets ordered by
+inclusion, one set per down-set, and the capped down-set enumerator
+(``lattice._downsets``) refuses a graph with more of them than the
+size cap after at most cap + 1.
+
 At finite vertex counts every vertex acts compactly, so the compactness
 clause of the general pair definition is automatic and does not appear
 in the predicate; the sink-free part of the vertex set plays the
@@ -30,8 +39,10 @@ largest admissible J.
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import _accel
+from ._kernels import bits
 from .errors import JNotAdmissible, LatticeTooLarge
-from .lattice import FinitePoset, FiniteLattice, inclusion_rows, max_lattice_size
+from .lattice import FinitePoset, FiniteLattice, _downsets, inclusion_rows, max_lattice_size
 from .spectrum import PrimeSpectrum, primes
 
 __all__ = [
@@ -132,15 +143,22 @@ class JPairLattice:
 def j_pairs(g: FiniteGraph, j: int) -> JPairLattice:
     """Enumerate the admissible pairs for the chosen relative set.
 
-    The pair count is checked against the size cap before any order is
-    built; past it, LatticeTooLarge is raised.
+    The invariant sets are enumerated as the down-sets of the reach
+    sets, capped, so a graph with more invariant sets than the size cap
+    is refused after at most cap + 1 of them. The pair count is then
+    checked against the cap before any order is built. Past either,
+    LatticeTooLarge is raised.
     """
     if j < 0 or j >> g.vertices:
         raise JNotAdmissible("relative set must be a vertex subset")
+    # one invariant set per down-set of the distinct reach sets, the
+    # union of its reach sets (see the module docstring)
+    rows = sorted(set(_accel.closure(list(g.range_masks))))
     ranges = []
-    for inv in range(1 << g.vertices):
-        if not is_positively_invariant(g, inv):
-            continue
+    for down in _downsets(FinitePoset._trusted(*inclusion_rows(rows))):
+        inv = 0
+        for k in bits(down):
+            inv |= rows[k]
         low = j | inv
         high = _pair_bound(g, inv)
         if low & ~high == 0:

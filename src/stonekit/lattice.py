@@ -520,7 +520,7 @@ def inclusion_rows(masks):
     operations on n-bit rows, against n^2 subset tests.
     """
     everyone = (1 << len(masks)) - 1
-    slices = [0] * max(masks).bit_length()
+    slices = [0] * max(masks, default=0).bit_length()
     bit = 1
     for m in masks:
         b = 0
@@ -574,9 +574,14 @@ def fixed_point_lattice(
     ambient meets and close joins, those of an interior operator the
     dual, and a subset closed under both keeps both. The result equals
     ``sublattice(lat, elements)`` whenever that description is true, at
-    O(k^2) mask operations with no bound search and no table; an
-    operation that leaves the subset raises NotALattice, with the first
-    such pair, meets before joins, as the witness.
+    O(k^2) mask operations with no bound search and no table.
+
+    The description is a precondition, not checked here, and a subset
+    that breaks it is not refused: every caller passes a subset that is
+    closed by theorem (the fixed points of the
+    closure and the interior of a certified Galois connection, by Prop
+    2.6, and the opens invariant under a group of homeomorphisms), and
+    the tests compare the result with ``sublattice``.
 
     A side that keeps the ambient operation keeps the ambient masks of
     its elements; a side that applies a fix reads the rows of the
@@ -586,11 +591,6 @@ def fixed_point_lattice(
     elements = tuple(elements)
     if not elements:
         raise NotALattice("empty carrier has no bounds")
-    for side, fix in (("meet", meet_fix), ("join", join_fix)):
-        bad = escaping_pair(lat, side, elements, fix)
-        if bad is not None:
-            a, b = bad
-            raise NotALattice(f"the {side} of {a} and {b} leaves the subset", witness=bad)
     order = lat.order.subposet(elements)
     meet = order.below if meet_fix is not None else tuple(lat._meet[0][e] for e in elements)
     join = order.above() if join_fix is not None else tuple(lat._join[0][e] for e in elements)
@@ -599,10 +599,11 @@ def fixed_point_lattice(
     return out
 
 
-def escaping_pair(lat: FiniteLattice, side: str, elements, fix=None):
+def escaping_pair(lat: FiniteLattice, side: str, elements):
     """The first pair (a, b) of ``elements``, a-major in their order,
-    whose ambient ``side`` ("meet" or "join"), followed by ``fix`` when
-    given, lands outside them; None when the subset is closed.
+    whose ambient ``side`` ("meet" or "join") lands outside them; None
+    when the subset is closed. It decides JR (joins of restricted
+    elements) and MIf (meets of induced elements).
 
     Either side is one ``&`` of masks per pair plus one lookup, so the
     scan covers every ordered pair, one mask row per a. For a
@@ -614,8 +615,6 @@ def escaping_pair(lat: FiniteLattice, side: str, elements, fix=None):
     sub = [masks[e] for e in elements]
     for a in elements:
         landed = list(map(index.__getitem__, map(and_, repeat(masks[a]), sub)))
-        if fix is not None:
-            landed = list(map(fix.__getitem__, landed))
         if not inside.issuperset(landed):
             return a, next(b for b, v in zip(elements, landed) if v not in inside)
     return None

@@ -33,7 +33,9 @@ GaloisConnection was built. The eight structural laws of Prop 2.6
 (verify_prop26) follow from it and are checked by the tests, not on
 construction; the fixed-point lattices are read off the ambient masks
 by the same laws (restricted: ambient meets, closed joins; induced:
-ambient joins, opened meets).
+ambient joins, opened meets), with no scan for an escaping pair. C2
+needs only F's values in the target, the least induced covers, so it
+does not build F as a map into the induced lattice.
 """
 
 from __future__ import annotations
@@ -93,9 +95,13 @@ class InclusionData:
 
     Each condition is cached as its first witness (``_jr_bad``,
     ``_c1_bad``, ``_mif_bad``, ``_mi_bad``, ``_c2_bad``; None when it
-    holds), and so is the map F, computed once per instance on first
-    use and shared by every caller: the sweeps' checks, the refusals
-    and the cross-checks inside quasi_orbit_map read the same values.
+    holds), computed once per instance on first use and shared by every
+    caller: the sweeps' checks, the refusals and the cross-checks inside
+    quasi_orbit_map read the same values. The fixed-point lattices are
+    closed by Prop 2.6 and are read off the ambient masks without a
+    scan. C2 reads F's values in the target off ``induced_covers``; the
+    map F itself, into the induced lattice, is built and cross-checked
+    only when F_map asks for it.
     """
 
     gc: GaloisConnection
@@ -191,12 +197,11 @@ class InclusionData:
     @cached_property
     def _c2_bad(self):
         """None when C2 holds, else the first pair (I, J), I induced,
-        with meet(I, F(J)) != F(meet(I, J)); needs MI."""
-        f = F_map(self)
+        with meet(I, F(J)) != F(meet(I, J)); needs MI. Under MI,
+        ``induced_covers`` is F read in the target, so F is not built."""
+        _require(self, "MI")
         b = self.lattice_b
-        return _meets_commute(
-            b, self.induced, range(b.n), b, tuple(f.target.labels[v] for v in f.values)
-        )
+        return _meets_commute(b, self.induced, range(b.n), b, self.induced_covers)
 
     @cached_property
     def restricted_lattice(self) -> FiniteLattice:
@@ -291,7 +296,8 @@ def F_map(d: InclusionData) -> MonotoneMap:
     """Least-induced-cover map from the target into the induced lattice.
 
     The lower adjoint of the induced-insertion; total exactly under MI.
-    Built and certified once per instance.
+    Built once per instance, on the first call, and cross-checked as
+    adjoint to the insertion; no condition check calls it.
     """
     _require(d, "MI")
     return d._f
@@ -299,7 +305,8 @@ def F_map(d: InclusionData) -> MonotoneMap:
 
 def check_C2(d: InclusionData) -> bool:
     """meet(I, F(J)) = F(meet(I, J)) for induced I and every J; computed
-    once per instance. Raises MIViolated where F does not exist."""
+    once per instance, with F read in the target as ``induced_covers``
+    (F_map is not called). Raises MIViolated where F does not exist."""
     return d._c2_bad is None
 
 

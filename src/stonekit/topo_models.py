@@ -18,7 +18,7 @@ openness questions route through the second meet identity rather than
 through meet closure, which no finite instance can break.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ClosureTooLarge, NotContinuous, ShapeMismatch
@@ -79,12 +79,12 @@ class FiniteGroupAction:
 
     Generators may be any homeomorphisms of the space; the group they
     generate is expanded eagerly so later computations can trust it,
-    with a hard cap on the order.
+    and a group of more than ``_MAX_ORDER`` elements raises
+    ClosureTooLarge.
     """
 
     space: FiniteT0Space
     generators: tuple[tuple[int, ...], ...]
-    max_order: int = field(default=_MAX_ORDER, compare=False)
 
     def __post_init__(self):
         n = self.space.n
@@ -104,7 +104,7 @@ class FiniteGroupAction:
 
     @cached_property
     def closure(self) -> tuple[tuple[int, ...], ...]:
-        return group_closure(self.generators, self.space.n, self.max_order)
+        return group_closure(self.generators, self.space.n, _MAX_ORDER)
 
     def image_mask(self, g: tuple[int, ...], mask: int) -> int:
         out = 0
@@ -133,10 +133,11 @@ class FiniteGroupAction:
 def invariant_opens(a: FiniteGroupAction) -> tuple[FiniteLattice, MonotoneMap]:
     """The sublattice of invariant opens with its insertion into O(X).
 
-    Invariant opens are closed under union and intersection and contain
-    both bounds, so the sublattice keeps the ambient meets and joins
-    (an escape would raise NotALattice) and the insertion is a locale
-    morphism by construction.
+    Each generator is a bijection, so invariant opens are closed under
+    union and intersection and contain both bounds: the sublattice
+    keeps the ambient meets and joins, read off the ambient masks with
+    no escape scan, and the insertion is a locale morphism by
+    construction.
     """
     olat = opens_lattice(a.space)
     kept = [k for k, u in enumerate(olat.labels) if a.is_invariant(u)]

@@ -46,7 +46,7 @@ MUTANTS = (
         "lattice.py",
         "return a, next(b for b, v in zip(elements, landed) if v not in inside)",
         "return next(b for b, v in zip(elements, landed) if v not in inside), a",
-        ("test_certification.py", "test_lattice.py"),
+        ("test_certification.py", "test_lattice.py", "test_quasiorbit.py"),
     ),
     Mutant(
         "preserves-without-unit-check",
@@ -103,5 +103,40 @@ MUTANTS = (
         "_accel.downset_masks(list(poset.below), cap)",
         "_accel.downset_masks(list(poset.below), 1 << poset.n)",
         ("test_spectrum.py", "test_lattice.py"),
+    ),
+    Mutant(
+        "c2-reads-the-kernel-values",
+        "quasiorbit.py",
+        "_meets_commute(b, self.induced, range(b.n), b, self.induced_covers)",
+        "_meets_commute(b, self.induced, range(b.n), b, self.gc.kernel_values())",
+        ("test_certification.py",),
+    ),
+    Mutant(
+        "fixed-point-join-side-keeps-ambient-masks",
+        "lattice.py",
+        "join = order.above() if join_fix is not None else",
+        "join = order.above() if join_fix is None else",
+        ("test_certification.py", "test_lattice.py"),
+    ),
+    Mutant(
+        "invariance-checks-the-first-generator-only",
+        "topo_models.py",
+        "mask for g in self.generators)",
+        "mask for g in self.generators[:1])",
+        ("test_topo_models.py",),
+    ),
+    Mutant(
+        "monotone-witness-reports-the-highest-x",
+        "_kernels.py",
+        "return ((bad & -bad).bit_length() - 1, y)",
+        "return (bad.bit_length() - 1, y)",
+        ("test_certification.py",),
+    ),
+    Mutant(
+        "invariant-sets-without-the-reach-closure",
+        "graph_pairs.py",
+        "set(_accel.closure(list(g.range_masks)))",
+        "set(m | 1 << v for v, m in enumerate(g.range_masks))",
+        ("test_graph_pairs.py",),
     ),
 )

@@ -16,12 +16,15 @@ a 4 s timeout, at least twice what it takes on 2 vCPUs:
 * an edgeless 12-vertex ``graph`` document has 4096 admissible pairs,
   exactly the cap. Its pair order is read off the pair codes bit by bit
   (about 0.25 s in all), where deriving and certifying it pair by pair
-  took about 13 s. The edgeless 13-vertex document has 8192 pairs; it
-  is refused, by counting them, with exit 1 and one error line;
+  took about 13 s. The edgeless 13- and 24-vertex documents are
+  refused, with exit 1 and one error line, once their invariant sets,
+  enumerated as down-sets of the reach sets, pass the cap (the
+  24-vertex one in about 0.2 s; minutes when every vertex set was
+  tested for invariance);
 * 6000-point chains, as a ``lattice`` and as an ``action`` document,
   are refused at the schema step, before their closure is taken (26
   and 34 s to a later refusal when the cap applied only to the built
-  lattice or space).
+  lattice or space), and so is a 5000-vertex ``graph`` document.
 """
 
 import json
@@ -101,10 +104,11 @@ def test_edgeless_graph_at_the_cap(tmp_path):
 
 
 def test_edgeless_graph_past_the_cap_is_refused(tmp_path):
-    out = run_child(tmp_path, edgeless_graph(13), "analyze", "--json")
-    assert out.returncode == 1
-    assert out.stdout == b""
-    assert out.stderr == b"error: 8192 elements exceeds the cap of 4096\n"
+    for vertices in (13, 24):
+        out = run_child(tmp_path, edgeless_graph(vertices), "analyze", "--json")
+        assert out.returncode == 1
+        assert out.stdout == b""
+        assert out.stderr == b"error: more than 4096 down-sets; raise STONE_MAX_LATTICE to allow\n"
 
 
 def test_posets_past_the_cap_are_refused_at_the_schema_step(tmp_path):
@@ -118,3 +122,10 @@ def test_posets_past_the_cap_are_refused_at_the_schema_step(tmp_path):
         assert out.returncode == 1
         assert out.stdout == b""
         assert out.stderr == f"error: {path}.points: 6000 points exceeds the cap of 4096\n".encode()
+
+
+def test_graph_past_the_cap_is_refused_at_the_schema_step(tmp_path):
+    out = run_child(tmp_path, edgeless_graph(5000), "analyze", "--json")
+    assert out.returncode == 1
+    assert out.stdout == b""
+    assert out.stderr == b"error: $.payload.vertices: 5000 vertices exceeds the cap of 4096\n"

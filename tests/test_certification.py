@@ -28,10 +28,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stonekit.galois as galois_module
+import stonekit.lattice as lattice_module
 import stonekit.quasiorbit as quasiorbit_module
 import stonekit.spectrum as spectrum_module
 from conftest import assert_same_lattice, downset_frames, padded_lattices, pentagon
 from stonekit import (
+    EX_213,
     AbsenceWitness,
     AdjunctionFailure,
     FiniteGroupAction,
@@ -67,6 +69,7 @@ from stonekit import (
     small_group_actions,
     sublattice,
     sweep_theorem,
+    to_inclusion_data,
     upper_adjoint,
     validate_lattice,
     verify_prop26,
@@ -74,7 +77,7 @@ from stonekit import (
 from stonekit import _accel, _kernels
 from stonekit.cli import main
 from stonekit.conformance import FAMILIES, order_automorphisms
-from stonekit.quasiorbit import check_C1, check_C2, check_MI
+from stonekit.quasiorbit import check_C1, check_C2, check_JR, check_MI, check_MIf
 from stonekit.lattice import (
     fixed_point_lattice,
     join_irreducibles,
@@ -200,11 +203,8 @@ class TestFixedPointLattices:
                 count += 1
         assert count == 426
 
-    def test_escaping_operation_is_refused(self):
+    def test_closed_joins_match_the_sublattice(self):
         lat = downset_lattice(FinitePoset.antichain(2))  # 0 < 1, 2 < 3
-        with pytest.raises(NotALattice) as ei:
-            fixed_point_lattice(lat, (0, 1, 2))
-        assert ei.value.witness == (1, 2)
         # closing joins up to the top keeps the subset a lattice
         closed = fixed_point_lattice(lat, (0, 1, 3), join_fix=(0, 1, 3, 3))
         assert_same_lattice(closed, sublattice(lat, (0, 1, 3)))
@@ -534,9 +534,21 @@ class TestCertifyOnce:
         jr = counted_property(monkeypatch, InclusionData, "_jr_bad")
         report = sweep_theorem("C48", seed=7)
         assert (report.checked, report.applicable) == (1000, 575)
-        assert len(c2) == len(f) == 575
+        # C2 reads the least induced covers; F is never built
+        assert (len(c2), len(f)) == (575, 0)
         assert len(jr) == 1000
         assert len({id(d) for d in mi}) == len(mi)
+
+    def test_condition_report_builds_no_fixed_point_lattice(self, monkeypatch):
+        # the conditions that analyze reports read the closure and
+        # kernel values only: no fixed-point lattice and no F
+        d = to_inclusion_data(EX_213())
+        lattices = counted(monkeypatch, lattice_module, "fixed_point_lattice")
+        f = counted_property(monkeypatch, InclusionData, "_f")
+        for check in (check_JR, check_C1, check_MIf, check_MI, check_C2):
+            check(d)
+        assert check_MI(d)
+        assert lattices == f == []
 
     def test_label_and_prime_indices_match_the_scans(self):
         # the cached dicts against tuple.index: first occurrence wins and

@@ -141,10 +141,10 @@ PAST_THE_CAP = {
         {"kind": "action", "payload": {"space": {"points": 13}, "generators": []}},
         "error: more than 4096 down-sets; raise STONE_MAX_LATTICE to allow",
     ),
-    # every vertex set of an edgeless graph is one diagonal pair
+    # every vertex set of an edgeless graph is invariant
     "graph": (
         {"kind": "graph", "payload": {"vertices": 13, "edges": []}},
-        "error: 8192 elements exceeds the cap of 4096",
+        "error: more than 4096 down-sets; raise STONE_MAX_LATTICE to allow",
     ),
 }
 

@@ -56,7 +56,7 @@ from stonekit.conformance import (
     _shrink_seed,
     _sweep,
 )
-from stonekit.lattice import downset_lattice, poset_isomorphism
+from stonekit.lattice import boolean_lattice, downset_lattice, poset_isomorphism
 from stonekit.quasiorbit import check_JR
 from stonekit.errors import ClosureTooLarge
 from stonekit.spectrum import PointMap
@@ -219,9 +219,9 @@ class TestMonotoneMaps:
         assert ours == brute
 
     def test_cap_refuses_large_tables(self):
-        lat = downset_lattice(FinitePoset.antichain(2))
+        # 16 ** 8 candidate tables
         with pytest.raises(ValueError, match="cap"):
-            next(monotone_maps(lat, lat, cap=3))
+            next(monotone_maps(boolean_lattice(3), boolean_lattice(4)))
 
     def test_join_preserving_maps_preserve_joins(self):
         # T33 checks only the meet half of the locale-morphism law on

@@ -178,12 +178,22 @@ class TestJPairs:
         j = data.draw(st.integers(0, (1 << g.vertices) - 1))
         assert_same_lattice(j_pairs(g, j).lattice, pairwise_pair_lattice(g, j))
 
-    def test_pair_count_past_the_cap_is_refused(self, monkeypatch):
+    def test_invariant_sets_past_the_cap_are_refused(self, monkeypatch):
+        # every vertex set of an edgeless graph is invariant
         monkeypatch.setenv("STONE_MAX_LATTICE", "7")
-        with pytest.raises(LatticeTooLarge, match="^8 elements exceeds the cap of 7$"):
+        with pytest.raises(LatticeTooLarge, match="^more than 7 down-sets; "):
             j_pairs(edgeless(3), 0)
         monkeypatch.setenv("STONE_MAX_LATTICE", "8")
         assert len(j_pairs(edgeless(3), 0).pairs) == 8
+
+    def test_pair_count_past_the_cap_is_refused(self, monkeypatch):
+        # 0 and 1 reach each other: 4 invariant sets, 10 pairs
+        g = FiniteGraph(3, ((0, 1), (1, 0)))
+        monkeypatch.setenv("STONE_MAX_LATTICE", "9")
+        with pytest.raises(LatticeTooLarge, match="^10 elements exceeds the cap of 9$"):
+            j_pairs(g, 0)
+        monkeypatch.setenv("STONE_MAX_LATTICE", "10")
+        assert len(j_pairs(g, 0).pairs) == 10
 
     @settings(max_examples=80, deadline=None)
     @given(graphs(), st.data())

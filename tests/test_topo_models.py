@@ -87,8 +87,10 @@ class TestActionValidation:
                 assert tuple(g[h[x]] for x in range(3)) in members
 
     def test_order_cap(self):
+        # (0 1) and an 8-cycle generate S_8, of order 40320
+        swap, cycle = (1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)
         with pytest.raises(ClosureTooLarge):
-            FiniteGroupAction(discrete(5), ((1, 2, 3, 4, 0),), max_order=3)
+            FiniteGroupAction(discrete(8), (swap, cycle))
 
     def test_order_cap_is_inclusive(self):
         rotation = ((1, 2, 3, 4, 0),)
