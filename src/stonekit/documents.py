@@ -13,8 +13,10 @@ A document is an object with a ``kind`` discriminator, an optional
 where POSET is {"points": int, "covers": [[int, int], ...]} and the
 order is the reflexive-transitive closure of the cover pairs.  Schema
 problems raise DocumentError with a path anchor ("$.payload.matrix[2]");
-a poset with more points, or a graph with more vertices, than the size
-cap (STONE_MAX_LATTICE) is one, refused before its closure is taken.
+a poset with more points than the size cap (STONE_MAX_LATTICE) is one,
+refused before its closure is taken, and so is a graph with more
+vertices than the cap, to bound the vertices^2 bits of its reach
+closure (a graph that large can still have a small pair lattice).
 Semantic problems (a non-lattice order, a failed adjunction) surface as
 the model's own errors when the payload is compiled. The schema check
 builds each poset once and keeps it on the document with the values it
@@ -222,8 +224,9 @@ def _check_action(payload: dict, path: str) -> dict:
 
 
 def _check_graph(payload: dict, path: str) -> dict:
-    # the reach closure of a graph holds vertices^2 bits, so a graph
-    # past the cap is refused before it is taken
+    # the reach closure holds vertices^2 bits; past the cap it is not
+    # taken, although the pair lattice of such a graph may be small (a
+    # strongly connected one has two pairs)
     vertices = _capped_count(
         _field(payload, path, "vertices"), f"{path}.vertices", "vertices"
     )

@@ -19,16 +19,26 @@ preserves intersections, so the bound on I' is kept.  The top pair
 closed under meets and holding a top is a lattice, so the inclusion
 order of the codes (``lattice.inclusion_rows``) is already a lattice
 order.  The number of pairs, the sum of 2^|free| over the invariant
-sets, is counted against the size cap before any order is built.
+sets that carry one, is counted against the size cap before any order
+is built.
 
-The invariant sets are enumerated, not searched for.  A set is
-positively invariant exactly when it holds everything its vertices
-reach, so it is the union of the reach sets (``_accel.closure`` of the
-edge rows) of its vertices.  The invariant sets are therefore the
-unions of the down-sets of the distinct reach sets ordered by
-inclusion, one set per down-set, and the capped down-set enumerator
-(``lattice._downsets``) refuses a graph with more of them than the
-size cap after at most cap + 1.
+The invariant sets that carry a pair are enumerated, not searched for.
+An invariant I carries one exactly when no vertex of J lies in
+``x_inverse(I) - I``.  A set is positively invariant exactly when it
+holds everything its vertices reach, so it is a union of whole reach
+classes (vertices with the same reach set, from ``_accel.closure`` of
+the edge rows) that holds every class below each of its classes.  A
+vertex v outside an invariant I lies in ``x_inverse(I)`` exactly when
+its class is v alone, v has no loop, and I holds everything v reaches:
+a larger class, or a loop, gives v an edge back into its own class.  So
+a loopless one-vertex class in J is forced: it must join I as soon as
+what it reaches is in.  ``j_pairs`` grows the sets class by class in
+ascending order of the reach sets as integers, which extends the reach
+order: a forced class joins every set that holds what it reaches, and
+any other class doubles exactly those sets.  Each step reads only
+classes already placed, so no set is dropped later, the list only
+grows, and a graph with more such sets than the size cap is refused
+after at most cap + 1 of them, however many invariant sets J rules out.
 
 At finite vertex counts every vertex acts compactly, so the compactness
 clause of the general pair definition is automatic and does not appear
@@ -40,9 +50,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import _accel
-from ._kernels import bits
 from .errors import JNotAdmissible, LatticeTooLarge
-from .lattice import FinitePoset, FiniteLattice, _downsets, inclusion_rows, max_lattice_size
+from .lattice import FinitePoset, FiniteLattice, inclusion_rows, max_lattice_size
 from .spectrum import PrimeSpectrum, primes
 
 __all__ = [
@@ -143,28 +152,33 @@ class JPairLattice:
 def j_pairs(g: FiniteGraph, j: int) -> JPairLattice:
     """Enumerate the admissible pairs for the chosen relative set.
 
-    The invariant sets are enumerated as the down-sets of the reach
-    sets, capped, so a graph with more invariant sets than the size cap
-    is refused after at most cap + 1 of them. The pair count is then
-    checked against the cap before any order is built. Past either,
-    LatticeTooLarge is raised.
+    Only the invariant sets that carry a pair are enumerated, capped,
+    so a graph with more of them than the size cap is refused after at
+    most cap + 1. The pair count is then checked against the cap before
+    any order is built. Past either, LatticeTooLarge is raised.
     """
     if j < 0 or j >> g.vertices:
         raise JNotAdmissible("relative set must be a vertex subset")
-    # one invariant set per down-set of the distinct reach sets, the
-    # union of its reach sets (see the module docstring)
-    rows = sorted(set(_accel.closure(list(g.range_masks))))
-    ranges = []
-    for down in _downsets(FinitePoset._trusted(*inclusion_rows(rows))):
-        inv = 0
-        for k in bits(down):
-            inv |= rows[k]
-        low = j | inv
-        high = _pair_bound(g, inv)
-        if low & ~high == 0:
-            ranges.append((inv, low, high & ~low))
-    count = sum(1 << free.bit_count() for _, _, free in ranges)
+    # the invariant sets that carry a pair, grown one reach class at a
+    # time (see the module docstring)
+    classes = {}
+    for v, reach in enumerate(_accel.closure(list(g.range_masks))):
+        classes[reach] = classes.get(reach, 0) | 1 << v
     cap = max_lattice_size()
+    sets = [0]
+    for reach in sorted(classes):
+        members = classes[reach]
+        below = reach ^ members
+        grown = [s | members for s in sets if below & ~s == 0]
+        # a loopless one-vertex class in J is forced
+        if members & ~j == 0 and not g.range_masks[members.bit_length() - 1] & members:
+            sets = [s for s in sets if below & ~s] + grown
+        else:
+            sets += grown
+        if len(sets) > cap:
+            raise LatticeTooLarge(f"more than {cap} down-sets; raise STONE_MAX_LATTICE to allow")
+    ranges = [(inv, j | inv, _pair_bound(g, inv) & ~(j | inv)) for inv in sets]
+    count = sum(1 << free.bit_count() for _, _, free in ranges)
     if count > cap:
         raise LatticeTooLarge(f"{count} elements exceeds the cap of {cap}")
     pairs = []

@@ -520,7 +520,7 @@ def inclusion_rows(masks):
     operations on n-bit rows, against n^2 subset tests.
     """
     everyone = (1 << len(masks)) - 1
-    slices = [0] * max(masks, default=0).bit_length()
+    slices = [0] * max(masks).bit_length()
     bit = 1
     for m in masks:
         b = 0

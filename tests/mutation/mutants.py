@@ -135,8 +135,8 @@ MUTANTS = (
     Mutant(
         "invariant-sets-without-the-reach-closure",
         "graph_pairs.py",
-        "set(_accel.closure(list(g.range_masks)))",
-        "set(m | 1 << v for v, m in enumerate(g.range_masks))",
+        "enumerate(_accel.closure(list(g.range_masks)))",
+        "enumerate(m | 1 << v for v, m in enumerate(g.range_masks))",
         ("test_graph_pairs.py",),
     ),
 )

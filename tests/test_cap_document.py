@@ -20,7 +20,10 @@ a 4 s timeout, at least twice what it takes on 2 vCPUs:
   refused, with exit 1 and one error line, once their invariant sets,
   enumerated as down-sets of the reach sets, pass the cap (the
   24-vertex one in about 0.2 s; minutes when every vertex set was
-  tested for invariance);
+  tested for invariance). Only the invariant sets that carry a pair
+  count against the cap: the edgeless 24-vertex graph with every vertex
+  in J (one pair) and eight disjoint edges (256 pairs among 6561
+  invariant sets) are accepted;
 * 6000-point chains, as a ``lattice`` and as an ``action`` document,
   are refused at the schema step, before their closure is taken (26
   and 34 s to a later refusal when the cap applied only to the built
@@ -109,6 +112,17 @@ def test_edgeless_graph_past_the_cap_is_refused(tmp_path):
         assert out.returncode == 1
         assert out.stdout == b""
         assert out.stderr == b"error: more than 4096 down-sets; raise STONE_MAX_LATTICE to allow\n"
+
+
+def test_graphs_with_few_admissible_sets_are_accepted(tmp_path):
+    # an edgeless 24-vertex graph with every vertex in J has 2^24
+    # invariant sets but one admissible pair; eight disjoint edges, with
+    # the default J of their sources, have 3^8 invariant sets and 2^8 pairs
+    relative = {"vertices": 24, "edges": [], "j": list(range(24))}
+    disjoint = {"vertices": 16, "edges": [[2 * k, 2 * k + 1] for k in range(8)]}
+    for payload, pairs in ((relative, 1), (disjoint, 256)):
+        report = json.loads(run_cli(tmp_path, {"kind": "graph", "payload": payload}, "analyze", "--json"))
+        assert report["pairs"] == pairs
 
 
 def test_posets_past_the_cap_are_refused_at_the_schema_step(tmp_path):

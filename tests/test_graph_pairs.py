@@ -186,6 +186,18 @@ class TestJPairs:
         monkeypatch.setenv("STONE_MAX_LATTICE", "8")
         assert len(j_pairs(edgeless(3), 0).pairs) == 8
 
+    def test_only_admissible_sets_count_against_the_cap(self, monkeypatch):
+        # with J = all three vertices only the full set is admissible;
+        # two disjoint edges have 9 invariant sets, with J = their
+        # sources 4 of them admissible, and with J = 0 all 9
+        monkeypatch.setenv("STONE_MAX_LATTICE", "1")
+        assert j_pairs(edgeless(3), 0b111).pairs == ((7, 7),)
+        g = FiniteGraph(4, ((0, 1), (2, 3)))
+        monkeypatch.setenv("STONE_MAX_LATTICE", "4")
+        assert len(j_pairs(g, j_x(g)).pairs) == 4
+        with pytest.raises(LatticeTooLarge, match="^more than 4 down-sets; "):
+            j_pairs(g, 0)
+
     def test_pair_count_past_the_cap_is_refused(self, monkeypatch):
         # 0 and 1 reach each other: 4 invariant sets, 10 pairs
         g = FiniteGraph(3, ((0, 1), (1, 0)))
