@@ -46,23 +46,20 @@ def monotone_witness(below, target_below, values):
 
 
 def closure(below):
-    """Reflexive-transitive closure of the given masks."""
-    n = len(below)
+    """Reflexive-transitive closure of the given masks (Warshall).
+
+    For each pivot k in turn, every row holding bit k absorbs row k.
+    After pivot k a row holds every point it reaches through pivots at
+    most k, so one pass over the pivots closes the relation: n row
+    scans, against up to one scan per path length for the fixpoint
+    loop that the tests keep as the oracle.
+    """
     out = [m | (1 << i) for i, m in enumerate(below)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            m = out[i]
-            acc = m
-            t = m
-            while t:
-                low = t & -t
-                t ^= low
-                acc |= out[low.bit_length() - 1]
-            if acc != m:
-                out[i] = acc
-                changed = True
+    for k in range(len(out)):
+        row, bit = out[k], 1 << k
+        for i, m in enumerate(out):
+            if m & bit:
+                out[i] = m | row
     return out
 
 

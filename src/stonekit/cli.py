@@ -250,4 +250,9 @@ def verify(suite, seed, budget, strict):
     except SweepFailed as e:
         click.echo(json.dumps(e.report.as_dict(), indent=2, sort_keys=True))
         sys.exit(2 if strict else 0)
+    except StonekitError as e:
+        # a refusal while drawing or checking instances, past the size
+        # cap for instance; SweepFailed subclasses it, so it goes first
+        click.echo(f"error: {e}", err=True)
+        sys.exit(1)
     click.echo(json.dumps(report.as_dict(), indent=2, sort_keys=True))

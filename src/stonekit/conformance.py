@@ -49,7 +49,6 @@ Sweep tags and their budgets:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from math import factorial
@@ -57,6 +56,7 @@ from typing import NamedTuple
 
 from . import _accel
 from ._kernels import bits
+from ._record import Record
 from .documents import document_for, inclusion_data_for
 from .errors import ClosureTooLarge, ConditionViolated, StonekitError, SweepFailed
 from .galois import GaloisConnection, MonotoneMap, is_meet_preserving, separates
@@ -110,13 +110,16 @@ _MASK64 = (1 << 64) - 1
 _MAX_ENTRY, _MAX_GENERATORS, _MAX_EDGES = 2, 2, 8
 
 
-@dataclass(frozen=True)
-class InstanceGenerator:
+class InstanceGenerator(Record):
     """A reproducible instance source: same fields, same instance."""
 
-    seed: int = 0
-    family: str = "random-galois"
-    max_points: int = 4
+    _fields = ("seed", "family", "max_points")
+
+    def __init__(self, seed: int = 0, family: str = "random-galois", max_points: int = 4):
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "max_points", max_points)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -179,8 +182,7 @@ def _random_point_values(
     return (rng.randrange(target.n),) * source.n
 
 
-@dataclass(frozen=True)
-class _GaloisSeed:
+class _GaloisSeed(Record):
     """A join-preserving map in shrinkable form.
 
     ``point_values`` assigns a target down-set mask to every source
@@ -188,9 +190,12 @@ class _GaloisSeed:
     unions, so it preserves joins by construction.
     """
 
-    source: FinitePoset
-    target: FinitePoset
-    point_values: tuple[int, ...]
+    _fields = ("source", "target", "point_values")
+
+    def __init__(self, source: FinitePoset, target: FinitePoset, point_values: tuple[int, ...]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "point_values", point_values)
 
 
 def _random_galois_seed(rng: random.Random, max_points: int) -> _GaloisSeed:
@@ -492,17 +497,28 @@ def small_group_actions(space: FiniteT0Space, max_order: int = 6):
 # -- sweeps ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Record):
     """Outcome of one conformance sweep; serializes to the CLI schema."""
 
-    tag: str
-    seed: int
-    budget: int
-    checked: int
-    applicable: int
-    violations: int
-    counterexample: dict | None = None
+    _fields = ("tag", "seed", "budget", "checked", "applicable", "violations", "counterexample")
+
+    def __init__(
+        self,
+        tag: str,
+        seed: int,
+        budget: int,
+        checked: int,
+        applicable: int,
+        violations: int,
+        counterexample: dict | None = None,
+    ):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "applicable", applicable)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "counterexample", counterexample)
 
     def as_dict(self) -> dict:
         return {

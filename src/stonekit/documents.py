@@ -26,9 +26,9 @@ read, so compiling reads nothing off the payload again.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import Record
 from .errors import DocumentError, NotAPoset
 from .galois import GaloisConnection, MonotoneMap
 from .graph_pairs import FiniteGraph, j_x
@@ -46,13 +46,15 @@ from .topo_models import (
 KINDS = ("lattice", "galois", "multiplicity", "bundle", "action", "graph")
 
 
-@dataclass(frozen=True)
-class InstanceDocument:
+class InstanceDocument(Record):
     """A parsed, schema-valid document; ``payload`` is kind-specific."""
 
-    kind: str
-    payload: dict
-    name: str | None = None
+    _fields = ("kind", "payload", "name")
+
+    def __init__(self, kind: str, payload: dict, name: str | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "name", name)
 
     @cached_property
     def checked(self) -> dict:

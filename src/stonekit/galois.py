@@ -12,20 +12,22 @@ legitimate outcome of synthesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 from ._kernels import bits, monotone_witness
+from ._record import Record
 from .errors import AdjunctionFailure, NotMonotone, ShapeMismatch
 from .lattice import FiniteLattice, _fiber_fold, _preserves
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
+class MonotoneMap(Record):
     """A table-backed monotone map between two finite lattices."""
 
-    source: FiniteLattice
-    target: FiniteLattice
-    values: tuple[int, ...]
+    _fields = ("source", "target", "values")
+
+    def __init__(self, source: FiniteLattice, target: FiniteLattice, values: tuple[int, ...]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "values", values)
+        self.__post_init__()
 
     def __post_init__(self):
         n = self.source.n
@@ -70,8 +72,7 @@ def is_meet_preserving(f: MonotoneMap) -> bool:
     return _preserves(f.values, f.source, f.target, "meet")
 
 
-@dataclass(frozen=True)
-class AbsenceWitness:
+class AbsenceWitness(Record):
     """Proof that a candidate adjoint fails, with the breaking pair.
 
     ``candidate`` is the best monotone attempt (pointwise extremal
@@ -79,10 +80,13 @@ class AbsenceWitness:
     target element ``y``.
     """
 
-    candidate: MonotoneMap
-    x: int
-    y: int
-    reason: str
+    _fields = ("candidate", "x", "y", "reason")
+
+    def __init__(self, candidate: MonotoneMap, x: int, y: int, reason: str):
+        object.__setattr__(self, "candidate", candidate)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "reason", reason)
 
 
 def _adjunction_witness(lower: MonotoneMap, upper: MonotoneMap):
@@ -149,8 +153,7 @@ def lower_adjoint(upper: MonotoneMap):
     )
 
 
-@dataclass(frozen=True)
-class GaloisConnection:
+class GaloisConnection(Record):
     """A certified adjoint pair.
 
     The constructor checks the law on the pair it is given; the two
@@ -158,8 +161,12 @@ class GaloisConnection:
     and do not check it again.
     """
 
-    lower: MonotoneMap
-    upper: MonotoneMap
+    _fields = ("lower", "upper")
+
+    def __init__(self, lower: MonotoneMap, upper: MonotoneMap):
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        self.__post_init__()
 
     def __post_init__(self):
         if (
@@ -219,8 +226,7 @@ class GaloisConnection:
         return tuple(self.lower.values[v] for v in self.upper.values)
 
 
-@dataclass(frozen=True)
-class FixedPointSublattices:
+class FixedPointSublattices(Record):
     """The two fixed-point sets of a connection, certified isomorphic.
 
     ``restricted`` collects x in A with r(i(x)) = x, ``induced`` the
@@ -228,9 +234,18 @@ class FixedPointSublattices:
     order bijections between the two.
     """
 
-    connection: GaloisConnection
-    restricted: tuple[int, ...]
-    induced: tuple[int, ...]
+    _fields = ("connection", "restricted", "induced")
+
+    def __init__(
+        self,
+        connection: GaloisConnection,
+        restricted: tuple[int, ...],
+        induced: tuple[int, ...],
+    ):
+        object.__setattr__(self, "connection", connection)
+        object.__setattr__(self, "restricted", restricted)
+        object.__setattr__(self, "induced", induced)
+        self.__post_init__()
 
     def __post_init__(self):
         gc = self.connection
@@ -255,8 +270,7 @@ def fixed_points(gc: GaloisConnection) -> FixedPointSublattices:
     return FixedPointSublattices(gc, restricted, induced)
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(Record):
     """Itemized health report of one connection.
 
     Every field is computed independently so a failure pinpoints the
@@ -264,17 +278,39 @@ class LawReport:
     exists to catch bugs in synthesized or hand-built connections.
     """
 
-    monotone: bool
-    closure_law: bool
-    interior_law: bool
-    fixed_point_iso: bool
-    preservation: bool
-    unit_laws: bool
-    sublattice_closure: bool
-    insertion_adjunctions: bool
+    _fields = (
+        "monotone",
+        "closure_law",
+        "interior_law",
+        "fixed_point_iso",
+        "preservation",
+        "unit_laws",
+        "sublattice_closure",
+        "insertion_adjunctions",
+    )
+
+    def __init__(
+        self,
+        monotone: bool,
+        closure_law: bool,
+        interior_law: bool,
+        fixed_point_iso: bool,
+        preservation: bool,
+        unit_laws: bool,
+        sublattice_closure: bool,
+        insertion_adjunctions: bool,
+    ):
+        object.__setattr__(self, "monotone", monotone)
+        object.__setattr__(self, "closure_law", closure_law)
+        object.__setattr__(self, "interior_law", interior_law)
+        object.__setattr__(self, "fixed_point_iso", fixed_point_iso)
+        object.__setattr__(self, "preservation", preservation)
+        object.__setattr__(self, "unit_laws", unit_laws)
+        object.__setattr__(self, "sublattice_closure", sublattice_closure)
+        object.__setattr__(self, "insertion_adjunctions", insertion_adjunctions)
 
     def items(self):
-        return [(f.name, getattr(self, f.name)) for f in fields(self)]
+        return [(name, getattr(self, name)) for name in self._fields]
 
     @property
     def all_ok(self) -> bool:

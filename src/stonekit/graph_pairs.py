@@ -46,10 +46,10 @@ in the predicate; the sink-free part of the vertex set plays the
 largest admissible J.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import _accel
+from ._record import Record
 from .errors import JNotAdmissible, LatticeTooLarge
 from .lattice import FinitePoset, FiniteLattice, inclusion_rows, max_lattice_size
 from .spectrum import PrimeSpectrum, primes
@@ -67,12 +67,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiniteGraph:
+class FiniteGraph(Record):
     """A finite directed graph; parallel edges are allowed."""
 
-    vertices: int
-    edges: tuple[tuple[int, int], ...]
+    _fields = ("vertices", "edges")
+
+    def __init__(self, vertices: int, edges: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.vertices < 0:
@@ -135,14 +138,16 @@ def _pair_bound(g: FiniteGraph, inv: int) -> int:
     return full ^ (x_inverse(g, inv) & ~inv)
 
 
-@dataclass(frozen=True)
-class JPairLattice:
+class JPairLattice(Record):
     """All admissible pairs of a graph, as a componentwise lattice
     labeled by the pairs."""
 
-    graph: FiniteGraph
-    j: int
-    lattice: FiniteLattice
+    _fields = ("graph", "j", "lattice")
+
+    def __init__(self, graph: FiniteGraph, j: int, lattice: FiniteLattice):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "lattice", lattice)
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:

@@ -29,13 +29,13 @@ STONE_MAX_LATTICE environment variable, read per call).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import repeat
 from operator import and_
 
 from . import _accel
 from ._kernels import bits
+from ._record import Record
 from .errors import LatticeTooLarge, NotALattice, NotAPoset
 
 DEFAULT_MAX_LATTICE = 4096
@@ -51,12 +51,15 @@ def max_lattice_size() -> int:
     return DEFAULT_MAX_LATTICE
 
 
-@dataclass(frozen=True)
-class FinitePoset:
+class FinitePoset(Record):
     """A finite poset as reflexive-transitive ``below`` masks."""
 
-    n: int
-    below: tuple[int, ...]
+    _fields = ("n", "below")
+
+    def __init__(self, n: int, below: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "below", below)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.n != len(self.below):
@@ -329,17 +332,24 @@ class FiniteLattice:
         return _prime_spectrum(self)
 
 
-@dataclass(frozen=True)
-class FrameWitness:
+class FrameWitness(Record):
     """Outcome of the distributivity check of one lattice.
 
     ``witness`` is the first breaking triple of the exhaustive scan, or
     None for a frame.
     """
 
-    lattice: FiniteLattice
-    distributive: bool
-    witness: tuple[int, int, int] | None = None
+    _fields = ("lattice", "distributive", "witness")
+
+    def __init__(
+        self,
+        lattice: FiniteLattice,
+        distributive: bool,
+        witness: tuple[int, int, int] | None = None,
+    ):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "distributive", distributive)
+        object.__setattr__(self, "witness", witness)
 
 
 def _indexed(masks):

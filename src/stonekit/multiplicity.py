@@ -15,11 +15,11 @@ dimensions are metadata.  ``to_inclusion_data`` compiles the pair of
 boolean lattices with these maps into a certified connection.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterator, Optional
 
+from ._record import Record
 from .galois import GaloisConnection, MonotoneMap
 from .lattice import boolean_lattice
 from .quasiorbit import InclusionData
@@ -38,17 +38,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MultiplicityInclusion:
+class MultiplicityInclusion(Record):
     """A multiplicity matrix plus optional summand dimensions.
 
     Rows index the small algebra's summands, columns the big one's.
     Dimensions never influence the ideal computations.
     """
 
-    mult: tuple[tuple[int, ...], ...]
-    a_dims: Optional[tuple[int, ...]] = None
-    b_dims: Optional[tuple[int, ...]] = None
+    _fields = ("mult", "a_dims", "b_dims")
+
+    def __init__(
+        self,
+        mult: tuple[tuple[int, ...], ...],
+        a_dims: Optional[tuple[int, ...]] = None,
+        b_dims: Optional[tuple[int, ...]] = None,
+    ):
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "a_dims", a_dims)
+        object.__setattr__(self, "b_dims", b_dims)
+        self.__post_init__()
 
     def __post_init__(self):
         rows = tuple(tuple(int(x) for x in row) for row in self.mult)

@@ -40,10 +40,10 @@ does not build F as a map into the induced lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from ._kernels import bits
+from ._record import Record
 from .errors import (
     ConditionViolated,
     JRViolated,
@@ -77,8 +77,7 @@ from .spectrum import (
 )
 
 
-@dataclass(frozen=True)
-class InclusionData:
+class InclusionData(Record):
     """A connection between frames with its fixed-point apparatus cached.
 
     Construction checks only that both carriers are frames (the cached
@@ -104,7 +103,11 @@ class InclusionData:
     only when F_map asks for it.
     """
 
-    gc: GaloisConnection
+    _fields = ("gc",)
+
+    def __init__(self, gc: GaloisConnection):
+        object.__setattr__(self, "gc", gc)
+        self.__post_init__()
 
     def __post_init__(self):
         for lat, side in ((self.gc.lattice_a, "source"), (self.gc.lattice_b, "target")):
@@ -341,14 +344,23 @@ def pi_map(d: InclusionData) -> PointMap:
     return pm
 
 
-@dataclass(frozen=True)
-class QuasiOrbitSpace:
+class QuasiOrbitSpace(Record):
     """The source spectrum quotiented by equal pi values."""
 
-    base: FiniteT0Space
-    classes: tuple[int, ...]
-    quotient: FiniteT0Space
-    class_of: tuple[int, ...]
+    _fields = ("base", "classes", "quotient", "class_of")
+
+    def __init__(
+        self,
+        base: FiniteT0Space,
+        classes: tuple[int, ...],
+        quotient: FiniteT0Space,
+        class_of: tuple[int, ...],
+    ):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "class_of", class_of)
+        self.__post_init__()
 
     def __post_init__(self):
         # Quotient opens are exactly the class-sets with open preimage.
@@ -393,8 +405,7 @@ def _quasi_orbit_space(d: InclusionData, pi: PointMap) -> QuasiOrbitSpace:
     return qos
 
 
-@dataclass(frozen=True)
-class PrimeMapObstruction:
+class PrimeMapObstruction(Record):
     """Why r does not restrict to a map of prime spaces.
 
     ``kind`` is "restricted-not-frame" (detail: the distributivity
@@ -402,8 +413,11 @@ class PrimeMapObstruction:
     and its r-image in the restricted lattice).
     """
 
-    kind: str
-    detail: tuple
+    _fields = ("kind", "detail")
+
+    def __init__(self, kind: str, detail: tuple):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "detail", detail)
 
 
 def restricted_prime_map(d: InclusionData):

@@ -9,11 +9,11 @@ open point of the two-point connected space is the minimal one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import galois
 from ._kernels import bits, monotone_witness
+from ._record import Record
 from .errors import (
     InvalidTopology,
     NotAFrame,
@@ -33,12 +33,15 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class FiniteT0Space:
+class FiniteT0Space(Record):
     """A finite T0 space: a point poset plus its full down-set topology."""
 
-    points: FinitePoset
-    opens: tuple[int, ...]
+    _fields = ("points", "opens")
+
+    def __init__(self, points: FinitePoset, opens: tuple[int, ...]):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "opens", opens)
+        self.__post_init__()
 
     def __post_init__(self):
         if tuple(self.opens) != _downsets(self.points):
@@ -149,8 +152,7 @@ def prime_elements(lat: FiniteLattice) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PrimeSpectrum:
+class PrimeSpectrum(Record):
     """A frame with its primes and the element-to-open translation.
 
     ``open_of[I]`` is U_I as a mask over prime indices; the map I -> U_I
@@ -158,10 +160,20 @@ class PrimeSpectrum:
     construction, since finite frames are spatial).
     """
 
-    locale: FiniteLattice
-    primes: tuple[int, ...]
-    space: FiniteT0Space
-    open_of: tuple[int, ...]
+    _fields = ("locale", "primes", "space", "open_of")
+
+    def __init__(
+        self,
+        locale: FiniteLattice,
+        primes: tuple[int, ...],
+        space: FiniteT0Space,
+        open_of: tuple[int, ...],
+    ):
+        object.__setattr__(self, "locale", locale)
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "open_of", open_of)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(set(self.open_of)) != self.locale.n:
@@ -258,8 +270,7 @@ def is_sober(space: FiniteT0Space) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PointMap:
+class PointMap(Record):
     """A continuous map between finite T0 spaces.
 
     Continuity is validated two ways (open preimages, and monotonicity
@@ -267,9 +278,13 @@ class PointMap:
     same statement, and disagreement means corrupted data.
     """
 
-    source: FiniteT0Space
-    target: FiniteT0Space
-    values: tuple[int, ...]
+    _fields = ("source", "target", "values")
+
+    def __init__(self, source: FiniteT0Space, target: FiniteT0Space, values: tuple[int, ...]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "values", values)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.values) != self.source.n:
@@ -364,20 +379,37 @@ def adjunct_point_map(g: MonotoneMap, space: FiniteT0Space) -> PointMap:
     return pm
 
 
-@dataclass(frozen=True)
-class Theorem33Report:
+class Theorem33Report(Record):
     """Both sides of the open-surjection equivalence for one morphism.
 
     ``equivalence_verified`` is the biconditional itself; False means a
     bug somewhere, never a legitimate outcome.
     """
 
-    has_lower_adjoint_F: bool
-    eq32_holds: bool
-    g_injective: bool
-    pi_open: bool
-    pi_surjective: bool
-    equivalence_verified: bool
+    _fields = (
+        "has_lower_adjoint_F",
+        "eq32_holds",
+        "g_injective",
+        "pi_open",
+        "pi_surjective",
+        "equivalence_verified",
+    )
+
+    def __init__(
+        self,
+        has_lower_adjoint_F: bool,
+        eq32_holds: bool,
+        g_injective: bool,
+        pi_open: bool,
+        pi_surjective: bool,
+        equivalence_verified: bool,
+    ):
+        object.__setattr__(self, "has_lower_adjoint_F", has_lower_adjoint_F)
+        object.__setattr__(self, "eq32_holds", eq32_holds)
+        object.__setattr__(self, "g_injective", g_injective)
+        object.__setattr__(self, "pi_open", pi_open)
+        object.__setattr__(self, "pi_surjective", pi_surjective)
+        object.__setattr__(self, "equivalence_verified", equivalence_verified)
 
 
 def theorem33_check(g: MonotoneMap, space: FiniteT0Space) -> Theorem33Report:

@@ -18,9 +18,9 @@ openness questions route through the second meet identity rather than
 through meet closure, which no finite instance can break.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import Record
 from .errors import ClosureTooLarge, NotContinuous, ShapeMismatch
 from .galois import GaloisConnection, MonotoneMap
 from .lattice import FiniteLattice, fixed_point_lattice
@@ -73,8 +73,7 @@ def group_closure(generators, n: int, max_order: int):
     return tuple(sorted(seen))
 
 
-@dataclass(frozen=True)
-class FiniteGroupAction:
+class FiniteGroupAction(Record):
     """A group of order-automorphisms, stored as its full closure.
 
     Generators may be any homeomorphisms of the space; the group they
@@ -83,8 +82,12 @@ class FiniteGroupAction:
     ClosureTooLarge.
     """
 
-    space: FiniteT0Space
-    generators: tuple[tuple[int, ...], ...]
+    _fields = ("space", "generators")
+
+    def __init__(self, space: FiniteT0Space, generators: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "generators", generators)
+        self.__post_init__()
 
     def __post_init__(self):
         n = self.space.n
@@ -185,13 +188,16 @@ def action_quasi_orbit_agreement(a: FiniteGroupAction) -> bool:
     return set(classes.values()) == set(orbit_closure_relation(a))
 
 
-@dataclass(frozen=True)
-class BundleMap:
+class BundleMap(Record):
     """A continuous projection from a total space onto a base."""
 
-    total: FiniteT0Space
-    base: FiniteT0Space
-    proj: PointMap
+    _fields = ("total", "base", "proj")
+
+    def __init__(self, total: FiniteT0Space, base: FiniteT0Space, proj: PointMap):
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "proj", proj)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.proj.source != self.total or self.proj.target != self.base:

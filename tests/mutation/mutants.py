@@ -139,4 +139,25 @@ MUTANTS = (
         "enumerate(m | 1 << v for v, m in enumerate(g.range_masks))",
         ("test_graph_pairs.py",),
     ),
+    Mutant(
+        "closure-skips-the-last-pivot",
+        "_kernels.py",
+        "for k in range(len(out)):",
+        "for k in range(len(out) - 1):",
+        ("test_lattice.py",),
+    ),
+    Mutant(
+        "record-equality-skips-the-last-field",
+        "_record.py",
+        "return self._values() == other._values()",
+        "return self._values()[:-1] == other._values()[:-1]",
+        ("test_records.py",),
+    ),
+    Mutant(
+        "record-fields-can-be-assigned",
+        "_record.py",
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "object.__setattr__(self, name, value)",
+        ("test_records.py",),
+    ),
 )

@@ -24,6 +24,10 @@ a 4 s timeout, at least twice what it takes on 2 vCPUs:
   count against the cap: the edgeless 24-vertex graph with every vertex
   in J (one pair) and eight disjoint edges (256 pairs among 6561
   invariant sets) are accepted;
+* a 2,048-vertex cycle ``graph`` document: its reach sets are the
+  closure of the edge rows, taken pivot by pivot (Warshall, about
+  0.6 s in all), where a fixpoint loop over every bit of every row
+  took about 3.9 s;
 * 6000-point chains, as a ``lattice`` and as an ``action`` document,
   are refused at the schema step, before their closure is taken (26
   and 34 s to a later refusal when the cap applied only to the built
@@ -123,6 +127,15 @@ def test_graphs_with_few_admissible_sets_are_accepted(tmp_path):
     for payload, pairs in ((relative, 1), (disjoint, 256)):
         report = json.loads(run_cli(tmp_path, {"kind": "graph", "payload": payload}, "analyze", "--json"))
         assert report["pairs"] == pairs
+
+
+def test_cycle_graph_reach_closure(tmp_path):
+    # one reach class holding every vertex: the invariant sets are the
+    # empty set and everything, and the pair lattice is a 2-chain
+    n = 2048
+    doc = {"kind": "graph", "payload": {"vertices": n, "edges": [[k, (k + 1) % n] for k in range(n)]}}
+    report = json.loads(run_cli(tmp_path, doc, "analyze", "--json"))
+    assert (report["pairs"], report["primes"], report["j"]) == (2, 1, list(range(n)))
 
 
 def test_posets_past_the_cap_are_refused_at_the_schema_step(tmp_path):

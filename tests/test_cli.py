@@ -238,6 +238,16 @@ class TestVerify:
         )
         assert result.exit_code == 1
 
+    def test_refused_sweep_is_one_error_line(self, monkeypatch):
+        # a cap of 2 refuses the first lattice the sweep builds
+        monkeypatch.setenv("STONE_MAX_LATTICE", "2")
+        result = CliRunner().invoke(main, ["verify", "--suite", "T42", "--budget", "5"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "error: more than 2 down-sets; raise STONE_MAX_LATTICE to allow"
+        ]
+
     def test_missing_suite_is_an_input_error(self):
         result = CliRunner().invoke(main, ["verify"])
         assert result.exit_code == 1

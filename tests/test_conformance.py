@@ -7,7 +7,6 @@ built by an independent method.
 """
 
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations, product
 from math import factorial
 
@@ -24,6 +23,7 @@ from stonekit import (
     MultiplicityInclusion,
     SweepFailed,
     SweepReport,
+    Theorem33Report,
     all_frames,
     all_posets,
     all_spaces,
@@ -424,7 +424,14 @@ def _t33_fault(real):
     def fake(g, space):
         report = real(g, space)
         if space.n == 2 and g.source.n == 3 and not report.g_injective:
-            return replace(report, equivalence_verified=False)
+            return Theorem33Report(
+                report.has_lower_adjoint_F,
+                report.eq32_holds,
+                report.g_injective,
+                report.pi_open,
+                report.pi_surjective,
+                equivalence_verified=False,
+            )
         return report
 
     return fake

@@ -76,6 +76,40 @@ def oracle_downsets(poset):
     return out
 
 
+def oracle_closure(below):
+    """Reflexive-transitive closure by the fixpoint loop: every row
+    absorbs the rows of its points until no row changes."""
+    out = [m | (1 << i) for i, m in enumerate(below)]
+    changed = True
+    while changed:
+        changed = False
+        for i, m in enumerate(out):
+            acc = m
+            for j in _kernels.bits(m):
+                acc |= out[j]
+            if acc != m:
+                out[i] = acc
+                changed = True
+    return out
+
+
+class TestClosureKernel:
+    def test_every_relation_on_three_points(self):
+        for code in range(1 << 9):
+            below = [(code >> (3 * i)) & 0b111 for i in range(3)]
+            assert _kernels.closure(below) == oracle_closure(below), below
+
+    @given(st.integers(1, 9).flatmap(lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+    @settings(max_examples=200, deadline=None)
+    def test_random_relations(self, below):
+        assert _kernels.closure(below) == oracle_closure(below)
+
+    def test_cycle_reaches_everything(self):
+        n = 64
+        cycle = [1 << ((i + 1) % n) for i in range(n)]
+        assert _kernels.closure(cycle) == [(1 << n) - 1] * n == oracle_closure(cycle)
+
+
 class TestPosetValidation:
     def test_rejects_missing_reflexivity(self):
         with pytest.raises(NotAPoset, match="reflexive"):
