@@ -50,9 +50,8 @@ def closure(below):
 
     For each pivot k in turn, every row holding bit k absorbs row k.
     After pivot k a row holds every point it reaches through pivots at
-    most k, so one pass over the pivots closes the relation: n row
-    scans, against up to one scan per path length for the fixpoint
-    loop that the tests keep as the oracle.
+    most k, so one pass over the pivots closes the relation. The tests
+    keep a fixpoint loop as the oracle.
     """
     out = [m | (1 << i) for i, m in enumerate(below)]
     for k in range(len(out)):

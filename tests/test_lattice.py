@@ -99,7 +99,11 @@ class TestClosureKernel:
             below = [(code >> (3 * i)) & 0b111 for i in range(3)]
             assert _kernels.closure(below) == oracle_closure(below), below
 
-    @given(st.integers(1, 9).flatmap(lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+        )
+    )
     @settings(max_examples=200, deadline=None)
     def test_random_relations(self, below):
         assert _kernels.closure(below) == oracle_closure(below)
