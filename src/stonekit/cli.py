@@ -6,15 +6,18 @@ quasi-orbit quotient when it exists) as DOT, ``verify`` drives the
 sweep engine. Reports carry no timestamps, so output is byte-identical
 across runs of the same input. Exit codes: 0 success, 1 input error,
 2 a violation under ``verify --assert``.
+
+The parser is the standard library's ``argparse``: the package has no
+runtime dependency, and every call of the command is a fresh process,
+so start-up is most of what a small document costs.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from contextlib import contextmanager
-
-import click
 
 from ._kernels import bits
 from .documents import compile_document, inclusion_data_for, load_document
@@ -33,8 +36,13 @@ from .quasiorbit import (
     quasi_orbit_space,
 )
 
-# usage errors are input errors (exit 1); 2 is reserved for --assert
-click.UsageError.exit_code = 1
+
+def _echo(text: str, err: bool = False) -> None:
+    # the stream is looked up per call, so a redirection in effect at
+    # call time (an in-process test run, say) receives the text
+    stream = sys.stderr if err else sys.stdout
+    stream.write(text + "\n")
+    stream.flush()
 
 
 def _set_str(mask: int) -> str:
@@ -49,7 +57,7 @@ def _input_errors():
     try:
         yield
     except (OSError, StonekitError) as e:
-        click.echo(f"error: {e}", err=True)
+        _echo(f"error: {e}", err=True)
         sys.exit(1)
 
 
@@ -206,27 +214,16 @@ def _dot_text(doc, model) -> str:
     return "\n".join(lines) + "\n"
 
 
-@click.group()
-def main():
-    """Finite lattice models of ideal inclusions."""
-
-
-@main.command()
-@click.argument("path")
-@click.option("--json", "as_json", is_flag=True, help="machine-readable report")
 def analyze(path, as_json):
     """Print the condition report for an instance document."""
     with _input_errors():
         report = _condition_report(*_load(path))
     if as_json:
-        click.echo(json.dumps(report, indent=2, sort_keys=True))
+        _echo(json.dumps(report, indent=2, sort_keys=True))
     else:
-        click.echo(_render_text(report))
+        _echo(_render_text(report))
 
 
-@main.command()
-@click.argument("path")
-@click.option("--dot", "out", required=True, help="output DOT file")
 def spectrum(path, out):
     """Export the prime spectra of a document as a DOT digraph."""
     with _input_errors():
@@ -235,24 +232,79 @@ def spectrum(path, out):
             fh.write(text)
 
 
-@main.command()
-@click.option("--suite", required=True, help="sweep tag, e.g. T42")
-@click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--budget", default=None, type=int)
-@click.option("--assert", "strict", is_flag=True, help="exit 2 on any violation")
 def verify(suite, seed, budget, strict):
     """Run one conformance sweep and print its report as JSON."""
     try:
         report = sweep_theorem(suite, budget=budget, seed=seed)
     except ValueError as e:
-        click.echo(f"error: {e}", err=True)
+        _echo(f"error: {e}", err=True)
         sys.exit(1)
     except SweepFailed as e:
-        click.echo(json.dumps(e.report.as_dict(), indent=2, sort_keys=True))
+        _echo(json.dumps(e.report.as_dict(), indent=2, sort_keys=True))
         sys.exit(2 if strict else 0)
     except StonekitError as e:
         # a refusal while drawing or checking instances, past the size
         # cap for instance; SweepFailed subclasses it, so it goes first
-        click.echo(f"error: {e}", err=True)
+        _echo(f"error: {e}", err=True)
         sys.exit(1)
-    click.echo(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+    _echo(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 1, as 2 is reserved for
+    ``verify --assert``. Subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="stonekit",
+        description="Finite lattice models of ideal inclusions.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(fn):
+        doc = fn.__doc__
+        return commands.add_parser(fn.__name__, help=doc, description=doc, allow_abbrev=False)
+
+    p = command(analyze)
+    p.add_argument("path", metavar="PATH")
+    p.add_argument("--json", dest="as_json", action="store_true", help="machine-readable report")
+    p = command(spectrum)
+    p.add_argument("path", metavar="PATH")
+    p.add_argument("--dot", dest="out", required=True, metavar="FILE", help="output DOT file")
+    p = command(verify)
+    p.add_argument("--suite", required=True, help="sweep tag, e.g. T42")
+    p.add_argument("--seed", type=int, default=0, help="default: %(default)s")
+    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--assert", dest="strict", action="store_true", help="exit 2 on any violation")
+    return parser
+
+
+class _Command:
+    """A subcommand's name and the function that runs it."""
+
+    __slots__ = ("name", "callback")
+
+    def __init__(self, name, callback):
+        self.name = name
+        self.callback = callback
+
+
+def main(argv=None):
+    """Run the ``stonekit`` command line ``argv`` (default ``sys.argv[1:]``)."""
+    args = vars(_parser().parse_args(argv))
+    # the callback is looked up per call, so a wrapper put in its place
+    # (a tracer's, say) sees every command
+    main.commands[args.pop("command")].callback(**args)
+
+
+main.commands = {fn.__name__: _Command(fn.__name__, fn) for fn in (analyze, spectrum, verify)}
+
+
+if __name__ == "__main__":
+    main()

@@ -24,12 +24,17 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import tempfile
 from pathlib import Path
 
-from click.testing import CliRunner
+HERE = Path(__file__).resolve().parent
+if str(HERE.parent) not in sys.path:
+    # run as a script: tests/ holds the in-process CLI runner
+    sys.path.insert(0, str(HERE.parent))
 
-from stonekit import (
+from cli_runner import invoke  # noqa: E402
+from stonekit import (  # noqa: E402
     EX_74,
     EX_75,
     EX_210,
@@ -42,10 +47,8 @@ from stonekit import (
     j_x,
     sweep_theorem,
 )
-from stonekit.cli import main as cli_main
-from stonekit.conformance import SWEEP_TAGS
+from stonekit.conformance import SWEEP_TAGS  # noqa: E402
 
-HERE = Path(__file__).resolve().parent
 SWEEP_REPORTS = HERE / "sweep_reports.json"
 CLI_OUTPUTS = HERE / "cli_outputs.json"
 
@@ -157,13 +160,12 @@ def run_cli(document: dict, workdir: Path) -> dict:
     dot = workdir / "doc.dot"
     path.write_text(dumps_document(document))
     dot.unlink(missing_ok=True)
-    runner = CliRunner()
     out = {}
     for command, args in (
         ("analyze", ["analyze", str(path), "--json"]),
         ("spectrum", ["spectrum", str(path), "--dot", str(dot)]),
     ):
-        result = runner.invoke(cli_main, args)
+        result = invoke(args)
         out[command] = {
             "code": result.exit_code,
             "stdout": result.stdout,

@@ -4,8 +4,8 @@ Each mutant names one file under ``src/stonekit/``, a target text that
 must occur exactly once in it, the text that replaces it, and the test
 modules expected to kill it. Every mutant plants a fault in a fast
 algorithm that a definitional scan or an oracle in those modules is
-meant to catch. A surviving mutant marks a missing test: add the test,
-never delete the mutant.
+meant to catch, or breaks an interface those modules pin. A surviving
+mutant marks a missing test: add the test, never delete the mutant.
 """
 
 from typing import NamedTuple
@@ -159,5 +159,12 @@ MUTANTS = (
         'raise AttributeError(f"cannot assign to field {name!r}")',
         "object.__setattr__(self, name, value)",
         ("test_records.py",),
+    ),
+    Mutant(
+        "cli-dispatch-bypasses-the-command-table",
+        "cli.py",
+        'main.commands[args.pop("command")].callback(**args)',
+        '{"analyze": analyze, "spectrum": spectrum, "verify": verify}[args.pop("command")](**args)',
+        ("test_cli.py",),
     ),
 )

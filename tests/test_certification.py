@@ -23,7 +23,6 @@ import sys
 from itertools import permutations
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +30,7 @@ import stonekit.galois as galois_module
 import stonekit.lattice as lattice_module
 import stonekit.quasiorbit as quasiorbit_module
 import stonekit.spectrum as spectrum_module
+from cli_runner import invoke
 from conftest import assert_same_lattice, downset_frames, padded_lattices, pentagon
 from stonekit import (
     EX_213,
@@ -75,7 +75,6 @@ from stonekit import (
     verify_prop26,
 )
 from stonekit import _accel, _kernels
-from stonekit.cli import main
 from stonekit.conformance import FAMILIES, order_automorphisms
 from stonekit.quasiorbit import check_C1, check_C2, check_JR, check_MI, check_MIf
 from stonekit.lattice import (
@@ -501,7 +500,7 @@ class TestCertifyOnce:
             _accel, "distributive_witness", lambda meet, join: scans.append(len(meet))
         )
         out = tmp_path / "wide.dot"
-        result = CliRunner().invoke(main, ["spectrum", str(path), "--dot", str(out)])
+        result = invoke(["spectrum", str(path), "--dot", str(out)])
         assert result.exit_code == 0, result.output
         assert scans == []
         # the 256-element target has one prime per column

@@ -1,11 +1,15 @@
 """CLI surface: analyze reports, DOT export, the sweep driver."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+from cli_runner import invoke
 from stonekit import (
     EX_74,
     EX_213,
@@ -35,6 +39,7 @@ def write_raw(tmp_path, name, text):
     return str(path)
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 CHAIN_DOC = '{"kind": "lattice", "payload": {"order": {"points": 2, "covers": [[0, 1]]}}}'
 
 
@@ -45,7 +50,7 @@ def node_lines(dot, tag):
 class TestAnalyze:
     def test_separating_fixture_report(self, tmp_path):
         path = write_model(tmp_path, "d.json", to_inclusion_data(EX_213()))
-        result = CliRunner().invoke(main, ["analyze", path])
+        result = invoke(["analyze", path])
         assert result.exit_code == 0
         assert "JR: fail" in result.output
         assert "C1: n/a (gated on JR)" in result.output
@@ -54,7 +59,7 @@ class TestAnalyze:
 
     def test_matrix_fixture_json(self, tmp_path):
         path = write_model(tmp_path, "m.json", EX_74())
-        result = CliRunner().invoke(main, ["analyze", path, "--json"])
+        result = invoke(["analyze", path, "--json"])
         assert result.exit_code == 0
         report = json.loads(result.output)
         assert report["conditions"]["MIf"] is False
@@ -65,7 +70,7 @@ class TestAnalyze:
 
     def test_identity_lattice_has_every_condition(self, tmp_path):
         path = write_raw(tmp_path, "c.json", CHAIN_DOC)
-        result = CliRunner().invoke(main, ["analyze", path, "--json"])
+        result = invoke(["analyze", path, "--json"])
         assert result.exit_code == 0
         report = json.loads(result.output)
         assert report["conditions"] == {
@@ -79,7 +84,7 @@ class TestAnalyze:
 
     def test_graph_report(self, tmp_path):
         path = write_model(tmp_path, "g.json", (EX_75(), j_x(EX_75())))
-        result = CliRunner().invoke(main, ["analyze", path])
+        result = invoke(["analyze", path])
         assert result.exit_code == 0
         assert "pairs: 4" in result.output
         assert "prime points: 2" in result.output
@@ -87,19 +92,19 @@ class TestAnalyze:
     def test_output_is_byte_identical(self, tmp_path):
         path = write_model(tmp_path, "m.json", EX_74())
         runs = [
-            CliRunner().invoke(main, ["analyze", path, "--json"]).output
+            invoke(["analyze", path, "--json"]).output
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
 
     def test_missing_file_exits_one(self, tmp_path):
-        result = CliRunner().invoke(main, ["analyze", str(tmp_path / "no.json")])
+        result = invoke(["analyze", str(tmp_path / "no.json")])
         assert result.exit_code == 1
         assert "error:" in result.output
 
     def test_parse_error_is_line_anchored(self, tmp_path):
         path = write_raw(tmp_path, "bad.json", '{"kind": "lattice"')
-        result = CliRunner().invoke(main, ["analyze", path])
+        result = invoke(["analyze", path])
         assert result.exit_code == 1
         assert "line 1" in result.output
 
@@ -109,7 +114,7 @@ class TestAnalyze:
             "bad.json",
             '{"kind": "multiplicity", "payload": {"matrix": [[1], [1, 0]]}}',
         )
-        result = CliRunner().invoke(main, ["analyze", path])
+        result = invoke(["analyze", path])
         assert result.exit_code == 1
         assert "$.payload.matrix" in result.output
 
@@ -122,7 +127,7 @@ class TestAnalyze:
         path = write_raw(
             tmp_path, "zero.json", json.dumps({"kind": "multiplicity", "payload": payload})
         )
-        result = CliRunner().invoke(main, [args[0], path, *args[1:]])
+        result = invoke([args[0], path, *args[1:]])
         assert result.exit_code == 1
         assert result.stderr.splitlines() == [
             f"error: $.payload.{key}[0]: expected an integer >= 1, got 0"
@@ -161,7 +166,7 @@ class TestPastTheCap:
         path = write_raw(tmp_path, "big.json", json.dumps(doc))
         dot = tmp_path / "out.dot"
         options = ["--dot", str(dot)] if command == "spectrum" else []
-        result = CliRunner().invoke(main, [command, path, *options])
+        result = invoke([command, path, *options])
         assert result.exit_code == 1
         assert result.stderr.splitlines() == [message]
         assert "Traceback" not in result.output
@@ -171,7 +176,7 @@ class TestPastTheCap:
 class TestSpectrum:
     def run_dot(self, tmp_path, doc_path):
         out = tmp_path / "out.dot"
-        result = CliRunner().invoke(main, ["spectrum", doc_path, "--dot", str(out)])
+        result = invoke(["spectrum", doc_path, "--dot", str(out)])
         assert result.exit_code == 0
         return out.read_text()
 
@@ -207,14 +212,14 @@ class TestSpectrum:
     def test_bad_document_exits_one(self, tmp_path):
         path = write_raw(tmp_path, "bad.json", "[]")
         out = tmp_path / "out.dot"
-        result = CliRunner().invoke(main, ["spectrum", path, "--dot", str(out)])
+        result = invoke(["spectrum", path, "--dot", str(out)])
         assert result.exit_code == 1
         assert not out.exists()
 
 
 class TestVerify:
     def test_clean_sweep_prints_report(self):
-        result = CliRunner().invoke(main, ["verify", "--suite", "L51"])
+        result = invoke(["verify", "--suite", "L51"])
         assert result.exit_code == 0
         report = json.loads(result.output)
         assert report["violations"] == 0
@@ -222,35 +227,30 @@ class TestVerify:
 
     def test_runs_are_reproducible(self):
         args = ["verify", "--suite", "T42", "--budget", "25", "--seed", "9"]
-        a = CliRunner().invoke(main, args)
-        b = CliRunner().invoke(main, args)
+        a = invoke(args)
+        b = invoke(args)
         assert a.exit_code == b.exit_code == 0
         assert a.output == b.output
 
     def test_unknown_suite_exits_one(self):
-        result = CliRunner().invoke(main, ["verify", "--suite", "bogus"])
+        result = invoke(["verify", "--suite", "bogus"])
         assert result.exit_code == 1
         assert "unknown sweep tag" in result.output
 
     def test_over_cap_budget_exits_one(self):
-        result = CliRunner().invoke(
-            main, ["verify", "--suite", "T62", "--budget", "6"]
+        result = invoke(["verify", "--suite", "T62", "--budget", "6"]
         )
         assert result.exit_code == 1
 
     def test_refused_sweep_is_one_error_line(self, monkeypatch):
         # a cap of 2 refuses the first lattice the sweep builds
         monkeypatch.setenv("STONE_MAX_LATTICE", "2")
-        result = CliRunner().invoke(main, ["verify", "--suite", "T42", "--budget", "5"])
+        result = invoke(["verify", "--suite", "T42", "--budget", "5"])
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr.splitlines() == [
             "error: more than 2 down-sets; raise STONE_MAX_LATTICE to allow"
         ]
-
-    def test_missing_suite_is_an_input_error(self):
-        result = CliRunner().invoke(main, ["verify"])
-        assert result.exit_code == 1
 
     def test_assert_escalates_violations(self, monkeypatch):
         report = SweepReport(
@@ -267,11 +267,90 @@ class TestVerify:
             raise SweepFailed("instance violates the equivalence", report=report)
 
         monkeypatch.setattr("stonekit.cli.sweep_theorem", explode)
-        strict = CliRunner().invoke(
-            main, ["verify", "--suite", "T42", "--assert"]
+        strict = invoke(["verify", "--suite", "T42", "--assert"]
         )
         assert strict.exit_code == 2
         assert json.loads(strict.output)["counterexample"]["kind"] == "multiplicity"
-        lax = CliRunner().invoke(main, ["verify", "--suite", "T42"])
+        lax = invoke(["verify", "--suite", "T42"])
         assert lax.exit_code == 0
         assert json.loads(lax.output)["violations"] == 1
+
+
+class TestUsage:
+    """Usage errors are input errors: exit 1, one usage message on
+    stderr, nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify"],
+            ["verify", "--suite", "T42", "--seed", "x"],
+            ["verify", "--suite", "T42", "--budget", "1.5"],
+            ["bogus"],
+            ["analyze"],
+            ["spectrum", "doc.json"],
+            ["analyze", "doc.json", "--jso"],
+            [],
+        ],
+        ids=["no-suite", "seed", "budget", "subcommand", "no-path", "no-dot", "abbreviation", "empty"],
+    )
+    def test_usage_error_exits_one(self, args):
+        result = invoke(args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert "error:" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("args", [["--help"], ["verify", "--help"], ["analyze", "-h"]])
+    def test_help_exits_zero(self, args):
+        result = invoke(args)
+        assert result.exit_code == 0
+        assert result.stdout.startswith("usage: stonekit")
+        assert result.stderr == ""
+
+    def test_options_follow_or_precede_the_path(self, tmp_path):
+        path = write_raw(tmp_path, "c.json", CHAIN_DOC)
+        before = invoke(["analyze", "--json", path])
+        after = invoke(["analyze", path, "--json"])
+        assert before.exit_code == after.exit_code == 0
+        assert before.stdout == after.stdout
+
+
+class TestDispatch:
+    """perfbench/tracing.py wraps ``main.commands[name].callback``; the
+    wrapper must see every command."""
+
+    def test_command_table(self):
+        assert set(main.commands) == {"analyze", "spectrum", "verify"}
+        for name, command in main.commands.items():
+            assert command.name == name
+
+    def test_main_calls_the_table_callback(self, tmp_path, monkeypatch):
+        path = write_raw(tmp_path, "c.json", CHAIN_DOC)
+        calls = []
+        monkeypatch.setattr(
+            main.commands["analyze"], "callback", lambda **kw: calls.append(kw)
+        )
+        result = invoke(["analyze", path, "--json"])
+        assert result.exit_code == 0
+        assert result.output == ""
+        assert calls == [{"path": path, "as_json": True}]
+
+
+@pytest.mark.parametrize("module", ["stonekit", "stonekit.cli"])
+def test_python_m_runs_the_command(module):
+    args = ["verify", "--suite", "T42", "--budget", "5", "--seed", "9"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("STONE_MAX_LATTICE", None)
+    child = subprocess.run(
+        [sys.executable, "-m", module, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == ""
+    assert child.stdout == invoke(args).stdout
+    assert json.loads(child.stdout)["checked"] == 5
