@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 from ._kernels import bits
 from .documents import compile_document, inclusion_data_for, load_document
@@ -280,19 +281,9 @@ def _parser() -> argparse.ArgumentParser:
     p = command(verify)
     p.add_argument("--suite", required=True, help="sweep tag, e.g. T42")
     p.add_argument("--seed", type=int, default=0, help="default: %(default)s")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int)
     p.add_argument("--assert", dest="strict", action="store_true", help="exit 2 on any violation")
     return parser
-
-
-class _Command:
-    """A subcommand's name and the function that runs it."""
-
-    __slots__ = ("name", "callback")
-
-    def __init__(self, name, callback):
-        self.name = name
-        self.callback = callback
 
 
 def main(argv=None):
@@ -303,7 +294,10 @@ def main(argv=None):
     main.commands[args.pop("command")].callback(**args)
 
 
-main.commands = {fn.__name__: _Command(fn.__name__, fn) for fn in (analyze, spectrum, verify)}
+main.commands = {
+    fn.__name__: SimpleNamespace(name=fn.__name__, callback=fn)
+    for fn in (analyze, spectrum, verify)
+}
 
 
 if __name__ == "__main__":

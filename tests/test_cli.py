@@ -238,8 +238,7 @@ class TestVerify:
         assert "unknown sweep tag" in result.output
 
     def test_over_cap_budget_exits_one(self):
-        result = invoke(["verify", "--suite", "T62", "--budget", "6"]
-        )
+        result = invoke(["verify", "--suite", "T62", "--budget", "6"])
         assert result.exit_code == 1
 
     def test_refused_sweep_is_one_error_line(self, monkeypatch):
@@ -267,8 +266,7 @@ class TestVerify:
             raise SweepFailed("instance violates the equivalence", report=report)
 
         monkeypatch.setattr("stonekit.cli.sweep_theorem", explode)
-        strict = invoke(["verify", "--suite", "T42", "--assert"]
-        )
+        strict = invoke(["verify", "--suite", "T42", "--assert"])
         assert strict.exit_code == 2
         assert json.loads(strict.output)["counterexample"]["kind"] == "multiplicity"
         lax = invoke(["verify", "--suite", "T42"])
