@@ -31,12 +31,10 @@ from .errors import (
 )
 from .galois import (
     AbsenceWitness,
-    FixedPointSublattices,
     GaloisConnection,
     LawReport,
     MonotoneMap,
     detects,
-    fixed_points,
     is_adjoint_pair,
     is_join_preserving,
     is_meet_preserving,

@@ -3,6 +3,16 @@
 Posets live as ``below`` masks: ``below[i]`` has bit j set exactly when
 j <= i. Masks are plain ints, so carriers wider than a machine word work
 unchanged.
+
+A relation from indices to points is a tuple of rows, ``rows[i]`` the
+mask of the points related to i. Its existential image ``image`` and
+its universal image ``inside`` are the two halves of one Galois
+connection, and every model's induction and restriction is that pair
+for its own relation: ``multiplicity.induce``/``restrict`` over the
+matrix's row supports, ``graph_pairs.x_forward``/``x_inverse`` over
+the edge ranges, ``spectrum.PointMap.image_mask``/``preimage`` over the
+graph of the map, the saturation of a group action over its orbits and
+the interior of a bundle's base over the order's ``below`` rows.
 """
 
 
@@ -12,6 +22,26 @@ def bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def image(rows, mask):
+    """The union of ``rows[i]`` over the bits i of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def inside(rows, mask):
+    """The mask of the indices i whose row lies inside ``mask``."""
+    miss = ~mask
+    out = 0
+    for i, row in enumerate(rows):
+        if not row & miss:
+            out |= 1 << i
+    return out
 
 
 def monotone_witness(below, target_below, values):
@@ -26,18 +56,10 @@ def monotone_witness(below, target_below, values):
     fiber = {}
     for x, v in enumerate(values):
         fiber[v] = fiber.get(v, 0) | (1 << x)
-    image = 0
+    hit = 0
     for v in fiber:
-        image |= 1 << v
-    reach = {}
-    for w in fiber:
-        acc = 0
-        t = target_below[w] & image
-        while t:
-            low = t & -t
-            t ^= low
-            acc |= fiber[low.bit_length() - 1]
-        reach[w] = acc
+        hit |= 1 << v
+    reach = {w: image(fiber, target_below[w] & hit) for w in fiber}
     for y, row in enumerate(below):
         bad = row & ~reach[values[y]]
         if bad:

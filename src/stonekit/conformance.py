@@ -55,7 +55,7 @@ from math import factorial
 from typing import NamedTuple
 
 from . import _accel
-from ._kernels import bits
+from ._kernels import bits, image
 from ._record import Record
 from .documents import document_for, inclusion_data_for
 from .errors import ClosureTooLarge, ConditionViolated, StonekitError, SweepFailed
@@ -210,10 +210,7 @@ def _random_galois_seed(rng: random.Random, max_points: int) -> _GaloisSeed:
     downs = _accel.downset_masks(list(target.below), 1 << target.n)
     values = [0] * source.n
     for p in _linear_extension(source):
-        strict = source.below[p] & ~(1 << p)
-        floor = 0
-        for q in bits(strict):
-            floor |= values[q]
+        floor = image(values, source.below[p] & ~(1 << p))
         values[p] = rng.choice([m for m in downs if m & floor == floor])
     return _GaloisSeed(source, target, tuple(values))
 
@@ -221,13 +218,8 @@ def _random_galois_seed(rng: random.Random, max_points: int) -> _GaloisSeed:
 def _compile_seed(seed: _GaloisSeed) -> InclusionData:
     la = downset_lattice(seed.source)
     lb = downset_lattice(seed.target)
-    values = []
-    for x in range(la.n):
-        acc = 0
-        for p in bits(la.labels[x]):
-            acc |= seed.point_values[p]
-        values.append(lb.index_of_label(acc))
-    lower = MonotoneMap(la, lb, tuple(values))
+    values = tuple(lb.index_of_label(image(seed.point_values, u)) for u in la.labels)
+    lower = MonotoneMap(la, lb, values)
     return InclusionData(GaloisConnection.from_lower(lower))
 
 
@@ -275,7 +267,6 @@ def _random_seed_of(rng: random.Random, gen: InstanceGenerator) -> _GaloisSeed:
 
 # family -> draw(rng, generator); graph instances are drawn by gen_graph
 _DRAWS = {
-    "random-poset-downsets": _random_seed_of,
     "random-galois": _random_seed_of,
     "multiplicity": _random_matrix,
     "action": _random_action,

@@ -12,7 +12,7 @@ legitimate outcome of synthesis.
 
 from __future__ import annotations
 
-from ._kernels import bits, monotone_witness
+from ._kernels import image, monotone_witness
 from ._record import Record
 from .errors import AdjunctionFailure, NotMonotone, ShapeMismatch
 from .lattice import FiniteLattice, _fiber_fold, _preserves
@@ -98,15 +98,12 @@ def _adjunction_witness(lower: MonotoneMap, upper: MonotoneMap):
     a_above = lower.source.order.above()
     b_above = lower.target.order.above()
     fiber = [0] * lower.source.n
-    image = 0
+    hit = 0
     for y, v in enumerate(upper.values):
         fiber[v] |= 1 << y
-        image |= 1 << v
+        hit |= 1 << v
     for x, ix in enumerate(lower.values):
-        reach = 0
-        for v in bits(a_above[x] & image):
-            reach |= fiber[v]
-        diff = b_above[ix] ^ reach
+        diff = b_above[ix] ^ image(fiber, a_above[x] & hit)
         if diff:
             return (x, (diff & -diff).bit_length() - 1)
     return None
@@ -224,50 +221,6 @@ class GaloisConnection(Record):
     def kernel_values(self) -> tuple[int, ...]:
         """i(r(y)) per element of B; an interior operator on B."""
         return tuple(self.lower.values[v] for v in self.upper.values)
-
-
-class FixedPointSublattices(Record):
-    """The two fixed-point sets of a connection, certified isomorphic.
-
-    ``restricted`` collects x in A with r(i(x)) = x, ``induced`` the
-    y in B with i(r(y)) = y. The maps restrict to mutually inverse
-    order bijections between the two.
-    """
-
-    _fields = ("connection", "restricted", "induced")
-
-    def __init__(
-        self,
-        connection: GaloisConnection,
-        restricted: tuple[int, ...],
-        induced: tuple[int, ...],
-    ):
-        object.__setattr__(self, "connection", connection)
-        object.__setattr__(self, "restricted", restricted)
-        object.__setattr__(self, "induced", induced)
-        self.__post_init__()
-
-    def __post_init__(self):
-        gc = self.connection
-        res, ind = set(self.restricted), set(self.induced)
-        if {gc.lower.values[x] for x in res} != ind:
-            raise AdjunctionFailure("lower map does not carry restricted onto induced")
-        if {gc.upper.values[y] for y in ind} != res:
-            raise AdjunctionFailure("upper map does not carry induced onto restricted")
-        for x in self.restricted:
-            if gc.upper.values[gc.lower.values[x]] != x:
-                raise AdjunctionFailure(f"restricted element {x} not recovered")
-        for y in self.induced:
-            if gc.lower.values[gc.upper.values[y]] != y:
-                raise AdjunctionFailure(f"induced element {y} not recovered")
-
-
-def fixed_points(gc: GaloisConnection) -> FixedPointSublattices:
-    closure = gc.closure_values()
-    kernel = gc.kernel_values()
-    restricted = tuple(x for x in range(gc.lattice_a.n) if closure[x] == x)
-    induced = tuple(y for y in range(gc.lattice_b.n) if kernel[y] == y)
-    return FixedPointSublattices(gc, restricted, induced)
 
 
 class LawReport(Record):

@@ -49,6 +49,7 @@ largest admissible J.
 from functools import cached_property
 
 from . import _accel
+from ._kernels import image, inside
 from ._record import Record
 from .errors import JNotAdmissible, LatticeTooLarge
 from .lattice import FinitePoset, FiniteLattice, inclusion_rows, max_lattice_size
@@ -103,11 +104,7 @@ def _check_mask(g: FiniteGraph, mask: int) -> None:
 def x_forward(g: FiniteGraph, subset: int) -> int:
     """Ranges of all edges sourced inside the set."""
     _check_mask(g, subset)
-    out = 0
-    for v, ranges in enumerate(g.range_masks):
-        if (subset >> v) & 1:
-            out |= ranges
-    return out
+    return image(g.range_masks, subset)
 
 
 def x_inverse(g: FiniteGraph, subset: int) -> int:
@@ -116,11 +113,7 @@ def x_inverse(g: FiniteGraph, subset: int) -> int:
     Sinks qualify vacuously, so this is the full set on edgeless graphs.
     """
     _check_mask(g, subset)
-    out = 0
-    for v, ranges in enumerate(g.range_masks):
-        if ranges & ~subset == 0:
-            out |= 1 << v
-    return out
+    return inside(g.range_masks, subset)
 
 
 def is_positively_invariant(g: FiniteGraph, subset: int) -> bool:

@@ -34,7 +34,7 @@ from itertools import repeat
 from operator import and_
 
 from . import _accel
-from ._kernels import bits
+from ._kernels import bits, image
 from ._record import Record
 from .errors import LatticeTooLarge, NotALattice, NotAPoset
 
@@ -116,17 +116,10 @@ class FinitePoset(Record):
         return tuple(_accel.transpose(list(self.below)))
 
     def is_down_closed(self, mask: int) -> bool:
-        for i in bits(mask):
-            if self.below[i] & ~mask:
-                return False
-        return True
+        return image(self.below, mask) == mask
 
     def up_closure(self, mask: int) -> int:
-        out = mask
-        above = self.above()
-        for i in bits(mask):
-            out |= above[i]
-        return out
+        return image(self.above(), mask)
 
     def subposet(self, elements) -> "FinitePoset":
         """Induced subposet; element k is ``elements[k]`` of the parent.
@@ -655,10 +648,10 @@ def _meets_commute(source: FiniteLattice, elements, images, target: FiniteLattic
     # per x; one row serves both when x is its own image.
     for x in elements:
         row = source.meet_row(x)
-        image = images[x]
-        image_row = row if source is target and image == x else target.meet_row(image)
+        gx = images[x]
+        gx_row = row if source is target and gx == x else target.meet_row(gx)
         left = [row[w] for w in values]
-        right = [values[w] for w in image_row]
+        right = [values[w] for w in gx_row]
         if left != right:
             return x, next(v for v, (a, b) in enumerate(zip(left, right)) if a != b)
     return None
@@ -670,14 +663,14 @@ def _fiber_fold(lat: FiniteLattice, side: str, values, rows) -> tuple[int, ...]:
     # fiber is folded once, then each row folds the fibers over it.
     masks, index, unit = _side(lat, side)
     folded = [unit] * len(rows)
-    image = 0
+    hit = 0
     for x, v in enumerate(values):
         folded[v] &= masks[x]
-        image |= 1 << v
+        hit |= 1 << v
     out = []
     for row in rows:
         acc = unit
-        for v in bits(row & image):
+        for v in bits(row & hit):
             acc &= folded[v]
         out.append(index[acc])
     return tuple(out)

@@ -19,6 +19,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterator, Optional
 
+from ._kernels import image, inside
 from ._record import Record
 from .galois import GaloisConnection, MonotoneMap
 from .lattice import boolean_lattice
@@ -112,21 +113,13 @@ def _check_mask(mask: int, width: int, side: str) -> None:
 def induce(m: MultiplicityInclusion, summands: int) -> int:
     """Columns reachable from the given rows (masks on both sides)."""
     _check_mask(summands, m.a_summands, "a")
-    out = 0
-    for i, support in enumerate(m.row_supports):
-        if (summands >> i) & 1:
-            out |= support
-    return out
+    return image(m.row_supports, summands)
 
 
 def restrict(m: MultiplicityInclusion, summands: int) -> int:
     """Rows whose support is contained in the given columns."""
     _check_mask(summands, m.b_summands, "b")
-    out = 0
-    for i, support in enumerate(m.row_supports):
-        if support & ~summands == 0:
-            out |= 1 << i
-    return out
+    return inside(m.row_supports, summands)
 
 
 def is_symmetric(m: MultiplicityInclusion, summands: int) -> bool:

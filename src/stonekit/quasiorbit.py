@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from ._kernels import bits
+from ._kernels import bits, image
 from ._record import Record
 from .errors import (
     ConditionViolated,
@@ -369,10 +369,7 @@ class QuasiOrbitSpace(Record):
         # the quotient having as many opens as the base has saturated
         # opens, together say exactly that.
         for w in self.quotient.opens:
-            pre = 0
-            for k in bits(w):
-                pre |= self.classes[k]
-            if not self.base.is_open(pre):
+            if not self.base.is_open(image(self.classes, w)):
                 raise AssertionError("quotient topology mismatch")
         saturated = sum(
             all(u & c in (0, c) for c in self.classes) for u in self.base.opens
@@ -394,12 +391,12 @@ def _quasi_orbit_space(d: InclusionData, pi: PointMap) -> QuasiOrbitSpace:
     fibers: dict[int, int] = {}
     for point, v in enumerate(pi.values):
         fibers[v] = fibers.get(v, 0) | (1 << point)
-    image = sorted(fibers)
-    classes = tuple(fibers[v] for v in image)
+    targets = sorted(fibers)
+    classes = tuple(fibers[v] for v in targets)
     quotient, class_of = quotient_space(pi.source, classes)
     qos = QuasiOrbitSpace(pi.source, classes, quotient, class_of)
     if check_C1(d):
-        comparison = PointMap(quotient, pi.target, tuple(image))
+        comparison = PointMap(quotient, pi.target, tuple(targets))
         if not is_homeomorphism(comparison):
             raise AssertionError("quotient comparison is not a homeomorphism under C1")
     return qos

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import galois
-from ._kernels import bits, monotone_witness
+from ._kernels import bits, image, inside, monotone_witness
 from ._record import Record
 from .errors import (
     InvalidTopology,
@@ -311,18 +311,16 @@ class PointMap(Record):
                 f"preimage of open {bad:#x} is not open", witness=bad
             )
 
+    @cached_property
+    def _value_rows(self) -> tuple[int, ...]:
+        # the map as a relation: row x holds the one point x maps to
+        return tuple(1 << v for v in self.values)
+
     def preimage(self, mask: int) -> int:
-        out = 0
-        for x, v in enumerate(self.values):
-            if (mask >> v) & 1:
-                out |= 1 << x
-        return out
+        return inside(self._value_rows, mask)
 
     def image_mask(self, mask: int) -> int:
-        out = 0
-        for x in bits(mask):
-            out |= 1 << self.values[x]
-        return out
+        return image(self._value_rows, mask)
 
     def __call__(self, x: int) -> int:
         return self.values[x]

@@ -20,6 +20,7 @@ through meet closure, which no finite instance can break.
 
 from functools import cached_property
 
+from ._kernels import image, inside
 from ._record import Record
 from .errors import ClosureTooLarge, NotContinuous, ShapeMismatch
 from .galois import GaloisConnection, MonotoneMap
@@ -109,25 +110,24 @@ class FiniteGroupAction(Record):
     def closure(self) -> tuple[tuple[int, ...], ...]:
         return group_closure(self.generators, self.space.n, _MAX_ORDER)
 
+    @cached_property
+    def _orbits(self) -> tuple[int, ...]:
+        # the orbit relation: row x holds every g(x) in the group
+        out = [0] * self.space.n
+        for g in self.closure:
+            for x, gx in enumerate(g):
+                out[x] |= 1 << gx
+        return tuple(out)
+
     def image_mask(self, g: tuple[int, ...], mask: int) -> int:
-        out = 0
-        for x in range(self.space.n):
-            if (mask >> x) & 1:
-                out |= 1 << g[x]
-        return out
+        return image([1 << gx for gx in g], mask & ((1 << self.space.n) - 1))
 
     def orbit_mask(self, point: int) -> int:
-        out = 0
-        for g in self.closure:
-            out |= 1 << g[point]
-        return out
+        return self._orbits[point]
 
     def saturate(self, mask: int) -> int:
         """The least invariant superset; invariant since closure is a group."""
-        out = 0
-        for g in self.closure:
-            out |= self.image_mask(g, mask)
-        return out
+        return image(self._orbits, mask)
 
     def is_invariant(self, mask: int) -> bool:
         return all(self.image_mask(g, mask) == mask for g in self.generators)
@@ -205,8 +205,7 @@ class BundleMap(Record):
 
 
 def _interior(space: FiniteT0Space, mask: int) -> int:
-    full = (1 << space.n) - 1
-    return full ^ space.closure(full ^ mask)
+    return inside(space.points.below, mask)
 
 
 def bundle_inclusion_data(b: BundleMap) -> InclusionData:

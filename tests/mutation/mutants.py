@@ -140,6 +140,20 @@ MUTANTS = (
         ("test_graph_pairs.py",),
     ),
     Mutant(
+        "image-skips-the-lowest-index",
+        "_kernels.py",
+        "    out = 0\n    while mask:\n",
+        "    out = 0\n    mask &= mask - 1\n    while mask:\n",
+        ("test_kernels.py",),
+    ),
+    Mutant(
+        "inside-tests-the-row-against-the-mask",
+        "_kernels.py",
+        "        if not row & miss:\n",
+        "        if not row & mask:\n",
+        ("test_kernels.py",),
+    ),
+    Mutant(
         "closure-skips-the-last-pivot",
         "_kernels.py",
         "for k in range(len(out)):",

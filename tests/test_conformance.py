@@ -102,7 +102,7 @@ class TestGenInclusionData:
     @given(
         st.integers(0, (1 << 64) - 1),
         st.sampled_from(
-            ("random-galois", "random-poset-downsets", "multiplicity", "action", "bundle")
+            ("random-galois", "multiplicity", "action", "bundle")
         ),
     )
     def test_every_family_draw_is_a_lawful_connection(self, seed, family):

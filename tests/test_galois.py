@@ -25,14 +25,13 @@ from stonekit.lattice import join_irreducibles, meet_irreducibles
 from stonekit import (
     AbsenceWitness,
     AdjunctionFailure,
-    FixedPointSublattices,
     GaloisConnection,
+    InclusionData,
     MonotoneMap,
     NotMonotone,
     ShapeMismatch,
     boolean_lattice,
     detects,
-    fixed_points,
     is_adjoint_pair,
     is_join_preserving,
     is_meet_preserving,
@@ -302,29 +301,40 @@ class TestConnectionConstruction:
 
 
 class TestFixedPoints:
+    """The fixed points of r.i and i.r, as InclusionData reads them off
+    the closure and kernel values; verify_prop26 certifies that the two
+    maps carry them bijectively onto each other."""
+
     def test_crossed_pattern_restricted_set(self):
         gc = matrix_connection(CROSSED)
-        fp = fixed_points(gc)
+        d = InclusionData(gc)
         a, b = gc.lattice_a, gc.lattice_b
-        assert {a.labels[x] for x in fp.restricted} == {0b000, 0b001, 0b010, 0b111}
-        assert {b.labels[y] for y in fp.induced} == {0b00, 0b01, 0b10, 0b11}
+        assert {a.labels[x] for x in d.restricted} == {0b000, 0b001, 0b010, 0b111}
+        assert {b.labels[y] for y in d.induced} == {0b00, 0b01, 0b10, 0b11}
+        assert verify_prop26(gc).fixed_point_iso
 
     def test_identity_fixes_everything(self):
         lat = diamond()
         gc = GaloisConnection.from_lower(MonotoneMap.identity(lat))
-        fp = fixed_points(gc)
-        assert fp.restricted == fp.induced == tuple(range(lat.n))
+        d = InclusionData(gc)
+        assert d.restricted == d.induced == tuple(range(lat.n))
+        assert verify_prop26(gc).fixed_point_iso
 
     def test_overlapped_pattern_all_sources_restricted(self):
         gc = matrix_connection(OVERLAPPED)
-        fp = fixed_points(gc)
-        assert len(fp.restricted) == gc.lattice_a.n == 4
+        d = InclusionData(gc)
+        assert len(d.restricted) == gc.lattice_a.n == 4
+        assert verify_prop26(gc).fixed_point_iso
 
-    def test_tampered_sets_rejected(self):
-        gc = matrix_connection(CROSSED)
-        fp = fixed_points(gc)
-        with pytest.raises(AdjunctionFailure):
-            FixedPointSublattices(gc, fp.restricted[1:], fp.induced)
+    def test_sets_are_the_fixed_points_of_closure_and_kernel(self):
+        for mult in (TWO_OVER_ONE, ONE_OVER_TWO, CROSSED, OVERLAPPED):
+            gc = matrix_connection(mult)
+            d = InclusionData(gc)
+            ri, ir = gc.closure_values(), gc.kernel_values()
+            assert d.restricted == tuple(x for x, v in enumerate(ri) if v == x)
+            assert d.induced == tuple(y for y, v in enumerate(ir) if v == y)
+            assert sorted(gc.lower.values[x] for x in d.restricted) == list(d.induced)
+            assert sorted(gc.upper.values[y] for y in d.induced) == list(d.restricted)
 
 
 class TestLawReport:

@@ -33,7 +33,6 @@ from stonekit import (
     Theorem33Report,
     boolean_lattice,
     downset_lattice,
-    fixed_points,
     is_frame,
     j_pairs,
     j_x,
@@ -74,7 +73,6 @@ BUILDERS = {
     "MonotoneMap": lambda: MonotoneMap.identity(boolean_lattice(2)),
     "AbsenceWitness": lambda: AbsenceWitness(MonotoneMap.identity(boolean_lattice(1)), 0, 1, "no adjoint"),
     "GaloisConnection": _identity,
-    "FixedPointSublattices": lambda: fixed_points(_identity()),
     "LawReport": lambda: verify_prop26(_identity()),
     "FiniteT0Space": _space,
     "PrimeSpectrum": lambda: primes(boolean_lattice(2)),

@@ -39,7 +39,8 @@ from stonekit import (
     orbit_closure_relation,
     restricted_prime_map,
 )
-from stonekit.topo_models import group_closure
+from stonekit.conformance import all_spaces, small_group_actions
+from stonekit.topo_models import _interior, group_closure
 
 
 def discrete(n):
@@ -161,6 +162,39 @@ class TestOrbitClosures:
                 assert a.space.closure(a.orbit_mask(g[p])) == a.space.closure(
                     a.orbit_mask(p)
                 )
+
+
+class TestRelationRows:
+    """Orbits, saturation, image_mask and the bundle interior read the
+    relation kernels; the oracles are the unions over group elements and
+    the complement of the closure of the complement."""
+
+    def test_orbits_and_saturation_are_unions_over_the_group(self):
+        for space in all_spaces(4):
+            n = space.n
+            for a in small_group_actions(space):
+                for p in range(n):
+                    want = 0
+                    for g in a.closure:
+                        want |= 1 << g[p]
+                    assert a.orbit_mask(p) == want
+                for mask in range(1 << n):
+                    saturated = 0
+                    for g in a.closure:
+                        moved = 0
+                        for x in range(n):
+                            if (mask >> x) & 1:
+                                moved |= 1 << g[x]
+                        # bits past the last point are ignored
+                        assert a.image_mask(g, mask | 0b101 << n) == moved
+                        saturated |= moved
+                    assert a.saturate(mask) == saturated
+
+    def test_interior_is_the_complement_of_the_closed_complement(self):
+        for space in all_spaces(4, include_empty=True):
+            full = (1 << space.n) - 1
+            for mask in range(full + 1):
+                assert _interior(space, mask) == full ^ space.closure(full ^ mask)
 
 
 class TestActionCompile:
