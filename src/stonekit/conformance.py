@@ -114,12 +114,7 @@ class InstanceGenerator(Record):
     """A reproducible instance source: same fields, same instance."""
 
     _fields = ("seed", "family", "max_points")
-
-    def __init__(self, seed: int = 0, family: str = "random-galois", max_points: int = 4):
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "max_points", max_points)
-        self.__post_init__()
+    _defaults = {"seed": 0, "family": "random-galois", "max_points": 4}
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -191,11 +186,6 @@ class _GaloisSeed(Record):
     """
 
     _fields = ("source", "target", "point_values")
-
-    def __init__(self, source: FinitePoset, target: FinitePoset, point_values: tuple[int, ...]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "point_values", point_values)
 
 
 def _random_galois_seed(rng: random.Random, max_points: int) -> _GaloisSeed:
@@ -492,35 +482,10 @@ class SweepReport(Record):
     """Outcome of one conformance sweep; serializes to the CLI schema."""
 
     _fields = ("tag", "seed", "budget", "checked", "applicable", "violations", "counterexample")
-
-    def __init__(
-        self,
-        tag: str,
-        seed: int,
-        budget: int,
-        checked: int,
-        applicable: int,
-        violations: int,
-        counterexample: dict | None = None,
-    ):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "budget", budget)
-        object.__setattr__(self, "checked", checked)
-        object.__setattr__(self, "applicable", applicable)
-        object.__setattr__(self, "violations", violations)
-        object.__setattr__(self, "counterexample", counterexample)
+    _defaults = {"counterexample": None}
 
     def as_dict(self) -> dict:
-        return {
-            "tag": self.tag,
-            "seed": self.seed,
-            "budget": self.budget,
-            "checked": self.checked,
-            "applicable": self.applicable,
-            "violations": self.violations,
-            "counterexample": self.counterexample,
-        }
+        return dict(zip(self._fields, self._values()))
 
 
 def _greedy_minimize(instance, shrink, reproduces):

@@ -50,11 +50,7 @@ class InstanceDocument(Record):
     """A parsed, schema-valid document; ``payload`` is kind-specific."""
 
     _fields = ("kind", "payload", "name")
-
-    def __init__(self, kind: str, payload: dict, name: str | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "name", name)
+    _defaults = {"name": None}
 
     @cached_property
     def checked(self) -> dict:

@@ -23,12 +23,6 @@ class MonotoneMap(Record):
 
     _fields = ("source", "target", "values")
 
-    def __init__(self, source: FiniteLattice, target: FiniteLattice, values: tuple[int, ...]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "values", values)
-        self.__post_init__()
-
     def __post_init__(self):
         n = self.source.n
         if len(self.values) != n:
@@ -81,12 +75,6 @@ class AbsenceWitness(Record):
     """
 
     _fields = ("candidate", "x", "y", "reason")
-
-    def __init__(self, candidate: MonotoneMap, x: int, y: int, reason: str):
-        object.__setattr__(self, "candidate", candidate)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "reason", reason)
 
 
 def _adjunction_witness(lower: MonotoneMap, upper: MonotoneMap):
@@ -160,11 +148,6 @@ class GaloisConnection(Record):
 
     _fields = ("lower", "upper")
 
-    def __init__(self, lower: MonotoneMap, upper: MonotoneMap):
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        self.__post_init__()
-
     def __post_init__(self):
         if (
             self.lower.source != self.upper.target
@@ -178,15 +161,6 @@ class GaloisConnection(Record):
             )
 
     @classmethod
-    def _checked(cls, lower: MonotoneMap, upper: MonotoneMap) -> "GaloisConnection":
-        # upper_adjoint and lower_adjoint return a candidate only after
-        # _adjunction_witness passed it, so the law holds already
-        gc = object.__new__(cls)
-        object.__setattr__(gc, "lower", lower)
-        object.__setattr__(gc, "upper", upper)
-        return gc
-
-    @classmethod
     def from_lower(cls, lower: MonotoneMap) -> "GaloisConnection":
         upper = upper_adjoint(lower)
         if isinstance(upper, AbsenceWitness):
@@ -194,7 +168,9 @@ class GaloisConnection(Record):
                 "no upper adjoint: " + upper.reason,
                 witness=(upper.x, upper.y),
             )
-        return cls._checked(lower, upper)
+        # upper_adjoint returns a candidate only after _adjunction_witness
+        # passed it, so the law holds already
+        return cls._trusted(lower, upper)
 
     @classmethod
     def from_upper(cls, upper: MonotoneMap) -> "GaloisConnection":
@@ -204,7 +180,8 @@ class GaloisConnection(Record):
                 "no lower adjoint: " + lower.reason,
                 witness=(lower.x, lower.y),
             )
-        return cls._checked(lower, upper)
+        # likewise for lower_adjoint
+        return cls._trusted(lower, upper)
 
     @property
     def lattice_a(self) -> FiniteLattice:
@@ -241,26 +218,6 @@ class LawReport(Record):
         "sublattice_closure",
         "insertion_adjunctions",
     )
-
-    def __init__(
-        self,
-        monotone: bool,
-        closure_law: bool,
-        interior_law: bool,
-        fixed_point_iso: bool,
-        preservation: bool,
-        unit_laws: bool,
-        sublattice_closure: bool,
-        insertion_adjunctions: bool,
-    ):
-        object.__setattr__(self, "monotone", monotone)
-        object.__setattr__(self, "closure_law", closure_law)
-        object.__setattr__(self, "interior_law", interior_law)
-        object.__setattr__(self, "fixed_point_iso", fixed_point_iso)
-        object.__setattr__(self, "preservation", preservation)
-        object.__setattr__(self, "unit_laws", unit_laws)
-        object.__setattr__(self, "sublattice_closure", sublattice_closure)
-        object.__setattr__(self, "insertion_adjunctions", insertion_adjunctions)
 
     def items(self):
         return [(name, getattr(self, name)) for name in self._fields]

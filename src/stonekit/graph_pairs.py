@@ -73,11 +73,6 @@ class FiniteGraph(Record):
 
     _fields = ("vertices", "edges")
 
-    def __init__(self, vertices: int, edges: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-        self.__post_init__()
-
     def __post_init__(self):
         if self.vertices < 0:
             raise ValueError("vertex count must be nonnegative")
@@ -137,11 +132,6 @@ class JPairLattice(Record):
 
     _fields = ("graph", "j", "lattice")
 
-    def __init__(self, graph: FiniteGraph, j: int, lattice: FiniteLattice):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "lattice", lattice)
-
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return self.lattice.labels
@@ -191,7 +181,7 @@ def j_pairs(g: FiniteGraph, j: int) -> JPairLattice:
     # the codes are closed under & and include the top pair's, so their
     # inclusion order is a lattice order (see the module docstring)
     rows = inclusion_rows([inv | upper << g.vertices for inv, upper in pairs])
-    lattice = FiniteLattice(FinitePoset._trusted(*rows), tuple(pairs))
+    lattice = FiniteLattice(FinitePoset._from_rows(*rows), tuple(pairs))
     return JPairLattice(g, j, lattice)
 
 

@@ -56,11 +56,6 @@ class FinitePoset(Record):
 
     _fields = ("n", "below")
 
-    def __init__(self, n: int, below: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "below", below)
-        self.__post_init__()
-
     def __post_init__(self):
         if self.n != len(self.below):
             raise NotAPoset(f"expected {self.n} rows, got {len(self.below)}")
@@ -70,15 +65,13 @@ class FinitePoset(Record):
             raise NotAPoset(f"{reason} at elements ({i}, {j})")
 
     @classmethod
-    def _trusted(cls, below, above=None) -> "FinitePoset":
+    def _from_rows(cls, below, above=None) -> "FinitePoset":
         """A poset from rows already known to encode a partial order.
 
         Skips ``check_poset``; each caller says why its rows qualify.
         ``above``, when the caller has it, is kept as the transpose.
         """
-        poset = object.__new__(cls)
-        object.__setattr__(poset, "n", len(below))
-        object.__setattr__(poset, "below", tuple(below))
+        poset = cls._trusted(len(below), tuple(below))
         if above is not None:
             poset.__dict__["_above"] = tuple(above)
         return poset
@@ -143,7 +136,7 @@ class FinitePoset(Record):
                 t ^= low
                 m |= 1 << pos[low.bit_length() - 1]
             below.append(m)
-        return FinitePoset._trusted(below)
+        return FinitePoset._from_rows(below)
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with j covering i, for rendering."""
@@ -277,7 +270,10 @@ class FiniteLattice:
     def index_of_label(self, label) -> int:
         """The first element carrying ``label``; ValueError if none does."""
         if self.labels is None:
-            return int(label)
+            # an unlabeled element is named by its index
+            if type(label) is int and 0 <= label < self.n:
+                return label
+            raise ValueError(f"no element is labeled {label!r}")
         try:
             return self._label_index[label]
         except KeyError:
@@ -333,16 +329,7 @@ class FrameWitness(Record):
     """
 
     _fields = ("lattice", "distributive", "witness")
-
-    def __init__(
-        self,
-        lattice: FiniteLattice,
-        distributive: bool,
-        witness: tuple[int, int, int] | None = None,
-    ):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "distributive", distributive)
-        object.__setattr__(self, "witness", witness)
+    _defaults = {"witness": None}
 
 
 def _indexed(masks):
@@ -495,7 +482,7 @@ def downset_lattice(poset: FinitePoset, masks=None) -> FiniteLattice:
     full = masks[-1]
     meet = _indexed(masks)
     join = _indexed(tuple(map(full.__xor__, masks)))
-    order = FinitePoset._trusted(*inclusion_rows(masks))
+    order = FinitePoset._from_rows(*inclusion_rows(masks))
     lat = FiniteLattice._from_masks(order, masks, meet, join)
     lat.__dict__["_label_index"] = meet[1]
     return lat

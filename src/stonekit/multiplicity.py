@@ -17,7 +17,7 @@ boolean lattices with these maps into a certified connection.
 
 from functools import cached_property
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ._kernels import image, inside
 from ._record import Record
@@ -47,17 +47,7 @@ class MultiplicityInclusion(Record):
     """
 
     _fields = ("mult", "a_dims", "b_dims")
-
-    def __init__(
-        self,
-        mult: tuple[tuple[int, ...], ...],
-        a_dims: Optional[tuple[int, ...]] = None,
-        b_dims: Optional[tuple[int, ...]] = None,
-    ):
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "a_dims", a_dims)
-        object.__setattr__(self, "b_dims", b_dims)
-        self.__post_init__()
+    _defaults = {"a_dims": None, "b_dims": None}
 
     def __post_init__(self):
         rows = tuple(tuple(int(x) for x in row) for row in self.mult)

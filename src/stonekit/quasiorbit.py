@@ -64,7 +64,6 @@ from .lattice import (
     is_frame,
 )
 from .spectrum import (
-    FiniteT0Space,
     PointMap,
     PrimeSpectrum,
     adjunct_point_map,
@@ -104,10 +103,6 @@ class InclusionData(Record):
     """
 
     _fields = ("gc",)
-
-    def __init__(self, gc: GaloisConnection):
-        object.__setattr__(self, "gc", gc)
-        self.__post_init__()
 
     def __post_init__(self):
         for lat, side in ((self.gc.lattice_a, "source"), (self.gc.lattice_b, "target")):
@@ -349,19 +344,6 @@ class QuasiOrbitSpace(Record):
 
     _fields = ("base", "classes", "quotient", "class_of")
 
-    def __init__(
-        self,
-        base: FiniteT0Space,
-        classes: tuple[int, ...],
-        quotient: FiniteT0Space,
-        class_of: tuple[int, ...],
-    ):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "quotient", quotient)
-        object.__setattr__(self, "class_of", class_of)
-        self.__post_init__()
-
     def __post_init__(self):
         # Quotient opens are exactly the class-sets with open preimage.
         # The classes partition the base, so preimage is injective on
@@ -411,10 +393,6 @@ class PrimeMapObstruction(Record):
     """
 
     _fields = ("kind", "detail")
-
-    def __init__(self, kind: str, detail: tuple):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "detail", detail)
 
 
 def restricted_prime_map(d: InclusionData):

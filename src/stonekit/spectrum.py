@@ -38,11 +38,6 @@ class FiniteT0Space(Record):
 
     _fields = ("points", "opens")
 
-    def __init__(self, points: FinitePoset, opens: tuple[int, ...]):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "opens", opens)
-        self.__post_init__()
-
     def __post_init__(self):
         if tuple(self.opens) != _downsets(self.points):
             raise InvalidTopology(
@@ -60,15 +55,6 @@ class FiniteT0Space(Record):
         cap allows.
         """
         return cls._trusted(points, _downsets(points))
-
-    @classmethod
-    def _trusted(cls, points: FinitePoset, opens: tuple[int, ...]) -> "FiniteT0Space":
-        """A space whose ``opens`` are known to be exactly the ascending
-        down-sets of ``points``; skips ``__post_init__``."""
-        space = object.__new__(cls)
-        object.__setattr__(space, "points", points)
-        object.__setattr__(space, "opens", opens)
-        return space
 
     @classmethod
     def from_opens(cls, n: int, opens) -> "FiniteT0Space":
@@ -161,19 +147,6 @@ class PrimeSpectrum(Record):
     """
 
     _fields = ("locale", "primes", "space", "open_of")
-
-    def __init__(
-        self,
-        locale: FiniteLattice,
-        primes: tuple[int, ...],
-        space: FiniteT0Space,
-        open_of: tuple[int, ...],
-    ):
-        object.__setattr__(self, "locale", locale)
-        object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "open_of", open_of)
-        self.__post_init__()
 
     def __post_init__(self):
         if len(set(self.open_of)) != self.locale.n:
@@ -279,12 +252,6 @@ class PointMap(Record):
     """
 
     _fields = ("source", "target", "values")
-
-    def __init__(self, source: FiniteT0Space, target: FiniteT0Space, values: tuple[int, ...]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "values", values)
-        self.__post_init__()
 
     def __post_init__(self):
         if len(self.values) != self.source.n:
@@ -393,22 +360,6 @@ class Theorem33Report(Record):
         "equivalence_verified",
     )
 
-    def __init__(
-        self,
-        has_lower_adjoint_F: bool,
-        eq32_holds: bool,
-        g_injective: bool,
-        pi_open: bool,
-        pi_surjective: bool,
-        equivalence_verified: bool,
-    ):
-        object.__setattr__(self, "has_lower_adjoint_F", has_lower_adjoint_F)
-        object.__setattr__(self, "eq32_holds", eq32_holds)
-        object.__setattr__(self, "g_injective", g_injective)
-        object.__setattr__(self, "pi_open", pi_open)
-        object.__setattr__(self, "pi_surjective", pi_surjective)
-        object.__setattr__(self, "equivalence_verified", equivalence_verified)
-
 
 def theorem33_check(g: MonotoneMap, space: FiniteT0Space) -> Theorem33Report:
     """Evaluate the insertion-vs-open-surjection equivalence for G: L -> O(X)."""
@@ -513,5 +464,5 @@ def quotient_space(space: FiniteT0Space, classes) -> tuple[FiniteT0Space, tuple[
         raise InvalidTopology(
             f"family is not T0: not antisymmetric at elements ({i}, {j})"
         )
-    q = FiniteT0Space._trusted(FinitePoset._trusted(below), family)
+    q = FiniteT0Space._trusted(FinitePoset._from_rows(below), family)
     return q, tuple(class_of)

@@ -28,7 +28,6 @@ from .lattice import FiniteLattice, fixed_point_lattice
 from .quasiorbit import InclusionData, quasi_orbit_space
 from .spectrum import (
     FiniteT0Space,
-    PointMap,
     opens_lattice,
     soberification,
 )
@@ -84,11 +83,6 @@ class FiniteGroupAction(Record):
     """
 
     _fields = ("space", "generators")
-
-    def __init__(self, space: FiniteT0Space, generators: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "generators", generators)
-        self.__post_init__()
 
     def __post_init__(self):
         n = self.space.n
@@ -192,12 +186,6 @@ class BundleMap(Record):
     """A continuous projection from a total space onto a base."""
 
     _fields = ("total", "base", "proj")
-
-    def __init__(self, total: FiniteT0Space, base: FiniteT0Space, proj: PointMap):
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "proj", proj)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.proj.source != self.total or self.proj.target != self.base:

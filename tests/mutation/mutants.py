@@ -175,6 +175,20 @@ MUTANTS = (
         ("test_records.py",),
     ),
     Mutant(
+        "record-constructor-skips-certification",
+        "_record.py",
+        "        self.__post_init__()\n",
+        "",
+        ("test_records.py",),
+    ),
+    Mutant(
+        "trusted-record-certifies",
+        "_record.py",
+        "        return record\n",
+        "        record.__post_init__()\n        return record\n",
+        ("test_records.py",),
+    ),
+    Mutant(
         "cli-dispatch-bypasses-the-command-table",
         "cli.py",
         'main.commands[args.pop("command")].callback(**args)',

@@ -159,6 +159,14 @@ class TestValidateLattice:
         with pytest.raises(NotALattice):
             validate_lattice(FinitePoset.antichain(2))
 
+    def test_unlabeled_elements_are_named_by_their_index(self):
+        lat = validate_lattice(FinitePoset.chain(3))
+        assert lat.labels is None
+        assert [lat.index_of_label(k) for k in range(3)] == [0, 1, 2]
+        for label in (3, 99, -1, "2", True, False, 1.0, None):
+            with pytest.raises(ValueError, match="no element is labeled"):
+                lat.index_of_label(label)
+
     def test_empty_carrier_rejected(self):
         with pytest.raises(NotALattice):
             validate_lattice(FinitePoset.antichain(0))

@@ -1,9 +1,11 @@
 """The value classes behave as frozen records.
 
-Every record lists its fields in ``_fields`` and writes out its own
-``__init__``; the shared base derives immutability, equality, hashing
-and the repr from that list. Each builder below makes a fresh instance,
-so two calls give equal but distinct records.
+Every record lists its fields in ``_fields`` and the defaults of its
+trailing fields in ``_defaults``; the shared base derives the
+constructor, the uncertified ``_trusted`` constructor, immutability,
+equality, hashing and the repr from those two. No record writes its
+own ``__init__``. Each builder below makes a fresh instance, so two
+calls give equal but distinct records.
 """
 
 import subprocess
@@ -20,6 +22,7 @@ from stonekit import (
     FiniteGroupAction,
     FinitePoset,
     FiniteT0Space,
+    FrameWitness,
     GaloisConnection,
     InclusionData,
     InstanceDocument,
@@ -179,10 +182,50 @@ def test_constructors_take_fields_by_position_and_keyword():
         tag="T42", seed=1, budget=5, checked=3, applicable=2, violations=0, counterexample=None
     )
     assert InstanceGenerator() == InstanceGenerator(0, "random-galois", 4)
-    with pytest.raises(TypeError):
-        FinitePoset(1)
-    with pytest.raises(TypeError):
-        FinitePoset(1, (1,), None)
+    assert InstanceGenerator(5, max_points=3) == InstanceGenerator(max_points=3, seed=5) == InstanceGenerator(5, "random-galois", 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FinitePoset(1, (1,), None), r"takes 2 arguments but 3 were given"),
+        (lambda: FinitePoset(1), r"missing required argument 'below'"),
+        (lambda: FinitePoset(below=(1,)), r"missing required argument 'n'"),
+        (lambda: SweepReport("T42", 1, 5, 3, 2), r"missing required argument 'violations'"),
+        (lambda: FinitePoset(1, (1,), size=1), r"unexpected keyword argument 'size'"),
+        (lambda: InstanceGenerator(family="random-galois", colour=1), r"unexpected keyword argument 'colour'"),
+        (lambda: FinitePoset(1, below=(1,), n=1), r"multiple values for argument 'n'"),
+        (lambda: InstanceGenerator(3, seed=3), r"multiple values for argument 'seed'"),
+    ],
+)
+def test_constructors_reject_calls_that_do_not_bind(call, message):
+    with pytest.raises(TypeError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_every_split_into_positions_and_keywords_builds_the_same_record(name):
+    record = BUILDERS[name]()
+    cls, values = type(record), record._values()
+    for k in range(len(values) + 1):
+        keywords = dict(reversed(list(zip(cls._fields[k:], values[k:]))))
+        assert cls(*values[:k], **keywords) == record
+
+
+def test_defaults_fill_the_trailing_fields():
+    assert FrameWitness(boolean_lattice(1), True).witness is None
+    inclusion = MultiplicityInclusion(((1, 0), (1, 1)))
+    assert inclusion.a_dims is None and inclusion.b_dims is None
+    assert InstanceDocument("graph", {"vertices": 1}).name is None
+    assert SweepReport("T42", 1, 5, 3, 2, 0).counterexample is None
+    assert InstanceGenerator(max_points=2) == InstanceGenerator(0, "random-galois", 2)
+    for cls in Record.__subclasses__():
+        # a default may only follow defaults, as in a def statement
+        assert set(cls._defaults) == set(cls._fields[len(cls._fields) - len(cls._defaults):])
+
+
+def test_no_record_class_writes_its_own_init():
+    assert [cls.__name__ for cls in Record.__subclasses__() if "__init__" in vars(cls)] == []
 
 
 CERTIFYING = sorted(name for name, build in BUILDERS.items() if "__post_init__" in vars(type(build())))
@@ -203,6 +246,24 @@ def test_certification_runs_once_through_the_instance(monkeypatch, name):
     monkeypatch.setattr(cls, "__post_init__", counted)
     again = cls(*(getattr(record, f) for f in record._fields))
     assert calls == [again]
+
+
+@pytest.mark.parametrize("name", CERTIFYING)
+def test_trusted_records_skip_certification(monkeypatch, name):
+    record = BUILDERS[name]()
+    cls = type(record)
+    calls = []
+    monkeypatch.setattr(cls, "__post_init__", lambda self: calls.append(self))
+    trusted = cls._trusted(*record._values())
+    assert calls == []
+    assert trusted == record and trusted is not record
+
+
+def test_trusted_records_take_one_value_per_field():
+    with pytest.raises(ValueError):
+        FinitePoset._trusted(1)
+    with pytest.raises(ValueError):
+        FinitePoset._trusted(1, (1,), None)
 
 
 def test_cli_import_leaves_dataclasses_unloaded():
