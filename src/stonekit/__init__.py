@@ -55,7 +55,6 @@ from .lattice import (
     lattice_isomorphism,
     order_automorphisms,
     sublattice,
-    validate_lattice,
 )
 
 from .conformance import (

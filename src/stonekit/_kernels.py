@@ -137,8 +137,8 @@ def bound_tables(below):
     Returns (meet, join, None) on success and (None, None, (kind, x, y))
     when the pair (x, y) has no bound of the named kind. The search
     walks each common mask for its principal element, O(n^3) on a
-    chain; it is the test oracle of validate_lattice, which answers
-    the same question with O(n^2) lookups.
+    chain; it is the test oracle of the FiniteLattice constructor,
+    which answers the same question with O(n^2) lookups.
     """
     n = len(below)
     above = transpose(below)

@@ -32,7 +32,7 @@ from ._record import Record
 from .errors import DocumentError, NotAPoset
 from .galois import GaloisConnection, MonotoneMap
 from .graph_pairs import FiniteGraph, j_x
-from .lattice import FinitePoset, max_lattice_size, validate_lattice
+from .lattice import FiniteLattice, FinitePoset, max_lattice_size
 from .multiplicity import MultiplicityInclusion, to_inclusion_data
 from .quasiorbit import InclusionData
 from .spectrum import FiniteT0Space, PointMap
@@ -106,9 +106,9 @@ def _capped_count(value, path: str, noun: str) -> int:
 def _load_poset(value, path: str) -> FinitePoset:
     if not isinstance(value, dict):
         _fail(path, f"expected a poset object, got {type(value).__name__}")
-    # past the cap every poset is refused later anyway: a lattice of
-    # more elements fails validate_lattice, and a space has more opens
-    # than points; refusing here skips the closure
+    # past the cap every poset is refused later anyway: the
+    # FiniteLattice constructor refuses a lattice of more elements, and
+    # a space has more opens than points; refusing here skips the closure
     points = _capped_count(_field(value, path, "points"), f"{path}.points", "points")
     covers = _field(value, path, "covers", required=False, default=[])
     if not isinstance(covers, list):
@@ -133,6 +133,8 @@ def parse_document(text: str) -> InstanceDocument:
         raise DocumentError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise DocumentError("arrays or objects nested too deeply") from exc
     if not isinstance(raw, dict):
         _fail("$", f"expected an object, got {type(raw).__name__}")
     kind = _field(raw, "$", "kind")
@@ -151,7 +153,11 @@ def parse_document(text: str) -> InstanceDocument:
 
 def load_document(path) -> InstanceDocument:
     with open(path, encoding="utf-8") as handle:
-        return parse_document(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise DocumentError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return parse_document(text)
 
 
 def _check_lattice(payload: dict, path: str) -> dict:
@@ -263,11 +269,11 @@ def compile_document(doc: InstanceDocument):
     """
     c = doc.checked
     if doc.kind == "lattice":
-        identity = MonotoneMap.identity(validate_lattice(c["order"]))
+        identity = MonotoneMap.identity(FiniteLattice(c["order"]))
         return InclusionData(GaloisConnection(identity, identity))
     if doc.kind == "galois":
-        source = validate_lattice(c["source"])
-        target = validate_lattice(c["target"])
+        source = FiniteLattice(c["source"])
+        target = FiniteLattice(c["target"])
         lower = MonotoneMap(source, target, c["lower"])
         return InclusionData(GaloisConnection.from_lower(lower))
     if doc.kind == "multiplicity":

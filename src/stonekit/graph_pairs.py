@@ -52,7 +52,7 @@ from . import _accel
 from ._kernels import image, inside
 from ._record import Record
 from .errors import JNotAdmissible, LatticeTooLarge
-from .lattice import FinitePoset, FiniteLattice, inclusion_rows, max_lattice_size
+from .lattice import FiniteLattice, FinitePoset, _order_masks, inclusion_rows, max_lattice_size
 from .spectrum import PrimeSpectrum, primes
 
 __all__ = [
@@ -180,8 +180,8 @@ def j_pairs(g: FiniteGraph, j: int) -> JPairLattice:
     pairs.sort()
     # the codes are closed under & and include the top pair's, so their
     # inclusion order is a lattice order (see the module docstring)
-    rows = inclusion_rows([inv | upper << g.vertices for inv, upper in pairs])
-    lattice = FiniteLattice(FinitePoset._from_rows(*rows), tuple(pairs))
+    order = FinitePoset._from_rows(*inclusion_rows([inv | upper << g.vertices for inv, upper in pairs]))
+    lattice = FiniteLattice._of(order, tuple(pairs), *_order_masks(order))
     return JPairLattice(g, j, lattice)
 
 

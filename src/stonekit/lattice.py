@@ -19,8 +19,12 @@ order is inclusion. Every lattice computes its own Birkhoff dual, the
 down-sets of its meet-irreducibles, once; its frame certificate and
 its prime spectrum both read it. No lattice holds an n x n table;
 ``meet_table`` and ``join_table`` appear on first read.
-validate_lattice certifies an arbitrary order with the same lookups
-that answer its meets and joins.
+
+FiniteLattice is a record of its order and labels, and its constructor
+certifies an arbitrary order with the same lookups that answer its
+meets and joins. The builders whose orders are lattices by construction
+(downset_lattice, fixed_point_lattice, graph_pairs.j_pairs) skip that
+check through ``FiniteLattice._of``.
 
 The element count is soft-capped (default 4096, override with the
 STONE_MAX_LATTICE environment variable, read per call).
@@ -35,7 +39,7 @@ from operator import and_
 
 from . import _accel
 from ._kernels import bits, image
-from ._record import Record
+from ._record import Record, _store
 from .errors import LatticeTooLarge, NotALattice, NotAPoset
 
 DEFAULT_MAX_LATTICE = 4096
@@ -73,7 +77,7 @@ class FinitePoset(Record):
         """
         poset = cls._trusted(len(below), tuple(below))
         if above is not None:
-            poset.__dict__["_above"] = tuple(above)
+            _store(poset, "_above", tuple(above))
         return poset
 
     @classmethod
@@ -150,8 +154,22 @@ class FinitePoset(Record):
         return out
 
 
-class FiniteLattice:
-    """A finite bounded lattice: its order, its bounds and its labels.
+class FiniteLattice(Record):
+    """A finite bounded lattice: its order and, optionally, its labels.
+
+    The constructor certifies that ``order`` is a lattice order, with
+    the lookups that answer its meets and joins. x /\\ y exists exactly
+    when the common lower set of x and y is some element's down-set,
+    that is when ``below[x] & below[y]`` is a key of the meet index;
+    x \\/ y exists exactly when ``above[x] & above[y]``, the common
+    upper set, is a key of the join index. Both sides are one ``&`` and
+    one lookup per pair, run by one row scan. Pairs are walked x
+    ascending, y >= x, meet before join (the order of the
+    ``bound_tables`` oracle), so NotALattice names the pair that
+    ``bound_tables`` would. O(n^2) mask operations and lookups; the
+    indices built there are the lattice's own. Past the soft cap the
+    constructor raises LatticeTooLarge. Builders that know their order
+    is a lattice go through ``_of``, which certifies nothing.
 
     Meet and join are one ``&`` plus one lookup. The lattice has two
     sides of one shape, ``_meet`` and ``_join``, each a triple (masks,
@@ -163,7 +181,8 @@ class FiniteLattice:
 
     * Any lattice can use its ``below`` rows as meet masks, since the
       down-set of x /\\ y is the intersection of the two down-sets, and
-      its ``above`` rows as join co-masks, dually.
+      its ``above`` rows as join co-masks, dually; a certified lattice
+      does.
     * A down-set frame (downset_lattice) uses its labels, the down-sets
       themselves, as meet masks and their complements as co-masks: by
       Birkhoff, meet is intersection and join is union there.
@@ -177,59 +196,54 @@ class FiniteLattice:
 
     ``labels`` optionally names each element (down-set masks for
     Birkhoff duals, ambient indices for sublattices); it never affects
-    semantics. A lattice is determined by its order, so two lattices
-    are equal when their orders and labels are. Instances are
-    immutable; what a lattice certifies about itself is cached on it:
-    its Birkhoff dual (``_birkhoff``), computed once, from which both
-    the frame certificate and the prime spectrum are read.
+    semantics and is stored as a tuple. A lattice is determined by its
+    order, so it is a record of its order and its labels. What a
+    lattice certifies about itself is cached on it: its Birkhoff dual
+    (``_birkhoff``), computed once, from which both the frame
+    certificate and the prime spectrum are read.
     """
 
-    def __init__(self, order, labels=None):
-        """The lattice of ``order``, which must be a lattice order
-        (validate_lattice certifies one): meet masks are its ``below``
-        rows, join co-masks its ``above`` rows, and the bounds are read
-        off them."""
-        self._set(order, labels, *_order_masks(order))
+    _fields = ("order", "labels")
+    _defaults = {"labels": None}
+
+    def __post_init__(self):
+        order = self.order
+        cap = max_lattice_size()
+        if order.n > cap:
+            raise LatticeTooLarge(f"{order.n} elements exceeds the cap of {cap}")
+        if order.n == 0:
+            raise NotALattice("empty carrier has no bounds", witness=None)
+        meet, join = _order_masks(order)
+        bad = _missing_bound(meet, join)
+        if bad is not None:
+            kind, x, y = bad
+            raise NotALattice(f"elements {x} and {y} have no {kind}", witness=bad)
+        labels = self.labels
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != order.n:
+                raise NotALattice("label count does not match the carrier")
+            _store(self, "labels", labels)
+        self._derive(meet, join)
 
     @classmethod
-    def _from_masks(cls, order, labels, meet, join):
+    def _of(cls, order, labels, meet, join) -> "FiniteLattice":
         """The lattice whose operations the given (masks, index) sides
-        encode."""
-        lat = object.__new__(cls)
-        lat._set(order, labels, meet, join)
+        encode, uncertified: each caller says why ``order`` is a lattice
+        order and ``labels`` a tuple with one label per element."""
+        lat = cls._trusted(order, labels)
+        lat._derive(meet, join)
         return lat
 
-    def _set(self, order, labels, meet, join):
-        if labels is not None and len(labels) != order.n:
-            raise NotALattice("label count does not match the carrier")
+    def _derive(self, meet, join):
         (mm, mi), (jm, ji) = meet, join
         # the bounds are the meet and the join of everything
         bottom, top = mi[reduce(and_, mm)], ji[reduce(and_, jm)]
-        self.__dict__.update(
-            order=order,
-            n=order.n,
-            bottom=bottom,
-            top=top,
-            labels=labels,
-            _meet=(mm, mi, mm[top]),
-            _join=(jm, ji, jm[bottom]),
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"FiniteLattice is immutable; cannot set {name!r}")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, FiniteLattice):
-            return NotImplemented
-        return self.order == other.order and self.labels == other.labels
-
-    def __hash__(self):
-        return hash((self.order.below, self.labels))
-
-    def __repr__(self):
-        return f"FiniteLattice(n={self.n}, bottom={self.bottom}, top={self.top}, labels={self.labels!r})"
+        _store(self, "n", self.order.n)
+        _store(self, "bottom", bottom)
+        _store(self, "top", top)
+        _store(self, "_meet", (mm, mi, mm[top]))
+        _store(self, "_join", (jm, ji, jm[bottom]))
 
     def leq(self, x: int, y: int) -> bool:
         return (self.order.below[y] >> x) & 1 == 1
@@ -307,11 +321,11 @@ class FiniteLattice:
         """The distributivity certificate, computed once; see is_frame."""
         opens = self._birkhoff[2]
         if opens is not None and len(opens) == self.n:
-            return FrameWitness(self, True)
+            return FrameWitness(True, None)
         witness = _accel.distributive_witness(self.meet_table, self.join_table)
         if witness is None:
             raise AssertionError("Birkhoff count and distributivity scan disagree")
-        return FrameWitness(self, False, witness)
+        return FrameWitness(False, witness)
 
     @cached_property
     def prime_spectrum(self):
@@ -328,7 +342,7 @@ class FrameWitness(Record):
     None for a frame.
     """
 
-    _fields = ("lattice", "distributive", "witness")
+    _fields = ("distributive", "witness")
     _defaults = {"witness": None}
 
 
@@ -360,38 +374,6 @@ def _row(side, x: int, start: int = 0):
     # no element has that mask. Reads the (masks, index) part only.
     masks, index = side[0], side[1]
     return map(index.get, map(and_, repeat(masks[x]), masks[start:]))
-
-
-def validate_lattice(order: FinitePoset, labels=None) -> FiniteLattice:
-    """Certify that ``order`` is a lattice with the lookups that answer
-    its meets and joins.
-
-    x /\\ y exists exactly when the common lower set of x and y is some
-    element's down-set, that is when ``below[x] & below[y]`` is a key of
-    the meet index FiniteLattice.meet reads; x \\/ y exists exactly when
-    ``above[x] & above[y]``, the common upper set, is a key of the join
-    index. Both sides are one ``&`` and one lookup per pair, run by one
-    row scan. Pairs are walked x ascending, y >= x, meet before join
-    (the order of the ``bound_tables`` oracle), so NotALattice names the
-    pair that ``bound_tables`` would. O(n^2) mask operations and
-    lookups; the indices built here are the lattice's own.
-
-    Raises NotALattice with a witness pair when some meet or join is
-    missing, and LatticeTooLarge past the soft cap.
-    """
-    cap = max_lattice_size()
-    if order.n > cap:
-        raise LatticeTooLarge(f"{order.n} elements exceeds the cap of {cap}")
-    if order.n == 0:
-        raise NotALattice("empty carrier has no bounds", witness=None)
-    meet, join = _order_masks(order)
-    bad = _missing_bound(meet, join)
-    if bad is not None:
-        kind, x, y = bad
-        raise NotALattice(f"elements {x} and {y} have no {kind}", witness=bad)
-    return FiniteLattice._from_masks(
-        order, tuple(labels) if labels is not None else None, meet, join
-    )
 
 
 def _missing_bound(meet, join):
@@ -483,8 +465,8 @@ def downset_lattice(poset: FinitePoset, masks=None) -> FiniteLattice:
     meet = _indexed(masks)
     join = _indexed(tuple(map(full.__xor__, masks)))
     order = FinitePoset._from_rows(*inclusion_rows(masks))
-    lat = FiniteLattice._from_masks(order, masks, meet, join)
-    lat.__dict__["_label_index"] = meet[1]
+    lat = FiniteLattice._of(order, masks, meet, join)
+    _store(lat, "_label_index", meet[1])
     return lat
 
 
@@ -546,10 +528,7 @@ def sublattice(lat: FiniteLattice, elements) -> FiniteLattice:
     the subposet, which need not agree with the ambient ones.
     """
     elements = sorted(set(elements))
-    if not elements:
-        raise NotALattice("empty carrier has no bounds")
-    sub = lat.order.subposet(elements)
-    return validate_lattice(sub, labels=elements)
+    return FiniteLattice(lat.order.subposet(elements), elements)
 
 
 def fixed_point_lattice(
@@ -584,8 +563,8 @@ def fixed_point_lattice(
     order = lat.order.subposet(elements)
     meet = order.below if meet_fix is not None else tuple(lat._meet[0][e] for e in elements)
     join = order.above() if join_fix is not None else tuple(lat._join[0][e] for e in elements)
-    out = FiniteLattice._from_masks(order, elements, _indexed(meet), _indexed(join))
-    out.__dict__["_label_index"] = {e: k for k, e in enumerate(elements)}
+    out = FiniteLattice._of(order, elements, _indexed(meet), _indexed(join))
+    _store(out, "_label_index", {e: k for k, e in enumerate(elements)})
     return out
 
 

@@ -10,13 +10,13 @@ from itertools import permutations, product
 from hypothesis import strategies as st
 
 from stonekit import (
+    FiniteLattice,
     FinitePoset,
     GaloisConnection,
     MonotoneMap,
     MultiplicityInclusion,
     boolean_lattice,
     downset_lattice,
-    validate_lattice,
 )
 from stonekit import _kernels
 
@@ -92,11 +92,11 @@ def meets_commute_by_table(source, elements, images, target, values):
 
 
 def lattice_from_pairs(n, pairs, labels=None):
-    return validate_lattice(FinitePoset.from_pairs(n, pairs), labels)
+    return FiniteLattice(FinitePoset.from_pairs(n, pairs), labels)
 
 
 def chain_lattice(n):
-    return validate_lattice(FinitePoset.chain(n))
+    return FiniteLattice(FinitePoset.chain(n))
 
 
 def _cube_pairs():

@@ -195,4 +195,11 @@ MUTANTS = (
         '{"analyze": analyze, "spectrum": spectrum, "verify": verify}[args.pop("command")](**args)',
         ("test_cli.py",),
     ),
+    Mutant(
+        "lattice-constructor-skips-the-bound-check",
+        "lattice.py",
+        "bad = _missing_bound(meet, join)",
+        "bad = None",
+        ("test_lattice.py",),
+    ),
 )

@@ -71,7 +71,6 @@ from stonekit import (
     sweep_theorem,
     to_inclusion_data,
     upper_adjoint,
-    validate_lattice,
     verify_prop26,
 )
 from stonekit import _accel, _kernels
@@ -140,7 +139,7 @@ class TestBirkhoffAgainstScan:
         refused = 0
         for p in all_posets(5):
             try:
-                lat = validate_lattice(p)
+                lat = FiniteLattice(p)
             except NotALattice:
                 continue
             fw = is_frame(lat)
@@ -566,7 +565,7 @@ class TestCertifyOnce:
 
     def test_frame_and_spectrum_share_one_birkhoff_dual(self, monkeypatch):
         poset = FinitePoset.from_pairs(4, [(0, 1), (0, 2), (2, 3)])
-        lat = validate_lattice(downset_lattice(poset).order)
+        lat = FiniteLattice(downset_lattice(poset).order)
         enumerations = counted(monkeypatch, _accel, "downset_masks")
         real_subposet = FinitePoset.subposet
         restrictions = []

@@ -108,6 +108,23 @@ class TestAnalyze:
         assert result.exit_code == 1
         assert "line 1" in result.output
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"\xff\xfe" + CHAIN_DOC.encode("utf-16-le"), "not UTF-8 text"),
+            (b"[" * 100000 + b"]" * 100000, "nested too deeply"),
+        ],
+        ids=["utf-16", "deep-nesting"],
+    )
+    def test_malformed_bytes_are_one_error_line(self, tmp_path, data, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        result = invoke(["analyze", str(path)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert message in result.stderr
+
     def test_schema_error_is_path_anchored(self, tmp_path):
         path = write_raw(
             tmp_path,

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import labeled_posets
 from stonekit import (
+    FiniteLattice,
     FinitePoset,
     FiniteT0Space,
     InstanceGenerator,
@@ -39,7 +40,6 @@ from stonekit import (
     order_automorphisms,
     small_group_actions,
     sweep_theorem,
-    validate_lattice,
     verify_prop26,
 )
 import stonekit.conformance as conformance_module
@@ -190,7 +190,7 @@ class TestFrameEnumeration:
                     continue
                 seen.add(key)
                 try:
-                    lat = validate_lattice(FinitePoset(n, key))
+                    lat = FiniteLattice(FinitePoset(n, key))
                 except NotALattice:
                     continue
                 if not is_frame(lat).distributive:

@@ -47,6 +47,16 @@ class TestParse:
         with pytest.raises(DocumentError, match=r"line 2, column"):
             parse_document('{"kind": "graph",\n "payload": }')
 
+    def test_nesting_past_the_recursion_limit_is_a_document_error(self):
+        with pytest.raises(DocumentError, match="nested too deeply"):
+            parse_document("[" * 100000 + "]" * 100000)
+
+    def test_bytes_that_are_not_utf8_are_a_document_error(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + '{"kind": "graph"}'.encode("utf-16-le"))
+        with pytest.raises(DocumentError, match="not UTF-8 text: invalid start byte at byte 0"):
+            load_document(path)
+
     def test_top_level_must_be_an_object(self):
         with pytest.raises(DocumentError, match=r"\$: expected an object"):
             parse_document("[1, 2]")

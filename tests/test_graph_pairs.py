@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from stonekit import (
     EX_75,
     FiniteGraph,
+    FiniteLattice,
     FinitePoset,
     JNotAdmissible,
     LatticeTooLarge,
@@ -19,7 +20,6 @@ from stonekit import (
     j_x,
     lattice_isomorphism,
     pair_prime_space,
-    validate_lattice,
     x_forward,
     x_inverse,
 )
@@ -42,7 +42,7 @@ def pairwise_pair_lattice(g, j):
     vertex sets (I, I') with I positively invariant, J | I inside I' and
     no vertex of I' - I in x_inverse(I), that is with all its edges
     landing in I; ordered componentwise pair by pair and certified by
-    validate_lattice."""
+    the FiniteLattice constructor."""
     sets = range(1 << g.vertices)
     pairs = [
         (inv, upper)
@@ -55,7 +55,7 @@ def pairwise_pair_lattice(g, j):
         sum(1 << a for a, (ia, ua) in enumerate(pairs) if ia & ~ib == 0 and ua & ~ub == 0)
         for ib, ub in pairs
     )
-    return validate_lattice(FinitePoset(len(pairs), below), labels=tuple(pairs))
+    return FiniteLattice(FinitePoset(len(pairs), below), labels=tuple(pairs))
 
 
 def all_graphs(max_vertices):

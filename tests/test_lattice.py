@@ -20,6 +20,7 @@ from conftest import (
     three_atom_diamond,
 )
 from stonekit import (
+    FiniteLattice,
     FinitePoset,
     all_frames,
     all_posets,
@@ -33,7 +34,6 @@ from stonekit import (
     is_frame,
     lattice_isomorphism,
     sublattice,
-    validate_lattice,
 )
 from stonekit import _kernels
 from stonekit.lattice import (
@@ -156,11 +156,25 @@ class TestValidateLattice:
         assert lat.join(1, 2) == 3
 
     def test_unbounded_antichain_rejected(self):
-        with pytest.raises(NotALattice):
-            validate_lattice(FinitePoset.antichain(2))
+        with pytest.raises(NotALattice) as caught:
+            FiniteLattice(FinitePoset.antichain(2))
+        assert caught.value.witness == ("meet", 0, 1)
+
+    def test_missing_join_rejected_with_its_pair(self):
+        # 1 and 2 have two minimal upper bounds, 3 and 4
+        p = FinitePoset.from_pairs(6, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5)])
+        with pytest.raises(NotALattice, match="elements 1 and 2 have no join") as caught:
+            FiniteLattice(p)
+        assert caught.value.witness == ("join", 1, 2)
+
+    def test_labels_are_stored_as_a_tuple(self):
+        lat = FiniteLattice(FinitePoset.chain(3), ["a", "b", "c"])
+        assert lat.labels == ("a", "b", "c")
+        assert lat == FiniteLattice(FinitePoset.chain(3), ("a", "b", "c"))
+        assert lat != FiniteLattice(FinitePoset.chain(3))
 
     def test_unlabeled_elements_are_named_by_their_index(self):
-        lat = validate_lattice(FinitePoset.chain(3))
+        lat = FiniteLattice(FinitePoset.chain(3))
         assert lat.labels is None
         assert [lat.index_of_label(k) for k in range(3)] == [0, 1, 2]
         for label in (3, 99, -1, "2", True, False, 1.0, None):
@@ -169,17 +183,17 @@ class TestValidateLattice:
 
     def test_empty_carrier_rejected(self):
         with pytest.raises(NotALattice):
-            validate_lattice(FinitePoset.antichain(0))
+            FiniteLattice(FinitePoset.antichain(0))
 
     def test_label_count_must_match(self):
         with pytest.raises(NotALattice, match="label count"):
-            validate_lattice(FinitePoset.chain(3), labels=("a", "b"))
+            FiniteLattice(FinitePoset.chain(3), labels=("a", "b"))
 
     def test_missing_meet_rejected(self):
         # two minimal and two maximal points: joins of minimals not unique
         p = FinitePoset.from_pairs(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
         with pytest.raises(NotALattice):
-            validate_lattice(p)
+            FiniteLattice(p)
 
     @settings(max_examples=200)
     @given(posets())
@@ -192,9 +206,9 @@ class TestValidateLattice:
         )
         if not complete:
             with pytest.raises(NotALattice):
-                validate_lattice(p)
+                FiniteLattice(p)
             return
-        lat = validate_lattice(p)
+        lat = FiniteLattice(p)
         assert [list(r) for r in lat.meet_table] == meet
         assert [list(r) for r in lat.join_table] == join
         # the operations read masks, not these tables: they agree too
@@ -222,10 +236,10 @@ def assert_validated_like_bound_tables(p):
     meet, join, bad = _kernels.bound_tables(list(p.below))
     if bad is not None:
         with pytest.raises(NotALattice) as caught:
-            validate_lattice(p)
+            FiniteLattice(p)
         assert caught.value.witness == bad
         return
-    lat = validate_lattice(p)
+    lat = FiniteLattice(p)
     assert "meet_table" not in vars(lat) and "join_table" not in vars(lat)
     assert lat.meet_table == tuple(map(tuple, meet))
     assert lat.join_table == tuple(map(tuple, join))
@@ -265,10 +279,10 @@ class TestFrameCheck:
         assert fw.distributive and fw.witness is None
 
     def test_pentagon_fails_with_witness(self):
-        fw = is_frame(pentagon())
+        lat = pentagon()
+        fw = is_frame(lat)
         assert not fw.distributive
         x, y, z = fw.witness
-        lat = fw.lattice
         assert lat.meet(x, lat.join(y, z)) != lat.join(lat.meet(x, y), lat.meet(x, z))
 
     def test_three_atom_diamond_fails(self):
@@ -421,11 +435,11 @@ class TestMaskFramesAgainstTables:
 
     @pytest.mark.parametrize("lat", [f for _, f in MASK_FRAMES], ids=[i for i, _ in MASK_FRAMES])
     def test_lazy_tables_are_the_validated_tables(self, lat):
-        assert_same_lattice(lat, validate_lattice(lat.order, labels=lat.labels))
+        assert_same_lattice(lat, FiniteLattice(lat.order, labels=lat.labels))
 
     @pytest.mark.parametrize("lat", [f for _, f in MASK_FRAMES], ids=[i for i, _ in MASK_FRAMES])
     def test_operations_read_like_the_tables(self, lat):
-        validated = validate_lattice(lat.order)
+        validated = FiniteLattice(lat.order)
         mt, jt = validated.meet_table, validated.join_table
         for x in range(lat.n):
             assert lat.meet_row(x) == mt[x] and lat.join_row(x) == jt[x]

@@ -20,6 +20,7 @@ from stonekit import (
     BundleMap,
     FiniteGraph,
     FiniteGroupAction,
+    FiniteLattice,
     FinitePoset,
     FiniteT0Space,
     FrameWitness,
@@ -72,6 +73,7 @@ def _bundle():
 
 BUILDERS = {
     "FinitePoset": lambda: FinitePoset.chain(3),
+    "FiniteLattice": lambda: FiniteLattice(FinitePoset.chain(3), ("a", "b", "c")),
     "FrameWitness": lambda: is_frame(downset_lattice(FinitePoset.chain(2))),
     "MonotoneMap": lambda: MonotoneMap.identity(boolean_lattice(2)),
     "AbsenceWitness": lambda: AbsenceWitness(MonotoneMap.identity(boolean_lattice(1)), 0, 1, "no adjoint"),
@@ -213,7 +215,7 @@ def test_every_split_into_positions_and_keywords_builds_the_same_record(name):
 
 
 def test_defaults_fill_the_trailing_fields():
-    assert FrameWitness(boolean_lattice(1), True).witness is None
+    assert FrameWitness(True).witness is None
     inclusion = MultiplicityInclusion(((1, 0), (1, 1)))
     assert inclusion.a_dims is None and inclusion.b_dims is None
     assert InstanceDocument("graph", {"vertices": 1}).name is None
