@@ -26,6 +26,7 @@ from .errors import ConditionViolated, StonekitError, SweepFailed
 from .conformance import sweep_theorem
 from .galois import detects, separates
 from .graph_pairs import j_pairs, pair_prime_space
+from .lattice import join_irreducibles
 from .multiplicity import is_symmetric
 from .quasiorbit import (
     check_C1,
@@ -102,9 +103,16 @@ def _condition_report(doc, model) -> dict:
         "separates": separates(d.gc),
     }
     if not mif:
-        x, y = d._mif_bad
-        meet = d.lattice_b.meet(x, y)
-        report["MIf_witness"] = list(bits(d.lattice_b.labels[meet]))
+        # a down-set lattice names the meet by its label, its set of
+        # points; any other lattice by the join-irreducibles below it,
+        # as indices into join_irreducibles(B)
+        b = d.lattice_b
+        meet = b.meet(*d._mif_bad)
+        if b.labels is not None:
+            witness = bits(b.labels[meet])
+        else:
+            witness = (k for k, j in enumerate(join_irreducibles(b)) if b.leq(j, meet))
+        report["MIf_witness"] = list(witness)
     if doc.kind == "multiplicity":
         rows = len(model.mult)
         report["symmetric"] = [

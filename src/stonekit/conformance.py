@@ -38,12 +38,16 @@ Sweep tags and their budgets:
        group of order <= 6 acting on every poset with <= ``budget``
        points. The statement does not depend on how points are
        labeled, so each isomorphism class of posets is checked once, on
-       one representative R, and counted by orbit-stabilizer: every
-       action on R stands for n!/|Aut(R)| labeled ones. The labeled
-       census is kept: it runs instead on a violation, so the report
-       names the first violating labeled action and its minimized
-       document, and the tests compare it with the reduced sweep, since
-       only it would catch a labeling-dependent bug.
+       one representative R. Nor does it tell conjugate subgroups H and
+       gHg^-1 (g in Aut(R)) apart, since g carries one action onto the
+       other; so on R one subgroup per Aut(R)-conjugacy class is
+       checked. Orbit-stabilizer counts the labeled census: the pair
+       (R, class of H) stands for n!/|Aut(R)| labelings of R times the
+       |class| subgroups conjugate to H. The labeled census is kept: it
+       runs instead on a violation, so the report names the first
+       violating labeled action and its minimized document, and the
+       tests compare it with the reduced sweep, since only it would
+       catch a labeling-dependent bug.
 """
 
 from __future__ import annotations
@@ -429,7 +433,15 @@ def _join_preserving_maps(poset: FinitePoset, la: FiniteLattice, lb: FiniteLatti
 
 
 def small_group_actions(space: FiniteT0Space, max_order: int = 6):
-    """One action per automorphism subgroup of order <= ``max_order``.
+    """One action per automorphism subgroup of order <= ``max_order``,
+    generated by the generators ``_small_subgroups`` names."""
+    for gens, _ in _small_subgroups(space, max_order):
+        yield FiniteGroupAction(space, gens)
+
+
+def _small_subgroups(space: FiniteT0Space, max_order: int):
+    """(generators, closure) for each automorphism subgroup of order
+    <= ``max_order``.
 
     Subgroups are enumerated through generator sets of size <= 2 (every
     group of order <= 6 is 2-generated) and deduplicated by closure.
@@ -438,8 +450,8 @@ def small_group_actions(space: FiniteT0Space, max_order: int = 6):
     the single generators came to first. Otherwise <g, h> properly
     contains both cyclic groups, so by Lagrange its order is at least
     twice the larger one's; past ``max_order`` its closure would be
-    refused anyway. The actions, and their order, are those of closing
-    every pair.
+    refused anyway. The subgroups, and their order, are those of
+    closing every pair.
     """
     n = space.points.n
     identity = tuple(range(n))
@@ -459,20 +471,45 @@ def small_group_actions(space: FiniteT0Space, max_order: int = 6):
         seen.add(closure)
         return True
 
-    if new(close(())):
-        yield FiniteGroupAction(space, ())
+    trivial = close(())
+    if new(trivial):
+        yield (), trivial
     for g in auts:
         cyclic[g] = close((g,))
         if new(cyclic[g]):
-            yield FiniteGroupAction(space, (g,))
+            yield (g,), cyclic[g]
     for g, h in combinations(auts, 2):
         cg, ch = cyclic[g], cyclic[h]
         if cg is None or ch is None or h in cg or g in ch:
             continue
         if 2 * max(len(cg), len(ch)) > max_order:
             continue
-        if new(close((g, h))):
-            yield FiniteGroupAction(space, (g, h))
+        closure = close((g, h))
+        if new(closure):
+            yield (g, h), closure
+
+
+def _subgroup_classes(space: FiniteT0Space, auts):
+    """(generators, conjugates) for one subgroup per conjugacy class
+    under ``auts``, the automorphism group of the space.
+
+    ``conjugates`` is the set of closures gHg^-1 over g in ``auts``;
+    each is a subgroup of the same order, generated by the conjugated
+    generators, so ``_small_subgroups`` yields it too, and the first of
+    its class to come stands for the rest.
+    """
+    seen = set()
+    for gens, closure in _small_subgroups(space, 6):
+        if closure in seen:
+            continue
+        conjugates = set()
+        for g in auts:
+            inverse = sorted(range(len(g)), key=g.__getitem__)
+            conjugates.add(
+                tuple(sorted(tuple(g[h[x]] for x in inverse) for h in closure))
+            )
+        seen |= conjugates
+        yield gens, conjugates
 
 
 # -- sweeps ------------------------------------------------------------------
@@ -742,15 +779,17 @@ def _run_T33(budget: int, seed: int) -> SweepReport:
 
 
 def _run_T62(budget: int, seed: int) -> SweepReport:
-    # A representative R stands for its n!/|Aut(R)| labelings, each with
-    # as many subgroup actions as R; see the module docstring.
+    # A pair (R, class of H) stands for its n!/|Aut(R)| labelings of R
+    # times the |class| subgroups conjugate to H; see the module docstring.
     checked = 0
     for rep in _poset_classes(budget):
-        copies = factorial(rep.n) // len(order_automorphisms(rep))
-        for action in small_group_actions(FiniteT0Space.from_poset(rep)):
-            if not action_quasi_orbit_agreement(action):
+        auts = order_automorphisms(rep)
+        copies = factorial(rep.n) // len(auts)
+        space = FiniteT0Space.from_poset(rep)
+        for gens, conjugates in _subgroup_classes(space, auts):
+            if not action_quasi_orbit_agreement(FiniteGroupAction(space, gens)):
                 return _run_T62_labeled(budget, seed)
-            checked += copies
+            checked += copies * len(conjugates)
     return SweepReport("T62", seed, budget, checked, checked, 0)
 
 

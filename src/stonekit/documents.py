@@ -16,7 +16,8 @@ problems raise DocumentError with a path anchor ("$.payload.matrix[2]");
 a poset with more points than the size cap (STONE_MAX_LATTICE) is one,
 refused before its closure is taken, and so is a graph with more
 vertices than the cap, to bound the vertices^2 bits of its reach
-closure (a graph that large can still have a small pair lattice).
+closure (a graph that large can still have a small pair lattice), and
+an r x c matrix whose 2^r or 2^c summand sets exceed the cap.
 Semantic problems (a non-lattice order, a failed adjunction) surface as
 the model's own errors when the payload is compiled. The schema check
 builds each poset once and keeps it on the document with the values it
@@ -187,6 +188,15 @@ def _check_multiplicity(payload: dict, path: str) -> dict:
         if rows and len(entries) != len(rows[0]):
             _fail(f"{path}.matrix[{k}]", "ragged rows")
         rows.append(tuple(entries))
+    # the two lattices are the summand sets of the rows and of the
+    # columns: their sizes are known now, before either is built
+    shape = len(rows), len(rows[0])
+    sets, cap = 1 << max(shape), max_lattice_size()
+    if sets > cap:
+        _fail(
+            f"{path}.matrix",
+            f"{sets} summand sets ({shape[0]} x {shape[1]} matrix) exceeds the cap of {cap}",
+        )
     out = {"matrix": tuple(rows)}
     for key, count in (("a_dims", len(rows)), ("b_dims", len(rows[0]))):
         dims = _field(payload, path, key, required=False)

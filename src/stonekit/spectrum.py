@@ -101,6 +101,21 @@ class FiniteT0Space(Record):
         """The frame of opens, built once from ``opens``; see opens_lattice."""
         return downset_lattice(self.points, self.opens)
 
+    @cached_property
+    def soberification(self) -> "PointMap":
+        """The unit X -> pt(O(X)), built once; see soberification."""
+        lat = opens_lattice(self)
+        spec = primes(lat)
+        full = (1 << self.n) - 1
+        values = []
+        for x in range(self.n):
+            px = lat.index_of_label(full & ~self.closure(1 << x))
+            values.append(spec.prime_index[px])
+        pm = PointMap(self, spec.space, tuple(values))
+        if not is_homeomorphism(pm):
+            raise AssertionError("soberification unit failed to be a homeomorphism")
+        return pm
+
 
 def opens_lattice(space: FiniteT0Space) -> FiniteLattice:
     """The frame of opens, labeled by open masks.
@@ -398,19 +413,10 @@ def soberification(space: FiniteT0Space) -> PointMap:
     """The unit X -> pt(O(X)); a homeomorphism on finite T0 spaces.
 
     Sends x to the open complement of its closure, which is prime in the
-    opens frame.
+    opens frame. Built and certified on first use and cached on the
+    space, as its opens lattice is.
     """
-    lat = opens_lattice(space)
-    spec = primes(lat)
-    full = (1 << space.n) - 1
-    values = []
-    for x in range(space.n):
-        px = lat.index_of_label(full & ~space.closure(1 << x))
-        values.append(spec.prime_index[px])
-    pm = PointMap(space, spec.space, tuple(values))
-    if not is_homeomorphism(pm):
-        raise AssertionError("soberification unit failed to be a homeomorphism")
-    return pm
+    return space.soberification
 
 
 def quotient_space(space: FiniteT0Space, classes) -> tuple[FiniteT0Space, tuple[int, ...]]:

@@ -202,4 +202,25 @@ MUTANTS = (
         "bad = None",
         ("test_lattice.py",),
     ),
+    Mutant(
+        "t62-class-counted-as-one-subgroup",
+        "conformance.py",
+        "checked += copies * len(conjugates)",
+        "checked += copies",
+        ("test_conformance.py",),
+    ),
+    Mutant(
+        "t62-one-class-per-subgroup",
+        "conformance.py",
+        "        for g in auts:\n            inverse",
+        "        for g in auts[:1]:\n            inverse",
+        ("test_conformance.py",),
+    ),
+    Mutant(
+        "mif-witness-read-off-lattice-a",
+        "cli.py",
+        "enumerate(join_irreducibles(b)) if b.leq(j, meet)",
+        "enumerate(join_irreducibles(d.lattice_a)) if d.lattice_a.leq(j, meet)",
+        ("test_cli.py",),
+    ),
 )

@@ -68,6 +68,7 @@ from stonekit import (
     quasi_orbit_space,
     small_group_actions,
     sublattice,
+    soberification,
     sweep_theorem,
     to_inclusion_data,
     upper_adjoint,
@@ -504,6 +505,16 @@ class TestCertifyOnce:
         assert scans == []
         # the 256-element target has one prime per column
         assert len(re.findall(r"^\s+t\d+ \[label=", out.read_text(), flags=re.M)) == 8
+
+    def test_soberification_is_built_once_per_space(self, monkeypatch):
+        units = counted_property(monkeypatch, FiniteT0Space, "soberification")
+        space = vee_action().space
+        assert soberification(space) is soberification(space)
+        assert units == [space]
+        units.clear()
+        # the reduced T62 sweep checks 226 actions on its 87 spaces
+        assert sweep_theorem("T62").checked == 8223
+        assert len(units) == len({id(space) for space in units}) == 87
 
     def test_agreement_re_checks_no_certificate(self, monkeypatch):
         a = vee_action()

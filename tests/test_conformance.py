@@ -54,6 +54,7 @@ from stonekit.conformance import (
     _shrink_action,
     _shrink_bundle,
     _shrink_seed,
+    _subgroup_classes,
     _sweep,
 )
 from stonekit.lattice import boolean_lattice, downset_lattice, poset_isomorphism
@@ -359,8 +360,9 @@ class TestSweeps:
 
 
 class TestT62BySymmetry:
-    """The sweep checks one poset per isomorphism class; the labeled
-    census is the oracle that would catch a labeling-dependent bug."""
+    """The sweep checks one poset per isomorphism class and, on it, one
+    subgroup per conjugacy class; the labeled census is the oracle that
+    would catch a labeling-dependent bug."""
 
     def test_labeled_census_matches_the_reduced_sweep(self):
         assert _run_T62_labeled(5, 0) == sweep_theorem("T62")
@@ -383,6 +385,84 @@ class TestT62BySymmetry:
             for r in reps:
                 copies[r.n] += factorial(r.n) // len(order_automorphisms(r))
             assert copies == {n: labeled[n] for n in range(1, max_points + 1)}
+
+    def test_subgroup_classes_partition_the_subgroups(self):
+        # conjugation by hand: p = g h g^-1 is the permutation with
+        # p(g(x)) = g(h(x))
+        def conjugate(g, group):
+            out = []
+            for h in group:
+                p = [0] * len(g)
+                for x in range(len(g)):
+                    p[g[x]] = g[h[x]]
+                out.append(tuple(p))
+            return tuple(sorted(out))
+
+        reps = _poset_classes(5)
+        assert len(reps) == 87
+        for rep in reps:
+            space = FiniteT0Space.from_poset(rep)
+            auts = order_automorphisms(rep)
+            classes = list(_subgroup_classes(space, auts))
+            subgroups = [a.closure for a in small_group_actions(space)]
+            assert sum(len(members) for _, members in classes) == len(subgroups)
+            assert set().union(*(members for _, members in classes)) == set(subgroups)
+            groups = [group_closure(gens, rep.n, 6) for gens, _ in classes]
+            for (_, members), group in zip(classes, groups):
+                assert {conjugate(g, group) for g in auts} == members
+            for i, group in enumerate(groups):
+                assert not any(
+                    conjugate(g, group) == other for g in auts for other in groups[i + 1 :]
+                )
+
+    def test_one_check_per_subgroup_class(self, monkeypatch):
+        real = conformance_module.action_quasi_orbit_agreement
+        checks = []
+
+        def agreement(action):
+            checks.append(action)
+            return real(action)
+
+        monkeypatch.setattr(conformance_module, "action_quasi_orbit_agreement", agreement)
+        for budget, count in zip(range(1, 6), (1, 4, 14, 54, 226)):
+            checks.clear()
+            assert sweep_theorem("T62", budget).violations == 0
+            assert len(checks) == count
+        # against 403 subgroups of the automorphism groups of the 87
+        # representatives
+        assert sum(
+            len(list(small_group_actions(FiniteT0Space.from_poset(rep))))
+            for rep in _poset_classes(5)
+        ) == 403
+
+    def test_fault_on_a_non_normal_class_gives_the_labeled_report(self, monkeypatch):
+        # a conjugation-invariant fault: the groups of one fixed-point-free
+        # involution on the 4-point antichain. <(0 1)(2 3)> is one of
+        # three conjugate subgroups of S4, so it is not normal.
+        def agreement(action):
+            points = action.space.points
+            antichain = all(row & (row - 1) == 0 for row in points.below)
+            free = len(action.closure) == 2 and all(
+                g[x] != x for g in action.generators for x in range(points.n)
+            )
+            return not (points.n == 4 and antichain and free)
+
+        antichain = FiniteT0Space.from_poset(FinitePoset.antichain(4))
+        auts = order_automorphisms(antichain.points)
+        sizes = [
+            len(members)
+            for gens, members in _subgroup_classes(antichain, auts)
+            if not agreement(FiniteGroupAction(antichain, gens))
+        ]
+        assert sizes == [3]
+        monkeypatch.setattr(conformance_module, "action_quasi_orbit_agreement", agreement)
+        with pytest.raises(SweepFailed) as reduced:
+            sweep_theorem("T62")
+        with pytest.raises(SweepFailed) as labeled:
+            _run_T62_labeled(5, 0)
+        assert str(reduced.value) == str(labeled.value)
+        assert reduced.value.report == labeled.value.report
+        assert reduced.value.report.counterexample["kind"] == "action"
 
     def test_injected_violation_gives_the_labeled_report(self, monkeypatch):
         # an isomorphism-invariant fault: every group of order 2 on a

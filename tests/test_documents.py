@@ -182,6 +182,29 @@ class TestKindSchemas:
         with pytest.raises(DocumentError, match=r"matrix: expected a non-empty"):
             parse_document(doc_text("multiplicity", {"matrix": []}))
 
+    @pytest.mark.parametrize("shape", [(1, 13), (13, 1), (13, 13)])
+    def test_multiplicity_past_the_cap_is_refused_by_shape(self, monkeypatch, shape):
+        # an r x c matrix gives lattices of 2^r and 2^c summand sets
+        monkeypatch.delenv("STONE_MAX_LATTICE", raising=False)
+        rows, cols = shape
+        matrix = [[1] * cols for _ in range(rows)]
+        message = (
+            rf"^\$\.payload\.matrix: 8192 summand sets \({rows} x {cols} matrix\) "
+            r"exceeds the cap of 4096$"
+        )
+        with pytest.raises(DocumentError, match=message):
+            parse_document(doc_text("multiplicity", {"matrix": matrix}))
+
+    def test_multiplicity_cap_follows_the_environment(self, monkeypatch):
+        text = doc_text("multiplicity", {"matrix": [[1, 1, 1]] * 2})
+        monkeypatch.setenv("STONE_MAX_LATTICE", "8")
+        assert parse_document(text).checked["matrix"] == ((1, 1, 1),) * 2
+        monkeypatch.setenv("STONE_MAX_LATTICE", "7")
+        with pytest.raises(DocumentError, match=r"^\$\.payload\.matrix: 8 summand sets"):
+            parse_document(text)
+        monkeypatch.delenv("STONE_MAX_LATTICE")
+        parse_document(doc_text("multiplicity", {"matrix": [[1] * 12] * 12}))
+
     def test_multiplicity_dims_length_checks(self):
         payload = {"matrix": [[1, 1]], "b_dims": [1]}
         with pytest.raises(DocumentError, match=r"b_dims: expected 2 entries"):
