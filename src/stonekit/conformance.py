@@ -14,6 +14,18 @@ counterexample document. One table (``_KINDS``) gives each instance kind
 its shrinker and the model its document describes; one table
 (``_SWEEPS``) gives each tag its default budget, its cap and its runner.
 
+The counting pass is split across the CPUs the process may run on
+(``os.sched_getaffinity``), by ``_in_shares``: with W of them, share w
+checks the units k = w (mod W), where a unit is an instance, a (frame,
+space) pair in T33 and a (representative, subgroup class) item in the
+reduced T62. Share 0 runs in the calling process and the others in
+forked children, which send their counts back through a pipe; a
+randomized share draws only its own instances. With one CPU, or without
+``os.fork``, the one share runs inline. When any share meets a
+violation or an exception, the serial loop reruns from the start, so
+reports, counterexamples, messages and exceptions are those of a run
+on one CPU.
+
 Sweep tags and their budgets:
 
   T33  equivalence_verified on every locale morphism from a frame with
@@ -52,9 +64,10 @@ Sweep tags and their budgets:
 
 from __future__ import annotations
 
+import os
 import random
 from functools import partial
-from itertools import combinations
+from itertools import combinations, islice
 from math import factorial
 from typing import NamedTuple
 
@@ -224,7 +237,7 @@ def _random_matrix(rng: random.Random, gen: InstanceGenerator) -> MultiplicityIn
     mult = tuple(
         tuple(rng.choice(entries) for _ in range(cols)) for _ in range(rows)
     )
-    return MultiplicityInclusion(mult)
+    return MultiplicityInclusion(mult, None, None)
 
 
 def _random_action(rng: random.Random, gen: InstanceGenerator) -> FiniteGroupAction:
@@ -435,13 +448,12 @@ def _join_preserving_maps(poset: FinitePoset, la: FiniteLattice, lb: FiniteLatti
 def small_group_actions(space: FiniteT0Space, max_order: int = 6):
     """One action per automorphism subgroup of order <= ``max_order``,
     generated by the generators ``_small_subgroups`` names."""
-    for gens, _ in _small_subgroups(space, max_order):
-        yield FiniteGroupAction(space, gens)
+    yield from _small_subgroups(space, max_order, order_automorphisms(space.points))
 
 
-def _small_subgroups(space: FiniteT0Space, max_order: int):
-    """(generators, closure) for each automorphism subgroup of order
-    <= ``max_order``.
+def _small_subgroups(space: FiniteT0Space, max_order: int, auts):
+    """One action per automorphism subgroup of order <= ``max_order``;
+    ``auts`` is ``order_automorphisms`` of the points.
 
     Subgroups are enumerated through generator sets of size <= 2 (every
     group of order <= 6 is 2-generated) and deduplicated by closure.
@@ -451,11 +463,12 @@ def _small_subgroups(space: FiniteT0Space, max_order: int):
     contains both cyclic groups, so by Lagrange its order is at least
     twice the larger one's; past ``max_order`` its closure would be
     refused anyway. The subgroups, and their order, are those of
-    closing every pair.
+    closing every pair. Each action is built on the closure found here,
+    which its constructor would compute again.
     """
     n = space.points.n
     identity = tuple(range(n))
-    auts = [g for g in order_automorphisms(space.points) if g != identity]
+    auts = [g for g in auts if g != identity]
     seen = set()
     cyclic = {}  # g -> the group it generates, None past max_order
 
@@ -473,11 +486,11 @@ def _small_subgroups(space: FiniteT0Space, max_order: int):
 
     trivial = close(())
     if new(trivial):
-        yield (), trivial
+        yield FiniteGroupAction._closed(space, (), trivial)
     for g in auts:
         cyclic[g] = close((g,))
         if new(cyclic[g]):
-            yield (g,), cyclic[g]
+            yield FiniteGroupAction._closed(space, (g,), cyclic[g])
     for g, h in combinations(auts, 2):
         cg, ch = cyclic[g], cyclic[h]
         if cg is None or ch is None or h in cg or g in ch:
@@ -486,11 +499,11 @@ def _small_subgroups(space: FiniteT0Space, max_order: int):
             continue
         closure = close((g, h))
         if new(closure):
-            yield (g, h), closure
+            yield FiniteGroupAction._closed(space, (g, h), closure)
 
 
 def _subgroup_classes(space: FiniteT0Space, auts):
-    """(generators, conjugates) for one subgroup per conjugacy class
+    """(action, conjugates) for one subgroup H per conjugacy class
     under ``auts``, the automorphism group of the space.
 
     ``conjugates`` is the set of closures gHg^-1 over g in ``auts``;
@@ -499,17 +512,17 @@ def _subgroup_classes(space: FiniteT0Space, auts):
     its class to come stands for the rest.
     """
     seen = set()
-    for gens, closure in _small_subgroups(space, 6):
-        if closure in seen:
+    for action in _small_subgroups(space, 6, auts):
+        if action.closure in seen:
             continue
         conjugates = set()
         for g in auts:
             inverse = sorted(range(len(g)), key=g.__getitem__)
             conjugates.add(
-                tuple(sorted(tuple(g[h[x]] for x in inverse) for h in closure))
+                tuple(sorted(tuple(g[h[x]] for x in inverse) for h in action.closure))
             )
         seen |= conjugates
-        yield gens, conjugates
+        yield action, conjugates
 
 
 # -- sweeps ------------------------------------------------------------------
@@ -705,21 +718,111 @@ def _check_T62(a: FiniteGroupAction):
     return True, action_quasi_orbit_agreement(a)
 
 
-def _sweep(tag, budget, seed, instances, check, where) -> SweepReport:
+def _in_shares(share, count):
+    """``share(w, step)`` for every w < step, one share per usable CPU.
+
+    ``step`` is the number of CPUs this process may run on, at most
+    ``count`` when that is known. Share 0 runs here and the others in
+    forked children, each of which writes its result, a tuple of ints,
+    back through a pipe and leaves by ``os._exit``, so no atexit hook,
+    stdio buffer or frame of the caller runs twice. Without ``os.fork``
+    or with one CPU, the one share runs inline. Returns the results in
+    share order, or None when a share returned None (a violation),
+    raised or died: the caller then reruns its serial loop, which
+    reports what it finds exactly as it would have on one CPU.
+    """
+    step = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        step = len(os.sched_getaffinity(0))
+    if count is not None:
+        step = min(step, count)
+    children = []
+    done = False
+    try:
+        for w in range(1, step):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _share_in_child(share, w, step, write)
+            os.close(write)
+            children.append((pid, read))
+        try:
+            results = [share(0, step)]
+        except Exception:
+            # the serial rerun raises it again, unless a child share holds
+            # a violation that comes first
+            results = [None]
+        results += [_read_share(read) for _, read in children]
+        done = True
+    finally:
+        for pid, read in children:
+            if not done:
+                from signal import SIGKILL  # kept off the CLI's import path
+
+                os.kill(pid, SIGKILL)
+            os.close(read)
+            os.waitpid(pid, 0)
+    return None if None in results else results
+
+
+def _share_in_child(share, w, step, out):
+    # a share that finds a violation or raises writes nothing
+    try:
+        result = share(w, step)
+        if result is not None:
+            os.write(out, " ".join(map(str, result)).encode())
+    finally:
+        os._exit(0)
+
+
+def _read_share(read):
+    data = b""
+    while chunk := os.read(read, 4096):
+        data += chunk
+    return tuple(map(int, data.split())) if data else None
+
+
+def _sweep(tag, budget, seed, stream, check, where, count=None) -> SweepReport:
     """The violation loop behind every sweep but the reduced T62.
 
-    ``check`` maps an instance to (applicable, ok). The first applicable
-    instance that is not ok is shrunk with its kind's shrinker and
-    raises SweepFailed with the minimized document; ``where`` names it
-    from ``k`` (its index), ``n`` (the count so far) and ``seed``.
+    ``stream(start, step)`` yields the instances of every ``step``-th
+    unit from ``start``, in order, and ``count`` is the number of units
+    when it is known; a unit is one instance, except in T33. ``check``
+    maps an instance to (applicable, ok). The counting pass runs in
+    shares (``_in_shares``) and, when every share comes back clean, adds
+    up their counts. Otherwise this loop runs serially from the start:
+    the first applicable instance that is not ok is shrunk with its
+    kind's shrinker and raises SweepFailed with the minimized document;
+    ``where`` names it from ``k`` (its index), ``n`` (the count so far)
+    and ``seed``.
     """
+
+    def counts(start, step):
+        checked = applicable = 0
+        for instance in stream(start, step):
+            checked += 1
+            app, ok = check(instance)
+            if app and not ok:
+                return None
+            applicable += app
+        return checked, applicable
+
+    shares = _in_shares(counts, count)
+    if shares is not None:
+        checked, applicable = map(sum, zip(*shares))
+        return SweepReport(tag, seed, budget, checked, applicable, 0, None)
 
     def violates(instance):
         applicable, ok = check(instance)
         return applicable and not ok
 
     checked = applicable = 0
-    for instance in instances:
+    for instance in stream(0, 1):
         checked += 1
         app, ok = check(instance)
         applicable += app
@@ -731,20 +834,22 @@ def _sweep(tag, budget, seed, instances, check, where) -> SweepReport:
             )
             at = where.format(k=checked - 1, n=checked, seed=seed)
             raise SweepFailed(f"{tag}: violation at {at}", report=report)
-    return SweepReport(tag, seed, budget, checked, applicable, 0)
+    return SweepReport(tag, seed, budget, checked, applicable, 0, None)
 
 
 def _run_random(tag, families, check, budget: int, seed: int) -> SweepReport:
-    instances = (
-        _draw(
-            InstanceGenerator(
-                seed=(seed ^ (0x9E3779B97F4A7C15 * (k + 1))) & _MASK64,
-                family=families[k % len(families)],
-                max_points=6,
+    def instances(start, step):
+        return (
+            _draw(
+                InstanceGenerator(
+                    (seed ^ (0x9E3779B97F4A7C15 * (k + 1))) & _MASK64,
+                    families[k % len(families)],
+                    6,
+                )
             )
+            for k in range(start, budget, step)
         )
-        for k in range(budget)
-    )
+
     return _sweep(
         tag,
         budget,
@@ -752,54 +857,93 @@ def _run_random(tag, families, check, budget: int, seed: int) -> SweepReport:
         instances,
         lambda instance: check(_inclusion(instance)),
         "instance {k} (seed {seed})",
+        budget,
     )
 
 
 def _run_matrices(tag, check, budget: int, seed: int) -> SweepReport:
-    instances = binary_matrices(budget, budget, injective_only=True)
-    return _sweep(tag, budget, seed, instances, check, "matrix {n}")
+    def matrices(start, step):
+        stream = binary_matrices(budget, budget, injective_only=True)
+        return islice(stream, start, None, step)
+
+    return _sweep(tag, budget, seed, matrices, check, "matrix {n}")
 
 
-def _locale_morphisms(budget: int):
+def _frame_space_pairs(budget: int) -> list:
+    """(poset, its down-set frame, space) for every frame of at most
+    ``budget`` elements and every space of at most 3 points."""
     spaces = all_spaces(3)
+    pairs = []
     for poset in all_frame_posets(budget):
         la = downset_lattice(poset)
-        for space in spaces:
-            lb = opens_lattice(space)
-            for values in _join_preserving_maps(poset, la, lb):
-                # joins are preserved by construction; meets decide
-                g = MonotoneMap(la, lb, values)
-                if is_meet_preserving(g):
-                    yield _Morphism(g, space)
+        pairs.extend((poset, la, space) for space in spaces)
+    return pairs
+
+
+def _locale_morphisms(pairs):
+    """Every locale morphism from the frame into the opens of the space,
+    pair by pair."""
+    for poset, la, space in pairs:
+        lb = opens_lattice(space)
+        for values in _join_preserving_maps(poset, la, lb):
+            # joins are preserved by construction; meets decide
+            g = MonotoneMap(la, lb, values)
+            if is_meet_preserving(g):
+                yield _Morphism(g, space)
 
 
 def _run_T33(budget: int, seed: int) -> SweepReport:
-    morphisms = _locale_morphisms(budget)
-    return _sweep("T33", budget, seed, morphisms, _check_T33, "morphism {n}")
+    # the units are the (frame, space) pairs, so a share also enumerates
+    # only the morphisms it checks
+    pairs = _frame_space_pairs(budget)
+    return _sweep(
+        "T33",
+        budget,
+        seed,
+        lambda start, step: _locale_morphisms(pairs[start::step]),
+        _check_T33,
+        "morphism {n}",
+        len(pairs),
+    )
 
 
 def _run_T62(budget: int, seed: int) -> SweepReport:
     # A pair (R, class of H) stands for its n!/|Aut(R)| labelings of R
     # times the |class| subgroups conjugate to H; see the module docstring.
-    checked = 0
+    items = []
     for rep in _poset_classes(budget):
         auts = order_automorphisms(rep)
         copies = factorial(rep.n) // len(auts)
         space = FiniteT0Space.from_poset(rep)
-        for gens, conjugates in _subgroup_classes(space, auts):
-            if not action_quasi_orbit_agreement(FiniteGroupAction(space, gens)):
-                return _run_T62_labeled(budget, seed)
-            checked += copies * len(conjugates)
-    return SweepReport("T62", seed, budget, checked, checked, 0)
+        for action, conjugates in _subgroup_classes(space, auts):
+            items.append((action, copies * len(conjugates)))
+
+    def counts(start, step):
+        checked = 0
+        for action, weight in items[start::step]:
+            if not action_quasi_orbit_agreement(action):
+                return None
+            checked += weight
+        return (checked,)
+
+    shares = _in_shares(counts, len(items))
+    if shares is None:
+        return _run_T62_labeled(budget, seed)
+    checked = sum(share[0] for share in shares)
+    return SweepReport("T62", seed, budget, checked, checked, 0, None)
 
 
 def _run_T62_labeled(budget: int, seed: int) -> SweepReport:
     """T62 over every labeled poset: the violation path and test oracle."""
-    actions = (
-        action
-        for poset in all_posets(budget)
-        for action in small_group_actions(FiniteT0Space.from_poset(poset))
-    )
+
+    def actions(start, step):
+        stream = (
+            action
+            for poset in all_posets(budget)
+            for action in small_group_actions(FiniteT0Space.from_poset(poset))
+        )
+        return islice(stream, start, None, step)
+
     return _sweep("T62", budget, seed, actions, _check_T62, "action {n}")
 
 

@@ -155,7 +155,7 @@ def binary_matrices(
                 if any(row) or not injective_only
             ]
             for entry in product(rows, repeat=k):
-                yield MultiplicityInclusion(entry)
+                yield MultiplicityInclusion(entry, None, None)
 
 
 def EX_210() -> MultiplicityInclusion:

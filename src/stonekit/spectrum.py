@@ -399,14 +399,7 @@ def theorem33_check(g: MonotoneMap, space: FiniteT0Space) -> Theorem33Report:
                 raise AssertionError("open-image identity pi(V) = U_F(V) broke")
 
     verified = (has_f and eq32 and inj) == (pi_open and pi_surj)
-    return Theorem33Report(
-        has_lower_adjoint_F=has_f,
-        eq32_holds=eq32,
-        g_injective=inj,
-        pi_open=pi_open,
-        pi_surjective=pi_surj,
-        equivalence_verified=verified,
-    )
+    return Theorem33Report(has_f, eq32, inj, pi_open, pi_surj, verified)
 
 
 def soberification(space: FiniteT0Space) -> PointMap:

@@ -21,7 +21,7 @@ through meet closure, which no finite instance can break.
 from functools import cached_property
 
 from ._kernels import image, inside
-from ._record import Record
+from ._record import Record, _store
 from .errors import ClosureTooLarge, NotContinuous, ShapeMismatch
 from .galois import GaloisConnection, MonotoneMap
 from .lattice import FiniteLattice, fixed_point_lattice
@@ -99,6 +99,18 @@ class FiniteGroupAction(Record):
                             witness=(x, y),
                         )
         self.closure  # force the cap check at construction time
+
+    @classmethod
+    def _closed(cls, space, generators, closure) -> "FiniteGroupAction":
+        """The action of ``generators``, order automorphisms of the space
+        (from ``order_automorphisms``), whose group ``closure`` is
+        ``group_closure`` of them, already expanded by the caller; only
+        the cap is checked again."""
+        if len(closure) > _MAX_ORDER:
+            raise ClosureTooLarge(f"group order exceeds {_MAX_ORDER}")
+        action = cls._trusted(space, generators)
+        _store(action, "closure", closure)
+        return action
 
     @cached_property
     def closure(self) -> tuple[tuple[int, ...], ...]:

@@ -5,8 +5,10 @@ matrix_connection is a test-side oracle: it reads the ideal maps of a
 shared with the package. Module tests compare package output against it.
 """
 
+import os
 from itertools import permutations, product
 
+import pytest
 from hypothesis import strategies as st
 
 from stonekit import (
@@ -19,6 +21,18 @@ from stonekit import (
     downset_lattice,
 )
 from stonekit import _kernels
+
+
+def pin_cpus(monkeypatch, count):
+    """Make the sweeps see ``count`` usable CPUs, so they split their
+    instances into that many shares."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """The sweeps run inline, so a test can count calls in process."""
+    pin_cpus(monkeypatch, 1)
 
 
 def labeled_posets(n):

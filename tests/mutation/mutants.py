@@ -205,8 +205,8 @@ MUTANTS = (
     Mutant(
         "t62-class-counted-as-one-subgroup",
         "conformance.py",
-        "checked += copies * len(conjugates)",
-        "checked += copies",
+        "items.append((action, copies * len(conjugates)))",
+        "items.append((action, copies))",
         ("test_conformance.py",),
     ),
     Mutant(
@@ -214,6 +214,20 @@ MUTANTS = (
         "conformance.py",
         "        for g in auts:\n            inverse",
         "        for g in auts[:1]:\n            inverse",
+        ("test_conformance.py",),
+    ),
+    Mutant(
+        "shares-drop-the-last-share",
+        "conformance.py",
+        "for w in range(1, step):",
+        "for w in range(1, step - 1):",
+        ("test_conformance.py",),
+    ),
+    Mutant(
+        "shares-merge-ignores-a-violation",
+        "conformance.py",
+        "return tuple(map(int, data.split())) if data else None",
+        "return tuple(map(int, data.split())) if data else (0, 0)",
         ("test_conformance.py",),
     ),
     Mutant(

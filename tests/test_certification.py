@@ -506,7 +506,7 @@ class TestCertifyOnce:
         # the 256-element target has one prime per column
         assert len(re.findall(r"^\s+t\d+ \[label=", out.read_text(), flags=re.M)) == 8
 
-    def test_soberification_is_built_once_per_space(self, monkeypatch):
+    def test_soberification_is_built_once_per_space(self, monkeypatch, one_cpu):
         units = counted_property(monkeypatch, FiniteT0Space, "soberification")
         space = vee_action().space
         assert soberification(space) is soberification(space)
@@ -534,7 +534,7 @@ class TestCertifyOnce:
         # the quotient is the one quasi_orbit_space builds on its own
         assert rho.target == quasi_orbit_space(d).quotient
 
-    def test_conditions_are_evaluated_once_per_instance(self, monkeypatch):
+    def test_conditions_are_evaluated_once_per_instance(self, monkeypatch, one_cpu):
         # quasi_orbit_map cross-checks rho against C2, and the C48 check
         # compares them again: both read one verdict per instance
         c2 = counted_property(monkeypatch, InclusionData, "_c2_bad")

@@ -6,6 +6,8 @@ cross-checked against the brute-force conftest enumerations, which are
 built by an independent method.
 """
 
+import os
+import time
 from collections import Counter
 from itertools import combinations, product
 from math import factorial
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import labeled_posets
+from conftest import labeled_posets, pin_cpus
 from stonekit import (
     FiniteLattice,
     FinitePoset,
@@ -43,6 +45,7 @@ from stonekit import (
     verify_prop26,
 )
 import stonekit.conformance as conformance_module
+import stonekit.topo_models as topo_models_module
 from stonekit.conformance import (
     _compile_seed,
     _greedy_minimize,
@@ -57,6 +60,7 @@ from stonekit.conformance import (
     _subgroup_classes,
     _sweep,
 )
+from stonekit._record import Record
 from stonekit.lattice import boolean_lattice, downset_lattice, poset_isomorphism
 from stonekit.quasiorbit import check_JR
 from stonekit.errors import ClosureTooLarge
@@ -358,6 +362,23 @@ class TestSweeps:
         body = json.dumps(report.as_dict(), sort_keys=True)
         assert '"tag": "L51"' in body
 
+    def test_sweeps_build_their_records_positionally(self, monkeypatch, one_cpu):
+        # Record._bind, the constructor's path for keywords and
+        # defaults, costs 1-2 us a call; no sweep record takes it
+        real = Record._bind.__func__
+        binds = []
+
+        def counted(cls, args, kwargs):
+            binds.append(cls)
+            return real(cls, args, kwargs)
+
+        monkeypatch.setattr(Record, "_bind", classmethod(counted))
+        for tag in ("T33", "L51", "C54", "T62"):
+            sweep_theorem(tag)
+        for tag in ("T42", "T47", "C48", "C49"):
+            sweep_theorem(tag, budget=150, seed=11)
+        assert binds == []
+
 
 class TestT62BySymmetry:
     """The sweep checks one poset per isomorphism class and, on it, one
@@ -407,7 +428,7 @@ class TestT62BySymmetry:
             subgroups = [a.closure for a in small_group_actions(space)]
             assert sum(len(members) for _, members in classes) == len(subgroups)
             assert set().union(*(members for _, members in classes)) == set(subgroups)
-            groups = [group_closure(gens, rep.n, 6) for gens, _ in classes]
+            groups = [group_closure(a.generators, rep.n, 6) for a, _ in classes]
             for (_, members), group in zip(classes, groups):
                 assert {conjugate(g, group) for g in auts} == members
             for i, group in enumerate(groups):
@@ -415,7 +436,7 @@ class TestT62BySymmetry:
                     conjugate(g, group) == other for g in auts for other in groups[i + 1 :]
                 )
 
-    def test_one_check_per_subgroup_class(self, monkeypatch):
+    def test_one_check_per_subgroup_class(self, monkeypatch, one_cpu):
         real = conformance_module.action_quasi_orbit_agreement
         checks = []
 
@@ -435,6 +456,52 @@ class TestT62BySymmetry:
             for rep in _poset_classes(5)
         ) == 403
 
+    def test_one_automorphism_search_per_representative(self, monkeypatch, one_cpu):
+        # each representative's automorphisms are searched once, and each
+        # subgroup closed once: the actions keep the enumeration's closure
+        searches, closures = [], []
+
+        def counted(calls, real):
+            def wrapper(*args):
+                calls.append(args)
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            conformance_module,
+            "order_automorphisms",
+            counted(searches, conformance_module.order_automorphisms),
+        )
+        closure = counted(closures, group_closure)
+        monkeypatch.setattr(conformance_module, "group_closure", closure)
+        monkeypatch.setattr(topo_models_module, "group_closure", closure)
+        assert sweep_theorem("T62").checked == 8223
+        assert len(searches) == 87
+        assert len(closures) == 1948
+
+    def test_actions_built_on_the_closure_equal_the_certified_ones(self):
+        # the enumeration builds each action on the closure it found; the
+        # constructor checks the generators and closes them again
+        reps = _poset_classes(5)
+        assert len(reps) == 87
+        for rep in reps:
+            space = FiniteT0Space.from_poset(rep)
+            for action, _ in _subgroup_classes(space, order_automorphisms(rep)):
+                built = FiniteGroupAction(space, action.generators)
+                assert action == built
+                assert action.generators == built.generators
+                assert action.closure == built.closure
+                assert action._orbits == built._orbits
+
+    def test_actions_built_on_the_closure_keep_the_order_cap(self, monkeypatch):
+        monkeypatch.setattr(topo_models_module, "_MAX_ORDER", 2)
+        space = FiniteT0Space.from_poset(FinitePoset.antichain(3))
+        with pytest.raises(ClosureTooLarge):
+            FiniteGroupAction(space, ((1, 2, 0),))
+        with pytest.raises(ClosureTooLarge):
+            list(small_group_actions(space))
+
     def test_fault_on_a_non_normal_class_gives_the_labeled_report(self, monkeypatch):
         # a conjugation-invariant fault: the groups of one fixed-point-free
         # involution on the 4-point antichain. <(0 1)(2 3)> is one of
@@ -451,8 +518,8 @@ class TestT62BySymmetry:
         auts = order_automorphisms(antichain.points)
         sizes = [
             len(members)
-            for gens, members in _subgroup_classes(antichain, auts)
-            if not agreement(FiniteGroupAction(antichain, gens))
+            for action, members in _subgroup_classes(antichain, auts)
+            if not agreement(action)
         ]
         assert sizes == [3]
         monkeypatch.setattr(conformance_module, "action_quasi_orbit_agreement", agreement)
@@ -603,19 +670,140 @@ class TestViolationPaths:
         self, monkeypatch, tag, budget, name, fault, message, expected
     ):
         monkeypatch.setattr(conformance_module, name, fault(getattr(conformance_module, name)))
-        with pytest.raises(SweepFailed) as excinfo:
-            sweep_theorem(tag, budget=budget)
         checked, applicable, kind, payload = expected
-        assert str(excinfo.value) == message
-        assert excinfo.value.report.as_dict() == {
-            "tag": tag,
-            "seed": 0,
-            "budget": budget,
-            "checked": checked,
-            "applicable": applicable,
-            "violations": 1,
-            "counterexample": {"kind": kind, "payload": payload},
-        }
+        # inline and in two shares
+        for cpus in (1, 2):
+            pin_cpus(monkeypatch, cpus)
+            with pytest.raises(SweepFailed) as excinfo:
+                sweep_theorem(tag, budget=budget)
+            assert str(excinfo.value) == message
+            assert excinfo.value.report.as_dict() == {
+                "tag": tag,
+                "seed": 0,
+                "budget": budget,
+                "checked": checked,
+                "applicable": applicable,
+                "violations": 1,
+                "counterexample": {"kind": kind, "payload": payload},
+            }
+
+
+class _Boom(Exception):
+    pass
+
+
+class TestShares:
+    """A sweep's counting pass runs as one share per usable CPU, share w
+    taking the units k = w (mod W), every share but the first in a
+    forked child; on a violation or an exception the serial loop reruns
+    from the start. So what a sweep returns or raises does not depend on
+    W, and no child outlives the sweep."""
+
+    def run(self, monkeypatch, cpus, *args):
+        pin_cpus(monkeypatch, cpus)
+        try:
+            return sweep_theorem(*args)
+        finally:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    def t42_instance(self, monkeypatch, parity):
+        """The first instance of parity ``parity`` in T42's stream at
+        budget 100, seed 0, on which the sweep reaches C1."""
+        seen = []
+        real = conformance_module._inclusion
+        with monkeypatch.context() as mp:
+            pin_cpus(mp, 1)
+            mp.setattr(conformance_module, "_inclusion", lambda i: seen.append(real(i)) or seen[-1])
+            sweep_theorem("T42", 100)
+        k = next(k for k in range(parity, 100, 2) if check_JR(seen[k]))
+        return k, seen[k]
+
+    @pytest.mark.parametrize(
+        "tag, budgets, seeds",
+        [
+            ("T33", (3, 5), (0,)),
+            ("T42", (1, 7, 60), (0, 11, 2**64 - 1)),
+            ("T47", (7, 60), (0, 11)),
+            ("C48", (7, 60), (0, 11)),
+            ("C49", (7, 60), (0, 11)),
+            ("L51", (1, 3), (0,)),
+            ("C54", (1, 3), (0,)),
+            ("T62", (1, 3, 5), (0, 4)),
+        ],
+    )
+    def test_shared_reports_equal_the_inline_ones(self, monkeypatch, tag, budgets, seeds):
+        for budget in budgets:
+            for seed in seeds:
+                inline = self.run(monkeypatch, 1, tag, budget, seed)
+                for cpus in (2, 3):
+                    assert self.run(monkeypatch, cpus, tag, budget, seed) == inline
+
+    def test_without_fork_the_share_runs_inline(self, monkeypatch):
+        inline = self.run(monkeypatch, 1, "T42", 30)
+        monkeypatch.delattr(os, "fork")
+        assert self.run(monkeypatch, 2, "T42", 30) == inline
+
+    def test_a_violation_in_a_child_share_gives_the_inline_report(self, monkeypatch):
+        k, target = self.t42_instance(monkeypatch, 1)
+        real = conformance_module.check_C1
+        met = []
+
+        def check_C1(d):
+            met.append(d == target)
+            return real(d) != met[-1]
+
+        monkeypatch.setattr(conformance_module, "check_C1", check_C1)
+        raised = {}
+        for cpus in (1, 2, 3):
+            met.clear()
+            with pytest.raises(SweepFailed) as excinfo:
+                self.run(monkeypatch, cpus, "T42", 100)
+            raised[cpus] = str(excinfo.value), excinfo.value.report
+            if cpus == 2:
+                # instance k is odd, so share 1 found it; here only the
+                # serial rerun met it
+                assert met.count(True) == 1
+        assert raised[1][0] == f"T42: violation at instance {k} (seed 0)"
+        assert raised[2] == raised[1] == raised[3]
+
+    @pytest.mark.parametrize("parity", (0, 1), ids=("this-share", "child-share"))
+    def test_an_exception_in_a_share_surfaces_with_its_type(self, monkeypatch, parity):
+        k, target = self.t42_instance(monkeypatch, parity)
+        real = conformance_module.check_C1
+        met = []
+
+        def check_C1(d):
+            if d == target:
+                met.append(os.getpid())
+                raise _Boom(k)
+            return real(d)
+
+        monkeypatch.setattr(conformance_module, "check_C1", check_C1)
+        for cpus in (1, 2):
+            met.clear()
+            with pytest.raises(_Boom):
+                self.run(monkeypatch, cpus, "T42", 100)
+        # the serial rerun meets it here, after share 0 did or a child
+        # share raised it
+        assert met == [os.getpid()] * (2 - parity)
+
+    def test_an_interrupt_in_this_share_kills_the_children(self, monkeypatch):
+        class Stop(BaseException):
+            pass
+
+        here = os.getpid()
+
+        def agreement(action):
+            if os.getpid() == here:
+                raise Stop
+            time.sleep(60)
+
+        monkeypatch.setattr(conformance_module, "action_quasi_orbit_agreement", agreement)
+        start = time.perf_counter()
+        with pytest.raises(Stop):
+            self.run(monkeypatch, 3, "T62", 3)
+        assert time.perf_counter() - start < 30
 
 
 class TestMinimization:
@@ -665,7 +853,14 @@ class TestMinimization:
             return True, len(m.mult[0]) < 2
 
         with pytest.raises(SweepFailed) as excinfo:
-            _sweep("L51", 3, 0, binary_matrices(3, 3, injective_only=True), check, "matrix {n}")
+            _sweep(
+                "L51",
+                3,
+                0,
+                lambda start, step: list(binary_matrices(3, 3))[start::step],
+                check,
+                "matrix {n}",
+            )
         report = excinfo.value.report
         assert isinstance(report, SweepReport)
         assert report.violations == 1

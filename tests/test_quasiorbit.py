@@ -26,6 +26,7 @@ from conftest import (
     diamond,
     matrix_connection,
     meets_commute_by_table,
+    pin_cpus,
     three_atom_diamond,
 )
 from stonekit import (
@@ -447,8 +448,10 @@ def c48_stream():
         return seen[-1]
 
     with pytest.MonkeyPatch.context() as mp:
+        pin_cpus(mp, 1)
         mp.setattr(conformance_module, "_inclusion", recorded)
         sweep_theorem("C48", seed=7)
+    assert len(seen) == 1000
     return seen
 
 

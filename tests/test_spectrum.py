@@ -354,7 +354,8 @@ class TestTheorem33:
         # oracle's first (i, v), and the report's eq32 is its verdict
         budget = conformance_module._SWEEPS["T33"][0]
         verdicts = []
-        for g, space in conformance_module._locale_morphisms(budget):
+        pairs = conformance_module._frame_space_pairs(budget)
+        for g, space in conformance_module._locale_morphisms(pairs):
             args = (g.source, range(g.source.n), g.values, g.target, lower_adjoint(g).values)
             want = meets_commute_by_table(*args)
             assert lattice_module._meets_commute(*args) == want
