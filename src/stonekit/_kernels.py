@@ -11,8 +11,11 @@ connection, and every model's induction and restriction is that pair
 for its own relation: ``multiplicity.induce``/``restrict`` over the
 matrix's row supports, ``graph_pairs.x_forward``/``x_inverse`` over
 the edge ranges, ``spectrum.PointMap.image_mask``/``preimage`` over the
-graph of the map, the saturation of a group action over its orbits and
-the interior of a bundle's base over the order's ``below`` rows.
+graph of the map, and the saturation of a group action over its
+orbits. ``galois.GaloisConnection.from_relation`` builds the model
+connections from these two kernels: a matrix's row supports, a point's
+saturated down-set under an action, the preimage of a base point's
+down-set under a bundle, a random seed's point values.
 """
 
 

@@ -225,9 +225,7 @@ def _random_galois_seed(rng: random.Random, max_points: int) -> _GaloisSeed:
 def _compile_seed(seed: _GaloisSeed) -> InclusionData:
     la = downset_lattice(seed.source)
     lb = downset_lattice(seed.target)
-    values = tuple(lb.index_of_label(image(seed.point_values, u)) for u in la.labels)
-    lower = MonotoneMap(la, lb, values)
-    return InclusionData(GaloisConnection.from_lower(lower))
+    return InclusionData(GaloisConnection.from_relation(la, lb, seed.point_values))
 
 
 def _random_matrix(rng: random.Random, gen: InstanceGenerator) -> MultiplicityInclusion:

@@ -42,7 +42,9 @@ class NotMonotone(StonekitError):
 
 
 class AdjunctionFailure(StonekitError):
-    """The adjunction law fails; ``witness`` is the offending pair (x, y)."""
+    """The adjunction law fails; ``witness`` is the offending pair (x, y),
+    or ``("lower" | "upper", element)`` when a relation's image or
+    interior of that element lands on no element (from_relation)."""
 
 
 class NotLocaleMorphism(StonekitError):

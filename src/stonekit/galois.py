@@ -5,14 +5,18 @@ r: B -> A upper, characterized by i(x) <= y iff x <= r(y). The
 adjunction law is checked exactly once per connection: the public
 constructor checks the pair it is given, and from_lower/from_upper
 check the adjoint they synthesize while synthesizing it, so neither
-path trusts an unchecked pair. Missing adjoints are reported as values
-carrying a witness pair, not as exceptions, since absence is a
-legitimate outcome of synthesis.
+path trusts an unchecked pair. A third synthesizing path,
+from_relation, builds both maps from one relation between the points
+of A and of B, and its law is a theorem once every value lands; every
+model compiler (matrices, actions, bundles, random seeds) goes through
+it, and the two table paths serve tables from outside. Missing
+adjoints are reported as values carrying a witness pair, not as
+exceptions, since absence is a legitimate outcome of synthesis.
 """
 
 from __future__ import annotations
 
-from ._kernels import image, monotone_witness
+from ._kernels import image, inside, monotone_witness
 from ._record import Record
 from .errors import AdjunctionFailure, NotMonotone, ShapeMismatch
 from .lattice import FiniteLattice, _fiber_fold, _preserves
@@ -141,9 +145,10 @@ def lower_adjoint(upper: MonotoneMap):
 class GaloisConnection(Record):
     """A certified adjoint pair.
 
-    The constructor checks the law on the pair it is given; the two
+    The constructor checks the law on the pair it is given; the
     synthesizing class methods build a pair whose law was just checked
-    and do not check it again.
+    (from_lower, from_upper) or holds by theorem (from_relation), and
+    do not check it again.
     """
 
     _fields = ("lower", "upper")
@@ -182,6 +187,52 @@ class GaloisConnection(Record):
             )
         # likewise for lower_adjoint
         return cls._trusted(lower, upper)
+
+    @classmethod
+    def from_relation(cls, a: FiniteLattice, b: FiniteLattice, rows) -> "GaloisConnection":
+        """The connection (image, inside) of a relation between points.
+
+        The points of a lattice are the bits of its meet masks: for a
+        down-set lattice, the points of its poset. ``rows[p]`` is the
+        mask of the points of ``b`` related to point p of ``a``. Then
+        i(x) is the element of ``b`` whose mask is
+        ``image(rows, mask(x))`` and r(y) the element of ``a`` whose
+        mask is ``inside(rows, mask(y))``, each found in the other
+        lattice's mask index.
+
+        Proof that this is a Galois connection once every value lands.
+        Any lattice is ordered by inclusion of its meet masks: the mask
+        of x /\\ y is mask(x) & mask(y), and masks are distinct, so
+        x <= y iff mask(x) & mask(y) = mask(x). On the powersets,
+        image(R, U) lies in V iff every row over U lies in V iff U lies
+        in inside(R, V). Restricted to the masks of ``a`` and ``b``,
+        both sides read i(x) <= y iff x <= r(y), the adjunction law;
+        monotonicity follows, since image and inside preserve
+        inclusion. So the only certificate is that each image is a
+        mask of ``b`` and each interior a mask of ``a``: |A| + |B|
+        kernel calls and lookups, no law scan, and the maps and the
+        pair are stored trusted.
+
+        A value that lands on no element raises AdjunctionFailure with
+        witness ``("lower", x)`` (the image of source element x) or
+        ``("upper", y)`` (the interior of target element y); a row
+        count that is not the source's point count raises
+        ShapeMismatch.
+        """
+        a_masks, a_index, a_top = a._meet
+        b_masks, b_index, _ = b._meet
+        if len(rows) != a_top.bit_length():
+            raise ShapeMismatch(f"expected one row per source point, got {len(rows)}")
+        lower = tuple([b_index.get(image(rows, u), -1) for u in a_masks])
+        upper = tuple([a_index.get(inside(rows, v), -1) for v in b_masks])
+        for side, values, what in (("lower", lower, "image"), ("upper", upper, "interior")):
+            if -1 in values:
+                x = values.index(-1)
+                raise AdjunctionFailure(
+                    f"the {what} of element {x} lands on no element",
+                    witness=(side, x),
+                )
+        return cls._trusted(MonotoneMap._trusted(a, b, lower), MonotoneMap._trusted(b, a, upper))
 
     @property
     def lattice_a(self) -> FiniteLattice:

@@ -12,7 +12,9 @@ computations on the matrix:
 
 Only entry positivity enters; the actual multiplicities and summand
 dimensions are metadata.  ``to_inclusion_data`` compiles the pair of
-boolean lattices with these maps into a certified connection.
+boolean lattices with these maps into a certified connection: the
+image and the interior of the row supports, as
+``GaloisConnection.from_relation`` builds them.
 """
 
 from functools import cached_property
@@ -21,7 +23,7 @@ from typing import Iterator
 
 from ._kernels import image, inside
 from ._record import Record
-from .galois import GaloisConnection, MonotoneMap
+from .galois import GaloisConnection
 from .lattice import boolean_lattice
 from .quasiorbit import InclusionData
 
@@ -130,14 +132,14 @@ def is_symmetric(m: MultiplicityInclusion, summands: int) -> bool:
 def to_inclusion_data(m: MultiplicityInclusion) -> InclusionData:
     """Compile the matrix into boolean ideal lattices with i and r.
 
-    Construction re-certifies the adjunction, so a broken pair cannot
-    leave this function.
+    i is ``induce`` and r is ``restrict``: the image and the interior of
+    the row supports, a relation whose values always land in the
+    boolean lattices, so ``from_relation`` certifies the adjunction by
+    theorem and no pair scan runs.
     """
     a = boolean_lattice(m.a_summands)
     b = boolean_lattice(m.b_summands)
-    lower = MonotoneMap(a, b, tuple(b.index_of_label(induce(m, s)) for s in a.labels))
-    upper = MonotoneMap(b, a, tuple(a.index_of_label(restrict(m, t)) for t in b.labels))
-    return InclusionData(GaloisConnection(lower, upper))
+    return InclusionData(GaloisConnection.from_relation(a, b, m.row_supports))
 
 
 def binary_matrices(

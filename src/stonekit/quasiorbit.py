@@ -29,7 +29,10 @@ quasi-orbit space is the quotient of the source spectrum by equal pi
 values; rho factors r through that quotient and needs JR, C1 and MI.
 
 Everything here rests on the adjunction certified when the
-GaloisConnection was built. The eight structural laws of Prop 2.6
+GaloisConnection was built: by the law scan of its constructor or of
+from_lower/from_upper for tables from outside, and by theorem, once
+every value lands, for the (image, inside) pair of a model's relation
+(from_relation). The eight structural laws of Prop 2.6
 (verify_prop26) follow from it and are checked by the tests, not on
 construction; the fixed-point lattices are read off the ambient masks
 by the same laws (restricted: ambient meets, closed joins; induced:
@@ -80,11 +83,13 @@ class InclusionData(Record):
     """A connection between frames with its fixed-point apparatus cached.
 
     Construction checks only that both carriers are frames (the cached
-    is_frame certificates). The connection arrives certified: MonotoneMap
-    has checked both maps monotone and GaloisConnection the adjunction
-    law exhaustively, and the eight Prop 2.6 laws are consequences of
-    those two facts, so verify_prop26 is not re-run here; the tests run
-    it as the oracle.
+    is_frame certificates). The connection arrives certified: either
+    MonotoneMap has checked both maps monotone and GaloisConnection the
+    adjunction law exhaustively, or, for a model's relation,
+    GaloisConnection.from_relation has checked that every image and
+    interior lands, which makes both facts theorems. The eight Prop 2.6
+    laws are consequences of those two facts, so verify_prop26 is not
+    re-run here; the tests run it as the oracle.
 
     The restricted sublattice always carries its own lattice structure
     (ambient meets, closure of ambient joins) even when no condition

@@ -7,8 +7,12 @@ Two concrete sources of connections between open-set lattices:
   the lower map, insertion the upper), and
 
 * a continuous projection between two spaces, where induction is the
-  open preimage and restriction takes the interior of the unreached
-  complement.
+  open preimage and restriction the largest open whose preimage lies
+  inside a given open.
+
+Each is the (image, inside) pair of one relation from points to point
+masks, built by ``GaloisConnection.from_relation``: a point goes to the
+saturation of its down-set, or to the preimage of its down-set.
 
 The quasi-orbit machinery then applies to either.  For actions, the
 quotient agrees with the classical orbit-closure picture; the agreement
@@ -20,17 +24,13 @@ through meet closure, which no finite instance can break.
 
 from functools import cached_property
 
-from ._kernels import image, inside
+from ._kernels import image
 from ._record import Record, _store
 from .errors import ClosureTooLarge, NotContinuous, ShapeMismatch
 from .galois import GaloisConnection, MonotoneMap
 from .lattice import FiniteLattice, fixed_point_lattice
 from .quasiorbit import InclusionData, quasi_orbit_space
-from .spectrum import (
-    FiniteT0Space,
-    opens_lattice,
-    soberification,
-)
+from .spectrum import opens_lattice, soberification
 
 __all__ = [
     "FiniteGroupAction",
@@ -139,34 +139,38 @@ class FiniteGroupAction(Record):
         return all(self.image_mask(g, mask) == mask for g in self.generators)
 
 
+def _invariant_lattice(a: FiniteGroupAction) -> FiniteLattice:
+    # Each generator is a bijection, so invariant opens are closed under
+    # union and intersection and contain both bounds: the sublattice
+    # keeps the ambient meets and joins, and with them the ambient open
+    # masks as its meet masks, read off with no escape scan.
+    olat = opens_lattice(a.space)
+    return fixed_point_lattice(olat, [k for k, u in enumerate(olat.labels) if a.is_invariant(u)])
+
+
 def invariant_opens(a: FiniteGroupAction) -> tuple[FiniteLattice, MonotoneMap]:
     """The sublattice of invariant opens with its insertion into O(X).
 
-    Each generator is a bijection, so invariant opens are closed under
-    union and intersection and contain both bounds: the sublattice
-    keeps the ambient meets and joins, read off the ambient masks with
-    no escape scan, and the insertion is a locale morphism by
-    construction.
+    The sublattice is labeled by the ambient indices of its opens, and
+    the insertion, a locale morphism by construction, is certified here.
     """
-    olat = opens_lattice(a.space)
-    kept = [k for k, u in enumerate(olat.labels) if a.is_invariant(u)]
-    inv = fixed_point_lattice(olat, kept)
-    return inv, MonotoneMap(inv, olat, inv.labels)
+    inv = _invariant_lattice(a)
+    return inv, MonotoneMap(inv, opens_lattice(a.space), inv.labels)
 
 
 def action_inclusion_data(a: FiniteGroupAction) -> InclusionData:
-    """Saturation below, insertion above; restricted = invariant opens."""
-    olat = opens_lattice(a.space)
-    inv, insertion = invariant_opens(a)
-    lower = MonotoneMap(
-        olat,
-        inv,
-        tuple(
-            inv.index_of_label(olat.index_of_label(a.saturate(u)))
-            for u in olat.labels
-        ),
+    """Saturation below, insertion above; restricted = invariant opens.
+
+    The relation sends point p to the saturation of its down-set: its
+    image of an open U is the saturation of U, and the interior of an
+    invariant open V is V itself (saturate(down p) lies in V iff p is
+    in V), so the upper values are the ambient indices that label the
+    invariant opens and the restricted lattice is ``lattice_b``.
+    """
+    rows = tuple(map(a.saturate, a.space.points.below))
+    return InclusionData(
+        GaloisConnection.from_relation(opens_lattice(a.space), _invariant_lattice(a), rows)
     )
-    return InclusionData(GaloisConnection(lower, insertion))
 
 
 def orbit_closure_relation(a: FiniteGroupAction) -> tuple[int, ...]:
@@ -204,32 +208,16 @@ class BundleMap(Record):
             raise ShapeMismatch("projection does not run from total to base")
 
 
-def _interior(space: FiniteT0Space, mask: int) -> int:
-    return inside(space.points.below, mask)
-
-
 def bundle_inclusion_data(b: BundleMap) -> InclusionData:
-    """Preimage below; above, the interior of what the complement misses.
+    """Preimage below; above, the largest open whose preimage lies inside.
 
-    Both tables are certified as an adjoint pair on construction, so a
-    formula slip cannot escape as a silently wrong connection.
+    The relation sends base point p to the preimage of its down-set:
+    its image of an open U is the preimage of U, and its interior of a
+    total open V is the set of base points whose down-set pulls back
+    into V, itself a down-set and so open. ``from_relation`` certifies
+    the pair by theorem once both land.
     """
-    base_lat = opens_lattice(b.base)
-    total_lat = opens_lattice(b.total)
-    full_total = (1 << b.total.n) - 1
-    lower = MonotoneMap(
-        base_lat,
-        total_lat,
-        tuple(total_lat.index_of_label(b.proj.preimage(u)) for u in base_lat.labels),
+    rows = tuple(map(b.proj.preimage, b.base.points.below))
+    return InclusionData(
+        GaloisConnection.from_relation(opens_lattice(b.base), opens_lattice(b.total), rows)
     )
-    upper = MonotoneMap(
-        total_lat,
-        base_lat,
-        tuple(
-            base_lat.index_of_label(
-                _interior(b.base, ((1 << b.base.n) - 1) ^ b.proj.image_mask(full_total ^ v))
-            )
-            for v in total_lat.labels
-        ),
-    )
-    return InclusionData(GaloisConnection(lower, upper))

@@ -231,6 +231,20 @@ MUTANTS = (
         ("test_conformance.py",),
     ),
     Mutant(
+        "relation-upper-takes-the-image",
+        "galois.py",
+        "a_index.get(inside(rows, v), -1)",
+        "a_index.get(image(rows, v), -1)",
+        ("test_relation.py",),
+    ),
+    Mutant(
+        "relation-trusts-values-that-do-not-land",
+        "galois.py",
+        "            if -1 in values:\n",
+        "            if False:\n",
+        ("test_relation.py",),
+    ),
+    Mutant(
         "mif-witness-read-off-lattice-a",
         "cli.py",
         "enumerate(join_irreducibles(b)) if b.leq(j, meet)",

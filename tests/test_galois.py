@@ -280,7 +280,15 @@ class TestConnectionConstruction:
             calls.append(1)
             return real(lower, upper)
 
+        real_monotone = galois_module.monotone_witness
+        monotone_calls = []
+
+        def counting_monotone(*args):
+            monotone_calls.append(1)
+            return real_monotone(*args)
+
         monkeypatch.setattr(galois_module, "_adjunction_witness", counting)
+        monkeypatch.setattr(galois_module, "monotone_witness", counting_monotone)
         gc = matrix_connection(CROSSED)
         calls.clear()
         assert GaloisConnection.from_lower(gc.lower) == gc
@@ -289,6 +297,12 @@ class TestConnectionConstruction:
         assert len(calls) == 2
         assert GaloisConnection(gc.lower, gc.upper) == gc
         assert len(calls) == 3
+        # the relation's law is a theorem: no law scan, no monotone scan
+        calls.clear()
+        monotone_calls.clear()
+        rows = tuple(sum(1 << j for j, x in enumerate(row) if x) for row in CROSSED)
+        assert GaloisConnection.from_relation(gc.lattice_a, gc.lattice_b, rows) == gc
+        assert (len(calls), len(monotone_calls)) == (0, 0)
 
     def test_public_constructor_still_refuses_a_bogus_pair(self):
         # a synthesized upper adjoint, paired with a lower map it does

@@ -40,7 +40,7 @@ from stonekit import (
     restricted_prime_map,
 )
 from stonekit.conformance import all_spaces, small_group_actions
-from stonekit.topo_models import _interior, group_closure
+from stonekit.topo_models import group_closure
 
 
 def discrete(n):
@@ -165,7 +165,7 @@ class TestOrbitClosures:
 
 
 class TestRelationRows:
-    """Orbits, saturation, image_mask and the bundle interior read the
+    """Orbits, saturation, image_mask and the bundle's upper map read the
     relation kernels; the oracles are the unions over group elements and
     the complement of the closure of the complement."""
 
@@ -190,11 +190,18 @@ class TestRelationRows:
                         saturated |= moved
                     assert a.saturate(mask) == saturated
 
-    def test_interior_is_the_complement_of_the_closed_complement(self):
+    def test_bundle_upper_map_is_the_complement_of_the_closed_complement(self):
+        # over the identity from the discrete space every mask is a
+        # total open, and the upper map takes its interior in the base
         for space in all_spaces(4, include_empty=True):
             full = (1 << space.n) - 1
-            for mask in range(full + 1):
-                assert _interior(space, mask) == full ^ space.closure(full ^ mask)
+            total = discrete(space.n)
+            d = bundle_inclusion_data(
+                BundleMap(total, space, PointMap(total, space, tuple(range(space.n))))
+            )
+            assert d.lattice_b.labels == tuple(range(full + 1))
+            for mask, r in zip(d.lattice_b.labels, d.gc.upper.values):
+                assert d.lattice_a.labels[r] == full ^ space.closure(full ^ mask)
 
 
 class TestActionCompile:
