@@ -32,7 +32,6 @@ from .errors import (
 from .galois import (
     AbsenceWitness,
     GaloisConnection,
-    LawReport,
     MonotoneMap,
     detects,
     is_adjoint_pair,
@@ -41,31 +40,23 @@ from .galois import (
     lower_adjoint,
     separates,
     upper_adjoint,
-    verify_prop26,
 )
 from .lattice import (
     FinitePoset,
     FiniteLattice,
     FrameWitness,
-    big_join,
-    big_meet,
     boolean_lattice,
     downset_lattice,
     is_frame,
-    lattice_isomorphism,
     order_automorphisms,
-    sublattice,
 )
 
 from .conformance import (
     InstanceGenerator,
     SweepReport,
-    all_frames,
     all_posets,
     all_spaces,
-    gen_graph,
     gen_inclusion_data,
-    monotone_maps,
     small_group_actions,
     sweep_theorem,
 )
@@ -81,7 +72,6 @@ from .graph_pairs import (
     EX_75,
     FiniteGraph,
     JPairLattice,
-    is_positively_invariant,
     j_pairs,
     j_x,
     pair_prime_space,
@@ -122,7 +112,6 @@ from .topo_models import (
     action_inclusion_data,
     action_quasi_orbit_agreement,
     bundle_inclusion_data,
-    invariant_opens,
     orbit_closure_relation,
 )
 from .spectrum import (
@@ -131,7 +120,6 @@ from .spectrum import (
     PrimeSpectrum,
     Theorem33Report,
     adjunct_point_map,
-    homeomorphic,
     is_homeomorphism,
     is_locale_morphism,
     is_open_map,
@@ -140,7 +128,6 @@ from .spectrum import (
     is_surjective,
     opens_lattice,
     point_space,
-    prime_elements,
     primes,
     quotient_space,
     soberification,

@@ -17,16 +17,6 @@ from ._kernels import (
     transpose,
 )
 
-__all__ = [
-    "backend_name",
-    "bound_tables",
-    "check_poset",
-    "closure",
-    "distributive_witness",
-    "downset_masks",
-    "transpose",
-]
-
 
 def backend_name():
     return "pure"

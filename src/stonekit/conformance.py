@@ -77,7 +77,6 @@ from ._record import Record
 from .documents import document_for, inclusion_data_for
 from .errors import ClosureTooLarge, ConditionViolated, StonekitError, SweepFailed
 from .galois import GaloisConnection, MonotoneMap, is_meet_preserving, separates
-from .graph_pairs import FiniteGraph, j_x
 from .lattice import (
     FiniteLattice,
     FinitePoset,
@@ -123,7 +122,8 @@ from .topo_models import (
 
 _MASK64 = (1 << 64) - 1
 
-# matrix entries, action generators and graph edges drawn at most
+# matrix entries and action generators drawn at most; the edge bound of
+# the retired graph family stays in the seed key (see rng)
 _MAX_ENTRY, _MAX_GENERATORS, _MAX_EDGES = 2, 2, 8
 
 
@@ -254,23 +254,11 @@ def _random_bundle(rng: random.Random, gen: InstanceGenerator) -> BundleMap:
     return BundleMap(total, base, PointMap(total, base, values))
 
 
-def gen_graph(gen: InstanceGenerator):
-    """A random graph with the positive-invariance default vertex set."""
-    rng = gen.rng()
-    n = rng.randint(1, min(gen.max_points, 6))
-    count = rng.randint(0, _MAX_EDGES)
-    edges = tuple(
-        (rng.randrange(n), rng.randrange(n)) for _ in range(count)
-    )
-    graph = FiniteGraph(n, edges)
-    return graph, j_x(graph)
-
-
 def _random_seed_of(rng: random.Random, gen: InstanceGenerator) -> _GaloisSeed:
     return _random_galois_seed(rng, gen.max_points)
 
 
-# family -> draw(rng, generator); graph instances are drawn by gen_graph
+# family -> draw(rng, generator)
 _DRAWS = {
     "random-galois": _random_seed_of,
     "multiplicity": _random_matrix,
@@ -278,12 +266,10 @@ _DRAWS = {
     "bundle": _random_bundle,
 }
 
-FAMILIES = (*_DRAWS, "graph")
+FAMILIES = tuple(_DRAWS)
 
 
 def _draw(gen: InstanceGenerator):
-    if gen.family not in _DRAWS:
-        raise ValueError("graph instances compile to pair lattices; use gen_graph")
     return _DRAWS[gen.family](gen.rng(), gen)
 
 
@@ -389,28 +375,6 @@ def all_frame_posets(max_size: int) -> list[FinitePoset]:
         for poset in (FinitePoset(0, ()), *_poset_classes(max_size - 1))
         if _accel.downset_masks(list(poset.below), max_size) is not None
     ]
-
-
-def all_frames(max_size: int) -> list[FiniteLattice]:
-    """One frame per isomorphism class with at most ``max_size`` elements."""
-    return [downset_lattice(p) for p in all_frame_posets(max_size)]
-
-
-_MAX_TABLES = 10_000_000
-
-
-def monotone_maps(src: FiniteLattice, dst: FiniteLattice):
-    """All monotone maps src -> dst as value tuples, order-pruned.
-
-    The recursion walks a linear extension of the source, so every
-    partial assignment already satisfies its order constraints. Above
-    ``_MAX_TABLES`` candidate tables (|dst| ** |src|) the walk refuses;
-    callers wanting coverage of larger pairs should sample with a
-    generator.
-    """
-    if dst.n**src.n > _MAX_TABLES:
-        raise ValueError("candidate table exceeds the enumeration cap")
-    yield from _monotone_values(src.order, dst)
 
 
 def _monotone_values(poset: FinitePoset, dst: FiniteLattice):

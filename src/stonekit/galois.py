@@ -3,15 +3,17 @@
 A connection is an adjoint pair (i, r) with i: A -> B lower and
 r: B -> A upper, characterized by i(x) <= y iff x <= r(y). The
 adjunction law is checked exactly once per connection: the public
-constructor checks the pair it is given, and from_lower/from_upper
-check the adjoint they synthesize while synthesizing it, so neither
-path trusts an unchecked pair. A third synthesizing path,
-from_relation, builds both maps from one relation between the points
-of A and of B, and its law is a theorem once every value lands; every
-model compiler (matrices, actions, bundles, random seeds) goes through
-it, and the two table paths serve tables from outside. Missing
-adjoints are reported as values carrying a witness pair, not as
-exceptions, since absence is a legitimate outcome of synthesis.
+constructor checks the pair it is given, and from_lower checks the
+upper adjoint it synthesizes while synthesizing it, so neither path
+trusts an unchecked pair. A third path, from_relation, builds both
+maps from one relation between the points of A and of B, and its law
+is a theorem once every value lands; every model compiler (matrices,
+actions, bundles, random seeds) goes through it. from_lower serves the
+lower tables of ``galois`` documents and the locale morphisms of the
+T33 sweep, and the constructor the identity connection of a
+``lattice`` document. Missing adjoints are reported as values carrying
+a witness pair, not as exceptions, since absence is a legitimate
+outcome of synthesis.
 """
 
 from __future__ import annotations
@@ -48,16 +50,6 @@ class MonotoneMap(Record):
 
     def __call__(self, x: int) -> int:
         return self.values[x]
-
-    def compose(self, inner: "MonotoneMap") -> "MonotoneMap":
-        """self after inner."""
-        if inner.target is not self.source and inner.target != self.source:
-            raise ShapeMismatch("composition shapes do not line up")
-        return MonotoneMap(
-            inner.source,
-            self.target,
-            tuple(self.values[v] for v in inner.values),
-        )
 
 
 def is_join_preserving(f: MonotoneMap) -> bool:
@@ -147,8 +139,8 @@ class GaloisConnection(Record):
 
     The constructor checks the law on the pair it is given; the
     synthesizing class methods build a pair whose law was just checked
-    (from_lower, from_upper) or holds by theorem (from_relation), and
-    do not check it again.
+    (from_lower) or holds by theorem (from_relation), and do not check
+    it again.
     """
 
     _fields = ("lower", "upper")
@@ -175,17 +167,6 @@ class GaloisConnection(Record):
             )
         # upper_adjoint returns a candidate only after _adjunction_witness
         # passed it, so the law holds already
-        return cls._trusted(lower, upper)
-
-    @classmethod
-    def from_upper(cls, upper: MonotoneMap) -> "GaloisConnection":
-        lower = lower_adjoint(upper)
-        if isinstance(lower, AbsenceWitness):
-            raise AdjunctionFailure(
-                "no lower adjoint: " + lower.reason,
-                witness=(lower.x, lower.y),
-            )
-        # likewise for lower_adjoint
         return cls._trusted(lower, upper)
 
     @classmethod
@@ -249,107 +230,6 @@ class GaloisConnection(Record):
     def kernel_values(self) -> tuple[int, ...]:
         """i(r(y)) per element of B; an interior operator on B."""
         return tuple(self.lower.values[v] for v in self.upper.values)
-
-
-class LawReport(Record):
-    """Itemized health report of one connection.
-
-    Every field is computed independently so a failure pinpoints the
-    broken law. All eight hold for any true adjoint pair; the report
-    exists to catch bugs in synthesized or hand-built connections.
-    """
-
-    _fields = (
-        "monotone",
-        "closure_law",
-        "interior_law",
-        "fixed_point_iso",
-        "preservation",
-        "unit_laws",
-        "sublattice_closure",
-        "insertion_adjunctions",
-    )
-
-    def items(self):
-        return [(name, getattr(self, name)) for name in self._fields]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(v for _, v in self.items())
-
-
-def _is_monotone_values(lat_src, lat_tgt, values) -> bool:
-    below = lat_src.order.below
-    for y in range(lat_src.n):
-        for x in range(lat_src.n):
-            if (below[y] >> x) & 1 and not lat_tgt.leq(values[x], values[y]):
-                return False
-    return True
-
-
-def verify_prop26(gc: GaloisConnection) -> LawReport:
-    """Check the eight structural laws of an adjoint pair, itemized.
-
-    Every law is a consequence of what a GaloisConnection certifies on
-    construction (both maps monotone, the adjunction law exhaustively),
-    so InclusionData does not re-run this; it stays public as the test
-    oracle for that certificate and for hand-built or synthesized pairs.
-    """
-    a, b = gc.lattice_a, gc.lattice_b
-    i, r = gc.lower.values, gc.upper.values
-    ri = gc.closure_values()
-    ir = gc.kernel_values()
-
-    monotone = _is_monotone_values(a, b, i) and _is_monotone_values(b, a, r)
-
-    closure_law = all(a.leq(x, ri[x]) for x in range(a.n)) and all(
-        i[ri[x]] == i[x] for x in range(a.n)
-    )
-    interior_law = all(b.leq(ir[y], y) for y in range(b.n)) and all(
-        r[ir[y]] == r[y] for y in range(b.n)
-    )
-
-    restricted = [x for x in range(a.n) if ri[x] == x]
-    induced = [y for y in range(b.n) if ir[y] == y]
-    fixed_point_iso = (
-        sorted(i[x] for x in restricted) == induced
-        and sorted(r[y] for y in induced) == restricted
-        and all(r[i[x]] == x for x in restricted)
-        and all(i[r[y]] == y for y in induced)
-    )
-
-    preservation = is_join_preserving(gc.lower) and is_meet_preserving(gc.upper)
-    unit_laws = i[a.bottom] == b.bottom and r[b.top] == a.top
-
-    res_set = set(restricted)
-    ind_set = set(induced)
-    sublattice_closure = (
-        a.top in res_set
-        and b.bottom in ind_set
-        and all(a.meet(x, y) in res_set for x in restricted for y in restricted)
-        and all(b.join(x, y) in ind_set for x in induced for y in induced)
-    )
-
-    insertion_adjunctions = all(
-        a.leq(x, j) == a.leq(ri[x], j)
-        for x in range(a.n)
-        for j in restricted
-    ) and all(
-        b.leq(k, y) == b.leq(k, ir[y])
-        for y in range(b.n)
-        for k in induced
-    )
-
-    return LawReport(
-        monotone=monotone,
-        closure_law=closure_law,
-        interior_law=interior_law,
-        fixed_point_iso=fixed_point_iso,
-        preservation=preservation,
-        unit_laws=unit_laws,
-        sublattice_closure=sublattice_closure,
-        insertion_adjunctions=insertion_adjunctions,
-    )
 
 
 def detects(gc: GaloisConnection) -> bool:

@@ -55,18 +55,6 @@ from .errors import JNotAdmissible, LatticeTooLarge
 from .lattice import FiniteLattice, FinitePoset, _order_masks, inclusion_rows, max_lattice_size
 from .spectrum import PrimeSpectrum, primes
 
-__all__ = [
-    "FiniteGraph",
-    "JPairLattice",
-    "x_forward",
-    "x_inverse",
-    "is_positively_invariant",
-    "j_x",
-    "j_pairs",
-    "pair_prime_space",
-    "EX_75",
-]
-
 
 class FiniteGraph(Record):
     """A finite directed graph; parallel edges are allowed."""
@@ -109,10 +97,6 @@ def x_inverse(g: FiniteGraph, subset: int) -> int:
     """
     _check_mask(g, subset)
     return inside(g.range_masks, subset)
-
-
-def is_positively_invariant(g: FiniteGraph, subset: int) -> bool:
-    return x_forward(g, subset) & ~subset == 0
 
 
 def j_x(g: FiniteGraph) -> int:

@@ -392,16 +392,6 @@ def _missing_bound(meet, join):
     return None
 
 
-def big_meet(lat: FiniteLattice, xs) -> int:
-    """Meet of any element subset; the empty subset gives the top."""
-    return lat.big_meet(xs)
-
-
-def big_join(lat: FiniteLattice, xs) -> int:
-    """Join of any element subset; the empty subset gives the bottom."""
-    return lat.big_join(xs)
-
-
 def join_irreducibles(lat: FiniteLattice) -> tuple[int, ...]:
     """Elements with exactly one lower cover, ascending.
 
@@ -516,19 +506,22 @@ def inclusion_rows(masks):
     return below, above
 
 
+_BOOLEAN: dict[int, FiniteLattice] = {}
+
+
 def boolean_lattice(k: int) -> FiniteLattice:
-    """All subsets of k points, labeled by subset masks."""
-    return downset_lattice(FinitePoset.antichain(k))
+    """All subsets of k points, labeled by subset masks.
 
-
-def sublattice(lat: FiniteLattice, elements) -> FiniteLattice:
-    """The induced order on ``elements``, certified as a lattice.
-
-    Labels are the ambient element indices. Meets and joins are those of
-    the subposet, which need not agree with the ambient ones.
+    One lattice per k, built on first use and kept, as opens_lattice
+    keeps one per space, so its frame certificate and its spectrum are
+    computed once too. The cap is read on every call: past it the
+    lattice is built afresh, which raises LatticeTooLarge as the first
+    build would have.
     """
-    elements = sorted(set(elements))
-    return FiniteLattice(lat.order.subposet(elements), elements)
+    lat = _BOOLEAN.get(k)
+    if lat is None or lat.n > max_lattice_size():
+        lat = _BOOLEAN[k] = downset_lattice(FinitePoset.antichain(k))
+    return lat
 
 
 def fixed_point_lattice(
@@ -542,15 +535,17 @@ def fixed_point_lattice(
     the subset is closed: the fixed points of a closure operator keep
     ambient meets and close joins, those of an interior operator the
     dual, and a subset closed under both keeps both. The result equals
-    ``sublattice(lat, elements)`` whenever that description is true, at
-    O(k^2) mask operations with no bound search and no table.
+    the induced order on ``elements`` certified by the FiniteLattice
+    constructor, labeled by the ambient indices, whenever that
+    description is true, at O(k^2) mask operations with no bound search
+    and no table.
 
     The description is a precondition, not checked here, and a subset
     that breaks it is not refused: every caller passes a subset that is
     closed by theorem (the fixed points of the
     closure and the interior of a certified Galois connection, by Prop
     2.6, and the opens invariant under a group of homeomorphisms), and
-    the tests compare the result with ``sublattice``.
+    the tests compare the result with that certified induced order.
 
     A side that keeps the ambient operation keeps the ambient masks of
     its elements; a side that applies a fix reads the rows of the
@@ -701,12 +696,3 @@ def order_automorphisms(poset: FinitePoset) -> list[tuple[int, ...]]:
     """Every permutation of the points preserving the order both ways,
     in lexicographic order, the order of ``itertools.permutations``."""
     return list(_isomorphisms(poset, poset))
-
-
-def lattice_isomorphism(a: FiniteLattice, b: FiniteLattice):
-    """An isomorphism between the underlying orders, or None.
-
-    For lattices an order isomorphism automatically respects meets and
-    joins, so no table check is needed.
-    """
-    return poset_isomorphism(a.order, b.order)

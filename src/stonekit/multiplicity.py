@@ -27,19 +27,6 @@ from .galois import GaloisConnection
 from .lattice import boolean_lattice
 from .quasiorbit import InclusionData
 
-__all__ = [
-    "MultiplicityInclusion",
-    "induce",
-    "restrict",
-    "is_symmetric",
-    "to_inclusion_data",
-    "binary_matrices",
-    "EX_210",
-    "EX_211",
-    "EX_213",
-    "EX_74",
-]
-
 
 class MultiplicityInclusion(Record):
     """A multiplicity matrix plus optional summand dimensions.

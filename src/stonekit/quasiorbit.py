@@ -29,11 +29,13 @@ quasi-orbit space is the quotient of the source spectrum by equal pi
 values; rho factors r through that quotient and needs JR, C1 and MI.
 
 Everything here rests on the adjunction certified when the
-GaloisConnection was built: by the law scan of its constructor or of
-from_lower/from_upper for tables from outside, and by theorem, once
-every value lands, for the (image, inside) pair of a model's relation
-(from_relation). The eight structural laws of Prop 2.6
-(verify_prop26) follow from it and are checked by the tests, not on
+GaloisConnection was built: by the law scan of its constructor (the
+identity connection of a ``lattice`` document) or of from_lower (the
+lower table of a ``galois`` document, a locale morphism of the T33
+sweep), and by theorem, once every value lands, for the (image,
+inside) pair of a model's relation (from_relation). The eight
+structural laws of Prop 2.6 follow from it and are checked by the
+tests' oracle (``verify_prop26`` in tests/oracles.py), not on
 construction; the fixed-point lattices are read off the ambient masks
 by the same laws (restricted: ambient meets, closed joins; induced:
 ambient joins, opened meets), with no scan for an escaping pair. C2

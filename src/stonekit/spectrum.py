@@ -17,7 +17,6 @@ from ._record import Record
 from .errors import (
     InvalidTopology,
     NotAFrame,
-    NotAPoset,
     NotContinuous,
     NotLocaleMorphism,
 )
@@ -29,7 +28,6 @@ from .lattice import (
     _meets_commute,
     downset_lattice,
     is_frame,
-    poset_isomorphism,
 )
 
 
@@ -55,36 +53,6 @@ class FiniteT0Space(Record):
         cap allows.
         """
         return cls._trusted(points, _downsets(points))
-
-    @classmethod
-    def from_opens(cls, n: int, opens) -> "FiniteT0Space":
-        """Build from an explicit family, validating every topology law."""
-        family = sorted(set(int(m) for m in opens))
-        full = (1 << n) - 1
-        if 0 not in family or full not in family:
-            raise InvalidTopology("family must contain the empty and full sets")
-        fam_set = set(family)
-        for a in family:
-            for b in family:
-                if a | b not in fam_set or a & b not in fam_set:
-                    raise InvalidTopology(
-                        f"family not closed under union/intersection at {a:#x}, {b:#x}"
-                    )
-        below = []
-        for x in range(n):
-            m = full
-            for u in family:
-                if (u >> x) & 1:
-                    m &= u
-            below.append(m)
-        try:
-            points = FinitePoset(n, tuple(below))  # antisymmetry here is T0
-        except NotAPoset as e:
-            raise InvalidTopology(f"family is not T0: {e}") from e
-        space = cls.from_poset(points)
-        if tuple(family) != space.opens:
-            raise InvalidTopology("family misses some down-sets of its order")
-        return space
 
     @property
     def n(self) -> int:
@@ -126,33 +94,6 @@ def opens_lattice(space: FiniteT0Space) -> FiniteLattice:
     return space.opens_lattice
 
 
-def prime_elements(lat: FiniteLattice) -> tuple[int, ...]:
-    """Meet-prime elements below the top, by the definitional scan.
-
-    Works on any finite lattice; no distributivity is assumed. primes
-    takes the O(n^2) meet-irreducible route on frames instead; this
-    O(n^3) scan stays as its test oracle and serves non-frames.
-    """
-    out = []
-    mt = lat.meet_table
-    for p in range(lat.n):
-        if p == lat.top:
-            continue
-        ok = True
-        for x in range(lat.n):
-            if lat.leq(x, p):
-                continue
-            for y in range(x, lat.n):
-                if lat.leq(mt[x][y], p) and not lat.leq(y, p):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(p)
-    return tuple(out)
-
-
 class PrimeSpectrum(Record):
     """A frame with its primes and the element-to-open translation.
 
@@ -179,13 +120,13 @@ def primes(lat: FiniteLattice) -> PrimeSpectrum:
     """The prime spectrum of a finite frame, built once per lattice.
 
     In a frame the primes are exactly the meet-irreducible elements, so
-    they are found in O(n^2) rather than by the prime_elements scan.
+    they are found in O(n^2) rather than by the O(n^3) definitional
+    scan, which the tests keep as the oracle.
     The points, their order and the opens are the lattice's Birkhoff
     dual (``FiniteLattice._birkhoff``), the one is_frame counted, so no
     down-set is enumerated twice. The spectrum is cached on the
     lattice: repeated calls return the same object. Raises NotAFrame
-    (with the is_frame witness triple) when distributivity fails;
-    primes of non-frames are still reachable through prime_elements.
+    (with the is_frame witness triple) when distributivity fails.
     """
     return lat.prime_spectrum
 
@@ -222,7 +163,7 @@ def is_spatial(lat: FiniteLattice) -> bool:
     meets into intersections and joins into unions, embedding the lattice
     in a powerset; conversely the meet-irreducibles of a finite frame are
     prime and separate elements. So the answer is the cached is_frame
-    certificate; the tests check it against the prime_elements scan.
+    certificate; the tests check it against the definitional prime scan.
     """
     return is_frame(lat).distributive
 
@@ -323,10 +264,6 @@ def is_homeomorphism(f: PointMap) -> bool:
     return is_open_map(f)
 
 
-def homeomorphic(x: FiniteT0Space, y: FiniteT0Space) -> bool:
-    return poset_isomorphism(x.points, y.points) is not None
-
-
 def is_locale_morphism(g: MonotoneMap) -> bool:
     """Preserves all joins and all finite meets, top and bottom included."""
     return galois.is_join_preserving(g) and galois.is_meet_preserving(g)
@@ -420,11 +357,12 @@ def quotient_space(space: FiniteT0Space, classes) -> tuple[FiniteT0Space, tuple[
     quotient fails T0.
 
     The saturated opens are closed under union and intersection by
-    construction, so they are taken as the quotient topology without
-    the closure scan of ``FiniteT0Space.from_opens``: the least open
-    around a class is its down-set in the specialization order, and T0
-    is the injectivity of those masks. ``from_opens`` stays the test
-    oracle, error message included.
+    construction, so they are taken as the quotient topology without a
+    closure scan over the family: the least open around a class is its
+    down-set in the specialization order, and T0 is the injectivity of
+    those masks. The tests compare the result, error message included,
+    with a space built from the saturated opens with every topology law
+    validated (``from_opens`` in tests/oracles.py).
     """
     classes = [int(c) for c in classes]
     full = (1 << space.n) - 1
@@ -457,7 +395,8 @@ def quotient_space(space: FiniteT0Space, classes) -> tuple[FiniteT0Space, tuple[
         for k in bits(w):
             below[k] &= w
     if len(set(below)) != len(below):
-        # name the first clashing pair, as check_poset does for from_opens
+        # name the first clashing pair, as check_poset does on the order
+        # read off the family
         i = min(k for k, m in enumerate(below) if below.count(m) > 1)
         j = below.index(below[i], i + 1)
         raise InvalidTopology(

@@ -27,21 +27,10 @@ from functools import cached_property
 from ._kernels import image
 from ._record import Record, _store
 from .errors import ClosureTooLarge, NotContinuous, ShapeMismatch
-from .galois import GaloisConnection, MonotoneMap
+from .galois import GaloisConnection
 from .lattice import FiniteLattice, fixed_point_lattice
 from .quasiorbit import InclusionData, quasi_orbit_space
 from .spectrum import opens_lattice, soberification
-
-__all__ = [
-    "FiniteGroupAction",
-    "BundleMap",
-    "group_closure",
-    "invariant_opens",
-    "orbit_closure_relation",
-    "action_inclusion_data",
-    "action_quasi_orbit_agreement",
-    "bundle_inclusion_data",
-]
 
 _MAX_ORDER = 10_000
 
@@ -146,16 +135,6 @@ def _invariant_lattice(a: FiniteGroupAction) -> FiniteLattice:
     # masks as its meet masks, read off with no escape scan.
     olat = opens_lattice(a.space)
     return fixed_point_lattice(olat, [k for k, u in enumerate(olat.labels) if a.is_invariant(u)])
-
-
-def invariant_opens(a: FiniteGroupAction) -> tuple[FiniteLattice, MonotoneMap]:
-    """The sublattice of invariant opens with its insertion into O(X).
-
-    The sublattice is labeled by the ambient indices of its opens, and
-    the insertion, a locale morphism by construction, is certified here.
-    """
-    inv = _invariant_lattice(a)
-    return inv, MonotoneMap(inv, opens_lattice(a.space), inv.labels)
 
 
 def action_inclusion_data(a: FiniteGroupAction) -> InclusionData:

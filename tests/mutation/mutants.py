@@ -245,6 +245,13 @@ MUTANTS = (
         ("test_relation.py",),
     ),
     Mutant(
+        "boolean-lattice-cache-skips-the-cap",
+        "lattice.py",
+        "if lat is None or lat.n > max_lattice_size():",
+        "if lat is None:",
+        ("test_multiplicity.py",),
+    ),
+    Mutant(
         "mif-witness-read-off-lattice-a",
         "cli.py",
         "enumerate(join_irreducibles(b)) if b.leq(j, meet)",

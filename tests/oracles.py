@@ -1,0 +1,241 @@
+"""The definitional oracles and test enumerations of the suite.
+
+The package computes each structure by one fast route; the functions
+here compute the same things from the definitions, for the tests to
+compare against. None of them is reached from the command line or the
+sweeps, so they live with the tests:
+
+* ``verify_prop26``: the eight laws of Prop 2.6, itemized, for any
+  adjoint pair;
+* ``prime_elements``: meet-prime elements by the O(n^3) scan, on any
+  finite lattice;
+* ``from_opens``: a finite T0 space from an explicit family of opens,
+  every topology law validated;
+* ``sublattice``: the induced order on a subset, certified by the
+  ``FiniteLattice`` constructor;
+* ``all_frames`` and ``monotone_maps``: one frame per isomorphism
+  class, and every monotone map between two lattices;
+* ``invariant_opens``: the invariant opens of an action with their
+  insertion into O(X), certified as a ``MonotoneMap``.
+"""
+
+from stonekit import (
+    FiniteGroupAction,
+    FiniteLattice,
+    FinitePoset,
+    FiniteT0Space,
+    GaloisConnection,
+    InvalidTopology,
+    MonotoneMap,
+    NotAPoset,
+    downset_lattice,
+    is_join_preserving,
+    is_meet_preserving,
+    opens_lattice,
+)
+from stonekit._record import Record
+from stonekit.conformance import _monotone_values, all_frame_posets
+from stonekit.topo_models import _invariant_lattice
+
+
+class LawReport(Record):
+    """Itemized health report of one connection.
+
+    Every field is computed independently so a failure pinpoints the
+    broken law. All eight hold for any true adjoint pair; the report
+    exists to catch bugs in synthesized or hand-built connections.
+    """
+
+    _fields = (
+        "monotone",
+        "closure_law",
+        "interior_law",
+        "fixed_point_iso",
+        "preservation",
+        "unit_laws",
+        "sublattice_closure",
+        "insertion_adjunctions",
+    )
+
+    def items(self):
+        return [(name, getattr(self, name)) for name in self._fields]
+
+    @property
+    def all_ok(self) -> bool:
+        return all(v for _, v in self.items())
+
+
+def _is_monotone_values(lat_src, lat_tgt, values) -> bool:
+    below = lat_src.order.below
+    for y in range(lat_src.n):
+        for x in range(lat_src.n):
+            if (below[y] >> x) & 1 and not lat_tgt.leq(values[x], values[y]):
+                return False
+    return True
+
+
+def verify_prop26(gc: GaloisConnection) -> LawReport:
+    """Check the eight structural laws of an adjoint pair, itemized.
+
+    Every law is a consequence of what a GaloisConnection certifies on
+    construction (both maps monotone, the adjunction law exhaustively),
+    so InclusionData does not re-run this; it is the oracle for that
+    certificate and for hand-built or synthesized pairs.
+    """
+    a, b = gc.lattice_a, gc.lattice_b
+    i, r = gc.lower.values, gc.upper.values
+    ri = gc.closure_values()
+    ir = gc.kernel_values()
+
+    monotone = _is_monotone_values(a, b, i) and _is_monotone_values(b, a, r)
+
+    closure_law = all(a.leq(x, ri[x]) for x in range(a.n)) and all(
+        i[ri[x]] == i[x] for x in range(a.n)
+    )
+    interior_law = all(b.leq(ir[y], y) for y in range(b.n)) and all(
+        r[ir[y]] == r[y] for y in range(b.n)
+    )
+
+    restricted = [x for x in range(a.n) if ri[x] == x]
+    induced = [y for y in range(b.n) if ir[y] == y]
+    fixed_point_iso = (
+        sorted(i[x] for x in restricted) == induced
+        and sorted(r[y] for y in induced) == restricted
+        and all(r[i[x]] == x for x in restricted)
+        and all(i[r[y]] == y for y in induced)
+    )
+
+    preservation = is_join_preserving(gc.lower) and is_meet_preserving(gc.upper)
+    unit_laws = i[a.bottom] == b.bottom and r[b.top] == a.top
+
+    res_set = set(restricted)
+    ind_set = set(induced)
+    sublattice_closure = (
+        a.top in res_set
+        and b.bottom in ind_set
+        and all(a.meet(x, y) in res_set for x in restricted for y in restricted)
+        and all(b.join(x, y) in ind_set for x in induced for y in induced)
+    )
+
+    insertion_adjunctions = all(
+        a.leq(x, j) == a.leq(ri[x], j)
+        for x in range(a.n)
+        for j in restricted
+    ) and all(
+        b.leq(k, y) == b.leq(k, ir[y])
+        for y in range(b.n)
+        for k in induced
+    )
+
+    return LawReport(
+        monotone=monotone,
+        closure_law=closure_law,
+        interior_law=interior_law,
+        fixed_point_iso=fixed_point_iso,
+        preservation=preservation,
+        unit_laws=unit_laws,
+        sublattice_closure=sublattice_closure,
+        insertion_adjunctions=insertion_adjunctions,
+    )
+
+
+def prime_elements(lat: FiniteLattice) -> tuple[int, ...]:
+    """Meet-prime elements below the top, by the definitional scan.
+
+    Works on any finite lattice; no distributivity is assumed.
+    ``spectrum.primes`` takes the O(n^2) meet-irreducible route on
+    frames instead; this O(n^3) scan is its oracle.
+    """
+    out = []
+    mt = lat.meet_table
+    for p in range(lat.n):
+        if p == lat.top:
+            continue
+        ok = True
+        for x in range(lat.n):
+            if lat.leq(x, p):
+                continue
+            for y in range(x, lat.n):
+                if lat.leq(mt[x][y], p) and not lat.leq(y, p):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            out.append(p)
+    return tuple(out)
+
+
+def from_opens(n: int, opens) -> FiniteT0Space:
+    """The space on n points with the given opens, validating every
+    topology law: the oracle of ``spectrum.quotient_space``."""
+    family = sorted(set(int(m) for m in opens))
+    full = (1 << n) - 1
+    if 0 not in family or full not in family:
+        raise InvalidTopology("family must contain the empty and full sets")
+    fam_set = set(family)
+    for a in family:
+        for b in family:
+            if a | b not in fam_set or a & b not in fam_set:
+                raise InvalidTopology(
+                    f"family not closed under union/intersection at {a:#x}, {b:#x}"
+                )
+    below = []
+    for x in range(n):
+        m = full
+        for u in family:
+            if (u >> x) & 1:
+                m &= u
+        below.append(m)
+    try:
+        points = FinitePoset(n, tuple(below))  # antisymmetry here is T0
+    except NotAPoset as e:
+        raise InvalidTopology(f"family is not T0: {e}") from e
+    space = FiniteT0Space.from_poset(points)
+    if tuple(family) != space.opens:
+        raise InvalidTopology("family misses some down-sets of its order")
+    return space
+
+
+def sublattice(lat: FiniteLattice, elements) -> FiniteLattice:
+    """The induced order on ``elements``, certified as a lattice.
+
+    Labels are the ambient element indices. Meets and joins are those of
+    the subposet, which need not agree with the ambient ones; the
+    oracle of ``lattice.fixed_point_lattice``.
+    """
+    elements = sorted(set(elements))
+    return FiniteLattice(lat.order.subposet(elements), elements)
+
+
+def all_frames(max_size: int) -> list[FiniteLattice]:
+    """One frame per isomorphism class with at most ``max_size`` elements."""
+    return [downset_lattice(p) for p in all_frame_posets(max_size)]
+
+
+_MAX_TABLES = 10_000_000
+
+
+def monotone_maps(src: FiniteLattice, dst: FiniteLattice):
+    """All monotone maps src -> dst as value tuples, order-pruned.
+
+    The recursion walks a linear extension of the source, so every
+    partial assignment already satisfies its order constraints. Above
+    ``_MAX_TABLES`` candidate tables (|dst| ** |src|) the walk refuses;
+    callers wanting coverage of larger pairs should sample with a
+    generator.
+    """
+    if dst.n**src.n > _MAX_TABLES:
+        raise ValueError("candidate table exceeds the enumeration cap")
+    yield from _monotone_values(src.order, dst)
+
+
+def invariant_opens(a: FiniteGroupAction) -> tuple[FiniteLattice, MonotoneMap]:
+    """The sublattice of invariant opens with its insertion into O(X).
+
+    The sublattice is labeled by the ambient indices of its opens, and
+    the insertion, a locale morphism by construction, is certified here
+    by the ``MonotoneMap`` constructor.
+    """
+    inv = _invariant_lattice(a)
+    return inv, MonotoneMap(inv, opens_lattice(a.space), inv.labels)

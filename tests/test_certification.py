@@ -4,8 +4,8 @@ is_frame decides distributivity by Birkhoff's count over the
 meet-irreducibles, primes reads its points and opens off the same
 Birkhoff dual and is_spatial reads the frame certificate; all three
 are checked here against the definitional scans
-(``_kernels.distributive_witness`` and ``prime_elements``), which stay
-in the package as oracles. The fixed-point lattices of a connection are
+(``_kernels.distributive_witness``, which stays in the package, and
+``prime_elements`` from tests/oracles.py). The fixed-point lattices of a connection are
 read off the ambient masks and checked against the validated
 ``sublattice`` route, with ``verify_prop26`` as the oracle for the
 certificate they rely on. The bit-row certification loops (monotone
@@ -56,24 +56,21 @@ from stonekit import (
     all_posets,
     downset_lattice,
     gen_inclusion_data,
-    invariant_opens,
     is_frame,
     is_locale_morphism,
     is_spatial,
     lower_adjoint,
     opens_lattice,
-    prime_elements,
     primes,
     quasi_orbit_map,
     quasi_orbit_space,
     small_group_actions,
-    sublattice,
     soberification,
     sweep_theorem,
     to_inclusion_data,
     upper_adjoint,
-    verify_prop26,
 )
+from oracles import invariant_opens, prime_elements, sublattice, verify_prop26
 from stonekit import _accel, _kernels
 from stonekit.conformance import FAMILIES, order_automorphisms
 from stonekit.quasiorbit import check_C1, check_C2, check_JR, check_MI, check_MIf
@@ -177,7 +174,7 @@ def assert_fixed_point_lattices_match_the_oracle(d):
 
 
 class TestFixedPointLattices:
-    @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "graph"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_generated_families(self, family):
         for seed in range(40):
             for max_points in (3, 5):
@@ -373,8 +370,6 @@ class TestBitRowLoopsAgainstPairLoops:
     def test_check_C1_matches_the_pair_loop(self):
         outcomes = set()
         for family in FAMILIES:
-            if family == "graph":
-                continue
             for seed in range(40):
                 for max_points in (3, 5):
                     gen = InstanceGenerator(
@@ -389,8 +384,6 @@ class TestBitRowLoopsAgainstPairLoops:
     def test_mi_and_c2_match_the_pair_loops(self):
         outcomes = set()
         for family in FAMILIES:
-            if family == "graph":
-                continue
             for seed in range(40):
                 for max_points in (3, 5):
                     gen = InstanceGenerator(seed=seed, family=family, max_points=max_points)
@@ -518,7 +511,7 @@ class TestCertifyOnce:
 
     def test_agreement_re_checks_no_certificate(self, monkeypatch):
         a = vee_action()
-        laws = counted(monkeypatch, galois_module, "verify_prop26")
+        laws = counted(monkeypatch, galois_module, "_adjunction_witness")
         tables = counted(monkeypatch, _accel, "bound_tables")
         orders = counted(monkeypatch, _accel, "check_poset")
         assert action_quasi_orbit_agreement(a)

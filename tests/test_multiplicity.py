@@ -18,8 +18,13 @@ from stonekit import (
     EX_210,
     EX_211,
     EX_213,
+    FinitePoset,
+    LatticeTooLarge,
     MultiplicityInclusion,
     binary_matrices,
+    boolean_lattice,
+    downset_lattice,
+    is_frame,
     check_C1,
     check_JR,
     check_MIf,
@@ -183,6 +188,34 @@ class TestCompile:
             )
             if all_symmetric:
                 assert check_JR(d) and check_C1(d) and check_MIf(d)
+
+
+class TestBooleanLatticeReuse:
+    """boolean_lattice keeps one lattice per k, so matrices of one shape
+    share their lattices and each lattice's frame certificate."""
+
+    def test_equal_row_counts_share_lattice_a(self):
+        d1 = to_inclusion_data(MultiplicityInclusion(((1, 0), (0, 1))))
+        d2 = to_inclusion_data(MultiplicityInclusion(((1,), (1,))))
+        assert d1.lattice_a is d2.lattice_a is boolean_lattice(2)
+        assert d1.lattice_a is d1.lattice_b
+        assert is_frame(d1.lattice_a) is is_frame(d2.lattice_a)
+
+    def test_a_cached_k_refuses_after_the_cap_is_lowered(self, monkeypatch):
+        lat = boolean_lattice(3)
+        assert boolean_lattice(3) is lat
+        monkeypatch.setenv("STONE_MAX_LATTICE", "7")
+        with pytest.raises(LatticeTooLarge) as fresh:
+            downset_lattice(FinitePoset.antichain(3))
+        with pytest.raises(LatticeTooLarge) as cached:
+            boolean_lattice(3)
+        assert str(cached.value) == str(fresh.value) == (
+            "more than 7 down-sets; raise STONE_MAX_LATTICE to allow"
+        )
+        with pytest.raises(LatticeTooLarge):
+            to_inclusion_data(MultiplicityInclusion(((1,), (1,), (1,))))
+        monkeypatch.delenv("STONE_MAX_LATTICE")
+        assert boolean_lattice(3) is lat
 
 
 class TestEnumeration:

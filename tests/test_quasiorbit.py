@@ -50,7 +50,6 @@ from stonekit import (
     check_MI,
     check_MIf,
     downset_lattice,
-    homeomorphic,
     induced_prime_map,
     is_frame,
     is_homeomorphism,
@@ -61,10 +60,10 @@ from stonekit import (
     quasi_orbit_space,
     restricted_prime_map,
     separates,
-    sublattice,
     sweep_theorem,
-    verify_prop26,
 )
+from oracles import sublattice, verify_prop26
+from stonekit.lattice import poset_isomorphism
 
 CROSSED = ((1, 0), (0, 1), (1, 1))
 OVERLAPPED = ((1, 0, 1, 1), (0, 1, 1, 1))
@@ -297,7 +296,7 @@ class TestQuasiOrbitSpace:
     def test_identity_quotient_is_the_spectrum(self):
         d = identity_data()
         qos = quasi_orbit_space(d)
-        assert homeomorphic(qos.quotient, d.spectrum_a.space)
+        assert poset_isomorphism(qos.quotient.points, d.spectrum_a.space.points) is not None
         assert qos.classes == (0b01, 0b10)
 
     def test_swap_quotient_is_a_point(self):

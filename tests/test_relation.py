@@ -40,13 +40,12 @@ from stonekit import (
     downset_lattice,
     dumps_document,
     induce,
-    invariant_opens,
     opens_lattice,
     parse_document,
     restrict,
     small_group_actions,
-    verify_prop26,
 )
+from oracles import invariant_opens, verify_prop26
 from stonekit._kernels import image, inside
 from stonekit.conformance import _MASK64, InstanceGenerator, _draw, _GaloisSeed, _inclusion, all_spaces
 

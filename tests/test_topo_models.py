@@ -32,13 +32,13 @@ from stonekit import (
     check_C2,
     check_JR,
     check_MI,
-    invariant_opens,
     is_open_map,
     is_surjective,
     opens_lattice,
     orbit_closure_relation,
     restricted_prime_map,
 )
+from oracles import invariant_opens
 from stonekit.conformance import all_spaces, small_group_actions
 from stonekit.topo_models import group_closure
 
