@@ -17,14 +17,17 @@ its shrinker and the model its document describes; one table
 The counting pass is split across the CPUs the process may run on
 (``os.sched_getaffinity``), by ``_in_shares``: with W of them, share w
 checks the units k = w (mod W), where a unit is an instance, a (frame,
-space) pair in T33 and a (representative, subgroup class) item in the
-reduced T62. Share 0 runs in the calling process and the others in
-forked children, which send their counts back through a pipe; a
-randomized share draws only its own instances. With one CPU, or without
-``os.fork``, the one share runs inline. When any share meets a
-violation or an exception, the serial loop reruns from the start, so
-reports, counterexamples, messages and exceptions are those of a run
-on one CPU.
+space) pair in T33 and a poset representative in the reduced T62. Share
+0 runs in the calling process and the others in forked children, which
+send their counts back through a pipe; a share draws or enumerates only
+its own units (a T62 share the automorphisms and subgroup classes of
+its representatives). With one CPU, or without ``os.fork``, the one
+share runs inline. When any share meets a violation or an exception,
+the serial loop reruns from the start, so reports, counterexamples,
+messages and exceptions are those of a run on one CPU. A library
+cross-check that breaks (an AssertionError) is a violation of the
+instance it breaks on, for every tag; the reduced T62 meets it as an
+exception and reruns as the labeled census, whose loop reports it.
 
 Sweep tags and their budgets:
 
@@ -634,14 +637,12 @@ def _check_T47(d: InclusionData):
 
 def _check_rho(d: InclusionData, verdict):
     # C48 and C49: a refused precondition makes the instance
-    # inapplicable, a broken cross-check inside quasi_orbit_map is a
-    # violation, and otherwise ``verdict(d, rho)`` decides
+    # inapplicable, and otherwise ``verdict(d, rho)`` decides; a broken
+    # cross-check is judged by _sweep, as for every tag
     try:
         rho = quasi_orbit_map(d)
     except ConditionViolated:
         return False, True
-    except AssertionError:
-        return True, False
     return True, verdict(d, rho)
 
 
@@ -761,14 +762,22 @@ def _sweep(tag, budget, seed, stream, check, where, count=None) -> SweepReport:
     the first applicable instance that is not ok is shrunk with its
     kind's shrinker and raises SweepFailed with the minimized document;
     ``where`` names it from ``k`` (its index), ``n`` (the count so far)
-    and ``seed``.
+    and ``seed``. A library cross-check that breaks (AssertionError) on
+    an instance makes it an applicable violation, whatever the tag, in
+    the counting pass, in the serial loop and in the shrinker alike.
     """
+
+    def judged(instance):
+        try:
+            return check(instance)
+        except AssertionError:
+            return True, False
 
     def counts(start, step):
         checked = applicable = 0
         for instance in stream(start, step):
             checked += 1
-            app, ok = check(instance)
+            app, ok = judged(instance)
             if app and not ok:
                 return None
             applicable += app
@@ -780,13 +789,13 @@ def _sweep(tag, budget, seed, stream, check, where, count=None) -> SweepReport:
         return SweepReport(tag, seed, budget, checked, applicable, 0, None)
 
     def violates(instance):
-        applicable, ok = check(instance)
+        applicable, ok = judged(instance)
         return applicable and not ok
 
     checked = applicable = 0
     for instance in stream(0, 1):
         checked += 1
-        app, ok = check(instance)
+        app, ok = judged(instance)
         applicable += app
         if app and not ok:
             shrink, model = _KINDS[type(instance)]
@@ -872,23 +881,23 @@ def _run_T33(budget: int, seed: int) -> SweepReport:
 def _run_T62(budget: int, seed: int) -> SweepReport:
     # A pair (R, class of H) stands for its n!/|Aut(R)| labelings of R
     # times the |class| subgroups conjugate to H; see the module docstring.
-    items = []
-    for rep in _poset_classes(budget):
-        auts = order_automorphisms(rep)
-        copies = factorial(rep.n) // len(auts)
-        space = FiniteT0Space.from_poset(rep)
-        for action, conjugates in _subgroup_classes(space, auts):
-            items.append((action, copies * len(conjugates)))
+    # The units are the representatives, so a share also enumerates only
+    # the automorphisms and subgroup classes of its own.
+    reps = _poset_classes(budget)
 
     def counts(start, step):
         checked = 0
-        for action, weight in items[start::step]:
-            if not action_quasi_orbit_agreement(action):
-                return None
-            checked += weight
+        for rep in reps[start::step]:
+            auts = order_automorphisms(rep)
+            copies = factorial(rep.n) // len(auts)
+            space = FiniteT0Space.from_poset(rep)
+            for action, conjugates in _subgroup_classes(space, auts):
+                if not action_quasi_orbit_agreement(action):
+                    return None
+                checked += copies * len(conjugates)
         return (checked,)
 
-    shares = _in_shares(counts, len(items))
+    shares = _in_shares(counts, len(reps))
     if shares is None:
         return _run_T62_labeled(budget, seed)
     checked = sum(share[0] for share in shares)

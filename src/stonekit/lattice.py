@@ -330,9 +330,9 @@ class FiniteLattice(Record):
     @cached_property
     def prime_spectrum(self):
         """The prime spectrum, built once; see spectrum.primes."""
-        from .spectrum import _prime_spectrum
+        from .spectrum import PrimeSpectrum
 
-        return _prime_spectrum(self)
+        return PrimeSpectrum(self)
 
 
 class FrameWitness(Record):
@@ -425,7 +425,7 @@ def is_frame(lat: FiniteLattice) -> FrameWitness:
     comes from Birkhoff's count: a lattice is distributive iff it has
     as many elements as its meet-irreducibles have down-sets. Those
     down-sets are the lattice's cached Birkhoff dual
-    (``FiniteLattice._birkhoff``), which spectrum.primes reads as the
+    (``FiniteLattice._birkhoff``), which PrimeSpectrum reads as the
     opens of the spectrum, so the dual is enumerated once for both.
     The certificate is cached on the lattice, so repeated calls return
     the same object. It is computed for every lattice, down-set frames
@@ -524,21 +524,18 @@ def boolean_lattice(k: int) -> FiniteLattice:
     return lat
 
 
-def fixed_point_lattice(
-    lat: FiniteLattice, elements, meet_fix=None, join_fix=None
-) -> FiniteLattice:
+def fixed_point_lattice(lat: FiniteLattice, elements, closes=None) -> FiniteLattice:
     """A sublattice read straight off the ambient masks.
 
-    ``elements`` are ascending ambient indices. The meet of two of them
-    is ``meet_fix`` applied to their ambient meet (the ambient meet
-    itself when None), and likewise for joins, so the caller states how
-    the subset is closed: the fixed points of a closure operator keep
-    ambient meets and close joins, those of an interior operator the
-    dual, and a subset closed under both keeps both. The result equals
-    the induced order on ``elements`` certified by the FiniteLattice
-    constructor, labeled by the ambient indices, whenever that
-    description is true, at O(k^2) mask operations with no bound search
-    and no table.
+    ``elements`` are ascending ambient indices. ``closes`` names the
+    operation the subset closes instead of keeping the ambient one:
+    "join" for the fixed points of a closure operator, which keep
+    ambient meets and close joins up, "meet" for those of an interior
+    operator, which keep ambient joins and open meets down, and None for
+    a subset closed under both. The result equals the induced order on
+    ``elements`` certified by the FiniteLattice constructor, labeled by
+    the ambient indices, whenever that description is true, at O(k^2)
+    mask operations with no bound search and no table.
 
     The description is a precondition, not checked here, and a subset
     that breaks it is not refused: every caller passes a subset that is
@@ -548,7 +545,7 @@ def fixed_point_lattice(
     the tests compare the result with that certified induced order.
 
     A side that keeps the ambient operation keeps the ambient masks of
-    its elements; a side that applies a fix reads the rows of the
+    its elements; the side that ``closes`` names reads the rows of the
     induced order instead, its ``below`` rows for meets and its
     ``above`` rows for joins.
     """
@@ -556,8 +553,8 @@ def fixed_point_lattice(
     if not elements:
         raise NotALattice("empty carrier has no bounds")
     order = lat.order.subposet(elements)
-    meet = order.below if meet_fix is not None else tuple(lat._meet[0][e] for e in elements)
-    join = order.above() if join_fix is not None else tuple(lat._join[0][e] for e in elements)
+    meet = order.below if closes == "meet" else tuple(lat._meet[0][e] for e in elements)
+    join = order.above() if closes == "join" else tuple(lat._join[0][e] for e in elements)
     out = FiniteLattice._of(order, elements, _indexed(meet), _indexed(join))
     _store(out, "_label_index", {e: k for k, e in enumerate(elements)})
     return out

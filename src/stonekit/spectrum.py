@@ -13,7 +13,7 @@ from functools import cached_property
 
 from . import galois
 from ._kernels import bits, image, inside, monotone_witness
-from ._record import Record
+from ._record import Record, _store
 from .errors import (
     InvalidTopology,
     NotAFrame,
@@ -95,20 +95,42 @@ def opens_lattice(space: FiniteT0Space) -> FiniteLattice:
 
 
 class PrimeSpectrum(Record):
-    """A frame with its primes and the element-to-open translation.
+    """The prime spectrum of a finite frame, built from the frame alone.
 
-    ``open_of[I]`` is U_I as a mask over prime indices; the map I -> U_I
-    is a frame isomorphism onto the opens of ``space`` (checked at
-    construction, since finite frames are spatial).
+    The constructor reads ``primes``, ``space`` and ``open_of`` off the
+    Birkhoff dual that is_frame counted (``FiniteLattice._birkhoff``).
+    In a frame the primes are exactly the meet-irreducible elements, so
+    they are found in O(n^2) rather than by the O(n^3) definitional
+    scan, and the points, their order and the opens are that dual, so
+    no down-set is enumerated twice. ``open_of[I]`` is U_I = {p : I !<= p}
+    as a mask over prime indices. I -> U_I is a frame isomorphism onto
+    the opens of ``space``: the count of n down-sets that certified the
+    frame is that bijection, so it is not checked again here; the tests
+    compare it with the definitional U_I. Raises NotAFrame (with the
+    is_frame witness triple) when distributivity fails.
     """
 
-    _fields = ("locale", "primes", "space", "open_of")
+    _fields = ("locale",)
 
     def __post_init__(self):
-        if len(set(self.open_of)) != self.locale.n:
-            raise NotAFrame("element-to-open map is not injective")
-        if set(self.open_of) != set(self.space.opens):
-            raise NotAFrame("element-to-open map is not onto the opens")
+        lat = self.locale
+        fw = is_frame(lat)
+        if not fw.distributive:
+            raise NotAFrame(
+                f"distributivity fails at triple {fw.witness}", witness=fw.witness
+            )
+        ps, sub, opens = lat._birkhoff
+        # U_i is the complement of the primes above i
+        below = lat.order.below
+        under = [0] * lat.n
+        for k, p in enumerate(ps):
+            for i in bits(below[p]):
+                under[i] |= 1 << k
+        full = (1 << len(ps)) - 1
+        _store(self, "primes", ps)
+        # the opens are the down-sets that is_frame counted
+        _store(self, "space", FiniteT0Space._trusted(sub, tuple(opens)))
+        _store(self, "open_of", tuple(full & ~m for m in under))
 
     @cached_property
     def prime_index(self) -> dict[int, int]:
@@ -119,36 +141,11 @@ class PrimeSpectrum(Record):
 def primes(lat: FiniteLattice) -> PrimeSpectrum:
     """The prime spectrum of a finite frame, built once per lattice.
 
-    In a frame the primes are exactly the meet-irreducible elements, so
-    they are found in O(n^2) rather than by the O(n^3) definitional
-    scan, which the tests keep as the oracle.
-    The points, their order and the opens are the lattice's Birkhoff
-    dual (``FiniteLattice._birkhoff``), the one is_frame counted, so no
-    down-set is enumerated twice. The spectrum is cached on the
-    lattice: repeated calls return the same object. Raises NotAFrame
-    (with the is_frame witness triple) when distributivity fails.
+    The spectrum is cached on the lattice: repeated calls return the
+    same object. See PrimeSpectrum; raises NotAFrame when distributivity
+    fails.
     """
     return lat.prime_spectrum
-
-
-def _prime_spectrum(lat: FiniteLattice) -> PrimeSpectrum:
-    fw = is_frame(lat)
-    if not fw.distributive:
-        raise NotAFrame(
-            f"distributivity fails at triple {fw.witness}", witness=fw.witness
-        )
-    ps, sub, opens = lat._birkhoff
-    # the opens are the down-sets that is_frame counted
-    space = FiniteT0Space._trusted(sub, tuple(opens))
-    # U_i is the complement of the primes above i
-    below = lat.order.below
-    under = [0] * lat.n
-    for k, p in enumerate(ps):
-        for i in bits(below[p]):
-            under[i] |= 1 << k
-    full = (1 << len(ps)) - 1
-    open_of = tuple(full & ~m for m in under)
-    return PrimeSpectrum(lat, ps, space, open_of)
 
 
 def point_space(lat: FiniteLattice) -> FiniteT0Space:
@@ -202,9 +199,12 @@ def is_sober(space: FiniteT0Space) -> bool:
 class PointMap(Record):
     """A continuous map between finite T0 spaces.
 
-    Continuity is validated two ways (open preimages, and monotonicity
-    for the specialization orders); on these topologies the two are the
-    same statement, and disagreement means corrupted data.
+    Continuity is decided once, as monotonicity for the specialization
+    orders (``monotone_witness``); on these topologies that is the same
+    statement as open preimages. Only a map that fails it has its
+    preimages scanned, to name the first open of the target whose
+    preimage is not open as the NotContinuous witness; a failing map
+    with every preimage open means corrupted data.
     """
 
     _fields = ("source", "target", "values")
@@ -215,21 +215,15 @@ class PointMap(Record):
         for v in self.values:
             if not (0 <= v < self.target.n):
                 raise NotContinuous(f"value {v} outside the target")
-        src_opens = set(self.source.opens)
-        by_preimage = True
-        bad = None
-        for u in self.target.opens:
-            pre = self.preimage(u)
-            if pre not in src_opens:
-                by_preimage = False
-                bad = u
-                break
-        by_order = monotone_witness(
+        if monotone_witness(
             self.source.points.below, self.target.points.below, self.values
-        ) is None
-        if by_preimage != by_order:
-            raise AssertionError("continuity characterizations disagree")
-        if not by_preimage:
+        ) is not None:
+            src_opens = set(self.source.opens)
+            bad = next(
+                (u for u in self.target.opens if self.preimage(u) not in src_opens), None
+            )
+            if bad is None:
+                raise AssertionError("continuity characterizations disagree")
             raise NotContinuous(
                 f"preimage of open {bad:#x} is not open", witness=bad
             )

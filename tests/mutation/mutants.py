@@ -93,8 +93,8 @@ MUTANTS = (
     Mutant(
         "open-of-without-complement",
         "spectrum.py",
-        "open_of = tuple(full & ~m for m in under)",
-        "open_of = tuple(m for m in under)",
+        "tuple(full & ~m for m in under)",
+        "tuple(m for m in under)",
         ("test_spectrum.py", "test_certification.py"),
     ),
     Mutant(
@@ -114,8 +114,8 @@ MUTANTS = (
     Mutant(
         "fixed-point-join-side-keeps-ambient-masks",
         "lattice.py",
-        "join = order.above() if join_fix is not None else",
-        "join = order.above() if join_fix is None else",
+        'join = order.above() if closes == "join" else',
+        'join = order.above() if closes != "join" else',
         ("test_certification.py", "test_lattice.py"),
     ),
     Mutant(
@@ -205,8 +205,8 @@ MUTANTS = (
     Mutant(
         "t62-class-counted-as-one-subgroup",
         "conformance.py",
-        "items.append((action, copies * len(conjugates)))",
-        "items.append((action, copies))",
+        "checked += copies * len(conjugates)",
+        "checked += copies",
         ("test_conformance.py",),
     ),
     Mutant(
@@ -257,5 +257,40 @@ MUTANTS = (
         "enumerate(join_irreducibles(b)) if b.leq(j, meet)",
         "enumerate(join_irreducibles(d.lattice_a)) if d.lattice_a.leq(j, meet)",
         ("test_cli.py",),
+    ),
+    Mutant(
+        "pi-drops-the-prime-itself",
+        "quasiorbit.py",
+        "a.big_join(bits(a.order.below[p] & res))",
+        "a.big_join(bits(a.order.below[p] & res & ~(1 << p)))",
+        ("test_quasiorbit.py",),
+    ),
+    Mutant(
+        "rho-collapses-onto-one-class",
+        "quasiorbit.py",
+        "values = tuple(class_over[v] for v in rpm.values)",
+        "values = tuple(class_over[rpm.values[0]] for v in rpm.values)",
+        ("test_quasiorbit.py",),
+    ),
+    Mutant(
+        "quotient-keeps-unsaturated-opens",
+        "spectrum.py",
+        "elif c & u:",
+        "elif False:",
+        ("test_quasiorbit.py", "test_spectrum.py"),
+    ),
+    Mutant(
+        "open-of-puts-each-prime-in-its-own-open",
+        "spectrum.py",
+        "for i in bits(below[p]):",
+        "for i in bits(below[p] & ~(1 << p)):",
+        ("test_quasiorbit.py", "test_spectrum.py"),
+    ),
+    Mutant(
+        "point-map-skips-the-last-point",
+        "spectrum.py",
+        "self.source.points.below, self.target.points.below, self.values",
+        "self.source.points.below[:-1], self.target.points.below, self.values",
+        ("test_certification.py", "test_spectrum.py"),
     ),
 )

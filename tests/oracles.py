@@ -10,7 +10,12 @@ sweeps, so they live with the tests:
 * ``prime_elements``: meet-prime elements by the O(n^3) scan, on any
   finite lattice;
 * ``from_opens``: a finite T0 space from an explicit family of opens,
-  every topology law validated;
+  every topology law validated, and ``quotient_by_from_opens``, a
+  quotient space built through it;
+* ``definitional_open_of``: U_I = {p : I !<= p} for every element I of
+  a frame, prime by prime;
+* ``adjunct_pi``: pi as the point map adjunct to the restricted
+  insertion (Theorem 3.3);
 * ``sublattice``: the induced order on a subset, certified by the
   ``FiniteLattice`` constructor;
 * ``all_frames`` and ``monotone_maps``: one frame per isomorphism
@@ -28,6 +33,7 @@ from stonekit import (
     InvalidTopology,
     MonotoneMap,
     NotAPoset,
+    adjunct_point_map,
     downset_lattice,
     is_join_preserving,
     is_meet_preserving,
@@ -195,6 +201,47 @@ def from_opens(n: int, opens) -> FiniteT0Space:
     if tuple(family) != space.opens:
         raise InvalidTopology("family misses some down-sets of its order")
     return space
+
+
+def quotient_by_from_opens(space: FiniteT0Space, classes):
+    """The quotient by a partition, with its class assignment, through
+    the validating constructor: the oracle of ``QuasiOrbitSpace`` and
+    ``spectrum.quotient_space``. Its opens are the class-sets whose
+    union is a saturated open of ``space``."""
+    opens = set()
+    for u in space.opens:
+        if all(c & u in (0, c) for c in classes):
+            opens.add(sum(1 << k for k, c in enumerate(classes) if c & u))
+    class_of = tuple(
+        next(k for k, c in enumerate(classes) if (c >> x) & 1)
+        for x in range(space.n)
+    )
+    return from_opens(len(classes), opens), class_of
+
+
+def definitional_open_of(lat: FiniteLattice, primes) -> tuple[int, ...]:
+    """U_I as a mask over the indices of ``primes``, for every element I:
+    the oracle of ``PrimeSpectrum.open_of``."""
+    return tuple(
+        sum(1 << k for k, p in enumerate(primes) if not lat.leq(i, p))
+        for i in range(lat.n)
+    )
+
+
+def adjunct_pi(d):
+    """pi of an inclusion with JR, as the point map adjunct to the
+    restricted insertion G: I -> U_I of the source spectrum, certified as
+    a ``MonotoneMap`` and as a locale morphism: the oracle of
+    ``quasiorbit.pi_map``."""
+    spec_a = d.spectrum_a
+    res_lat = d.restricted_lattice
+    olat = opens_lattice(spec_a.space)
+    g = MonotoneMap(
+        res_lat,
+        olat,
+        tuple(olat.index_of_label(spec_a.open_of[x]) for x in res_lat.labels),
+    )
+    return adjunct_point_map(g, spec_a.space)
 
 
 def sublattice(lat: FiniteLattice, elements) -> FiniteLattice:

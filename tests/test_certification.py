@@ -202,7 +202,7 @@ class TestFixedPointLattices:
     def test_closed_joins_match_the_sublattice(self):
         lat = downset_lattice(FinitePoset.antichain(2))  # 0 < 1, 2 < 3
         # closing joins up to the top keeps the subset a lattice
-        closed = fixed_point_lattice(lat, (0, 1, 3), join_fix=(0, 1, 3, 3))
+        closed = fixed_point_lattice(lat, (0, 1, 3), "join")
         assert_same_lattice(closed, sublattice(lat, (0, 1, 3)))
 
 
@@ -527,9 +527,23 @@ class TestCertifyOnce:
         # the quotient is the one quasi_orbit_space builds on its own
         assert rho.target == quasi_orbit_space(d).quotient
 
+    def test_each_construction_takes_one_route(self, monkeypatch):
+        # pi is not rebuilt as the adjunct point map, rho is compared with
+        # neither C2 nor separation, and no continuous map scans preimages
+        d = action_inclusion_data(vee_action())
+        adjuncts = counted(monkeypatch, spectrum_module, "adjunct_point_map")
+        separations = counted(monkeypatch, galois_module, "separates")
+        c2 = counted_property(monkeypatch, InclusionData, "_c2_bad")
+        preimages = []
+        real = PointMap.preimage
+        monkeypatch.setattr(PointMap, "preimage", lambda f, u: preimages.append(u) or real(f, u))
+        rho = quasi_orbit_map(d)
+        assert adjuncts == separations == c2 == preimages == []
+        assert rho.target.n == 2
+
     def test_conditions_are_evaluated_once_per_instance(self, monkeypatch, one_cpu):
-        # quasi_orbit_map cross-checks rho against C2, and the C48 check
-        # compares them again: both read one verdict per instance
+        # the C48 check compares rho with C2, which quasi_orbit_map does
+        # not re-check: one verdict per instance
         c2 = counted_property(monkeypatch, InclusionData, "_c2_bad")
         mi = counted_property(monkeypatch, InclusionData, "_mi_bad")
         f = counted_property(monkeypatch, InclusionData, "_f")

@@ -561,6 +561,21 @@ def _flip_where(condition):
     return fault
 
 
+def _raise_where(condition):
+    """A fault: the patched function raises AssertionError, as a broken
+    library cross-check does, where ``condition`` holds on its arguments."""
+
+    def fault(real):
+        def fake(*args):
+            if condition(*args):
+                raise AssertionError("injected cross-check failure")
+            return real(*args)
+
+        return fake
+
+    return fault
+
+
 def _t33_fault(real):
     # non-injective morphisms from the 3-element chain into a 2-point space
     def fake(g, space):
@@ -586,7 +601,9 @@ def _chain(n):
 # (tag, budget, patched name, fault, message, report), recorded on the
 # engine before the sweeps shared one violation loop. Between them the
 # counterexamples are galois, action and bundle documents, so every
-# shrinker and serializer of the randomized sweeps runs.
+# shrinker and serializer of the randomized sweeps runs. The last two
+# rows break a cross-check (AssertionError) inside T42 and T62, which
+# counts as a violation for every tag; T62 reports the labeled census.
 _INJECTED_VIOLATIONS = [
     (
         "T33",
@@ -649,6 +666,40 @@ _INJECTED_VIOLATIONS = [
             },
         ),
     ),
+    (
+        "T42",
+        100,
+        "pi_map",
+        _raise_where(lambda d: d.lattice_b.n > d.lattice_a.n >= 3),
+        "T42: violation at instance 1 (seed 0)",
+        (
+            2,
+            2,
+            "galois",
+            {
+                "source": _chain(3),
+                "target": {"points": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]},
+                "lower": [0, 2, 2],
+            },
+        ),
+    ),
+    (
+        "T62",
+        4,
+        "action_quasi_orbit_agreement",
+        _raise_where(
+            lambda a: a.space.n == 4
+            and len(a.closure) == 2
+            and any(row & (row - 1) for row in a.space.points.below)
+        ),
+        "T62: violation at action 62",
+        (
+            62,
+            62,
+            "action",
+            {"space": {"points": 4, "covers": [[3, 0]]}, "generators": [[0, 2, 1, 3]]},
+        ),
+    ),
 ]
 
 
@@ -659,7 +710,11 @@ class TestViolationPaths:
     @pytest.mark.parametrize(
         "tag, budget, name, fault, message, expected",
         _INJECTED_VIOLATIONS,
-        ids=[case[0] for case in _INJECTED_VIOLATIONS],
+        ids=[
+            # a tag's later rows are also named by the function they patch
+            tag if all(row[0] != tag for row in _INJECTED_VIOLATIONS[:k]) else f"{tag}-{name}"
+            for k, (tag, _, name, *_) in enumerate(_INJECTED_VIOLATIONS)
+        ],
     )
     def test_injected_fault_gives_the_pinned_report(
         self, monkeypatch, tag, budget, name, fault, message, expected

@@ -485,25 +485,17 @@ def assert_fixed_point_lattices_match_sublattice(lat):
     for a in range(lat.n):
         up = tuple(_kernels.bits(lat.order.above()[a]))
         down = tuple(_kernels.bits(lat.order.below[a]))
-        cases.append((up, {"join_fix": tuple(lat.join(x, a) for x in range(lat.n))}))
-        cases.append((down, {"meet_fix": tuple(lat.meet(x, a) for x in range(lat.n))}))
-        cases.append((up, {}))
+        cases += [(up, "join"), (down, "meet"), (up, None)]
     # a meet-closed set with the top is the fixed-point set of a closure
     # whose joins need not be the ambient ones, and dually: the meets of
     # the join-irreducibles, and {a, b, a /\ b, top} for every pair
     seeds = [({*join_irreducibles(lat), lat.top}, {*meet_irreducibles(lat), lat.bottom})]
     seeds += [({a, b, lat.top}, {a, b, lat.bottom}) for a in range(lat.n) for b in range(a)]
     for up_seed, down_seed in seeds:
-        moore = _closed(lat, lat.meet, up_seed)
-        cases.append((moore, {"join_fix": tuple(
-            lat.big_meet(s for s in moore if lat.leq(x, s)) for x in range(lat.n)
-        )}))
-        dual = _closed(lat, lat.join, down_seed)
-        cases.append((dual, {"meet_fix": tuple(
-            lat.big_join(s for s in dual if lat.leq(s, x)) for x in range(lat.n)
-        )}))
-    for elements, kwargs in cases:
-        assert_same_lattice(fixed_point_lattice(lat, elements, **kwargs), sublattice(lat, elements))
+        cases.append((_closed(lat, lat.meet, up_seed), "join"))
+        cases.append((_closed(lat, lat.join, down_seed), "meet"))
+    for elements, closes in cases:
+        assert_same_lattice(fixed_point_lattice(lat, elements, closes), sublattice(lat, elements))
 
 
 def _closed(lat, op, seed):

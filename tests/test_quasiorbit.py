@@ -30,6 +30,10 @@ from conftest import (
     three_atom_diamond,
 )
 from stonekit import (
+    EX_74,
+    EX_210,
+    EX_211,
+    EX_213,
     ConditionViolated,
     F_map,
     FinitePoset,
@@ -42,13 +46,13 @@ from stonekit import (
     NotAFrame,
     PointMap,
     PrimeMapObstruction,
-    QuasiOrbitSpace,
     boolean_lattice,
     check_C1,
     check_C2,
     check_JR,
     check_MI,
     check_MIf,
+    action_inclusion_data,
     downset_lattice,
     induced_prime_map,
     is_frame,
@@ -59,11 +63,26 @@ from stonekit import (
     quasi_orbit_map,
     quasi_orbit_space,
     restricted_prime_map,
+    primes,
     separates,
     sweep_theorem,
+    to_inclusion_data,
 )
-from oracles import sublattice, verify_prop26
-from stonekit.lattice import poset_isomorphism
+from oracles import (
+    adjunct_pi,
+    definitional_open_of,
+    quotient_by_from_opens,
+    sublattice,
+    verify_prop26,
+)
+from stonekit.conformance import (
+    _MASK64,
+    InstanceGenerator,
+    _poset_classes,
+    _subgroup_classes,
+    gen_inclusion_data,
+)
+from stonekit.lattice import order_automorphisms, poset_isomorphism
 
 CROSSED = ((1, 0), (0, 1), (1, 1))
 OVERLAPPED = ((1, 0, 1, 1), (0, 1, 1, 1))
@@ -312,18 +331,6 @@ class TestQuasiOrbitSpace:
         qos = quasi_orbit_space(c1_breaker())
         assert qos.quotient.n == 2
 
-    def test_tampered_quotient_is_refused(self):
-        sierpinski = FiniteT0Space.from_poset(FinitePoset.chain(2))
-        discrete = FiniteT0Space.from_poset(FinitePoset.antichain(2))
-        classes, class_of = (0b01, 0b10), (0, 1)
-        for space in (sierpinski, discrete):
-            QuasiOrbitSpace(space, classes, space, class_of)
-        # a quotient open whose preimage is not open, then a quotient
-        # missing a saturated open while every preimage is open
-        for base, quotient in ((sierpinski, discrete), (discrete, sierpinski)):
-            with pytest.raises(AssertionError, match="quotient topology"):
-                QuasiOrbitSpace(base, classes, quotient, class_of)
-
 
 class TestRestrictedPrimeMap:
     def test_crossed_is_a_two_point_homeomorphism(self):
@@ -484,20 +491,108 @@ class TestMeetIdentityScan:
         assert verdicts.count(True) and verdicts.count(False)
 
 
+FIXTURES = (
+    identity_data,
+    lambda: data(CROSSED),
+    lambda: data(OVERLAPPED),
+    chain_segment,
+    c1_breaker,
+    swap_action,
+    m3_closure,
+    bundle,
+)
+
+
+@pytest.fixture(scope="module")
+def route_corpus():
+    """The inclusions every construction is compared with its oracle on:
+    the random-galois, action and bundle streams of the sweeps at seeds
+    0 and 7 (500 child draws each, at max_points 6), one action per
+    subgroup class on each of the 87 T62 representatives, the paper's
+    matrix fixtures and this module's fixtures."""
+    out = []
+    for family in ("random-galois", "action", "bundle"):
+        for seed in (0, 7):
+            for k in range(500):
+                child = (seed ^ (0x9E3779B97F4A7C15 * (k + 1))) & _MASK64
+                out.append(gen_inclusion_data(InstanceGenerator(child, family, 6)))
+    reps = _poset_classes(5)
+    assert len(reps) == 87
+    for rep in reps:
+        space = FiniteT0Space.from_poset(rep)
+        for action, _ in _subgroup_classes(space, order_automorphisms(rep)):
+            out.append(action_inclusion_data(action))
+    out += [to_inclusion_data(m()) for m in (EX_210, EX_211, EX_213, EX_74)]
+    out += [fixture() for fixture in FIXTURES]
+    assert len(out) == 3000 + 226 + 4 + 8
+    return out
+
+
+class TestEachRouteAgainstItsOracle:
+    """Each construction is computed by one route; the route it no
+    longer takes is the oracle here, on every inclusion of the corpus."""
+
+    def test_pi_is_the_adjunct_point_map_of_the_restricted_insertion(self, route_corpus):
+        collapsing = 0
+        for d in route_corpus:
+            if not check_JR(d):
+                continue
+            pi = pi_map(d)
+            assert pi == adjunct_pi(d)
+            collapsing += len(set(pi.values)) < len(pi.values)
+        assert collapsing
+
+    def test_quasi_orbit_space_is_the_quotient_from_opens(self, route_corpus):
+        shapes = set()
+        for d in route_corpus:
+            if not check_JR(d):
+                continue
+            qos = quasi_orbit_space(d)
+            assert qos.base == d.spectrum_a.space
+            pi = pi_map(d)
+            assert all(
+                len({pi.values[x] for x in range(pi.source.n) if (c >> x) & 1}) == 1
+                for c in qos.classes
+            )
+            assert (qos.quotient, qos.class_of) == quotient_by_from_opens(qos.base, qos.classes)
+            shapes.add(qos.quotient.n < qos.base.n)
+        assert shapes == {True, False}
+
+    def test_open_of_is_the_definitional_bijection_onto_the_opens(self, route_corpus):
+        seen = {}
+        for d in route_corpus:
+            for lat in (d.lattice_a, d.lattice_b, d.induced_lattice):
+                seen[id(lat)] = lat
+            if check_JR(d):
+                seen[id(d.restricted_lattice)] = d.restricted_lattice
+        frames = 0
+        for lat in seen.values():
+            if not is_frame(lat).distributive:
+                continue
+            spec = primes(lat)
+            assert spec.open_of == definitional_open_of(lat, spec.primes)
+            assert len(set(spec.open_of)) == lat.n
+            assert set(spec.open_of) == set(spec.space.opens)
+            frames += 1
+        assert frames > 1000
+
+    def test_rho_meets_both_corollaries(self, route_corpus):
+        # Corollaries 4.8 and 4.9, which quasi_orbit_map no longer checks
+        verdicts = set()
+        for d in route_corpus:
+            try:
+                rho = quasi_orbit_map(d)
+            except ConditionViolated:
+                continue
+            open_onto = is_open_map(rho) and is_surjective(rho)
+            assert open_onto == check_C2(d)
+            assert is_homeomorphism(rho) == separates(d.gc)
+            verdicts.add((open_onto, is_homeomorphism(rho)))
+        assert verdicts == {(True, True), (True, False), (False, False)}
+
+
 class TestFixturesAgainstLawReport:
-    @pytest.mark.parametrize(
-        "d",
-        [
-            identity_data,
-            lambda: data(CROSSED),
-            lambda: data(OVERLAPPED),
-            chain_segment,
-            c1_breaker,
-            swap_action,
-            m3_closure,
-            bundle,
-        ],
-    )
+    @pytest.mark.parametrize("d", FIXTURES)
     def test_every_fixture_is_a_valid_connection(self, d):
         # the eight laws follow from the certified adjunction; the report
         # is the oracle for that certificate

@@ -41,7 +41,6 @@ from stonekit import (
     j_pairs,
     j_x,
     primes,
-    quotient_space,
     to_inclusion_data,
 )
 from oracles import verify_prop26
@@ -61,9 +60,7 @@ def _identity():
 
 
 def _quasi_orbit_space():
-    space = _space()
-    quotient, class_of = quotient_space(space, (0b11,))
-    return QuasiOrbitSpace(space, (0b11,), quotient, class_of)
+    return QuasiOrbitSpace(_space(), (0b11,))
 
 
 def _bundle():

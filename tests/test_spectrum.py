@@ -56,7 +56,7 @@ from stonekit import (
     soberification,
     theorem33_check,
 )
-from oracles import from_opens, prime_elements, sublattice
+from oracles import from_opens, prime_elements, quotient_by_from_opens, sublattice
 from stonekit.lattice import poset_isomorphism
 
 
@@ -85,19 +85,6 @@ def set_partitions(n):
         for k in range(len(blocks)):
             yield blocks[:k] + [blocks[k] | bit] + blocks[k + 1 :]
         yield blocks + [bit]
-
-
-def quotient_by_from_opens(space, classes):
-    """The quotient through the validating constructor: the oracle."""
-    opens = set()
-    for u in space.opens:
-        if all(c & u in (0, c) for c in classes):
-            opens.add(sum(1 << k for k, c in enumerate(classes) if c & u))
-    class_of = tuple(
-        next(k for k, c in enumerate(classes) if (c >> x) & 1)
-        for x in range(space.n)
-    )
-    return from_opens(len(classes), opens), class_of
 
 
 def sierpinski():
