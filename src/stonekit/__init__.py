@@ -34,7 +34,6 @@ from .galois import (
     GaloisConnection,
     MonotoneMap,
     detects,
-    is_adjoint_pair,
     is_join_preserving,
     is_meet_preserving,
     lower_adjoint,

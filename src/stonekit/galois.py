@@ -93,13 +93,6 @@ def _adjunction_witness(lower: MonotoneMap, upper: MonotoneMap):
     return None
 
 
-def is_adjoint_pair(lower: MonotoneMap, upper: MonotoneMap) -> bool:
-    """Exhaustive check of i(x) <= y iff x <= r(y)."""
-    if lower.source != upper.target or lower.target != upper.source:
-        raise ShapeMismatch("maps do not run between the same two lattices")
-    return _adjunction_witness(lower, upper) is None
-
-
 def upper_adjoint(lower: MonotoneMap):
     """The upper adjoint of ``lower``, or an AbsenceWitness.
 
@@ -235,32 +228,19 @@ class GaloisConnection(Record):
 def detects(gc: GaloisConnection) -> bool:
     """Nothing above bottom collapses to r(bottom) under r.
 
-    Always agrees with: every y above bottom dominates an induced
-    element above bottom. Both routes are computed and compared.
+    Decided from that definition. Equivalently, every y above bottom
+    dominates an induced element above bottom (i(r(y)) is not the
+    bottom); that reading is the tests' oracle.
     """
-    a, b = gc.lattice_a, gc.lattice_b
+    b = gc.lattice_b
     r = gc.upper.values
-    ir = gc.kernel_values()
-    by_def = all(y == b.bottom or r[y] != r[b.bottom] for y in range(b.n))
-    by_char = all(
-        y == b.bottom or ir[y] != b.bottom for y in range(b.n)
-    )
-    if by_def != by_char:
-        raise AssertionError(
-            "detection characterizations disagree; adjunction data corrupt"
-        )
-    return by_def
+    return all(y == b.bottom or r[y] != r[b.bottom] for y in range(b.n))
 
 
 def separates(gc: GaloisConnection) -> bool:
-    """r is injective; equivalently every element of B is induced."""
-    b = gc.lattice_b
-    r = gc.upper.values
-    ir = gc.kernel_values()
-    by_def = len(set(r)) == b.n
-    by_char = all(ir[y] == y for y in range(b.n))
-    if by_def != by_char:
-        raise AssertionError(
-            "separation characterizations disagree; adjunction data corrupt"
-        )
-    return by_def
+    """r is injective.
+
+    Decided from that definition. Equivalently every element of B is
+    induced (i(r(y)) = y); that reading is the tests' oracle.
+    """
+    return len(set(gc.upper.values)) == gc.lattice_b.n

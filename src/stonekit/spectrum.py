@@ -79,10 +79,7 @@ class FiniteT0Space(Record):
         for x in range(self.n):
             px = lat.index_of_label(full & ~self.closure(1 << x))
             values.append(spec.prime_index[px])
-        pm = PointMap(self, spec.space, tuple(values))
-        if not is_homeomorphism(pm):
-            raise AssertionError("soberification unit failed to be a homeomorphism")
-        return pm
+        return PointMap(self, spec.space, tuple(values))
 
 
 def opens_lattice(space: FiniteT0Space) -> FiniteLattice:
@@ -267,7 +264,9 @@ def adjunct_point_map(g: MonotoneMap, space: FiniteT0Space) -> PointMap:
     """The point map X -> pt(L) adjunct to a locale morphism G: L -> O(X).
 
     pi(x) is the join of every I with x outside G(I); it is always prime,
-    and G(I) = pi^{-1}(U_I) holds by construction (re-checked here).
+    and G(I) = pi^{-1}(U_I) holds by construction: x lies outside G(I)
+    exactly when I <= pi(x), since G preserves joins. The tests check
+    that identity on every morphism of the T33 sweep.
     """
     if not is_locale_morphism(g):
         raise NotLocaleMorphism("map does not preserve joins and finite meets")
@@ -283,11 +282,7 @@ def adjunct_point_map(g: MonotoneMap, space: FiniteT0Space) -> PointMap:
         if px not in spec.prime_index:
             raise AssertionError("adjunct value escaped the primes")
         values.append(spec.prime_index[px])
-    pm = PointMap(space, spec.space, tuple(values))
-    for i in range(g.source.n):
-        if pm.preimage(spec.open_of[i]) != g.target.labels[g.values[i]]:
-            raise AssertionError("adjunct identity G(I) = pi^{-1}(U_I) broke")
-    return pm
+    return PointMap(space, spec.space, tuple(values))
 
 
 class Theorem33Report(Record):
@@ -308,7 +303,11 @@ class Theorem33Report(Record):
 
 
 def theorem33_check(g: MonotoneMap, space: FiniteT0Space) -> Theorem33Report:
-    """Evaluate the insertion-vs-open-surjection equivalence for G: L -> O(X)."""
+    """Evaluate the insertion-vs-open-surjection equivalence for G: L -> O(X).
+
+    Under an open surjection pi with lower adjoint F, open images are
+    pi(V) = U_F(V); the tests check that identity, not this call.
+    """
     f = lower_adjoint(g)
     has_f = not isinstance(f, AbsenceWitness)
     # Eq. (3.2), F(g(i) /\ v) = i /\ F(v): the law behind C1 and C2
@@ -320,15 +319,6 @@ def theorem33_check(g: MonotoneMap, space: FiniteT0Space) -> Theorem33Report:
     pi = adjunct_point_map(g, space)
     pi_open = is_open_map(pi)
     pi_surj = is_surjective(pi)
-
-    if pi_open and pi_surj and has_f:
-        # Open images are computed by the lower adjoint: pi(V) = U_{F(V)}.
-        spec = primes(g.source)
-        for v in range(g.target.n):
-            vmask = g.target.labels[v]
-            if pi.image_mask(vmask) != spec.open_of[f.values[v]]:
-                raise AssertionError("open-image identity pi(V) = U_F(V) broke")
-
     verified = (has_f and eq32 and inj) == (pi_open and pi_surj)
     return Theorem33Report(has_f, eq32, inj, pi_open, pi_surj, verified)
 
@@ -337,8 +327,9 @@ def soberification(space: FiniteT0Space) -> PointMap:
     """The unit X -> pt(O(X)); a homeomorphism on finite T0 spaces.
 
     Sends x to the open complement of its closure, which is prime in the
-    opens frame. Built and certified on first use and cached on the
-    space, as its opens lattice is.
+    opens frame. Built on first use and cached on the space, as its
+    opens lattice is; PointMap certifies it continuous, and the tests
+    check that it is a homeomorphism.
     """
     return space.soberification
 

@@ -293,4 +293,60 @@ MUTANTS = (
         "self.source.points.below[:-1], self.target.points.below, self.values",
         ("test_certification.py", "test_spectrum.py"),
     ),
+    Mutant(
+        "mi-ignores-the-induced-top",
+        "quasiorbit.py",
+        "if bad is None and not (self._induced_mask >> self.lattice_b.top) & 1:",
+        "if bad is None and False:",
+        ("test_quasiorbit.py",),
+    ),
+    Mutant(
+        "f-takes-the-interior",
+        "quasiorbit.py",
+        "values = tuple(map(ind_lat.index_of_label, self.induced_covers))",
+        "values = tuple(map(ind_lat.index_of_label, self.gc.kernel_values()))",
+        ("test_quasiorbit.py",),
+    ),
+    Mutant(
+        "quotient-classes-in-first-seen-order",
+        "quasiorbit.py",
+        "tuple(fibers[v] for v in sorted(fibers))",
+        "tuple(fibers[v] for v in fibers)",
+        ("test_quasiorbit.py",),
+    ),
+    Mutant(
+        "detects-against-the-source-bottom",
+        "galois.py",
+        "r[y] != r[b.bottom]",
+        "r[y] != gc.lattice_a.bottom",
+        ("test_quasiorbit.py",),
+    ),
+    Mutant(
+        "separates-counts-the-source",
+        "galois.py",
+        "len(set(gc.upper.values)) == gc.lattice_b.n",
+        "len(set(gc.upper.values)) == gc.lattice_a.n",
+        ("test_quasiorbit.py",),
+    ),
+    Mutant(
+        "unit-sends-every-point-to-the-first",
+        "spectrum.py",
+        "full & ~self.closure(1 << x)",
+        "full & ~self.closure(1)",
+        ("test_quasiorbit.py",),
+    ),
+    Mutant(
+        "adjunct-reads-the-mirrored-point",
+        "spectrum.py",
+        "g.target.labels[g.values[i]] >> x) & 1",
+        "g.target.labels[g.values[i]] >> (space.n - 1 - x)) & 1",
+        ("test_quasiorbit.py",),
+    ),
+    Mutant(
+        "t33-pi-open-read-as-surjective",
+        "spectrum.py",
+        "pi_open = is_open_map(pi)",
+        "pi_open = is_surjective(pi)",
+        ("test_quasiorbit.py",),
+    ),
 )

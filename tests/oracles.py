@@ -6,7 +6,8 @@ compare against. None of them is reached from the command line or the
 sweeps, so they live with the tests:
 
 * ``verify_prop26``: the eight laws of Prop 2.6, itemized, for any
-  adjoint pair;
+  adjoint pair, and ``is_adjoint_pair``, the adjunction law pair by
+  pair;
 * ``prime_elements``: meet-prime elements by the O(n^3) scan, on any
   finite lattice;
 * ``from_opens``: a finite T0 space from an explicit family of opens,
@@ -20,6 +21,10 @@ sweeps, so they live with the tests:
   ``FiniteLattice`` constructor;
 * ``all_frames`` and ``monotone_maps``: one frame per isomorphism
   class, and every monotone map between two lattices;
+* ``all_connections``: every Galois connection between the frames of
+  two small posets, as the sweeps' seeds (the census);
+* ``opposite``: a connection between the opposite frames, with the
+  roles of its two maps swapped;
 * ``invariant_opens``: the invariant opens of an action with their
   insertion into O(X), certified as a ``MonotoneMap``.
 """
@@ -33,6 +38,7 @@ from stonekit import (
     InvalidTopology,
     MonotoneMap,
     NotAPoset,
+    ShapeMismatch,
     adjunct_point_map,
     downset_lattice,
     is_join_preserving,
@@ -40,7 +46,12 @@ from stonekit import (
     opens_lattice,
 )
 from stonekit._record import Record
-from stonekit.conformance import _monotone_values, all_frame_posets
+from stonekit.conformance import (
+    _GaloisSeed,
+    _monotone_values,
+    _poset_classes,
+    all_frame_posets,
+)
 from stonekit.topo_models import _invariant_lattice
 
 
@@ -142,6 +153,19 @@ def verify_prop26(gc: GaloisConnection) -> LawReport:
         unit_laws=unit_laws,
         sublattice_closure=sublattice_closure,
         insertion_adjunctions=insertion_adjunctions,
+    )
+
+
+def is_adjoint_pair(lower: MonotoneMap, upper: MonotoneMap) -> bool:
+    """i(x) <= y iff x <= r(y), pair by pair: the oracle of the
+    adjunction scan that certifies every ``GaloisConnection``."""
+    if lower.source != upper.target or lower.target != upper.source:
+        raise ShapeMismatch("maps do not run between the same two lattices")
+    a, b = lower.source, lower.target
+    return all(
+        b.leq(lower.values[x], y) == a.leq(x, upper.values[y])
+        for x in range(a.n)
+        for y in range(b.n)
     )
 
 
@@ -275,6 +299,36 @@ def monotone_maps(src: FiniteLattice, dst: FiniteLattice):
     if dst.n**src.n > _MAX_TABLES:
         raise ValueError("candidate table exceeds the enumeration cap")
     yield from _monotone_values(src.order, dst)
+
+
+def all_connections(k: int) -> list[_GaloisSeed]:
+    """The census: every connection between the down-set frames of two
+    posets on 1..k points, one poset per isomorphism class a side.
+
+    Under Stone duality a Galois connection O(P) -> O(Q) is its lower
+    map, which preserves joins and so is fixed by its values on the
+    down-sets of single points: a monotone assignment of down-sets of Q
+    to the points of P. Every such assignment is enumerated, as the
+    ``_GaloisSeed`` the sweeps compile (``conformance._compile_seed``).
+    """
+    reps = _poset_classes(k)
+    out = []
+    for source in reps:
+        for target in reps:
+            lb = downset_lattice(target)
+            for values in _monotone_values(source, lb):
+                out.append(_GaloisSeed(source, target, tuple(lb.labels[v] for v in values)))
+    return out
+
+
+def opposite(gc: GaloisConnection) -> GaloisConnection:
+    """d^op: between the opposite lattices, the upper map r is a lower
+    adjoint with upper adjoint i. Certified by the constructor."""
+    a, b = (
+        FiniteLattice(FinitePoset(lat.n, tuple(lat.order.above())))
+        for lat in (gc.lattice_a, gc.lattice_b)
+    )
+    return GaloisConnection(MonotoneMap(b, a, gc.upper.values), MonotoneMap(a, b, gc.lower.values))
 
 
 def invariant_opens(a: FiniteGroupAction) -> tuple[FiniteLattice, MonotoneMap]:

@@ -23,7 +23,6 @@ from stonekit import (
     FiniteT0Space,
     InstanceGenerator,
     MonotoneMap,
-    MultiplicityInclusion,
     SweepFailed,
     SweepReport,
     Theorem33Report,

@@ -30,14 +30,13 @@ from stonekit import (
     ShapeMismatch,
     boolean_lattice,
     detects,
-    is_adjoint_pair,
     is_join_preserving,
     is_meet_preserving,
     lower_adjoint,
     separates,
     upper_adjoint,
 )
-from oracles import all_frames, sublattice, verify_prop26
+from oracles import all_frames, is_adjoint_pair, sublattice, verify_prop26
 from oracles import monotone_maps as all_monotone_maps
 
 TWO_OVER_ONE = ((1, 1),)          # one source summand hitting two targets
@@ -72,6 +71,8 @@ class TestAdjointPair:
         lat = chain_lattice(2)
         const_top = MonotoneMap(lat, lat, (1, 1))
         assert not is_adjoint_pair(const_top, MonotoneMap.identity(lat))
+        with pytest.raises(AdjunctionFailure):
+            GaloisConnection(const_top, MonotoneMap.identity(lat))
 
     def test_shape_gate(self):
         with pytest.raises(ShapeMismatch):
@@ -396,7 +397,8 @@ class TestSeparationAndDetection:
     @settings(max_examples=150)
     @given(connections())
     def test_characterizations_agree_everywhere(self, gc):
-        # both predicates cross-check the definitional and the
-        # fixed-point characterizations internally
-        detects(gc)
-        separates(gc)
+        # each predicate is decided on r; the fixed-point reading on
+        # i(r(y)) is the oracle
+        b, ir = gc.lattice_b, gc.kernel_values()
+        assert detects(gc) == all(y == b.bottom or ir[y] != b.bottom for y in range(b.n))
+        assert separates(gc) == all(ir[y] == y for y in range(b.n))

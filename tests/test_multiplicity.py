@@ -29,11 +29,11 @@ from stonekit import (
     check_JR,
     check_MIf,
     induce,
-    is_adjoint_pair,
     is_symmetric,
     restrict,
     to_inclusion_data,
 )
+from oracles import is_adjoint_pair
 
 
 def every_mask(n):

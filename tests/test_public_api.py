@@ -17,6 +17,11 @@ pass errs towards keeping code.
    name), or is named in README.md outside its list of removed names.
 2. Every module-level definition of the package is reached from those
    roots or from a public name.
+3. ``raise AssertionError`` appears once in each of six lookup guards
+   and nowhere else. Each guards a lookup that would otherwise crash,
+   so that the sweep engine can minimize the instance as a violation.
+   A value computed a second way and compared with the first belongs
+   in the tests, as an oracle, not in the package.
 
 The definitional oracles the tests compare against live in
 ``tests/oracles.py``, not in the package.
@@ -161,3 +166,41 @@ def test_every_definition_is_reached_from_a_root_or_a_public_name():
     unreached = sorted(f"{module}.{name}" for module, name in set(defs) - _reach(defs, roots))
     assert unreached == []
 
+
+
+LOOKUP_GUARDS = (
+    "lattice.FiniteLattice.frame_witness",  # the witness of a non-frame
+    "spectrum.PointMap.__post_init__",  # the open whose preimage is not open
+    "spectrum.adjunct_point_map",  # the prime of an adjunct value
+    "quasiorbit.pi_map",  # the restricted element of a join below a prime
+    "quasiorbit.induced_prime_map",  # the prime of an induced image
+    "quasiorbit.quasi_orbit_map",  # the restricted prime map under JR, C1 and MI
+)
+
+
+def _functions(node, prefix):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.FunctionDef):
+            yield f"{prefix}{child.name}", child
+
+
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc if isinstance(node, ast.Raise) else None
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_assertion_errors_are_raised_only_by_the_lookup_guards():
+    trees = _trees()
+    sites = {}
+    for module, tree in trees.items():
+        for name, fn in _functions(tree, f"{module}."):
+            count = sum(_raises_assertion_error(node) for node in ast.walk(fn))
+            if count:
+                sites[name] = count
+    everywhere = sum(_raises_assertion_error(node) for tree in trees.values() for node in ast.walk(tree))
+    assert sites == dict.fromkeys(LOOKUP_GUARDS, 1)
+    assert everywhere == len(LOOKUP_GUARDS)

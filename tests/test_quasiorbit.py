@@ -1,5 +1,11 @@
 """Condition calculus, pi, F, rho and their theorem cross-checks.
 
+Each value is computed by one route in the package; the route it does
+not take is an oracle here (TestEachRouteAgainstItsOracle), run on the
+sweeps' streams, the T62 representatives, the paper's fixtures and the
+census of every connection between frames of posets on at most three
+points (``all_connections(3)``), which TestConnectionCensus pins.
+
 Hand-built fixtures pin every branch of the calculus:
 
 * crossed: the two-atom pattern whose restricted set is not join-closed
@@ -53,24 +59,33 @@ from stonekit import (
     check_MI,
     check_MIf,
     action_inclusion_data,
+    adjunct_point_map,
+    all_spaces,
+    detects,
     downset_lattice,
     induced_prime_map,
     is_frame,
     is_homeomorphism,
     is_open_map,
     is_surjective,
+    lower_adjoint,
     pi_map,
     quasi_orbit_map,
     quasi_orbit_space,
     restricted_prime_map,
     primes,
     separates,
+    soberification,
     sweep_theorem,
+    theorem33_check,
     to_inclusion_data,
 )
 from oracles import (
     adjunct_pi,
+    all_connections,
     definitional_open_of,
+    is_adjoint_pair,
+    opposite,
     quotient_by_from_opens,
     sublattice,
     verify_prop26,
@@ -78,10 +93,16 @@ from oracles import (
 from stonekit.conformance import (
     _MASK64,
     InstanceGenerator,
+    _check_C48,
+    _check_C49,
+    _check_T42,
+    _check_T47,
+    _compile_seed,
     _poset_classes,
     _subgroup_classes,
     gen_inclusion_data,
 )
+from stonekit._kernels import bits
 from stonekit.lattice import order_automorphisms, poset_isomorphism
 
 CROSSED = ((1, 0), (0, 1), (1, 1))
@@ -504,12 +525,22 @@ FIXTURES = (
 
 
 @pytest.fixture(scope="module")
-def route_corpus():
+def census():
+    """Every connection between the down-set frames of two posets on
+    1..3 points (one poset per isomorphism class a side), compiled as
+    the sweeps compile a seed."""
+    out = [_compile_seed(seed) for seed in all_connections(3)]
+    assert len(out) == 2986
+    return out
+
+
+@pytest.fixture(scope="module")
+def route_corpus(census):
     """The inclusions every construction is compared with its oracle on:
     the random-galois, action and bundle streams of the sweeps at seeds
     0 and 7 (500 child draws each, at max_points 6), one action per
     subgroup class on each of the 87 T62 representatives, the paper's
-    matrix fixtures and this module's fixtures."""
+    matrix fixtures, this module's fixtures and the census."""
     out = []
     for family in ("random-galois", "action", "bundle"):
         for seed in (0, 7):
@@ -525,12 +556,70 @@ def route_corpus():
     out += [to_inclusion_data(m()) for m in (EX_210, EX_211, EX_213, EX_74)]
     out += [fixture() for fixture in FIXTURES]
     assert len(out) == 3000 + 226 + 4 + 8
+    return out + census
+
+
+
+
+@pytest.fixture(scope="module")
+def t33_morphisms():
+    """Every locale morphism the T33 sweep checks at its default budget."""
+    budget = conformance_module._SWEEPS["T33"][0]
+    pairs = conformance_module._frame_space_pairs(budget)
+    out = list(conformance_module._locale_morphisms(pairs))
+    assert (budget, len(out)) == (5, 1628)
     return out
 
 
+class TestConnectionCensus:
+    """The census pins the condition counts and the sweeps' checks at
+    small size, completely rather than by sampling."""
+
+    def test_condition_failures(self, census):
+        failures = {
+            "JR": sum(not check_JR(d) for d in census),
+            "MIf": sum(not check_MIf(d) for d in census),
+            "MI": sum(not check_MI(d) for d in census),
+            "C1": sum(not check_C1(d) for d in census),
+            "C1 under JR": sum(not check_C1(d) for d in census if check_JR(d)),
+            "C2 under MI": sum(not check_C2(d) for d in census if check_MI(d)),
+        }
+        assert failures == {
+            "JR": 1518,
+            "MIf": 205,
+            "MI": 1518,
+            "C1": 1284,
+            "C1 under JR": 759,
+            "C2 under MI": 759,
+        }
+
+    def test_sweep_checks_hold_on_every_connection(self, census):
+        applicable = {}
+        for check in (_check_T42, _check_T47, _check_C48, _check_C49):
+            verdicts = [check(d) for d in census]
+            assert all(ok for _, ok in verdicts), check.__name__
+            applicable[check.__name__] = sum(applies for applies, _ in verdicts)
+        assert applicable == {
+            "_check_T42": 1468,
+            "_check_T47": 2986,
+            "_check_C48": 329,
+            "_check_C49": 329,
+        }
+
+    def test_jr_of_the_opposite_connection_is_mi(self, census):
+        # between the opposite frames r is the lower map, so d^op's
+        # restricted elements are d's induced ones: the JR and MI scans
+        # decide the same closure, bottom and top included
+        for d in census:
+            op = InclusionData(opposite(d.gc))
+            assert op.restricted == d.induced
+            assert check_JR(op) == check_MI(d)
+
+
 class TestEachRouteAgainstItsOracle:
-    """Each construction is computed by one route; the route it no
-    longer takes is the oracle here, on every inclusion of the corpus."""
+    """Each value is computed by one route; the route it does not take
+    is the oracle here, on every inclusion of the corpus (the census
+    included), on every T33 morphism or on every small space."""
 
     def test_pi_is_the_adjunct_point_map_of_the_restricted_insertion(self, route_corpus):
         collapsing = 0
@@ -589,6 +678,100 @@ class TestEachRouteAgainstItsOracle:
             assert is_homeomorphism(rho) == separates(d.gc)
             verdicts.add((open_onto, is_homeomorphism(rho)))
         assert verdicts == {(True, True), (True, False), (False, False)}
+
+    def test_mi_is_the_least_cover_reading(self, route_corpus):
+        # MI is decided as MIf plus an induced top; the definition asks
+        # for a least induced element above every j
+        verdicts = set()
+        for d in route_corpus:
+            b = d.lattice_b
+            above = b.order.above()
+            induced = sum(1 << y for y in d.induced)
+            least = all(
+                any(above[c] & row == row for c in bits(row))
+                for row in (above[j] & induced for j in range(b.n))
+            )
+            assert check_MI(d) == least
+            assert least == all((induced >> c) & 1 for c in d.induced_covers)
+            verdicts.add((check_MIf(d), least))
+        assert verdicts == {(True, True), (True, False), (False, False)}
+
+    def test_f_is_the_lower_adjoint_of_the_induced_insertion(self, route_corpus):
+        built = 0
+        for d in route_corpus:
+            if not check_MI(d):
+                with pytest.raises(MIViolated):
+                    F_map(d)
+                continue
+            ind_lat = d.induced_lattice
+            insertion = MonotoneMap(ind_lat, d.lattice_b, tuple(ind_lat.labels))
+            assert is_adjoint_pair(F_map(d), insertion)
+            built += 1
+        assert built > 1000
+
+    def test_under_c1_the_quotient_is_the_restricted_spectrum(self, route_corpus):
+        # the classes are listed in the order of the pi values they sit
+        # over; under C1, pi is an open surjection (Theorem 4.2), so that
+        # listing is a homeomorphism onto the restricted spectrum
+        collapsed = set()
+        for d in route_corpus:
+            if not (check_JR(d) and check_C1(d)):
+                continue
+            pi, qos = pi_map(d), quasi_orbit_space(d)
+            comparison = PointMap(qos.quotient, pi.target, tuple(sorted(set(pi.values))))
+            assert is_homeomorphism(comparison)
+            assert all(pi.values[x] == comparison.values[k] for x, k in enumerate(qos.class_of))
+            collapsed.add(qos.quotient.n < qos.base.n)
+        assert collapsed == {True, False}
+
+    def test_detection_is_the_fixed_point_reading(self, route_corpus):
+        # every y above bottom dominates an induced element above bottom
+        verdicts = set()
+        for d in route_corpus:
+            b, ir = d.lattice_b, d.gc.kernel_values()
+            want = all(y == b.bottom or ir[y] != b.bottom for y in range(b.n))
+            assert detects(d.gc) == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_separation_is_the_fixed_point_reading(self, route_corpus):
+        # every element of the target is induced
+        verdicts = set()
+        for d in route_corpus:
+            ir = d.gc.kernel_values()
+            want = all(ir[y] == y for y in range(d.lattice_b.n))
+            assert separates(d.gc) == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_soberification_unit_is_a_homeomorphism(self):
+        spaces = all_spaces(4) + [FiniteT0Space.from_poset(rep) for rep in _poset_classes(5)]
+        assert len(spaces) == 242 + 87
+        for space in spaces:
+            assert is_homeomorphism(soberification(space))
+
+    def test_adjunct_point_map_pulls_each_u_i_back_to_g_i(self, t33_morphisms):
+        # Theorem 3.3: G(I) = pi^{-1}(U_I) for every I
+        for g, space in t33_morphisms:
+            pi = adjunct_point_map(g, space)
+            open_of = primes(g.source).open_of
+            for i, v in enumerate(g.values):
+                assert pi.preimage(open_of[i]) == g.target.labels[v]
+
+    def test_an_open_surjective_pi_sends_each_v_to_u_f_v(self, t33_morphisms):
+        # Theorem 3.3: open images are computed by the lower adjoint,
+        # pi(V) = U_F(V), whenever pi is an open surjection
+        checked = 0
+        for g, space in t33_morphisms:
+            report = theorem33_check(g, space)
+            if not (report.pi_open and report.pi_surjective):
+                continue
+            pi, f = adjunct_point_map(g, space), lower_adjoint(g)
+            open_of = primes(g.source).open_of
+            for v, u in enumerate(g.target.labels):
+                assert pi.image_mask(u) == open_of[f.values[v]]
+            checked += 1
+        assert 0 < checked < len(t33_morphisms)
 
 
 class TestFixturesAgainstLawReport:

@@ -25,7 +25,6 @@ from stonekit import (
     FiniteT0Space,
     FrameWitness,
     GaloisConnection,
-    InclusionData,
     InstanceDocument,
     InstanceGenerator,
     MonotoneMap,

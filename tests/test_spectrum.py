@@ -38,7 +38,6 @@ from stonekit import (
     adjunct_point_map,
     all_spaces,
     boolean_lattice,
-    downset_lattice,
     gen_inclusion_data,
     is_homeomorphism,
     is_locale_morphism,

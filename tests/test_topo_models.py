@@ -123,6 +123,13 @@ class TestInvariantOpens:
         inv, _ = invariant_opens(a)
         assert inv.n == 2
 
+    def test_every_generator_counts(self):
+        # two transpositions generate S3, which keeps only the bounds;
+        # the first alone would keep four opens
+        a = FiniteGroupAction(discrete(3), ((1, 0, 2), (0, 2, 1)))
+        inv, _ = invariant_opens(a)
+        assert inv.n == 2
+
     @settings(max_examples=60, deadline=None)
     @given(actions())
     def test_members_invariant_under_the_whole_closure(self, a):
