@@ -112,9 +112,6 @@ class FinitePoset(Record):
     def _above(self) -> tuple[int, ...]:
         return tuple(_accel.transpose(list(self.below)))
 
-    def is_down_closed(self, mask: int) -> bool:
-        return image(self.below, mask) == mask
-
     def up_closure(self, mask: int) -> int:
         return image(self.above(), mask)
 

@@ -24,9 +24,13 @@ A construction that needs a condition refuses through one path, which
 raises the condition's typed error (JRViolated, MIViolated, else
 ConditionViolated) carrying ``condition`` and that witness.
 
-pi sends a prime to the largest restricted element below it; the
-quasi-orbit space is the quotient of the source spectrum by equal pi
-values; rho factors r through that quotient and needs JR, C1 and MI.
+pi sends a prime to the largest restricted element below it, computed
+once per instance as elements of the source (``InclusionData._pi``);
+the quasi-orbit space is the quotient of the source spectrum by equal
+pi values; rho sends a prime q of the target to the class over r(q)
+and needs JR, C1 and MI. Neither builds the restricted lattice or its
+spectrum: only pi_map, which indexes pi into that spectrum, and
+restricted_prime_map do.
 
 Everything here rests on the adjunction certified when the
 GaloisConnection was built: by the law scan of its constructor (the
@@ -45,13 +49,15 @@ does not build F as a map into the induced lattice.
 Each value has one route, and the route it does not take is a test
 oracle. pi is the join of the restricted elements below each prime;
 the adjunct point map of the restricted insertion (Theorem 3.3) is its
-oracle. The quasi-orbit space is quotient_space of the pi fibers; that
-it is the restricted spectrum under C1 is checked by the tests, not on
-each call. MI is MIf plus an induced top, and F is the least induced
-cover of each element; the tests check MI against the least-cover
-reading and F as adjoint to the induced insertion. rho is built once
-and not compared with C2 or with separation: Corollaries 4.8 and 4.9
-are the C48 and C49 sweeps, which check each rho once.
+oracle. The quasi-orbit space is quotient_space of the pi fibers; the
+fibers of pi_map's prime indices are its oracle, and that it is the
+restricted spectrum under C1 is checked by the tests, not on each call.
+rho is one lookup per prime; restricted_prime_map, read through those
+prime indices, is its oracle. MI is MIf plus an induced top, and F is
+the least induced cover of each element; the tests check MI against
+the least-cover reading and F as adjoint to the induced insertion. rho
+is built once and not compared with C2 or with separation: Corollaries
+4.8 and 4.9 are the C48 and C49 sweeps, which check each rho once.
 """
 
 from __future__ import annotations
@@ -103,10 +109,12 @@ class InclusionData(Record):
     ``_c1_bad``, ``_mif_bad``, ``_mi_bad``, ``_c2_bad``; None when it
     holds), computed once per instance on first use and shared by every
     caller: the sweeps' checks and the refusals read the same values.
-    The fixed-point lattices are closed by Prop 2.6 and are read off the
-    ambient masks without a scan. C2 reads F's values in the target off
-    ``induced_covers``; the map F itself, into the induced lattice, is
-    built only when F_map asks for it.
+    pi is cached the same way (``_pi``), for pi_map and both
+    quasi-orbit constructions to share. The fixed-point lattices are
+    closed by Prop 2.6 and are read off the ambient masks without a
+    scan. C2 reads F's values in the target off ``induced_covers``; the
+    map F itself, into the induced lattice, is built only when F_map
+    asks for it.
     """
 
     _fields = ("gc",)
@@ -201,17 +209,12 @@ class InclusionData(Record):
 
     @cached_property
     def restricted_lattice(self) -> FiniteLattice:
-        """Ambient meets; joins are closed up by r.i.
+        """Ambient meets; joins are closed up by r.i. Labeled by the
+        ambient indices of the restricted elements, in ascending order.
 
-        When the upper map is the insertion of lattice_b, labeled by the
-        ambient indices it inserts, lattice_b is that lattice already:
-        an injective upper adjoint is an order embedding onto the fixed
-        points of r.i, so its order, operations and labels are exactly the
-        ones built here, and lattice_b (with its cached spectrum) is
-        returned instead of a second copy.
+        Only the restricted spectrum reads it (pi_map and
+        restricted_prime_map); the quasi-orbit constructions do not.
         """
-        if self.gc.upper.values == self.lattice_b.labels == self.restricted:
-            return self.lattice_b
         return fixed_point_lattice(self.lattice_a, self.restricted, "join")
 
     @cached_property
@@ -236,6 +239,23 @@ class InclusionData(Record):
     @cached_property
     def induced_spectrum(self) -> PrimeSpectrum:
         return primes(self.induced_lattice)
+
+    @cached_property
+    def _pi(self) -> tuple[int, ...]:
+        """pi on the source spectrum, as elements of lattice_a: per prime
+        p (in the order of ``spectrum_a.primes``), the join of the
+        restricted elements below p. Needs JR, which keeps that join
+        restricted; computed once per instance."""
+        _require(self, "JR")
+        a = self.lattice_a
+        res = self._restricted_mask
+        values = []
+        for p in self.spectrum_a.primes:
+            below = a.big_join(bits(a.order.below[p] & res))
+            if not (res >> below) & 1:
+                raise AssertionError("join of restricted elements escaped them")
+            values.append(below)
+        return tuple(values)
 
 
 def check_JR(d: InclusionData) -> bool:
@@ -308,23 +328,16 @@ def pi_map(d: InclusionData) -> PointMap:
     """Largest-restricted-below, as a map of prime spaces; needs JR.
 
     pi(p) is the join of the restricted elements below the prime p,
-    which JR keeps restricted. Under JR this is the point map adjunct to
-    the restricted insertion (Theorem 3.3); that route is the tests'
-    oracle and is not rebuilt here.
+    which JR keeps restricted (``InclusionData._pi``); here each value
+    is indexed into the restricted spectrum. Under JR this is the point
+    map adjunct to the restricted insertion (Theorem 3.3); that route is
+    the tests' oracle and is not rebuilt here.
     """
-    _require(d, "JR")
-    a = d.lattice_a
-    spec_a = d.spectrum_a
+    pi = d._pi  # refuses first without JR
     spec_r = d.restricted_spectrum
     res_lat = d.restricted_lattice
-    res = d._restricted_mask
-    values = []
-    for p in spec_a.primes:
-        below = a.big_join(bits(a.order.below[p] & res))
-        if not (res >> below) & 1:
-            raise AssertionError("join of restricted elements escaped them")
-        values.append(spec_r.prime_index[res_lat.index_of_label(below)])
-    return PointMap(spec_a.space, spec_r.space, tuple(values))
+    values = tuple(spec_r.prime_index[res_lat.index_of_label(v)] for v in pi)
+    return PointMap(d.spectrum_a.space, spec_r.space, values)
 
 
 class QuasiOrbitSpace(Record):
@@ -345,21 +358,19 @@ class QuasiOrbitSpace(Record):
 
 
 def quasi_orbit_space(d: InclusionData) -> QuasiOrbitSpace:
-    """Partition the source spectrum by pi fibers; requires JR.
+    """Partition the source spectrum by the values of pi; requires JR.
 
-    The classes are listed in the order of the pi values they sit over.
-    When C1 also holds, the quotient is homeomorphic to the restricted
-    spectrum through those values (pi is then an open surjection,
-    Theorem 4.2); the tests check that, not this call.
+    The classes are listed in ascending order of the pi values they sit
+    over. The restricted lattice lists its elements in ascending ambient
+    order, so this is the order of their points in the restricted
+    spectrum. When C1 also holds, the quotient is homeomorphic to the
+    restricted spectrum through those values (pi is then an open
+    surjection, Theorem 4.2); the tests check that, not this call.
     """
-    return _pi_fibers(pi_map(d))
-
-
-def _pi_fibers(pi: PointMap) -> QuasiOrbitSpace:
     fibers: dict[int, int] = {}
-    for point, v in enumerate(pi.values):
+    for point, v in enumerate(d._pi):
         fibers[v] = fibers.get(v, 0) | (1 << point)
-    return QuasiOrbitSpace(pi.source, tuple(fibers[v] for v in sorted(fibers)))
+    return QuasiOrbitSpace(d.spectrum_a.space, tuple(fibers[v] for v in sorted(fibers)))
 
 
 class PrimeMapObstruction(Record):
@@ -421,20 +432,21 @@ def induced_prime_map(d: InclusionData) -> PointMap:
 def quasi_orbit_map(d: InclusionData) -> PointMap:
     """rho: target spectrum -> quasi-orbit space; needs JR, C1 and MI.
 
-    rho sends a prime q to the pi-fiber class sitting over r(q). Whether
-    it is an open surjection (iff C2, Corollary 4.8) and a homeomorphism
-    (iff the connection separates, Corollary 4.9) is what the C48 and
-    C49 sweeps check on it, once each; rho is not re-checked here.
+    rho sends a prime q to the class of the primes p with pi(p) = r(q).
+    Under C1, pi is onto the restricted primes (Theorem 4.2), and under
+    MI r(q) is one of them, so every r(q) is a pi value. Whether rho is
+    an open surjection (iff C2, Corollary 4.8) and a homeomorphism (iff
+    the connection separates, Corollary 4.9) is what the C48 and C49
+    sweeps check on it, once each; rho is not re-checked here.
     """
     for name in ("JR", "C1", "MI"):
         _require(d, name)
-    pi = pi_map(d)
-    qos = _pi_fibers(pi)
-    rpm = restricted_prime_map(d)
-    if not isinstance(rpm, PointMap):
-        raise AssertionError(f"restricted prime map obstructed: {rpm}")
-    class_over = {}
-    for point, v in enumerate(pi.values):
-        class_over[v] = qos.class_of[point]
-    values = tuple(class_over[v] for v in rpm.values)
-    return PointMap(d.spectrum_b.space, qos.quotient, values)
+    qos = quasi_orbit_space(d)
+    class_over = {v: qos.class_of[point] for point, v in enumerate(d._pi)}
+    r = d.gc.upper.values
+    values = []
+    for q in d.spectrum_b.primes:
+        if r[q] not in class_over:
+            raise AssertionError("r(q) is not a pi value")
+        values.append(class_over[r[q]])
+    return PointMap(d.spectrum_b.space, qos.quotient, tuple(values))

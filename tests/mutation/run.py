@@ -8,10 +8,11 @@ Runs every mutant, one at a time, never in parallel. For each,
 target text is replaced (it must occur exactly once), and the mutant's
 test modules run with ``pytest -x`` in a child process, with the
 copy's ``src/`` first on PYTHONPATH, under a timeout of TIMEOUT_S
-seconds. A mutant is killed when its tests fail or time out, and
-survives when they pass. First, the same modules run once on an
-unmutated copy and must pass, so that every kill is the mutant's
-doing.
+seconds. Hypothesis runs with a fixed seed (``--hypothesis-seed=0``),
+so a verdict does not depend on the draws of one run. A mutant is
+killed when its tests fail or time out, and survives when they pass.
+First, the same modules run once on an unmutated copy and must pass,
+so that every kill is the mutant's doing.
 
 Exits 0 when every mutant is killed, 1 when one survives, and 2 when
 the check itself cannot run (a missing or repeated target, a failing
@@ -66,7 +67,7 @@ def run_modules(dest: Path, modules):
     )
     if not origin.stdout.startswith(str(dest)):
         raise CheckError(f"stonekit imports from {origin.stdout.strip()!r}, not the copy")
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"]
     command += [f"tests/{m}" for m in modules]
     try:
         out = subprocess.run(command, cwd=dest, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)

@@ -192,9 +192,6 @@ class TestFixedPointLattices:
                 inv, insertion = invariant_opens(action)
                 assert_same_lattice(inv, sublattice(opens_lattice(space), inv.labels))
                 assert inv == d.restricted_lattice
-                # the upper map is the insertion: no second lattice is built
-                assert d.restricted_lattice is d.lattice_b
-                assert d.restricted_spectrum is d.spectrum_b
                 assert is_locale_morphism(insertion)
                 count += 1
         assert count == 426
@@ -520,12 +517,19 @@ class TestCertifyOnce:
         assert orders == []
 
     def test_quasi_orbit_map_builds_pi_once(self, monkeypatch):
+        # pi is computed once, as elements of the source; the classes and
+        # rho are read off it and r, with no restricted lattice, no
+        # restricted spectrum and no restricted prime map
         d = action_inclusion_data(vee_action())
-        calls = counted(monkeypatch, quasiorbit_module, "pi_map")
+        pis = counted_property(monkeypatch, InclusionData, "_pi")
+        lattices = counted_property(monkeypatch, InclusionData, "restricted_lattice")
+        spectra = counted_property(monkeypatch, InclusionData, "restricted_spectrum")
+        prime_maps = counted(monkeypatch, quasiorbit_module, "restricted_prime_map")
         rho = quasi_orbit_map(d)
-        assert len(calls) == 1
         # the quotient is the one quasi_orbit_space builds on its own
         assert rho.target == quasi_orbit_space(d).quotient
+        assert pis == [d]
+        assert lattices == spectra == prime_maps == []
 
     def test_each_construction_takes_one_route(self, monkeypatch):
         # pi is not rebuilt as the adjunct point map, rho is compared with

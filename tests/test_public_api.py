@@ -172,9 +172,9 @@ LOOKUP_GUARDS = (
     "lattice.FiniteLattice.frame_witness",  # the witness of a non-frame
     "spectrum.PointMap.__post_init__",  # the open whose preimage is not open
     "spectrum.adjunct_point_map",  # the prime of an adjunct value
-    "quasiorbit.pi_map",  # the restricted element of a join below a prime
+    "quasiorbit.InclusionData._pi",  # the restricted element of a join below a prime
     "quasiorbit.induced_prime_map",  # the prime of an induced image
-    "quasiorbit.quasi_orbit_map",  # the restricted prime map under JR, C1 and MI
+    "quasiorbit.quasi_orbit_map",  # the pi value of r(q) under JR, C1 and MI
 )
 
 

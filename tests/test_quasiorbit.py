@@ -665,6 +665,31 @@ class TestEachRouteAgainstItsOracle:
             frames += 1
         assert frames > 1000
 
+    def test_classes_and_rho_are_read_through_the_restricted_spectrum(self, route_corpus):
+        # the lattice route: the classes are the fibers of pi_map's prime
+        # indices in ascending order, and rho sends q to the class over
+        # the restricted prime that restricted_prime_map gives it
+        collapsed, images = set(), set()
+        for d in route_corpus:
+            if not check_JR(d):
+                continue
+            pi = pi_map(d)
+            over = sorted(set(pi.values))
+            fibers = tuple(
+                sum(1 << x for x, v in enumerate(pi.values) if v == w) for w in over
+            )
+            assert quasi_orbit_space(d).classes == fibers
+            collapsed.add(len(fibers) < pi.source.n)
+            try:
+                rho = quasi_orbit_map(d)
+            except ConditionViolated:
+                continue
+            rpm = restricted_prime_map(d)
+            assert isinstance(rpm, PointMap)
+            assert rho.values == tuple(over.index(v) for v in rpm.values)
+            images.add(len(set(rho.values)) < rho.source.n)
+        assert collapsed == images == {True, False}
+
     def test_rho_meets_both_corollaries(self, route_corpus):
         # Corollaries 4.8 and 4.9, which quasi_orbit_map no longer checks
         verdicts = set()

@@ -55,7 +55,8 @@ from stonekit import (
     soberification,
     theorem33_check,
 )
-from oracles import from_opens, prime_elements, quotient_by_from_opens, sublattice
+from oracles import from_opens, prime_elements, quotient_by_from_opens, sober_by_scan, sublattice
+from stonekit.conformance import _poset_classes
 from stonekit.lattice import poset_isomorphism
 
 
@@ -205,6 +206,14 @@ class TestSpatialSober:
 
     def test_singleton_space_sober(self):
         assert is_sober(discrete(1))
+
+    def test_sober_by_theorem_is_the_definitional_scan(self):
+        # every finite T0 space is sober; the scan is the definition
+        spaces = all_spaces(4, include_empty=True)
+        spaces += [FiniteT0Space.from_poset(rep) for rep in _poset_classes(5)]
+        assert len(spaces) == 243 + 87
+        for space in spaces:
+            assert is_sober(space) == sober_by_scan(space) is True
 
     @settings(max_examples=60)
     @given(downset_frames())
