@@ -79,7 +79,7 @@ from ._kernels import bits, image
 from ._record import Record
 from .documents import document_for, inclusion_data_for
 from .errors import ClosureTooLarge, ConditionViolated, StonekitError, SweepFailed
-from .galois import GaloisConnection, MonotoneMap, is_meet_preserving, separates
+from .galois import GaloisConnection, is_meet_preserving, separates
 from .lattice import (
     FiniteLattice,
     FinitePoset,
@@ -246,13 +246,13 @@ def _random_action(rng: random.Random, gen: InstanceGenerator) -> FiniteGroupAct
     auts = order_automorphisms(poset)
     count = rng.randint(0, _MAX_GENERATORS)
     generators = tuple(rng.choice(auts) for _ in range(count))
-    return FiniteGroupAction(FiniteT0Space.from_poset(poset), generators)
+    return FiniteGroupAction(FiniteT0Space(poset), generators)
 
 
 def _random_bundle(rng: random.Random, gen: InstanceGenerator) -> BundleMap:
     bound = min(gen.max_points, 5)
-    total = FiniteT0Space.from_poset(_random_poset(rng, bound))
-    base = FiniteT0Space.from_poset(_random_poset(rng, bound))
+    total = FiniteT0Space(_random_poset(rng, bound))
+    base = FiniteT0Space(_random_poset(rng, bound))
     values = _random_point_values(rng, total.points, base.points)
     return BundleMap(total, base, PointMap(total, base, values))
 
@@ -333,7 +333,7 @@ def _extensions(poset: FinitePoset) -> list[FinitePoset]:
 def all_spaces(max_points: int, include_empty: bool = False) -> list[FiniteT0Space]:
     """Every labeled T0 space with at most ``max_points`` points."""
     return [
-        FiniteT0Space.from_poset(p) for p in all_posets(max_points, include_empty)
+        FiniteT0Space(p) for p in all_posets(max_points, include_empty)
     ]
 
 
@@ -399,15 +399,6 @@ def _monotone_values(poset: FinitePoset, dst: FiniteLattice):
                 yield from walk(k + 1)
 
     yield from walk(0)
-
-
-def _join_preserving_maps(poset: FinitePoset, la: FiniteLattice, lb: FiniteLattice):
-    """Join-preserving maps out of a down-set frame, via its point poset:
-    each monotone assignment to the points, extended by joins."""
-    for assigned in _monotone_values(poset, lb):
-        yield tuple(
-            lb.big_join(assigned[p] for p in bits(la.labels[x])) for x in range(la.n)
-        )
 
 
 def small_group_actions(space: FiniteT0Space, max_order: int = 6):
@@ -559,7 +550,7 @@ def _shrink_action(a: FiniteGroupAction):
         for p in range(n):
             if all(g[p] == p for g in gens):
                 keep = [i for i in range(n) if i != p]
-                sub = FiniteT0Space.from_poset(a.space.points.subposet(keep))
+                sub = FiniteT0Space(a.space.points.subposet(keep))
                 moved = tuple(
                     tuple(g[i] - (g[i] > p) for i in keep) for g in gens
                 )
@@ -572,7 +563,7 @@ def _shrink_bundle(b: BundleMap):
     if tot.n > 1:
         for p in range(tot.n):
             keep = [i for i in range(tot.n) if i != p]
-            sub = FiniteT0Space.from_poset(tot.subposet(keep))
+            sub = FiniteT0Space(tot.subposet(keep))
             yield BundleMap(
                 sub, b.base, PointMap(sub, b.base, tuple(vals[i] for i in keep))
             )
@@ -581,15 +572,16 @@ def _shrink_bundle(b: BundleMap):
             if q in vals:
                 continue
             keep = [i for i in range(bas.n) if i != q]
-            sub = FiniteT0Space.from_poset(bas.subposet(keep))
+            sub = FiniteT0Space(bas.subposet(keep))
             moved = tuple(v - (v > q) for v in vals)
             yield BundleMap(b.total, sub, PointMap(b.total, sub, moved))
 
 
 class _Morphism(NamedTuple):
-    """A T33 instance: a locale morphism into the opens of a space."""
+    """A T33 instance: a locale morphism into the opens of a space, as
+    the lower map of its connection."""
 
-    g: MonotoneMap
+    gc: GaloisConnection
     space: FiniteT0Space
 
 
@@ -598,7 +590,7 @@ def _same(model):
 
 
 def _morphism_model(m: _Morphism) -> InclusionData:
-    return InclusionData(GaloisConnection.from_lower(m.g))
+    return InclusionData(m.gc)
 
 
 # instance kind -> (shrinker, the model its document describes); a T33
@@ -617,7 +609,7 @@ def _inclusion(instance) -> InclusionData:
 
 
 def _check_T33(m: _Morphism):
-    return True, theorem33_check(m.g, m.space).equivalence_verified
+    return True, theorem33_check(m.gc.lower, m.space).equivalence_verified
 
 
 def _check_T42(d: InclusionData):
@@ -853,14 +845,25 @@ def _frame_space_pairs(budget: int) -> list:
 
 def _locale_morphisms(pairs):
     """Every locale morphism from the frame into the opens of the space,
-    pair by pair."""
+    pair by pair, each built from points as
+    ``GaloisConnection.from_relation(la, lb, rows)``.
+
+    A join-preserving map out of the down-set frame of a poset P is
+    fixed by the open it assigns to each point p, and each monotone
+    assignment extends to one by unions. With ``rows[p]`` the open
+    assigned to p, the relation's lower map is that extension, and its
+    values always land. The image of a down-set is a union of rows,
+    each an open of the space, so it is an open. The points whose rows
+    lie inside a mask form a down-set of P, since the rows are
+    monotone in p: if p' <= p and row p lies inside, so does row p'.
+    So joins are preserved by construction; meets decide.
+    """
     for poset, la, space in pairs:
         lb = opens_lattice(space)
-        for values in _join_preserving_maps(poset, la, lb):
-            # joins are preserved by construction; meets decide
-            g = MonotoneMap(la, lb, values)
-            if is_meet_preserving(g):
-                yield _Morphism(g, space)
+        for assigned in _monotone_values(poset, lb):
+            gc = GaloisConnection.from_relation(la, lb, tuple([lb.labels[v] for v in assigned]))
+            if is_meet_preserving(gc.lower):
+                yield _Morphism(gc, space)
 
 
 def _run_T33(budget: int, seed: int) -> SweepReport:
@@ -890,7 +893,7 @@ def _run_T62(budget: int, seed: int) -> SweepReport:
         for rep in reps[start::step]:
             auts = order_automorphisms(rep)
             copies = factorial(rep.n) // len(auts)
-            space = FiniteT0Space.from_poset(rep)
+            space = FiniteT0Space(rep)
             for action, conjugates in _subgroup_classes(space, auts):
                 if not action_quasi_orbit_agreement(action):
                     return None
@@ -911,7 +914,7 @@ def _run_T62_labeled(budget: int, seed: int) -> SweepReport:
         stream = (
             action
             for poset in all_posets(budget)
-            for action in small_group_actions(FiniteT0Space.from_poset(poset))
+            for action in small_group_actions(FiniteT0Space(poset))
         )
         return islice(stream, start, None, step)
 

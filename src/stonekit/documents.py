@@ -289,11 +289,11 @@ def compile_document(doc: InstanceDocument):
     if doc.kind == "multiplicity":
         return MultiplicityInclusion(c["matrix"], a_dims=c["a_dims"], b_dims=c["b_dims"])
     if doc.kind == "bundle":
-        total = FiniteT0Space.from_poset(c["total"])
-        base = FiniteT0Space.from_poset(c["base"])
+        total = FiniteT0Space(c["total"])
+        base = FiniteT0Space(c["base"])
         return BundleMap(total, base, PointMap(total, base, c["proj"]))
     if doc.kind == "action":
-        return FiniteGroupAction(FiniteT0Space.from_poset(c["space"]), c["generators"])
+        return FiniteGroupAction(FiniteT0Space(c["space"]), c["generators"])
     graph = FiniteGraph(c["vertices"], c["edges"])
     j = c["j"]
     jmask = j_x(graph) if j is None else sum(1 << v for v in set(j))

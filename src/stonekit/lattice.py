@@ -119,8 +119,7 @@ class FinitePoset(Record):
         """Induced subposet; element k is ``elements[k]`` of the parent.
 
         The restriction of a certified order to distinct points is
-        always a poset, so the result skips ``check_poset``, as
-        ``FiniteT0Space.from_poset`` skips its re-validation; only the
+        always a poset, so the result skips ``check_poset``; only the
         points themselves are checked.
         """
         elements = list(elements)

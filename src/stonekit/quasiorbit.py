@@ -35,16 +35,17 @@ restricted_prime_map do.
 Everything here rests on the adjunction certified when the
 GaloisConnection was built: by the law scan of its constructor (the
 identity connection of a ``lattice`` document) or of from_lower (the
-lower table of a ``galois`` document, a locale morphism of the T33
-sweep), and by theorem, once every value lands, for the (image,
-inside) pair of a model's relation (from_relation). The eight
-structural laws of Prop 2.6 follow from it and are checked by the
-tests' oracle (``verify_prop26`` in tests/oracles.py), not on
-construction; the fixed-point lattices are read off the ambient masks
-by the same laws (restricted: ambient meets, closed joins; induced:
-ambient joins, opened meets), with no scan for an escaping pair. C2
-needs only F's values in the target, the least induced covers, so it
-does not build F as a map into the induced lattice.
+lower table of a ``galois`` document), and by theorem, once every
+value lands, for the (image, inside) pair of a relation
+(from_relation: a model's, or a locale morphism of the T33 sweep read
+off its points). The eight structural laws of Prop 2.6 follow from it
+and are checked by the tests' oracle (``verify_prop26`` in
+tests/oracles.py), not on construction; the fixed-point lattices are
+read off the ambient masks by the same laws (restricted: ambient
+meets, closed joins; induced: ambient joins, opened meets), with no
+scan for an escaping pair. C2 needs only F's values in the target, the
+least induced covers, so it does not build F as a map into the induced
+lattice.
 
 Each value has one route, and the route it does not take is a test
 oracle. pi is the join of the restricted elements below each prime;

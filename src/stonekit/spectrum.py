@@ -5,13 +5,18 @@ down-closed sets of its specialization order, the closure of a point is
 its up-set, and the spectrum of a frame carries the lattice order on
 primes, with U_I = {p : I !<= p} as the opens. Under these choices the
 open point of the two-point connected space is the minimal one.
+
+A space is its specialization order: FiniteT0Space has the one field
+``points``, and its opens are read off that order once, when it is
+built. Open maps and quotients are decided on points, through
+down-sets of points, without listing the opens.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from . import galois
+from . import _accel, galois
 from ._kernels import bits, image, inside, monotone_witness
 from ._record import Record, _store
 from .errors import (
@@ -32,27 +37,20 @@ from .lattice import (
 
 
 class FiniteT0Space(Record):
-    """A finite T0 space: a point poset plus its full down-set topology."""
+    """A finite T0 space, given by its specialization order alone.
 
-    _fields = ("points", "opens")
+    The opens are the down-sets of ``points``. The constructor
+    enumerates them once, ascending, and keeps them as ``opens``; more
+    of them than the soft cap allows raise LatticeTooLarge there. The
+    Birkhoff dual (PrimeSpectrum) already holds them and stores them
+    without a second enumeration. Questions about maps and quotients
+    (is_open_map, quotient_space) are answered on the points.
+    """
+
+    _fields = ("points",)
 
     def __post_init__(self):
-        if tuple(self.opens) != _downsets(self.points):
-            raise InvalidTopology(
-                "opens are not exactly the down-sets of the point order"
-            )
-
-    @classmethod
-    def from_poset(cls, points: FinitePoset) -> "FiniteT0Space":
-        """The space whose opens are the down-sets of ``points``.
-
-        The opens are enumerated here once; validating them would only
-        enumerate them again, so this path skips ``__post_init__``. The
-        direct constructor still validates whatever it is given. Both
-        raise LatticeTooLarge when there are more opens than the soft
-        cap allows.
-        """
-        return cls._trusted(points, _downsets(points))
+        _store(self, "opens", _downsets(self.points))
 
     @property
     def n(self) -> int:
@@ -123,7 +121,9 @@ class PrimeSpectrum(Record):
         full = (1 << len(ps)) - 1
         _store(self, "primes", ps)
         # the opens are the down-sets that is_frame counted
-        _store(self, "space", FiniteT0Space._trusted(sub, tuple(opens)))
+        space = FiniteT0Space._trusted(sub)
+        _store(space, "opens", tuple(opens))
+        _store(self, "space", space)
         _store(self, "open_of", tuple(full & ~m for m in under))
 
     @cached_property
@@ -225,8 +225,16 @@ def is_surjective(f: PointMap) -> bool:
 
 
 def is_open_map(f: PointMap) -> bool:
-    tgt = set(f.target.opens)
-    return all(f.image_mask(u) in tgt for u in f.source.opens)
+    """Every open has an open image, decided on points.
+
+    The opens of the source are the unions of its point down-sets, and
+    images keep unions, so f is open exactly when the image of each
+    point's down-set is a down-set of the target: one image per source
+    point, and no open is listed. The tests compare it with the
+    open-by-open reading (``open_map_by_opens`` in tests/oracles.py).
+    """
+    below = f.target.points.below
+    return all(image(below, v) == v for v in map(f.image_mask, f.source.points.below))
 
 
 def is_homeomorphism(f: PointMap) -> bool:
@@ -321,13 +329,17 @@ def quotient_space(space: FiniteT0Space, classes) -> tuple[FiniteT0Space, tuple[
     quotient space and the class index of every point. Raises if the
     quotient fails T0.
 
-    The saturated opens are closed under union and intersection by
-    construction, so they are taken as the quotient topology without a
-    closure scan over the family: the least open around a class is its
-    down-set in the specialization order, and T0 is the injectivity of
-    those masks. The tests compare the result, error message included,
-    with a space built from the saturated opens with every topology law
-    validated (``from_opens`` in tests/oracles.py).
+    Decided on points. A set W of classes is open in the quotient when
+    the union of its classes is a down-set of the space, that is when
+    every class meeting the down-set of a class of W is in W. So the
+    quotient opens are the down-sets of the reflexive-transitive
+    closure of "class l meets the down-set of class k": row k of that
+    closure is the least saturated open around class k, and the
+    quotient is T0 exactly when the rows are distinct. The opens of the
+    space are never listed. The tests compare the result, error message
+    included, with a space built from the saturated opens with every
+    topology law validated (``quotient_by_from_opens`` in
+    tests/oracles.py).
     """
     classes = [int(c) for c in classes]
     full = (1 << space.n) - 1
@@ -342,30 +354,17 @@ def quotient_space(space: FiniteT0Space, classes) -> tuple[FiniteT0Space, tuple[
     for k, c in enumerate(classes):
         for x in bits(c):
             class_of[x] = k
-    opens = set()
-    for u in space.opens:
-        w = 0
-        saturated = True
-        for k, c in enumerate(classes):
-            if c & u == c:
-                w |= 1 << k
-            elif c & u:
-                saturated = False
-                break
-        if saturated:
-            opens.add(w)
-    family = tuple(sorted(opens))
-    below = [(1 << len(classes)) - 1] * len(classes)
-    for w in family:
-        for k in bits(w):
-            below[k] &= w
+    # each point's class as a one-bit row, to read a point mask as the
+    # mask of the classes it meets
+    meets = [1 << k for k in class_of]
+    points = space.points.below
+    below = _accel.closure([image(meets, image(points, c)) for c in classes])
     if len(set(below)) != len(below):
-        # name the first clashing pair, as check_poset does on the order
-        # read off the family
+        # name the first clashing pair, as check_poset would on these
+        # closed rows
         i = min(k for k, m in enumerate(below) if below.count(m) > 1)
         j = below.index(below[i], i + 1)
         raise InvalidTopology(
             f"family is not T0: not antisymmetric at elements ({i}, {j})"
         )
-    q = FiniteT0Space._trusted(FinitePoset._from_rows(below), family)
-    return q, tuple(class_of)
+    return FiniteT0Space(FinitePoset._from_rows(below)), tuple(class_of)

@@ -17,6 +17,9 @@ sweeps, so they live with the tests:
   a frame, prime by prime;
 * ``sober_by_scan``: sobriety of a finite space by its definition,
   every irreducible closed set the closure of exactly one point;
+* ``open_map_by_opens``: openness of a point map, open by open;
+* ``join_extension``: a join-preserving map out of a down-set frame,
+  extended from its point values by element joins;
 * ``adjunct_pi``: pi as the point map adjunct to the restricted
   insertion (Theorem 3.3);
 * ``sublattice``: the induced order on a subset, certified by the
@@ -47,6 +50,7 @@ from stonekit import (
     is_meet_preserving,
     opens_lattice,
 )
+from stonekit._kernels import bits
 from stonekit._record import Record
 from stonekit.conformance import (
     _GaloisSeed,
@@ -223,7 +227,7 @@ def from_opens(n: int, opens) -> FiniteT0Space:
         points = FinitePoset(n, tuple(below))  # antisymmetry here is T0
     except NotAPoset as e:
         raise InvalidTopology(f"family is not T0: {e}") from e
-    space = FiniteT0Space.from_poset(points)
+    space = FiniteT0Space(points)
     if tuple(family) != space.opens:
         raise InvalidTopology("family misses some down-sets of its order")
     return space
@@ -274,6 +278,22 @@ def sober_by_scan(space: FiniteT0Space) -> bool:
         if not reducible and closures.count(c) != 1:
             return False
     return True
+
+
+def open_map_by_opens(f) -> bool:
+    """The image of every open is open, tested on every open: the
+    oracle of ``spectrum.is_open_map``, which decides on points."""
+    target = set(f.target.opens)
+    return all(f.image_mask(u) in target for u in f.source.opens)
+
+
+def join_extension(la: FiniteLattice, lb: FiniteLattice, assigned) -> tuple[int, ...]:
+    """The values of the join-preserving map out of the down-set frame
+    ``la`` that sends each point p to ``assigned[p]``, an element of
+    ``lb``: each down-set goes to the join of the values of its points.
+    The oracle of the lower maps the T33 sweep builds with
+    ``GaloisConnection.from_relation``."""
+    return tuple(lb.big_join(assigned[p] for p in bits(u)) for u in la.labels)
 
 
 def adjunct_pi(d):

@@ -26,7 +26,6 @@ from stonekit import (
     induce,
     is_homeomorphism,
     is_join_preserving,
-    is_sober,
     is_symmetric,
     j_pairs,
     j_x,
@@ -39,7 +38,7 @@ from stonekit import (
     sweep_theorem,
     to_inclusion_data,
 )
-from oracles import all_frames, verify_prop26
+from oracles import all_frames, sober_by_scan, verify_prop26
 from stonekit.lattice import poset_isomorphism
 from stonekit.spectrum import PointMap
 
@@ -173,6 +172,6 @@ def test_c12_stone_round_trip():
     for lat in all_frames(6):
         assert poset_isomorphism(opens_lattice(point_space(lat)).order, lat.order) is not None
     for space in all_spaces(4):
-        assert is_sober(space)
+        assert sober_by_scan(space)
         assert poset_isomorphism(point_space(opens_lattice(space)).points, space.points) is not None
     passed(12, "O(pt(L)) = L for 13 frames; pt(O(X)) = X for 242 sober spaces")

@@ -43,7 +43,6 @@ from stonekit import (
     InclusionData,
     InstanceGenerator,
     GaloisConnection,
-    InvalidTopology,
     MonotoneMap,
     NotAFrame,
     NotALattice,
@@ -115,7 +114,7 @@ def assert_agrees_with_scans(lat):
         # the opens read off the Birkhoff dual are the down-sets of the
         # prime order, enumerated afresh
         space = primes(lat).space
-        assert space.opens == FiniteT0Space.from_poset(space.points).opens
+        assert space.opens == FiniteT0Space(space.points).opens
     else:
         with pytest.raises(NotAFrame) as ei:
             primes(lat)
@@ -185,7 +184,7 @@ class TestFixedPointLattices:
         # every automorphism subgroup of order <= 6 on every space of <= 4 points
         count = 0
         for p in all_posets(4):
-            space = FiniteT0Space.from_poset(p)
+            space = FiniteT0Space(p)
             for action in small_group_actions(space):
                 d = action_inclusion_data(action)
                 assert_fixed_point_lattices_match_the_oracle(d)
@@ -405,8 +404,8 @@ class TestBitRowLoopsAgainstPairLoops:
                 lower = monotone_from(la, lb, [rng.randrange(lb.n) for _ in range(la.n)])
                 upper = monotone_from(lb, la, [rng.randrange(la.n) for _ in range(lb.n)])
                 assert_adjunction_witness(lower, upper)
-                source = FiniteT0Space.from_poset(p)
-                target = FiniteT0Space.from_poset(q)
+                source = FiniteT0Space(p)
+                target = FiniteT0Space(q)
                 values = tuple(rng.randrange(q.n) for _ in range(p.n))
                 assert_continuity_witness(source, target, values)
 
@@ -445,7 +444,7 @@ def counted_property(monkeypatch, cls, name):
 
 def vee_action():
     # two maximal points over one minimal point, swapped by the group
-    space = FiniteT0Space.from_poset(FinitePoset.from_pairs(3, [(0, 1), (0, 2)]))
+    space = FiniteT0Space(FinitePoset.from_pairs(3, [(0, 1), (0, 2)]))
     return FiniteGroupAction(space, ((0, 2, 1),))
 
 
@@ -604,15 +603,11 @@ class TestCertifyOnce:
         assert len(enumerations) == len(restrictions) == 1
         assert spec.space.opens == downset_lattice(spec.space.points).labels
 
-    def test_from_poset_enumerates_the_down_sets_once(self, monkeypatch):
+    def test_constructor_enumerates_the_down_sets_once(self, monkeypatch):
         poset = FinitePoset.from_pairs(3, [(0, 1), (0, 2)])
         calls = counted(monkeypatch, _accel, "downset_masks")
-        space = FiniteT0Space.from_poset(poset)
+        space = FiniteT0Space(poset)
         # the opens lattice is built from the space's opens
         assert opens_lattice(space).labels == space.opens
         assert len(calls) == 1
         assert space.opens == (0, 1, 3, 5, 7)
-        # the direct constructor still validates what it is given
-        with pytest.raises(InvalidTopology):
-            FiniteT0Space(FinitePoset.antichain(2), (0, 3))
-        assert FiniteT0Space(poset, space.opens) == space

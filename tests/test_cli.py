@@ -249,6 +249,14 @@ PAST_THE_CAP = {
         {"kind": "action", "payload": {"space": {"points": 13}, "generators": []}},
         "error: more than 4096 down-sets; raise STONE_MAX_LATTICE to allow",
     ),
+    # the total space is refused before the projection is checked
+    "bundle": (
+        {
+            "kind": "bundle",
+            "payload": {"total": {"points": 13}, "base": {"points": 1}, "proj": [0] * 13},
+        },
+        "error: more than 4096 down-sets; raise STONE_MAX_LATTICE to allow",
+    ),
     # every vertex set of an edgeless graph is invariant
     "graph": (
         {"kind": "graph", "payload": {"vertices": 13, "edges": []}},
@@ -292,7 +300,7 @@ class TestSpectrum:
         assert "rho" not in dot
 
     def test_action_collapses_to_one_class(self, tmp_path):
-        space = FiniteT0Space.from_poset(FinitePoset.antichain(3))
+        space = FiniteT0Space(FinitePoset.antichain(3))
         action = FiniteGroupAction(space, ((1, 2, 0),))
         path = write_model(tmp_path, "a.json", action)
         dot = self.run_dot(tmp_path, path)

@@ -21,6 +21,7 @@ from stonekit import (
     FiniteLattice,
     FinitePoset,
     FiniteT0Space,
+    GaloisConnection,
     InstanceGenerator,
     MonotoneMap,
     SweepFailed,
@@ -32,19 +33,23 @@ from stonekit import (
     gen_inclusion_data,
     is_frame,
     is_join_preserving,
+    is_meet_preserving,
     NotALattice,
     opens_lattice,
     order_automorphisms,
     small_group_actions,
     sweep_theorem,
 )
-from oracles import all_frames, monotone_maps, verify_prop26
+from oracles import all_frames, join_extension, monotone_maps, verify_prop26
 import stonekit.conformance as conformance_module
 import stonekit.topo_models as topo_models_module
 from stonekit.conformance import (
+    _SWEEPS,
     _compile_seed,
+    _frame_space_pairs,
     _greedy_minimize,
-    _join_preserving_maps,
+    _locale_morphisms,
+    _monotone_values,
     all_frame_posets,
     _poset_classes,
     _random_galois_seed,
@@ -222,16 +227,26 @@ class TestMonotoneMaps:
         with pytest.raises(ValueError, match="cap"):
             next(monotone_maps(boolean_lattice(3), boolean_lattice(4)))
 
-    def test_join_preserving_maps_preserve_joins(self):
-        # T33 checks only the meet half of the locale-morphism law on
-        # these maps; the join half holds by construction
-        spaces = all_spaces(2)
-        for poset in all_frame_posets(5):
-            la = downset_lattice(poset)
-            for space in spaces:
-                lb = opens_lattice(space)
-                for values in _join_preserving_maps(poset, la, lb):
-                    assert is_join_preserving(MonotoneMap(la, lb, values))
+    def test_relation_lower_maps_are_the_join_extensions(self):
+        # the route the T33 sweep no longer takes: on each of its (frame,
+        # space) pairs, every monotone assignment to the points, extended
+        # by element joins, is from_relation's lower map and preserves
+        # joins; the meet filter then keeps the sweep's morphisms
+        pairs = _frame_space_pairs(_SWEEPS["T33"][0])
+        kept = []
+        for poset, la, space in pairs:
+            lb = opens_lattice(space)
+            for assigned in _monotone_values(poset, lb):
+                values = join_extension(la, lb, assigned)
+                rows = tuple(lb.labels[v] for v in assigned)
+                assert GaloisConnection.from_relation(la, lb, rows).lower.values == values
+                g = MonotoneMap(la, lb, values)
+                assert is_join_preserving(g)
+                if is_meet_preserving(g):
+                    kept.append((values, space))
+        got = [(m.gc.lower.values, m.space) for m in _locale_morphisms(pairs)]
+        assert got == kept
+        assert len(kept) == 1628
 
 
 class TestGroupEnumeration:
@@ -242,7 +257,7 @@ class TestGroupEnumeration:
         assert len(order_automorphisms(FinitePoset.antichain(3))) == 6
 
     def test_subgroup_census_of_the_free_swap_space(self):
-        space = FiniteT0Space.from_poset(FinitePoset.antichain(3))
+        space = FiniteT0Space(FinitePoset.antichain(3))
         actions = list(small_group_actions(space))
         # trivial, three transposition groups, the rotation group, S3
         assert len(actions) == 6
@@ -250,12 +265,12 @@ class TestGroupEnumeration:
         assert orders == [1, 2, 2, 2, 3, 6]
 
     def test_rigid_posets_only_carry_the_trivial_group(self):
-        space = FiniteT0Space.from_poset(FinitePoset.chain(5))
+        space = FiniteT0Space(FinitePoset.chain(5))
         actions = list(small_group_actions(space))
         assert len(actions) == 1 and actions[0].generators == ()
 
     def test_order_cap_is_respected(self):
-        space = FiniteT0Space.from_poset(FinitePoset.antichain(4))
+        space = FiniteT0Space(FinitePoset.antichain(4))
         actions = list(small_group_actions(space, max_order=6))
         assert all(len(a.closure) <= 6 for a in actions)
         # S4 itself (order 24) must have been cut off
@@ -278,10 +293,10 @@ class TestGroupEnumeration:
                     yield gens
 
         for poset in all_posets(5):
-            space = FiniteT0Space.from_poset(poset)
+            space = FiniteT0Space(poset)
             got = [a.generators for a in small_group_actions(space)]
             assert got == list(all_pairs(space))
-        space = FiniteT0Space.from_poset(FinitePoset.antichain(4))
+        space = FiniteT0Space(FinitePoset.antichain(4))
         for max_order in (1, 2, 4, 8, 24):
             got = [a.generators for a in small_group_actions(space, max_order)]
             assert got == list(all_pairs(space, max_order))
@@ -416,7 +431,7 @@ class TestT62BySymmetry:
         reps = _poset_classes(5)
         assert len(reps) == 87
         for rep in reps:
-            space = FiniteT0Space.from_poset(rep)
+            space = FiniteT0Space(rep)
             auts = order_automorphisms(rep)
             classes = list(_subgroup_classes(space, auts))
             subgroups = [a.closure for a in small_group_actions(space)]
@@ -446,7 +461,7 @@ class TestT62BySymmetry:
         # against 403 subgroups of the automorphism groups of the 87
         # representatives
         assert sum(
-            len(list(small_group_actions(FiniteT0Space.from_poset(rep))))
+            len(list(small_group_actions(FiniteT0Space(rep))))
             for rep in _poset_classes(5)
         ) == 403
 
@@ -480,7 +495,7 @@ class TestT62BySymmetry:
         reps = _poset_classes(5)
         assert len(reps) == 87
         for rep in reps:
-            space = FiniteT0Space.from_poset(rep)
+            space = FiniteT0Space(rep)
             for action, _ in _subgroup_classes(space, order_automorphisms(rep)):
                 built = FiniteGroupAction(space, action.generators)
                 assert action == built
@@ -490,7 +505,7 @@ class TestT62BySymmetry:
 
     def test_actions_built_on_the_closure_keep_the_order_cap(self, monkeypatch):
         monkeypatch.setattr(topo_models_module, "_MAX_ORDER", 2)
-        space = FiniteT0Space.from_poset(FinitePoset.antichain(3))
+        space = FiniteT0Space(FinitePoset.antichain(3))
         with pytest.raises(ClosureTooLarge):
             FiniteGroupAction(space, ((1, 2, 0),))
         with pytest.raises(ClosureTooLarge):
@@ -508,7 +523,7 @@ class TestT62BySymmetry:
             )
             return not (points.n == 4 and antichain and free)
 
-        antichain = FiniteT0Space.from_poset(FinitePoset.antichain(4))
+        antichain = FiniteT0Space(FinitePoset.antichain(4))
         auts = order_automorphisms(antichain.points)
         sizes = [
             len(members)
@@ -878,7 +893,7 @@ class TestMinimization:
             assert verify_prop26(_compile_seed(cand).gc).all_ok
 
     def test_action_shrink_drops_generators_then_fixed_points(self):
-        space = FiniteT0Space.from_poset(FinitePoset.antichain(3))
+        space = FiniteT0Space(FinitePoset.antichain(3))
         action = FiniteGroupAction(space, ((1, 0, 2),))
         candidates = list(_shrink_action(action))
         assert any(c.generators == () for c in candidates)
@@ -887,8 +902,8 @@ class TestMinimization:
         assert len(dropped) == 1 and dropped[0].generators == ((1, 0),)
 
     def test_bundle_shrink_preserves_continuity(self):
-        total = FiniteT0Space.from_poset(FinitePoset.chain(3))
-        base = FiniteT0Space.from_poset(FinitePoset.chain(2))
+        total = FiniteT0Space(FinitePoset.chain(3))
+        base = FiniteT0Space(FinitePoset.chain(2))
         bundle = BundleMap(total, base, PointMap(total, base, (0, 0, 1)))
         candidates = list(_shrink_bundle(bundle))
         assert candidates

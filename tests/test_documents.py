@@ -294,15 +294,15 @@ class TestRoundTrip:
         assert rebuilt.mult == m.mult
 
     def test_bundle_round_trip(self):
-        total = FiniteT0Space.from_poset(FinitePoset.antichain(2))
-        base = FiniteT0Space.from_poset(FinitePoset.chain(2))
+        total = FiniteT0Space(FinitePoset.antichain(2))
+        base = FiniteT0Space(FinitePoset.chain(2))
         bundle = BundleMap(total, base, PointMap(total, base, (1, 0)))
         rebuilt = compile_document(parse_document(dumps_document(document_for(bundle))))
         assert rebuilt.proj.values == (1, 0)
         assert rebuilt.total.points.below == total.points.below
 
     def test_action_round_trip(self):
-        space = FiniteT0Space.from_poset(FinitePoset.antichain(3))
+        space = FiniteT0Space(FinitePoset.antichain(3))
         action = FiniteGroupAction(space, ((1, 2, 0),))
         rebuilt = compile_document(parse_document(dumps_document(document_for(action))))
         assert rebuilt.generators == ((1, 2, 0),)

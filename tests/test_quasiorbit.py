@@ -85,6 +85,7 @@ from oracles import (
     all_connections,
     definitional_open_of,
     is_adjoint_pair,
+    open_map_by_opens,
     opposite,
     quotient_by_from_opens,
     sublattice,
@@ -550,7 +551,7 @@ def route_corpus(census):
     reps = _poset_classes(5)
     assert len(reps) == 87
     for rep in reps:
-        space = FiniteT0Space.from_poset(rep)
+        space = FiniteT0Space(rep)
         for action, _ in _subgroup_classes(space, order_automorphisms(rep)):
             out.append(action_inclusion_data(action))
     out += [to_inclusion_data(m()) for m in (EX_210, EX_211, EX_213, EX_74)]
@@ -643,7 +644,9 @@ class TestEachRouteAgainstItsOracle:
                 len({pi.values[x] for x in range(pi.source.n) if (c >> x) & 1}) == 1
                 for c in qos.classes
             )
-            assert (qos.quotient, qos.class_of) == quotient_by_from_opens(qos.base, qos.classes)
+            want = quotient_by_from_opens(qos.base, qos.classes)
+            assert (qos.quotient, qos.class_of) == want
+            assert qos.quotient.opens == want[0].opens
             shapes.add(qos.quotient.n < qos.base.n)
         assert shapes == {True, False}
 
@@ -689,6 +692,29 @@ class TestEachRouteAgainstItsOracle:
             assert rho.values == tuple(over.index(v) for v in rpm.values)
             images.add(len(set(rho.values)) < rho.source.n)
         assert collapsed == images == {True, False}
+
+    def test_is_open_map_is_the_open_by_open_reading(self, route_corpus, t33_morphisms):
+        # openness is decided on points; the maps are those the sweeps
+        # ask it of: pi, the restricted prime map and rho on the corpus,
+        # and the adjunct point map of every T33 morphism
+        maps = []
+        for d in route_corpus:
+            if check_JR(d):
+                maps.append(pi_map(d))
+            rpm = restricted_prime_map(d)
+            if isinstance(rpm, PointMap):
+                maps.append(rpm)
+            try:
+                maps.append(quasi_orbit_map(d))
+            except ConditionViolated:
+                pass
+        maps += [adjunct_point_map(gc.lower, space) for gc, space in t33_morphisms]
+        verdicts = set()
+        for f in maps:
+            want = open_map_by_opens(f)
+            assert is_open_map(f) == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
     def test_rho_meets_both_corollaries(self, route_corpus):
         # Corollaries 4.8 and 4.9, which quasi_orbit_map no longer checks
@@ -770,14 +796,15 @@ class TestEachRouteAgainstItsOracle:
         assert verdicts == {True, False}
 
     def test_soberification_unit_is_a_homeomorphism(self):
-        spaces = all_spaces(4) + [FiniteT0Space.from_poset(rep) for rep in _poset_classes(5)]
+        spaces = all_spaces(4) + [FiniteT0Space(rep) for rep in _poset_classes(5)]
         assert len(spaces) == 242 + 87
         for space in spaces:
             assert is_homeomorphism(soberification(space))
 
     def test_adjunct_point_map_pulls_each_u_i_back_to_g_i(self, t33_morphisms):
         # Theorem 3.3: G(I) = pi^{-1}(U_I) for every I
-        for g, space in t33_morphisms:
+        for gc, space in t33_morphisms:
+            g = gc.lower
             pi = adjunct_point_map(g, space)
             open_of = primes(g.source).open_of
             for i, v in enumerate(g.values):
@@ -787,7 +814,8 @@ class TestEachRouteAgainstItsOracle:
         # Theorem 3.3: open images are computed by the lower adjoint,
         # pi(V) = U_F(V), whenever pi is an open surjection
         checked = 0
-        for g, space in t33_morphisms:
+        for gc, space in t33_morphisms:
+            g = gc.lower
             report = theorem33_check(g, space)
             if not (report.pi_open and report.pi_surjective):
                 continue

@@ -50,7 +50,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _space():
-    return FiniteT0Space.from_poset(FinitePoset.antichain(2))
+    return FiniteT0Space(FinitePoset.antichain(2))
 
 
 def _identity():

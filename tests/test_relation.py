@@ -135,7 +135,7 @@ class TestAgainstTheOldFormulas:
     def test_every_small_action(self):
         count = 0
         for p in all_posets(4):
-            for action in small_group_actions(FiniteT0Space.from_poset(p)):
+            for action in small_group_actions(FiniteT0Space(p)):
                 assert_matches_the_oracle(action)
                 count += 1
         assert count == 426

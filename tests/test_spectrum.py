@@ -55,7 +55,14 @@ from stonekit import (
     soberification,
     theorem33_check,
 )
-from oracles import from_opens, prime_elements, quotient_by_from_opens, sober_by_scan, sublattice
+from oracles import (
+    from_opens,
+    open_map_by_opens,
+    prime_elements,
+    quotient_by_from_opens,
+    sober_by_scan,
+    sublattice,
+)
 from stonekit.conformance import _poset_classes
 from stonekit.lattice import poset_isomorphism
 
@@ -88,18 +95,18 @@ def set_partitions(n):
 
 
 def sierpinski():
-    return FiniteT0Space.from_poset(FinitePoset.chain(2))
+    return FiniteT0Space(FinitePoset.chain(2))
 
 
 def discrete(n):
-    return FiniteT0Space.from_poset(FinitePoset.antichain(n))
+    return FiniteT0Space(FinitePoset.antichain(n))
 
 
 class TestSpaceConstruction:
     @settings(max_examples=100)
     @given(posets())
     def test_opens_are_exactly_the_down_sets(self, p):
-        space = FiniteT0Space.from_poset(p)
+        space = FiniteT0Space(p)
         expected = [
             m
             for m in range(1 << p.n)
@@ -128,20 +135,14 @@ class TestSpaceConstruction:
         with pytest.raises(InvalidTopology, match="T0"):
             from_opens(2, [0b00, 0b11])
 
-    def test_direct_construction_must_list_every_open(self):
-        with pytest.raises(InvalidTopology):
-            FiniteT0Space(FinitePoset.antichain(2), (0, 3))
-
     def test_spaces_past_the_cap_are_too_large(self, monkeypatch):
         # 16 opens against a cap of 8: too large, not a broken topology;
         # 8 opens are still allowed
         monkeypatch.setenv("STONE_MAX_LATTICE", "8")
         message = "^more than 8 down-sets; raise STONE_MAX_LATTICE to allow$"
         with pytest.raises(LatticeTooLarge, match=message):
-            FiniteT0Space.from_poset(FinitePoset.antichain(4))
-        with pytest.raises(LatticeTooLarge, match=message):
-            FiniteT0Space(FinitePoset.antichain(4), tuple(range(16)))
-        assert FiniteT0Space.from_poset(FinitePoset.antichain(3)).opens == tuple(range(8))
+            FiniteT0Space(FinitePoset.antichain(4))
+        assert FiniteT0Space(FinitePoset.antichain(3)).opens == tuple(range(8))
 
 
 class TestPrimes:
@@ -199,18 +200,20 @@ class TestSpatialSober:
     def test_non_frame_is_not_spatial(self):
         assert not is_spatial(three_atom_diamond())
 
+    # is_sober holds by theorem, so these run the definitional scan on
+    # the spaces the package builds: any space, and the point spaces
     @settings(max_examples=60)
     @given(posets())
     def test_finite_t0_spaces_are_sober(self, p):
-        assert is_sober(FiniteT0Space.from_poset(p))
+        assert sober_by_scan(FiniteT0Space(p))
 
     def test_singleton_space_sober(self):
-        assert is_sober(discrete(1))
+        assert sober_by_scan(discrete(1))
 
     def test_sober_by_theorem_is_the_definitional_scan(self):
         # every finite T0 space is sober; the scan is the definition
         spaces = all_spaces(4, include_empty=True)
-        spaces += [FiniteT0Space.from_poset(rep) for rep in _poset_classes(5)]
+        spaces += [FiniteT0Space(rep) for rep in _poset_classes(5)]
         assert len(spaces) == 243 + 87
         for space in spaces:
             assert is_sober(space) == sober_by_scan(space) is True
@@ -218,7 +221,7 @@ class TestSpatialSober:
     @settings(max_examples=60)
     @given(downset_frames())
     def test_point_spaces_are_sober(self, lat):
-        assert is_sober(point_space(lat))
+        assert sober_by_scan(point_space(lat))
 
 
 class TestPointMap:
@@ -257,7 +260,7 @@ class TestPointMap:
 class TestAdjunctMap:
     def test_identity_morphism_gives_soberification(self):
         for p in [FinitePoset.chain(3), FinitePoset.from_pairs(3, [(0, 2), (1, 2)])]:
-            space = FiniteT0Space.from_poset(p)
+            space = FiniteT0Space(p)
             lat = opens_lattice(space)
             pi = adjunct_point_map(MonotoneMap.identity(lat), space)
             assert pi.values == soberification(space).values
@@ -290,7 +293,7 @@ class TestAdjunctMap:
         sub = sublattice(amb, [0, 1, 2, 7])
         g = MonotoneMap(sub, amb, tuple(sub.labels))
         assert not is_locale_morphism(g)
-        space = FiniteT0Space.from_poset(FinitePoset.antichain(3))
+        space = FiniteT0Space(FinitePoset.antichain(3))
         with pytest.raises(NotLocaleMorphism):
             adjunct_point_map(g, space)
 
@@ -306,7 +309,7 @@ class TestAdjunctMap:
 
 class TestTheorem33:
     def test_identity_all_true(self):
-        space = FiniteT0Space.from_poset(FinitePoset.from_pairs(3, [(0, 2), (1, 2)]))
+        space = FiniteT0Space(FinitePoset.from_pairs(3, [(0, 2), (1, 2)]))
         lat = opens_lattice(space)
         rep = theorem33_check(MonotoneMap.identity(lat), space)
         assert rep.has_lower_adjoint_F and rep.eq32_holds and rep.g_injective
@@ -348,7 +351,8 @@ class TestTheorem33:
         budget = conformance_module._SWEEPS["T33"][0]
         verdicts = []
         pairs = conformance_module._frame_space_pairs(budget)
-        for g, space in conformance_module._locale_morphisms(pairs):
+        for gc, space in conformance_module._locale_morphisms(pairs):
+            g = gc.lower
             args = (g.source, range(g.source.n), g.values, g.target, lower_adjoint(g).values)
             want = meets_commute_by_table(*args)
             assert lattice_module._meets_commute(*args) == want
@@ -378,13 +382,13 @@ class TestStoneRoundTrip:
     @settings(max_examples=60)
     @given(posets())
     def test_point_space_of_opens_recovers_the_space(self, p):
-        space = FiniteT0Space.from_poset(p)
+        space = FiniteT0Space(p)
         assert poset_isomorphism(point_space(opens_lattice(space)).points, space.points) is not None
 
     @settings(max_examples=60)
     @given(posets())
     def test_soberification_unit_is_a_homeomorphism(self, p):
-        space = FiniteT0Space.from_poset(p)
+        space = FiniteT0Space(p)
         assert is_homeomorphism(soberification(space))
 
     def test_boolean_cube(self):
@@ -394,7 +398,7 @@ class TestStoneRoundTrip:
 
 class TestQuotient:
     def test_vee_collapses_to_sierpinski(self):
-        space = FiniteT0Space.from_poset(FinitePoset.from_pairs(3, [(0, 2), (1, 2)]))
+        space = FiniteT0Space(FinitePoset.from_pairs(3, [(0, 2), (1, 2)]))
         q, class_of = quotient_space(space, [0b011, 0b100])
         assert poset_isomorphism(q.points, sierpinski().points) is not None
         assert class_of == (0, 0, 1)
@@ -415,7 +419,7 @@ class TestQuotient:
     def test_rejects_non_t0_quotient(self):
         # collapsing top with bottom of the four-point diamond order
         # leaves the two middle classes indistinguishable
-        space = FiniteT0Space.from_poset(
+        space = FiniteT0Space(
             FinitePoset.from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
         )
         with pytest.raises(InvalidTopology):
@@ -434,9 +438,33 @@ class TestQuotient:
                         quotient_space(space, classes)
                     outcomes.add("not T0")
                     continue
-                assert quotient_space(space, classes) == want
+                got = quotient_space(space, classes)
+                assert got == want
+                assert got[0].opens == want[0].opens
                 outcomes.add("T0")
         assert outcomes == {"T0", "not T0"}
+
+    def test_quotients_and_open_maps_read_no_opens(self):
+        # a space stored without its opens, which only the constructor
+        # enumerates: quotient_space and is_open_map answer on it as on
+        # the space itself, so neither lists an open
+        verdicts = set()
+        for space in all_spaces(3):
+            bare = FiniteT0Space._trusted(space.points)
+            assert not hasattr(bare, "opens")
+            for classes in set_partitions(space.n):
+                try:
+                    q, class_of = quotient_space(space, classes)
+                except InvalidTopology as e:
+                    with pytest.raises(InvalidTopology, match=re.escape(str(e))):
+                        quotient_space(bare, classes)
+                    continue
+                assert quotient_space(bare, classes) == (q, class_of)
+                want = open_map_by_opens(PointMap(space, q, class_of))
+                f = PointMap(bare, FiniteT0Space._trusted(q.points), class_of)
+                assert is_open_map(f) == want
+                verdicts.add(want)
+        assert verdicts == {True, False}
 
     def test_quasi_orbit_quotients_match_from_opens(self, monkeypatch):
         real = quasiorbit_module.quotient_space

@@ -44,22 +44,22 @@ from stonekit.topo_models import group_closure
 
 
 def discrete(n):
-    return FiniteT0Space.from_poset(FinitePoset.antichain(n))
+    return FiniteT0Space(FinitePoset.antichain(n))
 
 
 def sierpinski():
-    return FiniteT0Space.from_poset(FinitePoset.chain(2))
+    return FiniteT0Space(FinitePoset.chain(2))
 
 
 def vee():
-    return FiniteT0Space.from_poset(FinitePoset.from_pairs(3, [(0, 1), (0, 2)]))
+    return FiniteT0Space(FinitePoset.from_pairs(3, [(0, 1), (0, 2)]))
 
 
 @st.composite
 def actions(draw, max_points=4):
     p = draw(posets(max_points=max_points))
     gens = draw(st.lists(st.sampled_from(automorphisms(p)), max_size=2))
-    return FiniteGroupAction(FiniteT0Space.from_poset(p), tuple(gens))
+    return FiniteGroupAction(FiniteT0Space(p), tuple(gens))
 
 
 class TestActionValidation:
@@ -241,7 +241,7 @@ class TestAgreement:
 
     def test_two_chains_swapped(self):
         p = FinitePoset.from_pairs(4, [(0, 1), (2, 3)])
-        a = FiniteGroupAction(FiniteT0Space.from_poset(p), ((2, 3, 0, 1),))
+        a = FiniteGroupAction(FiniteT0Space(p), ((2, 3, 0, 1),))
         assert orbit_closure_relation(a) == (0b0101, 0b1010)
         assert action_quasi_orbit_agreement(a)
 
@@ -293,7 +293,7 @@ class TestBundleCompile:
 
     def test_openness_laws_over_all_small_projections(self):
         spaces = [
-            FiniteT0Space.from_poset(p)
+            FiniteT0Space(p)
             for n in (1, 2, 3)
             for p in labeled_posets(n)
         ]
