@@ -165,16 +165,32 @@ def bound_tables(below):
 
 
 def distributive_witness(meet, join):
-    """A triple breaking x /\\ (y \\/ z) = (x /\\ y) \\/ (x /\\ z), or None."""
+    """The first triple (x, y, z), x-major then y then z, breaking
+    x /\\ (y \\/ z) = (x /\\ y) \\/ (x /\\ z), or None.
+
+    Triples that cannot break the law are skipped, so the first one
+    found is the first one of the full scan (``distributive_witness_by_scan``
+    in tests/oracles.py is that scan). Lemma: the law holds when y and
+    z are comparable, and when x is comparable with both. If y <= z,
+    both sides are x /\\ z, since x /\\ y <= x /\\ z (and dually for
+    z <= y). If x <= y or x <= z, both sides are x. If y <= x and
+    z <= x, both sides are y \\/ z. So the scan skips every x that is
+    comparable with every element, and every z comparable with y; two
+    elements are comparable exactly when their meet is one of them.
+    """
     n = len(meet)
     for x in range(n):
         mx = meet[x]
+        if all(v == x or v == w for w, v in enumerate(mx)):
+            continue
         for y in range(n):
             xy = mx[y]
             jy = join[y]
             jxy = join[xy]
+            my = meet[y]
             for z in range(n):
-                if mx[jy[z]] != jxy[mx[z]]:
+                yz = my[z]
+                if yz != y and yz != z and mx[jy[z]] != jxy[mx[z]]:
                     return (x, y, z)
     return None
 

@@ -11,8 +11,16 @@ by one loop (``_sweep``): it counts the instances and the applicable
 ones, and at the first violation shrinks the instance greedily with the
 shrinker of its kind and raises SweepFailed with the minimized
 counterexample document. One table (``_KINDS``) gives each instance kind
-its shrinker and the model its document describes; one table
-(``_SWEEPS``) gives each tag its default budget, its cap and its runner.
+its shrinker, the model its document describes and its compiler to a
+relation on points; one table (``_SWEEPS``) gives each tag its default
+budget, its cap and its runner.
+
+T42, C48 and C49 decide on points: each instance (a galois seed, an
+action or a bundle) compiles straight to its relation (P, Q, R), a
+``quasiorbit.PointRelation``, and the check reads its verdicts off R
+with no lattice, connection, inclusion or spectrum. T47 materializes
+the instance's ``InclusionData`` and decides on elements, as T33, L51,
+C54 and T62 do on their own structures.
 
 The counting pass is split across the CPUs the process may run on
 (``os.sched_getaffinity``), by ``_in_shares``: with W of them, share w
@@ -72,14 +80,13 @@ import random
 from functools import partial
 from itertools import combinations, islice
 from math import factorial
-from typing import NamedTuple
 
 from . import _accel
 from ._kernels import bits, image
 from ._record import Record
 from .documents import document_for, inclusion_data_for
-from .errors import ClosureTooLarge, ConditionViolated, StonekitError, SweepFailed
-from .galois import GaloisConnection, is_meet_preserving, separates
+from .errors import ClosureTooLarge, StonekitError, SweepFailed
+from .galois import GaloisConnection, is_meet_preserving
 from .lattice import (
     FiniteLattice,
     FinitePoset,
@@ -98,13 +105,19 @@ from .multiplicity import (
 )
 from .quasiorbit import (
     InclusionData,
+    PointRelation,
+    _holds_C1,
+    _holds_C2,
+    _holds_JR,
+    _holds_MI,
+    _holds_separation,
+    _pi_is_open,
+    _rho,
     check_C1,
     check_C2,
     check_JR,
     check_MI,
     check_MIf,
-    pi_map,
-    quasi_orbit_map,
     restricted_prime_map,
 )
 from .spectrum import (
@@ -120,6 +133,8 @@ from .topo_models import (
     BundleMap,
     FiniteGroupAction,
     action_quasi_orbit_agreement,
+    action_relation,
+    bundle_relation,
     group_closure,
 )
 
@@ -231,6 +246,11 @@ def _compile_seed(seed: _GaloisSeed) -> InclusionData:
     return InclusionData(GaloisConnection.from_relation(la, lb, seed.point_values))
 
 
+def _seed_relation(seed: _GaloisSeed) -> PointRelation:
+    # the point values are monotone down-set masks by construction
+    return PointRelation(seed.source, seed.target, seed.point_values)
+
+
 def _random_matrix(rng: random.Random, gen: InstanceGenerator) -> MultiplicityInclusion:
     rows = rng.randint(1, min(gen.max_points, 6))
     cols = rng.randint(1, min(gen.max_points, 6))
@@ -279,8 +299,10 @@ def _draw(gen: InstanceGenerator):
 def gen_inclusion_data(gen: InstanceGenerator) -> InclusionData:
     """The instance a generator describes, as a certified connection.
 
-    This is the draw-then-materialize path of the randomized sweeps, so
-    instance k of a sweep is ``gen_inclusion_data`` of its child seed.
+    Instance k of a randomized sweep is the draw of its child seed: T47
+    materializes it as this connection, while T42, C48 and C49 compile
+    the same draw to its relation on points (``_relation``), the same
+    connection read on the points of its frames.
     """
     return _inclusion(_draw(gen))
 
@@ -577,12 +599,11 @@ def _shrink_bundle(b: BundleMap):
             yield BundleMap(b.total, sub, PointMap(b.total, sub, moved))
 
 
-class _Morphism(NamedTuple):
+class _Morphism(Record):
     """A T33 instance: a locale morphism into the opens of a space, as
     the lower map of its connection."""
 
-    gc: GaloisConnection
-    space: FiniteT0Space
+    _fields = ("gc", "space")
 
 
 def _same(model):
@@ -593,14 +614,15 @@ def _morphism_model(m: _Morphism) -> InclusionData:
     return InclusionData(m.gc)
 
 
-# instance kind -> (shrinker, the model its document describes); a T33
-# morphism has no shrinker and is reported as enumerated
+# instance kind -> (shrinker, the model its document describes, its
+# relation on points or None); a T33 morphism has no shrinker and is
+# reported as enumerated
 _KINDS = {
-    _GaloisSeed: (_shrink_seed, _compile_seed),
-    MultiplicityInclusion: (_shrink_matrix, _same),
-    FiniteGroupAction: (_shrink_action, _same),
-    BundleMap: (_shrink_bundle, _same),
-    _Morphism: (lambda m: (), _morphism_model),
+    _GaloisSeed: (_shrink_seed, _compile_seed, _seed_relation),
+    MultiplicityInclusion: (_shrink_matrix, _same, None),
+    FiniteGroupAction: (_shrink_action, _same, action_relation),
+    BundleMap: (_shrink_bundle, _same, bundle_relation),
+    _Morphism: (lambda m: (), _morphism_model, None),
 }
 
 
@@ -608,15 +630,19 @@ def _inclusion(instance) -> InclusionData:
     return inclusion_data_for(_KINDS[type(instance)][1](instance))
 
 
+def _relation(instance) -> PointRelation:
+    return _KINDS[type(instance)][2](instance)
+
+
 def _check_T33(m: _Morphism):
     return True, theorem33_check(m.gc.lower, m.space).equivalence_verified
 
 
-def _check_T42(d: InclusionData):
-    if not check_JR(d):
+def _check_T42(rel: PointRelation):
+    # under JR, pi is onto by theorem (see _pi_is_open)
+    if not _holds_JR(rel):
         return False, True
-    pi = pi_map(d)
-    return True, check_C1(d) == (is_open_map(pi) and is_surjective(pi))
+    return True, _holds_C1(rel) == _pi_is_open(rel)
 
 
 def _check_T47(d: InclusionData):
@@ -627,25 +653,23 @@ def _check_T47(d: InclusionData):
     return True, (check_MI(d) and check_C2(d)) == right
 
 
-def _check_rho(d: InclusionData, verdict):
-    # C48 and C49: a refused precondition makes the instance
-    # inapplicable, and otherwise ``verdict(d, rho)`` decides; a broken
-    # cross-check is judged by _sweep, as for every tag
-    try:
-        rho = quasi_orbit_map(d)
-    except ConditionViolated:
+def _rho_exists(rel: PointRelation) -> bool:
+    # C48 and C49 apply where the quasi-orbit map exists: JR, C1 and MI;
+    # a broken cross-check in _rho is judged by _sweep, as for every tag
+    return _holds_JR(rel) and _holds_C1(rel) and _holds_MI(rel)
+
+
+def _check_C48(rel: PointRelation):
+    if not _rho_exists(rel):
         return False, True
-    return True, verdict(d, rho)
+    rho = _rho(rel)
+    return True, (is_open_map(rho) and is_surjective(rho)) == _holds_C2(rel)
 
 
-def _check_C48(d: InclusionData):
-    return _check_rho(
-        d, lambda d, rho: (is_open_map(rho) and is_surjective(rho)) == check_C2(d)
-    )
-
-
-def _check_C49(d: InclusionData):
-    return _check_rho(d, lambda d, rho: is_homeomorphism(rho) == separates(d.gc))
+def _check_C49(rel: PointRelation):
+    if not _rho_exists(rel):
+        return False, True
+    return True, is_homeomorphism(_rho(rel)) == _holds_separation(rel)
 
 
 def _check_L51(m: MultiplicityInclusion):
@@ -790,7 +814,7 @@ def _sweep(tag, budget, seed, stream, check, where, count=None) -> SweepReport:
         app, ok = judged(instance)
         applicable += app
         if app and not ok:
-            shrink, model = _KINDS[type(instance)]
+            shrink, model, _ = _KINDS[type(instance)]
             small = _greedy_minimize(instance, shrink, violates)
             report = SweepReport(
                 tag, seed, budget, checked, applicable, 1, document_for(model(small))
@@ -798,6 +822,16 @@ def _sweep(tag, budget, seed, stream, check, where, count=None) -> SweepReport:
             at = where.format(k=checked - 1, n=checked, seed=seed)
             raise SweepFailed(f"{tag}: violation at {at}", report=report)
     return SweepReport(tag, seed, budget, checked, applicable, 0, None)
+
+
+def _on_points(check):
+    # the check of an instance's relation on points (T42, C48, C49)
+    return lambda instance: check(_relation(instance))
+
+
+def _on_elements(check):
+    # the check of an instance's inclusion data (T47)
+    return lambda instance: check(_inclusion(instance))
 
 
 def _run_random(tag, families, check, budget: int, seed: int) -> SweepReport:
@@ -818,7 +852,7 @@ def _run_random(tag, families, check, budget: int, seed: int) -> SweepReport:
         budget,
         seed,
         instances,
-        lambda instance: check(_inclusion(instance)),
+        check,
         "instance {k} (seed {seed})",
         budget,
     )
@@ -926,10 +960,10 @@ _QUASI_ORBIT_FAMILIES = ("random-galois", "action", "bundle")
 # tag -> (default budget, budget cap or None, runner(budget, seed))
 _SWEEPS = {
     "T33": (5, 6, _run_T33),
-    "T42": (1000, None, partial(_run_random, "T42", ("random-galois",), _check_T42)),
-    "T47": (1000, None, partial(_run_random, "T47", ("random-galois",), _check_T47)),
-    "C48": (1000, None, partial(_run_random, "C48", _QUASI_ORBIT_FAMILIES, _check_C48)),
-    "C49": (1000, None, partial(_run_random, "C49", _QUASI_ORBIT_FAMILIES, _check_C49)),
+    "T42": (1000, None, partial(_run_random, "T42", ("random-galois",), _on_points(_check_T42))),
+    "T47": (1000, None, partial(_run_random, "T47", ("random-galois",), _on_elements(_check_T47))),
+    "C48": (1000, None, partial(_run_random, "C48", _QUASI_ORBIT_FAMILIES, _on_points(_check_C48))),
+    "C49": (1000, None, partial(_run_random, "C49", _QUASI_ORBIT_FAMILIES, _on_points(_check_C49))),
     "L51": (3, 4, partial(_run_matrices, "L51", _check_L51)),
     "C54": (3, 4, partial(_run_matrices, "C54", _check_C54)),
     "T62": (5, 5, _run_T62),

@@ -59,13 +59,30 @@ the least induced cover of each element; the tests check MI against
 the least-cover reading and F as adjoint to the induced insertion. rho
 is built once and not compared with C2 or with separation: Corollaries
 4.8 and 4.9 are the C48 and C49 sweeps, which check each rho once.
+
+When every element of the source is restricted (r.i is the identity),
+JR and C1 hold by theorem and are decided without a scan; dually, MIf,
+MI and C2 when every element of the target is induced. That covers
+every identity connection.
+
+The point route. Under Stone duality a connection between finite
+frames O(P) -> O(Q) is one relation R from P to Q (``PointRelation``),
+and the sweeps T42, C48 and C49 decide on it: the five conditions,
+separation, whether pi is open and rho itself are read off R with no
+lattice, connection or spectrum (``_holds_JR`` ... ``_rho``, proofs in
+their docstrings). Each biconditional those sweeps check compares two
+formulas computed independently on R: C1 against pi open, C2 against
+rho an open surjection, separation against rho a homeomorphism. T47
+keeps the element route, since restricted_prime_map needs no JR and
+the restricted lattice need not be distributive. The element checks of
+T42, C48 and C49 are the oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from ._kernels import bits
+from ._kernels import bits, image, inside
 from ._record import Record, _store
 from .errors import (
     ConditionViolated,
@@ -82,6 +99,7 @@ from .lattice import (
     is_frame,
 )
 from .spectrum import (
+    FiniteT0Space,
     PointMap,
     PrimeSpectrum,
     primes,
@@ -164,8 +182,24 @@ class InclusionData(Record):
         return tuple(b.big_meet(bits(row & ind)) for row in b.order.above())
 
     @cached_property
+    def _all_restricted(self) -> bool:
+        # r.i is the identity: every element of the source is restricted
+        return len(self.restricted) == self.lattice_a.n
+
+    @cached_property
+    def _all_induced(self) -> bool:
+        # i.r is the identity: every element of the target is induced
+        return len(self.induced) == self.lattice_b.n
+
+    @cached_property
     def _jr_bad(self):
-        """None when JR holds, else the offending join (empty tuple = bottom)."""
+        """None when JR holds, else the offending join (empty tuple = bottom).
+
+        When every element is restricted, None without a scan: the whole
+        carrier holds the bottom and every join.
+        """
+        if self._all_restricted:
+            return None
         if self.lattice_a.bottom not in self.restricted:
             return ()
         return escaping_pair(self.lattice_a, "join", self.restricted)
@@ -173,13 +207,25 @@ class InclusionData(Record):
     @cached_property
     def _mif_bad(self):
         """None when MIf holds, else the first pair of induced elements
-        whose meet is not induced."""
+        whose meet is not induced.
+
+        When every element is induced, None without a scan: the whole
+        carrier holds every meet.
+        """
+        if self._all_induced:
+            return None
         return escaping_pair(self.lattice_b, "meet", self.induced)
 
     @cached_property
     def _c1_bad(self):
         """None when C1 holds, else the first pair (I, J), I restricted,
-        with meet(I, r(i(J))) != r(i(meet(I, J)))."""
+        with meet(I, r(i(J))) != r(i(meet(I, J))).
+
+        When every element is restricted, None without a scan: r.i is
+        the identity, so both sides read meet(I, J).
+        """
+        if self._all_restricted:
+            return None
         a = self.lattice_a
         return _meets_commute(a, self.restricted, range(a.n), a, self.gc.closure_values())
 
@@ -203,8 +249,14 @@ class InclusionData(Record):
     def _c2_bad(self):
         """None when C2 holds, else the first pair (I, J), I induced,
         with meet(I, F(J)) != F(meet(I, J)); needs MI. Under MI,
-        ``induced_covers`` is F read in the target, so F is not built."""
+        ``induced_covers`` is F read in the target, so F is not built.
+
+        When every element is induced, None without a scan: F is the
+        identity, so both sides read meet(I, J).
+        """
         _require(self, "MI")
+        if self._all_induced:
+            return None
         b = self.lattice_b
         return _meets_commute(b, self.induced, range(b.n), b, self.induced_covers)
 
@@ -451,3 +503,239 @@ def quasi_orbit_map(d: InclusionData) -> PointMap:
             raise AssertionError("r(q) is not a pi value")
         values.append(class_over[r[q]])
     return PointMap(d.spectrum_b.space, qos.quotient, tuple(values))
+
+
+# -- the point route -----------------------------------------------------------
+
+
+class PointRelation(Record):
+    """A connection O(P) -> O(Q) between down-set frames, as one relation.
+
+    ``source`` is the poset P, ``target`` the poset Q, and ``rows[p]``
+    a down-set mask of Q for each point p of P, monotone in p: p' <= p
+    gives rows[p'] inside rows[p]. By Stone duality (Birkhoff) every
+    connection between finite frames is one of these: a join-preserving
+    map O(P) -> O(Q) is fixed by its values on the principal down-sets
+    ↓p. The lower map is i(U) = ``image(rows, U)`` and the upper map
+    r(V) = ``inside(rows, V)``, as in ``GaloisConnection.from_relation``;
+    the closure is c(U) = r(i(U)). The T42, C48 and C49 sweeps compile
+    each instance to one of these and decide on it, with no lattice,
+    connection or spectrum.
+
+    Notation, shared by the criteria below. The restricted elements are
+    the fixed points of c, the sets r(V); the induced elements are the
+    sets i(U), which are exactly the unions of rows (i(r(V)) is the
+    union of the rows inside V). The generators are c_j = c(↓j), the
+    least restricted set that holds j; since the rows are monotone,
+    i(↓j) = rows[j], so c_j = r(rows[j]) (``_generators``). A restricted
+    set S holds x exactly when it holds c_x. T_y = {x : y in rows[x]} is
+    the column of y, an up-set of P (``_columns``).
+    """
+
+    _fields = ("source", "target", "rows")
+
+    @cached_property
+    def _generators(self) -> tuple[int, ...]:
+        rows = self.rows
+        return tuple([inside(rows, row) for row in rows])
+
+    @cached_property
+    def _columns(self) -> tuple[int, ...]:
+        out = [0] * self.target.n
+        for x, row in enumerate(self.rows):
+            for y in bits(row):
+                out[y] |= 1 << x
+        return tuple(out)
+
+    def closure(self, mask: int) -> int:
+        """c(U) = r(i(U)) for a down-set mask U of P."""
+        return inside(self.rows, image(self.rows, mask))
+
+
+def _holds_JR(rel: PointRelation) -> bool:
+    """JR on points: no row is empty, and no p has a, b in rows[p] with
+    rows[p] inside N_a | N_b, where N_a is the union of the rows that
+    miss a.
+
+    Proof. The bottom is restricted iff r(i(empty)) = r(empty), the set
+    of points with an empty row, is empty. For binary joins: restricted
+    S1, S2 have a restricted union iff c(S1 | S2) adds no point. With
+    V_k = i(S_k), c(S1 | S2) = r(V1 | V2), and p is in S_k exactly when
+    rows[p] lies inside V_k. So JR fails at a pair iff some p has
+    rows[p] inside V1 | V2 but inside neither: pick a in rows[p] - V1
+    and b in rows[p] - V2. V1 is a union of rows that miss a, so it
+    lies in N_a, and V2 in N_b. Conversely, if rows[p] lies in
+    N_a | N_b with a, b in rows[p], then S1 = r(N_a) and S2 = r(N_b)
+    are restricted, N_a and N_b are induced (so i(S1) = N_a), and p is
+    in c(S1 | S2) but in neither S_k, since a (resp. b) is in rows[p]
+    and not in N_a (resp. N_b). a = b cannot occur: a would lie in
+    N_a. O(|P| |Q|^2) mask tests.
+    """
+    rows = rel.rows
+    if 0 in rows:
+        return False
+    missing = [0] * rel.target.n
+    for row in rows:
+        for a in range(rel.target.n):
+            if not (row >> a) & 1:
+                missing[a] |= row
+    for row in rows:
+        points = list(bits(row))
+        for k, a in enumerate(points):
+            for b in points[k + 1:]:
+                if not row & ~(missing[a] | missing[b]):
+                    return False
+    return True
+
+
+def _holds_C1(rel: PointRelation) -> bool:
+    """C1 on points, given JR: c_p & c_q = c(c_p & ↓q) for all p, q.
+
+    Proof. C1 reads I & c(J) = c(I & J) for restricted I and down-sets
+    J. Taking I = c_p and J = ↓q gives the criterion. Conversely, under
+    JR c keeps unions, so c(J) is the union of the c_q over q in J, and
+    a restricted I is the union of the c_p over p in I. Then I & c(J) is
+    the union of the c_p & c_q = c(c_p & ↓q), which is c of the union of
+    the c_p & ↓q, that is c(I & J). The tests compare it with the
+    element scan (``check_C1``); it is computed from c alone, never from
+    pi, so T42 compares two independent formulas.
+    """
+    gens = rel._generators
+    below = rel.source.below
+    for cp in gens:
+        for q, cq in enumerate(gens):
+            if cp & cq != rel.closure(cp & below[q]):
+                return False
+    return True
+
+
+def _union_of_rows(rows, mask: int) -> bool:
+    # i(r(V)) = V: the rows inside V cover V
+    return image(rows, inside(rows, mask)) == mask
+
+
+def _holds_MIf(rel: PointRelation) -> bool:
+    """MIf on points: every rows[p] & rows[q] is a union of rows.
+
+    The induced elements are the unions of rows, and & distributes over
+    |, so a meet of two induced elements is a union of the meets of
+    their rows; each of those is itself a meet of two induced elements.
+    """
+    rows = rel.rows
+    return all(
+        _union_of_rows(rows, row & other) for k, row in enumerate(rows) for other in rows[k + 1:]
+    )
+
+
+def _holds_MI(rel: PointRelation) -> bool:
+    """MI on points: MIf, and the rows cover Q (the top is induced)."""
+    full = (1 << rel.target.n) - 1
+    return image(rel.rows, (1 << rel.source.n) - 1) == full and _holds_MIf(rel)
+
+
+def _holds_C2(rel: PointRelation) -> bool:
+    """C2 on points, given MI: rows[p] & F(↓q) = F(rows[p] & ↓q) for all
+    p and q, where F(↓q) is the meet of the rows that hold q and F(V)
+    the union of F(↓q) over q in V.
+
+    Proof. Under MI, F(V) is the least induced set above V. For ↓q it
+    is the meet of the rows that hold q: each such row is induced and
+    holds q, and every induced set that holds q is a union of rows, one
+    of which holds q; under MIf that meet is induced, and MI's cover
+    makes the family nonempty. F is the lower adjoint of the induced
+    insertion, so it keeps unions. C2 reads I & F(J) = F(I & J) for
+    induced I. Taking I = rows[p], J = ↓q gives the criterion;
+    conversely I is a union of rows and J of principal down-sets, and
+    both sides keep those unions. The tests compare it with the element
+    scan (``check_C2``); it is computed from F alone, never from rho,
+    so C48 compares two independent formulas.
+    """
+    rows, below = rel.rows, rel.target.below
+    full = (1 << rel.target.n) - 1
+    covers = []
+    for column in rel._columns:
+        meet = full
+        for x in bits(column):
+            meet &= rows[x]
+        covers.append(meet)
+    for row in rows:
+        for q, cover in enumerate(covers):
+            if row & cover != image(covers, row & below[q]):
+                return False
+    return True
+
+
+def _holds_separation(rel: PointRelation) -> bool:
+    """r is injective: every ↓q is a union of rows.
+
+    r is injective iff every element of O(Q) is induced, and the
+    induced elements are closed under unions while every down-set is
+    the union of the ↓q inside it. Computed from the rows alone, never
+    from rho, so C49 compares two independent formulas.
+    """
+    rows = rel.rows
+    return all(_union_of_rows(rows, down) for down in rel.target.below)
+
+
+def _pi_is_open(rel: PointRelation) -> bool:
+    """Whether pi is open, under JR: for every x and every j in c_x,
+    some y <= x has c_y = c_j.
+
+    Under JR the restricted sets form a sublattice of O(P). Its points
+    are the distinct c_j, ordered by inclusion: c_j is join-irreducible
+    there (if c_j = S1 | S2 with S_k restricted, the one that holds j
+    holds c_j), and each restricted S is the union of the c_j inside
+    it. The prime of O(P) at x goes to the largest restricted set that
+    misses x, the union of the c_k that miss x, which is the prime of
+    the point c_x: so pi(x) = c_x, and pi is onto (pi(j) = c_j). pi is
+    open iff the image of each ↓x is a down-set. That image is
+    {c_y : y <= x}; it holds c_x and lies below it, so its down-closure
+    is the set of points below c_x, the c_j with j in c_x, and it is a
+    down-set iff each of those is some c_y with y <= x. pi is read off
+    the generators alone, never from C1.
+    """
+    gens = rel._generators
+    below = rel.source.below
+    for x, cx in enumerate(gens):
+        reached = {gens[y] for y in bits(below[x])}
+        if any(gens[j] not in reached for j in bits(cx)):
+            return False
+    return True
+
+
+def _rho(rel: PointRelation) -> PointMap:
+    """rho on points, under JR, C1 and MI: Q -> the quasi-orbit space.
+
+    The classes are the fibers of the key K(x) = {j : x in c_j}. Under
+    JR, pi(x) = c_x (see ``_pi_is_open``), and x is in c_j exactly when
+    c_x lies inside c_j, so K(x) = K(x') iff c_x = c_x': the classes are
+    the pi fibers, and the quasi-orbit space is ``quotient_space`` of P
+    by them. The prime of O(Q) at y is Q - ↑y, and r of it is P - T_y,
+    which under MI is the prime of the restricted point c_x for the x
+    that rho(y) names. For a restricted point c_x and any restricted S,
+    S lies below that prime iff S does not hold x. So rho(y) is the
+    class whose key is {j : c_j meets T_y}. A key that names no class
+    breaks that theorem and raises AssertionError, which the sweeps
+    count as a violation.
+
+    P's space is built trusted, since ``quotient_space`` reads only its
+    points; Q's space and the quotient carry their opens, which
+    PointMap reads when continuity fails. Whether rho is an open
+    surjection (iff C2) and a homeomorphism (iff separation) is what
+    C48 and C49 decide on it, against ``_holds_C2`` and
+    ``_holds_separation``.
+    """
+    gens = rel._generators
+    fibers: dict[int, int] = {}
+    for x in range(rel.source.n):
+        key = sum(1 << j for j, cj in enumerate(gens) if (cj >> x) & 1)
+        fibers[key] = fibers.get(key, 0) | (1 << x)
+    quotient, _ = quotient_space(FiniteT0Space._trusted(rel.source), tuple(fibers.values()))
+    index = {key: k for k, key in enumerate(fibers)}
+    values = []
+    for column in rel._columns:
+        key = sum(1 << j for j, cj in enumerate(gens) if cj & column)
+        if key not in index:
+            raise AssertionError("the key of rho(y) names no class")
+        values.append(index[key])
+    return PointMap(FiniteT0Space(rel.target), quotient, tuple(values))

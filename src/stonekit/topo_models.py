@@ -12,7 +12,10 @@ Two concrete sources of connections between open-set lattices:
 
 Each is the (image, inside) pair of one relation from points to point
 masks, built by ``GaloisConnection.from_relation``: a point goes to the
-saturation of its down-set, or to the preimage of its down-set.
+saturation of its down-set, or to the preimage of its down-set. The
+sweeps that decide on points read each as a ``PointRelation`` between
+posets instead (``action_relation``, over the orbit poset, and
+``bundle_relation``).
 
 The quasi-orbit machinery then applies to either.  For actions, the
 quotient agrees with the classical orbit-closure picture; the agreement
@@ -24,12 +27,12 @@ through meet closure, which no finite instance can break.
 
 from functools import cached_property
 
-from ._kernels import image
+from ._kernels import bits, image
 from ._record import Record, _store
 from .errors import ClosureTooLarge, NotContinuous, ShapeMismatch
 from .galois import GaloisConnection
-from .lattice import FiniteLattice, fixed_point_lattice
-from .quasiorbit import InclusionData, quasi_orbit_space
+from .lattice import FiniteLattice, FinitePoset, fixed_point_lattice
+from .quasiorbit import InclusionData, PointRelation, quasi_orbit_space
 from .spectrum import opens_lattice, soberification
 
 _MAX_ORDER = 10_000
@@ -152,6 +155,48 @@ def action_inclusion_data(a: FiniteGroupAction) -> InclusionData:
     )
 
 
+def action_relation(a: FiniteGroupAction) -> PointRelation:
+    """The action's connection on points: (X, Q, R), Q the orbit poset.
+
+    The orbits are numbered in the order of their least points. Orbit
+    o' lies below orbit o when o' meets the saturation of ↓x for a
+    point x of o, and R[x] = ↓orbit(x). The orbits that meet the
+    saturation of ↓x are those that meet ↓x itself (a point g(z) with
+    z <= x has the orbit of z), and ↓g(x) = g(↓x) meets the same
+    orbits, so the row depends only on the orbit of x and is read off
+    its least point.
+
+    Proof that Q is a poset. Reflexive: ↓x holds x. Transitive: if o'
+    meets ↓x at z and o'' meets ↓z at w, then w <= z <= x.
+    Antisymmetric: if o' <= o and o <= o', then for x in o and x' in o'
+    there are g, h in the group and z <= x, w <= x' with x' = g(z) and
+    x = h(w). So x = h(w) <= h(x') = hg(z) <= hg(x) = σ(x) with σ = hg.
+    An automorphism σ of finite order k gives
+    x <= σ(x) <= ... <= σ^k(x) = x, so x = σ(x), and then x = h(x'):
+    o = o'.
+
+    The invariant opens are exactly O(Q): an invariant down-set of X is
+    a union of orbits, and the orbits it holds form a down-set of Q
+    (an orbit below one of them meets the saturation of a down-set it
+    holds); conversely the union of the orbits of a down-set of Q is
+    invariant and down-closed. R's image of an open U is the set of
+    orbits that meet U, the invariant open ``saturate(U)`` read on Q,
+    so this is ``action_inclusion_data`` on points.
+    """
+    points = a.space.points
+    orbit_of = [-1] * points.n
+    least = []
+    for x in range(points.n):
+        if orbit_of[x] < 0:
+            for y in bits(a.orbit_mask(x)):
+                orbit_of[y] = len(least)
+            least.append(x)
+    meets = [1 << o for o in orbit_of]
+    rows = tuple([image(meets, down) for down in points.below])
+    orbits = FinitePoset._from_rows([rows[x] for x in least])
+    return PointRelation(points, orbits, rows)
+
+
 def orbit_closure_relation(a: FiniteGroupAction) -> tuple[int, ...]:
     """Points grouped by the closure of their orbit, as point masks."""
     classes: dict[int, int] = {}
@@ -187,6 +232,14 @@ class BundleMap(Record):
             raise ShapeMismatch("projection does not run from total to base")
 
 
+def bundle_relation(b: BundleMap) -> PointRelation:
+    """The projection's connection on points: base point p goes to the
+    preimage of its down-set, an open of the total space, monotone in
+    p since preimages keep inclusion."""
+    rows = tuple(map(b.proj.preimage, b.base.points.below))
+    return PointRelation(b.base.points, b.total.points, rows)
+
+
 def bundle_inclusion_data(b: BundleMap) -> InclusionData:
     """Preimage below; above, the largest open whose preimage lies inside.
 
@@ -196,7 +249,7 @@ def bundle_inclusion_data(b: BundleMap) -> InclusionData:
     into V, itself a down-set and so open. ``from_relation`` certifies
     the pair by theorem once both land.
     """
-    rows = tuple(map(b.proj.preimage, b.base.points.below))
+    rows = bundle_relation(b).rows
     return InclusionData(
         GaloisConnection.from_relation(opens_lattice(b.base), opens_lattice(b.total), rows)
     )

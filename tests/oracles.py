@@ -31,10 +31,19 @@ sweeps, so they live with the tests:
 * ``opposite``: a connection between the opposite frames, with the
   roles of its two maps swapped;
 * ``invariant_opens``: the invariant opens of an action with their
-  insertion into O(X), certified as a ``MonotoneMap``.
+  insertion into O(X), certified as a ``MonotoneMap``;
+* ``distributive_witness_by_scan``: the first triple breaking the
+  distributive law, by the full n^3 scan;
+* ``relation_of``: the relation on points (P, Q, R) of any inclusion,
+  read off the join-irreducibles of its frames (Birkhoff);
+* ``element_check_T42``, ``element_check_C48`` and
+  ``element_check_C49``: the T42, C48 and C49 checks on lattice
+  elements, through the restricted spectrum and ``quasi_orbit_map``,
+  the oracles of the sweeps' checks on points.
 """
 
 from stonekit import (
+    ConditionViolated,
     FiniteGroupAction,
     FiniteLattice,
     FinitePoset,
@@ -45,10 +54,19 @@ from stonekit import (
     NotAPoset,
     ShapeMismatch,
     adjunct_point_map,
+    check_C1,
+    check_C2,
+    check_JR,
     downset_lattice,
+    is_homeomorphism,
     is_join_preserving,
     is_meet_preserving,
+    is_open_map,
+    is_surjective,
     opens_lattice,
+    pi_map,
+    quasi_orbit_map,
+    separates,
 )
 from stonekit._kernels import bits
 from stonekit._record import Record
@@ -58,6 +76,8 @@ from stonekit.conformance import (
     _poset_classes,
     all_frame_posets,
 )
+from stonekit.lattice import join_irreducibles
+from stonekit.quasiorbit import PointRelation
 from stonekit.topo_models import _invariant_lattice
 
 
@@ -384,3 +404,69 @@ def invariant_opens(a: FiniteGroupAction) -> tuple[FiniteLattice, MonotoneMap]:
     """
     inv = _invariant_lattice(a)
     return inv, MonotoneMap(inv, opens_lattice(a.space), inv.labels)
+
+
+def distributive_witness_by_scan(meet, join):
+    """The first triple (x, y, z), x-major, breaking
+    x /\\ (y \\/ z) = (x /\\ y) \\/ (x /\\ z), or None, over every
+    triple: the oracle of ``_kernels.distributive_witness``, which skips
+    the triples that cannot break the law."""
+    n = len(meet)
+    for x in range(n):
+        mx = meet[x]
+        for y in range(n):
+            xy = mx[y]
+            jy = join[y]
+            jxy = join[xy]
+            for z in range(n):
+                if mx[jy[z]] != jxy[mx[z]]:
+                    return (x, y, z)
+    return None
+
+
+def relation_of(d) -> PointRelation:
+    """The relation on points of an inclusion between any two frames.
+
+    P = J(A) and Q = J(B), each ordered as in its lattice, and R[p] is
+    the set of the q in J(B) below i(p). By Birkhoff, x -> {j in J(A) :
+    j <= x} is an isomorphism A = O(P); a join-irreducible of a frame
+    lies below a join only when it lies below one of its terms, so
+    i(x) reads as the union of the rows of the points below x.
+    """
+    a, b = d.lattice_a, d.lattice_b
+    ja, jb = join_irreducibles(a), join_irreducibles(b)
+    i = d.gc.lower.values
+    rows = tuple(sum(1 << k for k, q in enumerate(jb) if b.leq(q, i[p])) for p in ja)
+    return PointRelation(a.order.subposet(ja), b.order.subposet(jb), rows)
+
+
+def element_check_T42(d):
+    """T42 on elements: under JR, C1 iff pi_map is an open surjection."""
+    if not check_JR(d):
+        return False, True
+    pi = pi_map(d)
+    return True, check_C1(d) == (is_open_map(pi) and is_surjective(pi))
+
+
+def _element_check_rho(d, verdict):
+    # C48 and C49 on elements: a refused precondition of quasi_orbit_map
+    # makes the instance inapplicable, and otherwise ``verdict(d, rho)``
+    # decides
+    try:
+        rho = quasi_orbit_map(d)
+    except ConditionViolated:
+        return False, True
+    return True, verdict(d, rho)
+
+
+def element_check_C48(d):
+    """C48 on elements: rho is an open surjection iff C2."""
+    return _element_check_rho(
+        d, lambda d, rho: (is_open_map(rho) and is_surjective(rho)) == check_C2(d)
+    )
+
+
+def element_check_C49(d):
+    """C49 on elements: rho is a homeomorphism iff the connection
+    separates."""
+    return _element_check_rho(d, lambda d, rho: is_homeomorphism(rho) == separates(d.gc))

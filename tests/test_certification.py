@@ -72,7 +72,7 @@ from stonekit import (
 from oracles import invariant_opens, prime_elements, sublattice, verify_prop26
 from stonekit import _accel, _kernels
 from stonekit.conformance import FAMILIES, order_automorphisms
-from stonekit.quasiorbit import check_C1, check_C2, check_JR, check_MI, check_MIf
+from stonekit.quasiorbit import PointRelation, check_C1, check_C2, check_JR, check_MI, check_MIf
 from stonekit.lattice import (
     fixed_point_lattice,
     join_irreducibles,
@@ -545,18 +545,21 @@ class TestCertifyOnce:
         assert rho.target.n == 2
 
     def test_conditions_are_evaluated_once_per_instance(self, monkeypatch, one_cpu):
-        # the C48 check compares rho with C2, which quasi_orbit_map does
-        # not re-check: one verdict per instance
-        c2 = counted_property(monkeypatch, InclusionData, "_c2_bad")
-        mi = counted_property(monkeypatch, InclusionData, "_mi_bad")
-        f = counted_property(monkeypatch, InclusionData, "_f")
-        jr = counted_property(monkeypatch, InclusionData, "_jr_bad")
+        # the C48 check decides on points and compares rho with C2 once:
+        # one JR verdict per instance, one C2 verdict and one rho per
+        # applicable one, and the generators c_j once per relation
+        calls = {
+            name: counted(monkeypatch, quasiorbit_module, name)
+            for name in ("_holds_JR", "_holds_C1", "_holds_MI", "_holds_C2", "_rho")
+        }
+        gens = counted_property(monkeypatch, PointRelation, "_generators")
         report = sweep_theorem("C48", seed=7)
         assert (report.checked, report.applicable) == (1000, 575)
-        # C2 reads the least induced covers; F is never built
-        assert (len(c2), len(f)) == (575, 0)
-        assert len(jr) == 1000
-        assert len({id(d) for d in mi}) == len(mi)
+        assert len(calls["_holds_JR"]) == 1000
+        assert len(calls["_holds_C2"]) == len(calls["_rho"]) == 575
+        for name in ("_holds_C1", "_holds_MI"):
+            assert len({id(args[0]) for args in calls[name]}) == len(calls[name])
+        assert len({id(rel) for rel in gens}) == len(gens) == len(calls["_holds_C1"])
 
     def test_condition_report_builds_no_fixed_point_lattice(self, monkeypatch):
         # the conditions that analyze reports read the closure and

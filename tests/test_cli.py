@@ -353,9 +353,11 @@ class TestVerify:
         assert result.exit_code == 1
 
     def test_refused_sweep_is_one_error_line(self, monkeypatch):
-        # a cap of 2 refuses the first lattice the sweep builds
+        # a cap of 2 refuses the first lattice the sweep builds; T47
+        # builds the down-set lattices of its instances (T42 decides on
+        # points and builds none)
         monkeypatch.setenv("STONE_MAX_LATTICE", "2")
-        result = invoke(["verify", "--suite", "T42", "--budget", "5"])
+        result = invoke(["verify", "--suite", "T47", "--budget", "5"])
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr.splitlines() == [

@@ -7,6 +7,7 @@ built by an independent method.
 """
 
 import os
+import sys
 import time
 from collections import Counter
 from itertools import combinations, product
@@ -61,10 +62,10 @@ from stonekit.conformance import (
     _sweep,
 )
 from stonekit._record import Record
-from stonekit.lattice import boolean_lattice, downset_lattice, poset_isomorphism
-from stonekit.quasiorbit import check_JR
+from stonekit.lattice import _downsets, boolean_lattice, downset_lattice, poset_isomorphism
+from stonekit.quasiorbit import InclusionData, _holds_JR, check_JR
 from stonekit.errors import ClosureTooLarge
-from stonekit.spectrum import PointMap
+from stonekit.spectrum import PointMap, PrimeSpectrum
 from stonekit.topo_models import BundleMap, FiniteGroupAction, group_closure
 import random
 
@@ -371,6 +372,41 @@ class TestSweeps:
         body = json.dumps(report.as_dict(), sort_keys=True)
         assert '"tag": "L51"' in body
 
+    def test_point_sweeps_build_no_lattice_connection_or_inclusion(self, monkeypatch, one_cpu):
+        # T42, C48 and C49 decide on the relation (P, Q, R) of each
+        # instance. The counters watch every record build, certified or
+        # trusted, and every down-set lattice; one CPU keeps the sweep in
+        # this process, since a forked share cannot report its counts
+        built = []
+        watched = (FiniteLattice, GaloisConnection, InclusionData, PrimeSpectrum)
+        real_init, real_trusted = Record.__init__, Record._trusted.__func__
+
+        def init(self, *args, **kwargs):
+            if isinstance(self, watched):
+                built.append(type(self).__name__)
+            real_init(self, *args, **kwargs)
+
+        def trusted(cls, *values):
+            if issubclass(cls, watched):
+                built.append(cls.__name__)
+            return real_trusted(cls, *values)
+
+        monkeypatch.setattr(Record, "__init__", init)
+        monkeypatch.setattr(Record, "_trusted", classmethod(trusted))
+        for module in list(sys.modules.values()):
+            real = getattr(module, "downset_lattice", None)
+            if getattr(module, "__name__", "").startswith("stonekit") and real is not None:
+                monkeypatch.setattr(
+                    module, "downset_lattice", lambda *a, real=real: built.append("downset_lattice") or real(*a)
+                )
+        for tag in ("T42", "C48", "C49"):
+            report = sweep_theorem(tag, budget=100)
+            assert report.applicable > 0
+        assert built == []
+        # the counters see the element route's builds
+        sweep_theorem("T47", budget=1)
+        assert {"downset_lattice", "FiniteLattice", "GaloisConnection", "InclusionData"} <= set(built)
+
     def test_sweeps_build_their_records_positionally(self, monkeypatch, one_cpu):
         # Record._bind, the constructor's path for keywords and
         # defaults, costs 1-2 us a call; no sweep record takes it
@@ -612,12 +648,25 @@ def _chain(n):
     return {"points": n, "covers": [[i, i + 1] for i in range(n - 1)]}
 
 
+def _opens(poset):
+    return len(_downsets(poset))
+
+
 # (tag, budget, patched name, fault, message, report), recorded on the
 # engine before the sweeps shared one violation loop. Between them the
 # counterexamples are galois, action and bundle documents, so every
 # shrinker and serializer of the randomized sweeps runs. The last two
 # rows break a cross-check (AssertionError) inside T42 and T62, which
 # counts as a violation for every tag; T62 reports the labeled census.
+# T42, C48 and C49 decide on points, so their faults patch the point
+# verdicts and pick instances by their relation (P, Q, R), the same
+# instances the element faults picked: |O(P)| and |O(Q)| are the sizes
+# of the element route's lattice_a and lattice_b; rows that are exactly
+# the principal down-sets of Q hold for every action and for neither
+# earlier instance of the C48 stream, as an upper map equal to the
+# labels of lattice_b did; and C49's upper map, one value per element
+# of B, never equalled the labels of a smaller A, so that clause of its
+# fault always held.
 _INJECTED_VIOLATIONS = [
     (
         "T33",
@@ -639,8 +688,8 @@ _INJECTED_VIOLATIONS = [
     (
         "T42",
         100,
-        "check_C1",
-        _flip_where(lambda d: d.lattice_a.n >= 4 and d.lattice_b.n >= 3),
+        "_holds_C1",
+        _flip_where(lambda rel: _opens(rel.source) >= 4 and _opens(rel.target) >= 3),
         "T42: violation at instance 1 (seed 0)",
         (2, 2, "galois", {"source": _chain(4), "target": _chain(3), "lower": [0, 1, 2, 2]}),
     ),
@@ -655,19 +704,16 @@ _INJECTED_VIOLATIONS = [
     (
         "C48",
         100,
-        "check_C2",
-        _flip_where(lambda d: d.gc.upper.values == d.lattice_b.labels),
+        "_holds_C2",
+        _flip_where(lambda rel: set(rel.rows) == set(rel.target.below)),
         "C48: violation at instance 1 (seed 0)",
         (2, 2, "action", {"space": {"points": 1, "covers": []}, "generators": []}),
     ),
     (
         "C49",
         100,
-        "separates",
-        _flip_where(
-            lambda gc: gc.lattice_a.n < gc.lattice_b.n == 4
-            and gc.upper.values != gc.lattice_a.labels
-        ),
+        "_holds_separation",
+        _flip_where(lambda rel: _opens(rel.source) < _opens(rel.target) == 4),
         "C49: violation at instance 5 (seed 0)",
         (
             6,
@@ -683,8 +729,8 @@ _INJECTED_VIOLATIONS = [
     (
         "T42",
         100,
-        "pi_map",
-        _raise_where(lambda d: d.lattice_b.n > d.lattice_a.n >= 3),
+        "_pi_is_open",
+        _raise_where(lambda rel: _opens(rel.target) > _opens(rel.source) >= 3),
         "T42: violation at instance 1 (seed 0)",
         (
             2,
@@ -773,14 +819,15 @@ class TestShares:
 
     def t42_instance(self, monkeypatch, parity):
         """The first instance of parity ``parity`` in T42's stream at
-        budget 100, seed 0, on which the sweep reaches C1."""
+        budget 100, seed 0, on which the sweep reaches C1, as the
+        relation on points the sweep decides on."""
         seen = []
-        real = conformance_module._inclusion
+        real = conformance_module._relation
         with monkeypatch.context() as mp:
             pin_cpus(mp, 1)
-            mp.setattr(conformance_module, "_inclusion", lambda i: seen.append(real(i)) or seen[-1])
+            mp.setattr(conformance_module, "_relation", lambda i: seen.append(real(i)) or seen[-1])
             sweep_theorem("T42", 100)
-        k = next(k for k in range(parity, 100, 2) if check_JR(seen[k]))
+        k = next(k for k in range(parity, 100, 2) if _holds_JR(seen[k]))
         return k, seen[k]
 
     @pytest.mark.parametrize(
@@ -810,14 +857,14 @@ class TestShares:
 
     def test_a_violation_in_a_child_share_gives_the_inline_report(self, monkeypatch):
         k, target = self.t42_instance(monkeypatch, 1)
-        real = conformance_module.check_C1
+        real = conformance_module._holds_C1
         met = []
 
-        def check_C1(d):
-            met.append(d == target)
-            return real(d) != met[-1]
+        def holds_C1(rel):
+            met.append(rel == target)
+            return real(rel) != met[-1]
 
-        monkeypatch.setattr(conformance_module, "check_C1", check_C1)
+        monkeypatch.setattr(conformance_module, "_holds_C1", holds_C1)
         raised = {}
         for cpus in (1, 2, 3):
             met.clear()
@@ -834,16 +881,16 @@ class TestShares:
     @pytest.mark.parametrize("parity", (0, 1), ids=("this-share", "child-share"))
     def test_an_exception_in_a_share_surfaces_with_its_type(self, monkeypatch, parity):
         k, target = self.t42_instance(monkeypatch, parity)
-        real = conformance_module.check_C1
+        real = conformance_module._holds_C1
         met = []
 
-        def check_C1(d):
-            if d == target:
+        def holds_C1(rel):
+            if rel == target:
                 met.append(os.getpid())
                 raise _Boom(k)
-            return real(d)
+            return real(rel)
 
-        monkeypatch.setattr(conformance_module, "check_C1", check_C1)
+        monkeypatch.setattr(conformance_module, "_holds_C1", holds_C1)
         for cpus in (1, 2):
             met.clear()
             with pytest.raises(_Boom):

@@ -175,6 +175,7 @@ LOOKUP_GUARDS = (
     "quasiorbit.InclusionData._pi",  # the restricted element of a join below a prime
     "quasiorbit.induced_prime_map",  # the prime of an induced image
     "quasiorbit.quasi_orbit_map",  # the pi value of r(q) under JR, C1 and MI
+    "quasiorbit._rho",  # the class whose key rho(y) names, on points
 )
 
 

@@ -5,6 +5,9 @@ not take is an oracle here (TestEachRouteAgainstItsOracle), run on the
 sweeps' streams, the T62 representatives, the paper's fixtures and the
 census of every connection between frames of posets on at most three
 points (``all_connections(3)``), which TestConnectionCensus pins.
+TestPointRoute compares the sweeps' verdicts on points (T42, C48 and
+C49 decide on the relation (P, Q, R) of each instance) with the element
+route, component by component, on the same corpus.
 
 Hand-built fixtures pin every branch of the calculus:
 
@@ -25,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 
 import stonekit.conformance as conformance_module
+import stonekit.quasiorbit as quasiorbit_module
 from conftest import (
     assert_same_lattice,
     chain_lattice,
@@ -84,12 +88,27 @@ from oracles import (
     adjunct_pi,
     all_connections,
     definitional_open_of,
+    element_check_C48,
+    element_check_C49,
+    element_check_T42,
     is_adjoint_pair,
     open_map_by_opens,
     opposite,
     quotient_by_from_opens,
+    relation_of,
     sublattice,
     verify_prop26,
+)
+from stonekit.quasiorbit import (
+    PointRelation,
+    _holds_C1,
+    _holds_C2,
+    _holds_JR,
+    _holds_MI,
+    _holds_MIf,
+    _holds_separation,
+    _pi_is_open,
+    _rho,
 )
 from stonekit.conformance import (
     _MASK64,
@@ -99,11 +118,15 @@ from stonekit.conformance import (
     _check_T42,
     _check_T47,
     _compile_seed,
+    _draw,
+    _inclusion,
     _poset_classes,
+    _relation,
+    _seed_relation,
     _subgroup_classes,
-    gen_inclusion_data,
 )
 from stonekit._kernels import bits
+from stonekit.topo_models import action_relation
 from stonekit.lattice import order_automorphisms, poset_isomorphism
 
 CROSSED = ((1, 0), (0, 1), (1, 1))
@@ -255,6 +278,43 @@ class TestMeetIdentity:
             pytest.skip("needs join closure")
         pi = pi_map(d)
         assert check_C1(d) == (is_open_map(pi) and is_surjective(pi))
+
+
+class TestWholeCarrierCertificates:
+    """When r.i (or i.r) is the identity, JR and C1 (or MIf, MI and C2)
+    hold by theorem and are decided without a scan; one element short of
+    the whole carrier, the scans still run and may fail."""
+
+    def test_identity_connections_decide_without_a_scan(self, monkeypatch):
+        def scan(*args):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(quasiorbit_module, "escaping_pair", scan)
+        monkeypatch.setattr(quasiorbit_module, "_meets_commute", scan)
+        for d in (identity_data(), identity_data(boolean_lattice(3)), data(((1, 0), (0, 1)))):
+            assert len(d.restricted) == d.lattice_a.n and len(d.induced) == d.lattice_b.n
+            for check in (check_JR, check_C1, check_MIf, check_MI, check_C2):
+                assert check(d)
+
+    def test_all_but_the_bottom_restricted_breaks_the_empty_join(self):
+        # i is constant at the bottom, so r.i sends both elements of the
+        # two-element chain to its top: one restricted element of two
+        a = chain_lattice(2)
+        d = InclusionData(GaloisConnection.from_lower(MonotoneMap(a, a, (0, 0))))
+        assert len(d.restricted) == a.n - 1
+        assert d._jr_bad == ()
+        assert not check_JR(d)
+
+    def test_all_but_one_induced_can_break_binary_meets(self):
+        # rows {0, 1}, {0, 2}, {1}, {2} over three discrete points: every
+        # set but {0} is a union of rows, and {0, 1} & {0, 2} = {0}
+        gc = GaloisConnection.from_relation(
+            boolean_lattice(4), boolean_lattice(3), (0b011, 0b101, 0b010, 0b100)
+        )
+        d = InclusionData(gc)
+        assert len(d.induced) == d.lattice_b.n - 1
+        assert d._mif_bad == (0b011, 0b101)
+        assert not check_MIf(d) and not check_MI(d)
 
 
 class TestInducedMeets:
@@ -469,15 +529,15 @@ class TestQuasiOrbitMap:
 def c48_stream():
     """The inclusion of every instance the C48 sweep checks at seed 7."""
     seen = []
-    real = conformance_module._inclusion
+    real = conformance_module._relation
 
     def recorded(instance):
-        seen.append(real(instance))
-        return seen[-1]
+        seen.append(_inclusion(instance))
+        return real(instance)
 
     with pytest.MonkeyPatch.context() as mp:
         pin_cpus(mp, 1)
-        mp.setattr(conformance_module, "_inclusion", recorded)
+        mp.setattr(conformance_module, "_relation", recorded)
         sweep_theorem("C48", seed=7)
     assert len(seen) == 1000
     return seen
@@ -526,38 +586,54 @@ FIXTURES = (
 
 
 @pytest.fixture(scope="module")
-def census():
+def census_pairs():
     """Every connection between the down-set frames of two posets on
-    1..3 points (one poset per isomorphism class a side), compiled as
-    the sweeps compile a seed."""
-    out = [_compile_seed(seed) for seed in all_connections(3)]
+    1..3 points (one poset per isomorphism class a side), as the pair
+    (relation on points, inclusion) the sweeps compile a seed to."""
+    out = [(_seed_relation(seed), _compile_seed(seed)) for seed in all_connections(3)]
     assert len(out) == 2986
     return out
 
 
 @pytest.fixture(scope="module")
-def route_corpus(census):
-    """The inclusions every construction is compared with its oracle on:
-    the random-galois, action and bundle streams of the sweeps at seeds
-    0 and 7 (500 child draws each, at max_points 6), one action per
-    subgroup class on each of the 87 T62 representatives, the paper's
-    matrix fixtures, this module's fixtures and the census."""
+def census(census_pairs):
+    return [d for _, d in census_pairs]
+
+
+@pytest.fixture(scope="module")
+def point_corpus(census_pairs):
+    """Each inclusion of the corpus with its relation on points: the
+    random-galois, action and bundle streams of the sweeps at seeds 0
+    and 7 (500 child draws each, at max_points 6) and one action per
+    subgroup class on each of the 87 T62 representatives, each compiled
+    both ways as the sweeps compile it; the paper's matrix fixtures and
+    this module's fixtures, read on points by ``relation_of``; and the
+    census."""
     out = []
     for family in ("random-galois", "action", "bundle"):
         for seed in (0, 7):
             for k in range(500):
                 child = (seed ^ (0x9E3779B97F4A7C15 * (k + 1))) & _MASK64
-                out.append(gen_inclusion_data(InstanceGenerator(child, family, 6)))
+                instance = _draw(InstanceGenerator(child, family, 6))
+                out.append((_relation(instance), _inclusion(instance)))
     reps = _poset_classes(5)
     assert len(reps) == 87
     for rep in reps:
         space = FiniteT0Space(rep)
         for action, _ in _subgroup_classes(space, order_automorphisms(rep)):
-            out.append(action_inclusion_data(action))
-    out += [to_inclusion_data(m()) for m in (EX_210, EX_211, EX_213, EX_74)]
-    out += [fixture() for fixture in FIXTURES]
+            out.append((action_relation(action), action_inclusion_data(action)))
+    fixtures = [to_inclusion_data(m()) for m in (EX_210, EX_211, EX_213, EX_74)]
+    fixtures += [fixture() for fixture in FIXTURES]
+    out += [(relation_of(d), d) for d in fixtures]
     assert len(out) == 3000 + 226 + 4 + 8
-    return out + census
+    return out + census_pairs
+
+
+@pytest.fixture(scope="module")
+def route_corpus(point_corpus):
+    """The inclusions every construction is compared with its oracle on:
+    those of ``point_corpus``, the census included."""
+    return [d for _, d in point_corpus]
 
 
 
@@ -594,17 +670,30 @@ class TestConnectionCensus:
             "C2 under MI": 759,
         }
 
-    def test_sweep_checks_hold_on_every_connection(self, census):
+    def test_sweep_checks_hold_on_every_connection(self, census_pairs):
+        # on points for T42, C48 and C49, on elements for T47, and the
+        # element checks of the first three as their oracles
         applicable = {}
-        for check in (_check_T42, _check_T47, _check_C48, _check_C49):
-            verdicts = [check(d) for d in census]
-            assert all(ok for _, ok in verdicts), check.__name__
-            applicable[check.__name__] = sum(applies for applies, _ in verdicts)
+        for name, check, on_points in (
+            ("T42", _check_T42, True),
+            ("T47", _check_T47, False),
+            ("C48", _check_C48, True),
+            ("C49", _check_C49, True),
+            ("T42 on elements", element_check_T42, False),
+            ("C48 on elements", element_check_C48, False),
+            ("C49 on elements", element_check_C49, False),
+        ):
+            verdicts = [check(rel if on_points else d) for rel, d in census_pairs]
+            assert all(ok for _, ok in verdicts), name
+            applicable[name] = sum(applies for applies, _ in verdicts)
         assert applicable == {
-            "_check_T42": 1468,
-            "_check_T47": 2986,
-            "_check_C48": 329,
-            "_check_C49": 329,
+            "T42": 1468,
+            "T47": 2986,
+            "C48": 329,
+            "C49": 329,
+            "T42 on elements": 1468,
+            "C48 on elements": 329,
+            "C49 on elements": 329,
         }
 
     def test_jr_of_the_opposite_connection_is_mi(self, census):
@@ -708,7 +797,7 @@ class TestEachRouteAgainstItsOracle:
                 maps.append(quasi_orbit_map(d))
             except ConditionViolated:
                 pass
-        maps += [adjunct_point_map(gc.lower, space) for gc, space in t33_morphisms]
+        maps += [adjunct_point_map(m.gc.lower, m.space) for m in t33_morphisms]
         verdicts = set()
         for f in maps:
             want = open_map_by_opens(f)
@@ -803,9 +892,9 @@ class TestEachRouteAgainstItsOracle:
 
     def test_adjunct_point_map_pulls_each_u_i_back_to_g_i(self, t33_morphisms):
         # Theorem 3.3: G(I) = pi^{-1}(U_I) for every I
-        for gc, space in t33_morphisms:
-            g = gc.lower
-            pi = adjunct_point_map(g, space)
+        for m in t33_morphisms:
+            g = m.gc.lower
+            pi = adjunct_point_map(g, m.space)
             open_of = primes(g.source).open_of
             for i, v in enumerate(g.values):
                 assert pi.preimage(open_of[i]) == g.target.labels[v]
@@ -814,17 +903,104 @@ class TestEachRouteAgainstItsOracle:
         # Theorem 3.3: open images are computed by the lower adjoint,
         # pi(V) = U_F(V), whenever pi is an open surjection
         checked = 0
-        for gc, space in t33_morphisms:
-            g = gc.lower
-            report = theorem33_check(g, space)
+        for m in t33_morphisms:
+            g = m.gc.lower
+            report = theorem33_check(g, m.space)
             if not (report.pi_open and report.pi_surjective):
                 continue
-            pi, f = adjunct_point_map(g, space), lower_adjoint(g)
+            pi, f = adjunct_point_map(g, m.space), lower_adjoint(g)
             open_of = primes(g.source).open_of
             for v, u in enumerate(g.target.labels):
                 assert pi.image_mask(u) == open_of[f.values[v]]
             checked += 1
         assert 0 < checked < len(t33_morphisms)
+
+
+class TestPointRoute:
+    """T42, C48 and C49 decide on the relation (P, Q, R) of each instance
+    (``quasiorbit.PointRelation``); every component of their verdicts is
+    compared with the element route, on every pair of the point corpus
+    (the census included). The element checks are the oracles in
+    tests/oracles.py."""
+
+    def test_every_component_agrees_with_the_element_route(self, point_corpus):
+        seen = {}
+        for rel, d in point_corpus:
+            parts = {
+                "JR": (_holds_JR(rel), check_JR(d)),
+                "MIf": (_holds_MIf(rel), check_MIf(d)),
+                "MI": (_holds_MI(rel), check_MI(d)),
+                "separation": (_holds_separation(rel), separates(d.gc)),
+                "T42": (_check_T42(rel), element_check_T42(d)),
+                "C48": (_check_C48(rel), element_check_C48(d)),
+                "C49": (_check_C49(rel), element_check_C49(d)),
+            }
+            if check_JR(d):
+                pi = pi_map(d)
+                # pi is onto under JR, which the point route takes as a theorem
+                assert is_surjective(pi)
+                parts["C1"] = (_holds_C1(rel), check_C1(d))
+                parts["pi open"] = (_pi_is_open(rel), is_open_map(pi))
+            if check_MI(d):
+                parts["C2"] = (_holds_C2(rel), check_C2(d))
+            try:
+                rho = quasi_orbit_map(d)
+            except ConditionViolated:
+                rho = None
+            if rho is not None:
+                mine = _rho(rel)
+                parts["classes"] = (mine.target.n, rho.target.n)
+                parts["rho fibers"] = (
+                    tuple(sorted(mine.values.count(k) for k in range(mine.target.n))),
+                    tuple(sorted(rho.values.count(k) for k in range(rho.target.n))),
+                )
+                parts["rho open onto"] = (
+                    is_open_map(mine) and is_surjective(mine),
+                    is_open_map(rho) and is_surjective(rho),
+                )
+                parts["rho homeomorphism"] = (is_homeomorphism(mine), is_homeomorphism(rho))
+            for name, (got, want) in parts.items():
+                assert got == want, (name, rel)
+                seen.setdefault(name, set()).add(want)
+        for name in ("JR", "MIf", "MI", "separation", "C1", "pi open", "C2"):
+            assert seen[name] == {True, False}, name
+        assert seen["rho open onto"] == seen["rho homeomorphism"] == {True, False}
+        assert seen["T42"] == seen["C48"] == seen["C49"] == {(True, True), (False, True)}
+
+    def test_the_quasi_orbit_classes_are_the_pi_fibers(self, point_corpus):
+        # the fibers of the key K(x) = {j : x in c_j}, as point masks of
+        # P, against the fibers of the generator c_x itself (pi(x) = c_x)
+        collapsed = set()
+        for rel, d in point_corpus:
+            if not check_JR(d):
+                continue
+            gens = rel._generators
+            fibers = {}
+            for x, cx in enumerate(gens):
+                fibers[cx] = fibers.get(cx, 0) | (1 << x)
+            assert len(fibers) == quasi_orbit_space(d).quotient.n
+            if check_C1(d) and check_MI(d):
+                assert _rho(rel).target.n == len(fibers)
+            collapsed.add(len(fibers) < rel.source.n)
+        assert collapsed == {True, False}
+
+    def test_jr_refuses_an_empty_row(self):
+        # the bottom is restricted only when no row is empty
+        one = FinitePoset.chain(1)
+        for rows in ((0,), (0, 1)):
+            rel = PointRelation(FinitePoset.chain(len(rows)), one, rows)
+            assert not _holds_JR(rel)
+        assert _holds_JR(PointRelation(one, one, (1,)))
+
+    def test_a_key_that_names_no_class_breaks_rho(self):
+        # rho's lookup guard: without MI's cover, the point of Q that no
+        # row holds has the empty key, which names no class
+        one = FinitePoset.chain(1)
+        assert _rho(PointRelation(one, one, (1,))).values == (0,)
+        uncovered = PointRelation(one, FinitePoset.antichain(2), (0b01,))
+        assert _holds_JR(uncovered) and _holds_C1(uncovered) and not _holds_MI(uncovered)
+        with pytest.raises(AssertionError, match="names no class"):
+            _rho(uncovered)
 
 
 class TestFixturesAgainstLawReport:

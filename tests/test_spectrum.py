@@ -351,12 +351,12 @@ class TestTheorem33:
         budget = conformance_module._SWEEPS["T33"][0]
         verdicts = []
         pairs = conformance_module._frame_space_pairs(budget)
-        for gc, space in conformance_module._locale_morphisms(pairs):
-            g = gc.lower
+        for m in conformance_module._locale_morphisms(pairs):
+            g = m.gc.lower
             args = (g.source, range(g.source.n), g.values, g.target, lower_adjoint(g).values)
             want = meets_commute_by_table(*args)
             assert lattice_module._meets_commute(*args) == want
-            assert theorem33_check(g, space).eq32_holds == (want is None)
+            assert theorem33_check(g, m.space).eq32_holds == (want is None)
             verdicts.append(want is None)
         assert verdicts.count(True) and verdicts.count(False)
 

@@ -40,7 +40,8 @@ from stonekit import (
 )
 from oracles import invariant_opens
 from stonekit.conformance import all_spaces, small_group_actions
-from stonekit.topo_models import group_closure
+from stonekit.lattice import _downsets
+from stonekit.topo_models import action_relation, group_closure
 
 
 def discrete(n):
@@ -209,6 +210,48 @@ class TestRelationRows:
             assert d.lattice_b.labels == tuple(range(full + 1))
             for mask, r in zip(d.lattice_b.labels, d.gc.upper.values):
                 assert d.lattice_a.labels[r] == full ^ space.closure(full ^ mask)
+
+
+class TestActionOnPoints:
+    """An action compiles to (X, Q, R), Q the orbit poset and R[x] the
+    down-set of the orbit of x; the invariant opens are exactly the
+    down-sets of Q, read back as unions of orbits."""
+
+    @staticmethod
+    def assert_orbit_poset(a):
+        rel = action_relation(a)
+        orbits = rel.target
+        # the orbit order is a certified partial order
+        assert FinitePoset(orbits.n, orbits.below) == orbits
+        members = [0] * orbits.n
+        for x in range(a.space.n):
+            o = next(k for k, row in enumerate(orbits.below) if row == rel.rows[x])
+            members[o] |= 1 << x
+        assert sorted(members) == sorted(set(map(a.orbit_mask, range(a.space.n))))
+        unions = set()
+        for down in _downsets(orbits):
+            union = 0
+            for o in range(orbits.n):
+                if (down >> o) & 1:
+                    union |= members[o]
+            unions.add(union)
+        invariant = {u for u in a.space.opens if a.is_invariant(u)}
+        assert unions == invariant
+        return rel
+
+    def test_invariant_opens_are_the_down_sets_of_the_orbit_poset(self):
+        for space in all_spaces(4):
+            for a in small_group_actions(space):
+                self.assert_orbit_poset(a)
+
+    def test_the_orbit_order_is_read_through_the_saturation(self):
+        # two chains 0 < 3 and 2 < 1, swapped: the least point 1 of the
+        # upper orbit is not above 0, yet the lower orbit meets its
+        # saturated down-set
+        space = FiniteT0Space(FinitePoset.from_pairs(4, [(0, 3), (2, 1)]))
+        rel = self.assert_orbit_poset(FiniteGroupAction(space, ((2, 3, 0, 1),)))
+        assert rel.target.below == (0b01, 0b11)
+        assert rel.rows == (0b01, 0b11, 0b01, 0b11)
 
 
 class TestActionCompile:
