@@ -15,12 +15,15 @@ its shrinker, the model its document describes and its compiler to a
 relation on points; one table (``_SWEEPS``) gives each tag its default
 budget, its cap and its runner.
 
-T42, C48 and C49 decide on points: each instance (a galois seed, an
-action or a bundle) compiles straight to its relation (P, Q, R), a
-``quasiorbit.PointRelation``, and the check reads its verdicts off R
-with no lattice, connection, inclusion or spectrum. T47 materializes
-the instance's ``InclusionData`` and decides on elements, as T33, L51,
-C54 and T62 do on their own structures.
+Every sweep that reads a condition or a quasi-orbit class reads it on
+points, off one relation (P, Q, R), a ``quasiorbit.PointRelation``. A
+galois seed is such a relation; an action or a bundle compiles
+straight to one; a matrix is one on two antichains. T42, C48, C49, C54
+and T62 decide with no lattice, connection, inclusion or spectrum. T47
+decides MI and C2 on the relation too, and materializes the instance's
+``InclusionData`` only for ``restricted_prime_map``, the other side of
+its biconditional. T33 decides on the elements of its morphisms, and
+L51 on the matrix.
 
 The counting pass is split across the CPUs the process may run on
 (``os.sched_getaffinity``), by ``_in_shares``: with W of them, share w
@@ -101,7 +104,6 @@ from .multiplicity import (
     induce,
     is_symmetric,
     restrict,
-    to_inclusion_data,
 )
 from .quasiorbit import (
     InclusionData,
@@ -110,14 +112,10 @@ from .quasiorbit import (
     _holds_C2,
     _holds_JR,
     _holds_MI,
+    _holds_MIf,
     _holds_separation,
     _pi_is_open,
     _rho,
-    check_C1,
-    check_C2,
-    check_JR,
-    check_MI,
-    check_MIf,
     restricted_prime_map,
 )
 from .spectrum import (
@@ -212,18 +210,13 @@ def _random_point_values(
     return (rng.randrange(target.n),) * source.n
 
 
-class _GaloisSeed(Record):
-    """A join-preserving map in shrinkable form.
+def _random_galois_seed(rng: random.Random, max_points: int) -> PointRelation:
+    """A join-preserving map in shrinkable form: its relation on points.
 
-    ``point_values`` assigns a target down-set mask to every source
-    point, monotonically; the lower map extends the assignment by
-    unions, so it preserves joins by construction.
+    Each source point gets a target down-set mask, monotonically; the
+    lower map extends the assignment by unions, so it preserves joins
+    by construction.
     """
-
-    _fields = ("source", "target", "point_values")
-
-
-def _random_galois_seed(rng: random.Random, max_points: int) -> _GaloisSeed:
     source = _random_poset(rng, max_points)
     target = _random_poset(rng, max_points)
     if rng.random() < 0.5:
@@ -231,24 +224,28 @@ def _random_galois_seed(rng: random.Random, max_points: int) -> _GaloisSeed:
         # down-closure, which keeps the restricted side join-closed
         f = _random_point_values(rng, source, target)
         values = tuple(target.below[f[p]] for p in range(source.n))
-        return _GaloisSeed(source, target, values)
+        return PointRelation(source, target, values)
     downs = _accel.downset_masks(list(target.below), 1 << target.n)
     values = [0] * source.n
     for p in _linear_extension(source):
         floor = image(values, source.below[p] & ~(1 << p))
         values[p] = rng.choice([m for m in downs if m & floor == floor])
-    return _GaloisSeed(source, target, tuple(values))
+    return PointRelation(source, target, tuple(values))
 
 
-def _compile_seed(seed: _GaloisSeed) -> InclusionData:
+def _compile_seed(seed: PointRelation) -> InclusionData:
+    # the element model of a galois seed, for its document and for T47's
+    # restricted prime map
     la = downset_lattice(seed.source)
     lb = downset_lattice(seed.target)
-    return InclusionData(GaloisConnection.from_relation(la, lb, seed.point_values))
+    return InclusionData(GaloisConnection.from_relation(la, lb, seed.rows))
 
 
-def _seed_relation(seed: _GaloisSeed) -> PointRelation:
-    # the point values are monotone down-set masks by construction
-    return PointRelation(seed.source, seed.target, seed.point_values)
+def _matrix_relation(m: MultiplicityInclusion) -> PointRelation:
+    # the matrix's connection between boolean frames: each row goes to
+    # its support, over two antichains
+    rows = m.row_supports
+    return PointRelation(FinitePoset.antichain(len(rows)), FinitePoset.antichain(m.b_summands), rows)
 
 
 def _random_matrix(rng: random.Random, gen: InstanceGenerator) -> MultiplicityInclusion:
@@ -277,7 +274,7 @@ def _random_bundle(rng: random.Random, gen: InstanceGenerator) -> BundleMap:
     return BundleMap(total, base, PointMap(total, base, values))
 
 
-def _random_seed_of(rng: random.Random, gen: InstanceGenerator) -> _GaloisSeed:
+def _random_seed_of(rng: random.Random, gen: InstanceGenerator) -> PointRelation:
     return _random_galois_seed(rng, gen.max_points)
 
 
@@ -299,10 +296,10 @@ def _draw(gen: InstanceGenerator):
 def gen_inclusion_data(gen: InstanceGenerator) -> InclusionData:
     """The instance a generator describes, as a certified connection.
 
-    Instance k of a randomized sweep is the draw of its child seed: T47
-    materializes it as this connection, while T42, C48 and C49 compile
-    the same draw to its relation on points (``_relation``), the same
-    connection read on the points of its frames.
+    Instance k of a randomized sweep is the draw of its child seed. The
+    sweeps decide on that draw's relation on points (``_relation``), the
+    same connection read on the points of its frames; T47 materializes
+    this connection as well, for its restricted prime map.
     """
     return _inclusion(_draw(gen))
 
@@ -529,25 +526,20 @@ def _greedy_minimize(instance, shrink, reproduces):
             return instance
 
 
-def _shrink_seed(seed: _GaloisSeed):
-    if seed.source.n > 1:
-        for p in range(seed.source.n):
-            keep = [i for i in range(seed.source.n) if i != p]
-            yield _GaloisSeed(
-                seed.source.subposet(keep),
-                seed.target,
-                tuple(seed.point_values[i] for i in keep),
-            )
-    if seed.target.n > 1:
-        for q in range(seed.target.n):
-            keep = [i for i in range(seed.target.n) if i != q]
+def _shrink_seed(seed: PointRelation):
+    source, target, rows = seed.source, seed.target, seed.rows
+    if source.n > 1:
+        for p in range(source.n):
+            keep = [i for i in range(source.n) if i != p]
+            yield PointRelation(source.subposet(keep), target, tuple(rows[i] for i in keep))
+    if target.n > 1:
+        for q in range(target.n):
+            keep = [i for i in range(target.n) if i != q]
             low = (1 << q) - 1
-            yield _GaloisSeed(
-                seed.source,
-                seed.target.subposet(keep),
-                tuple(
-                    (v & low) | ((v >> (q + 1)) << q) for v in seed.point_values
-                ),
+            yield PointRelation(
+                source,
+                target.subposet(keep),
+                tuple((v & low) | ((v >> (q + 1)) << q) for v in rows),
             )
 
 
@@ -618,8 +610,8 @@ def _morphism_model(m: _Morphism) -> InclusionData:
 # relation on points or None); a T33 morphism has no shrinker and is
 # reported as enumerated
 _KINDS = {
-    _GaloisSeed: (_shrink_seed, _compile_seed, _seed_relation),
-    MultiplicityInclusion: (_shrink_matrix, _same, None),
+    PointRelation: (_shrink_seed, _compile_seed, _same),
+    MultiplicityInclusion: (_shrink_matrix, _same, _matrix_relation),
     FiniteGroupAction: (_shrink_action, _same, action_relation),
     BundleMap: (_shrink_bundle, _same, bundle_relation),
     _Morphism: (lambda m: (), _morphism_model, None),
@@ -645,12 +637,14 @@ def _check_T42(rel: PointRelation):
     return True, _holds_C1(rel) == _pi_is_open(rel)
 
 
-def _check_T47(d: InclusionData):
-    rpm = restricted_prime_map(d)
+def _check_T47(rel: PointRelation):
+    # MI and C2 on points against r cut down to prime spaces, which only
+    # the instance's inclusion gives
+    rpm = restricted_prime_map(_inclusion(rel))
     right = (
         isinstance(rpm, PointMap) and is_open_map(rpm) and is_surjective(rpm)
     )
-    return True, (check_MI(d) and check_C2(d)) == right
+    return True, (_holds_MI(rel) and _holds_C2(rel)) == right
 
 
 def _rho_exists(rel: PointRelation) -> bool:
@@ -684,13 +678,12 @@ def _check_L51(m: MultiplicityInclusion):
 def _check_C54(m: MultiplicityInclusion):
     if not m.is_injective:
         return False, True
-    d = to_inclusion_data(m)
-    all_symmetric = all(
-        is_symmetric(m, d.lattice_a.labels[x]) for x in d.restricted
-    )
-    if not all_symmetric:
+    # every subset of rows is a down-set of the antichain; the restricted
+    # ones are the fixed points of the closure
+    rel = _relation(m)
+    if not all(is_symmetric(m, s) for s in range(1 << len(m.mult)) if rel.closure(s) == s):
         return False, True
-    return True, check_JR(d) and check_C1(d) and check_MIf(d)
+    return True, _holds_JR(rel) and _holds_C1(rel) and _holds_MIf(rel)
 
 
 def _check_T62(a: FiniteGroupAction):
@@ -825,13 +818,8 @@ def _sweep(tag, budget, seed, stream, check, where, count=None) -> SweepReport:
 
 
 def _on_points(check):
-    # the check of an instance's relation on points (T42, C48, C49)
+    # the check of a randomized instance's relation on points
     return lambda instance: check(_relation(instance))
-
-
-def _on_elements(check):
-    # the check of an instance's inclusion data (T47)
-    return lambda instance: check(_inclusion(instance))
 
 
 def _run_random(tag, families, check, budget: int, seed: int) -> SweepReport:
@@ -961,7 +949,7 @@ _QUASI_ORBIT_FAMILIES = ("random-galois", "action", "bundle")
 _SWEEPS = {
     "T33": (5, 6, _run_T33),
     "T42": (1000, None, partial(_run_random, "T42", ("random-galois",), _on_points(_check_T42))),
-    "T47": (1000, None, partial(_run_random, "T47", ("random-galois",), _on_elements(_check_T47))),
+    "T47": (1000, None, partial(_run_random, "T47", ("random-galois",), _on_points(_check_T47))),
     "C48": (1000, None, partial(_run_random, "C48", _QUASI_ORBIT_FAMILIES, _on_points(_check_C48))),
     "C49": (1000, None, partial(_run_random, "C49", _QUASI_ORBIT_FAMILIES, _on_points(_check_C49))),
     "L51": (3, 4, partial(_run_matrices, "L51", _check_L51)),

@@ -67,15 +67,18 @@ every identity connection.
 
 The point route. Under Stone duality a connection between finite
 frames O(P) -> O(Q) is one relation R from P to Q (``PointRelation``),
-and the sweeps T42, C48 and C49 decide on it: the five conditions,
-separation, whether pi is open and rho itself are read off R with no
-lattice, connection or spectrum (``_holds_JR`` ... ``_rho``, proofs in
-their docstrings). Each biconditional those sweeps check compares two
-formulas computed independently on R: C1 against pi open, C2 against
-rho an open surjection, separation against rho a homeomorphism. T47
-keeps the element route, since restricted_prime_map needs no JR and
-the restricted lattice need not be distributive. The element checks of
-T42, C48 and C49 are the oracles in tests/oracles.py.
+and every sweep that reads a condition or a quasi-orbit class decides
+on it: the five conditions, separation, whether pi is open, the
+classes and rho itself are read off R with no lattice, connection or
+spectrum (``_holds_JR`` ... ``_rho``, proofs in their docstrings).
+Each biconditional a sweep checks compares two formulas computed
+independently: C1 against pi open, C2 against rho an open surjection,
+separation against rho a homeomorphism on R, and in T47 MI and C2 on R
+against restricted_prime_map on elements, which needs no JR and whose
+restricted lattice need not be distributive. The element checks of
+the sweeps are the oracles in tests/oracles.py; the element
+constructions here (``check_*``, ``quasi_orbit_space``,
+``quasi_orbit_map``) serve the command line and the library.
 """
 
 from __future__ import annotations
@@ -518,9 +521,10 @@ class PointRelation(Record):
     map O(P) -> O(Q) is fixed by its values on the principal down-sets
     ↓p. The lower map is i(U) = ``image(rows, U)`` and the upper map
     r(V) = ``inside(rows, V)``, as in ``GaloisConnection.from_relation``;
-    the closure is c(U) = r(i(U)). The T42, C48 and C49 sweeps compile
-    each instance to one of these and decide on it, with no lattice,
-    connection or spectrum.
+    the closure is c(U) = r(i(U)). The sweeps compile each instance to
+    one of these, or draw it as one, and read its conditions and classes
+    on it, with no lattice, connection or spectrum. The record checks
+    nothing: each builder says why its rows are lawful.
 
     Notation, shared by the criteria below. The restricted elements are
     the fixed points of c, the sets r(V); the induced elements are the
@@ -703,20 +707,33 @@ def _pi_is_open(rel: PointRelation) -> bool:
     return True
 
 
+def _classes(rel: PointRelation) -> dict[int, int]:
+    """The quasi-orbit classes on points: the fibers of x -> c_x, as
+    point masks of P keyed by c_x, in the order of their least points.
+
+    Under JR, pi(x) = c_x (see ``_pi_is_open``), so these are the pi
+    fibers. For an action (``topo_models.action_relation``) they are
+    the orbit closures, which is T62.
+    """
+    fibers: dict[int, int] = {}
+    for x, cx in enumerate(rel._generators):
+        fibers[cx] = fibers.get(cx, 0) | (1 << x)
+    return fibers
+
+
 def _rho(rel: PointRelation) -> PointMap:
     """rho on points, under JR, C1 and MI: Q -> the quasi-orbit space.
 
-    The classes are the fibers of the key K(x) = {j : x in c_j}. Under
-    JR, pi(x) = c_x (see ``_pi_is_open``), and x is in c_j exactly when
-    c_x lies inside c_j, so K(x) = K(x') iff c_x = c_x': the classes are
-    the pi fibers, and the quasi-orbit space is ``quotient_space`` of P
-    by them. The prime of O(Q) at y is Q - ↑y, and r of it is P - T_y,
-    which under MI is the prime of the restricted point c_x for the x
-    that rho(y) names. For a restricted point c_x and any restricted S,
-    S lies below that prime iff S does not hold x. So rho(y) is the
-    class whose key is {j : c_j meets T_y}. A key that names no class
-    breaks that theorem and raises AssertionError, which the sweeps
-    count as a violation.
+    The classes are ``_classes``, and the quasi-orbit space is
+    ``quotient_space`` of P by them. Each class is named by the key
+    K(x) = {j : x in c_j} of any of its points: x is in c_j exactly when
+    c_x lies inside c_j, so K(x) = K(x') iff c_x = c_x'. The prime of
+    O(Q) at y is Q - ↑y, and r of it is P - T_y, which under MI is the
+    prime of the restricted point c_x for the x that rho(y) names. For
+    a restricted point c_x and any restricted S, S lies below that
+    prime iff S does not hold x. So rho(y) is the class whose key is
+    {j : c_j meets T_y}. A key that names no class breaks that theorem
+    and raises AssertionError, which the sweeps count as a violation.
 
     P's space is built trusted, since ``quotient_space`` reads only its
     points; Q's space and the quotient carry their opens, which
@@ -726,12 +743,13 @@ def _rho(rel: PointRelation) -> PointMap:
     ``_holds_separation``.
     """
     gens = rel._generators
-    fibers: dict[int, int] = {}
-    for x in range(rel.source.n):
+    classes = tuple(_classes(rel).values())
+    quotient, _ = quotient_space(FiniteT0Space._trusted(rel.source), classes)
+    index = {}
+    for k, members in enumerate(classes):
+        x = (members & -members).bit_length() - 1
         key = sum(1 << j for j, cj in enumerate(gens) if (cj >> x) & 1)
-        fibers[key] = fibers.get(key, 0) | (1 << x)
-    quotient, _ = quotient_space(FiniteT0Space._trusted(rel.source), tuple(fibers.values()))
-    index = {key: k for k, key in enumerate(fibers)}
+        index[key] = k
     values = []
     for column in rel._columns:
         key = sum(1 << j for j, cj in enumerate(gens) if cj & column)

@@ -13,16 +13,16 @@ Two concrete sources of connections between open-set lattices:
 Each is the (image, inside) pair of one relation from points to point
 masks, built by ``GaloisConnection.from_relation``: a point goes to the
 saturation of its down-set, or to the preimage of its down-set. The
-sweeps that decide on points read each as a ``PointRelation`` between
-posets instead (``action_relation``, over the orbit poset, and
-``bundle_relation``).
+sweeps read each as a ``PointRelation`` between posets instead
+(``action_relation``, over the orbit poset, and ``bundle_relation``).
 
 The quasi-orbit machinery then applies to either.  For actions, the
 quotient agrees with the classical orbit-closure picture; the agreement
-check here is the finite witness of that.  For bundles, meets of opens
-are plain intersections, so the meet-closure condition always holds and
-openness questions route through the second meet identity rather than
-through meet closure, which no finite instance can break.
+check here is the finite witness of that, read on the action's
+relation.  For bundles, meets of opens are plain intersections, so the
+meet-closure condition always holds and openness questions route
+through the second meet identity rather than through meet closure,
+which no finite instance can break.
 """
 
 from functools import cached_property
@@ -32,8 +32,8 @@ from ._record import Record, _store
 from .errors import ClosureTooLarge, NotContinuous, ShapeMismatch
 from .galois import GaloisConnection
 from .lattice import FiniteLattice, FinitePoset, fixed_point_lattice
-from .quasiorbit import InclusionData, PointRelation, quasi_orbit_space
-from .spectrum import opens_lattice, soberification
+from .quasiorbit import InclusionData, PointRelation, _classes, _holds_JR
+from .spectrum import opens_lattice
 
 _MAX_ORDER = 10_000
 
@@ -209,17 +209,12 @@ def orbit_closure_relation(a: FiniteGroupAction) -> tuple[int, ...]:
 def action_quasi_orbit_agreement(a: FiniteGroupAction) -> bool:
     """Whether the quasi-orbit partition matches the orbit-closure one.
 
-    Points are matched to primes of O(X) through the soberification
-    unit, then pushed through the quotient's class assignment.
+    Read on points (``action_relation``): the connection has JR, and the
+    fibers of x -> c_x (``quasiorbit._classes``), the quasi-orbit
+    classes under JR, are the orbit closures.
     """
-    d = action_inclusion_data(a)
-    qos = quasi_orbit_space(d)
-    unit = soberification(a.space)
-    classes: dict[int, int] = {}
-    for x in range(a.space.n):
-        c = qos.class_of[unit.values[x]]
-        classes[c] = classes.get(c, 0) | (1 << x)
-    return set(classes.values()) == set(orbit_closure_relation(a))
+    rel = action_relation(a)
+    return _holds_JR(rel) and set(_classes(rel).values()) == set(orbit_closure_relation(a))
 
 
 class BundleMap(Record):

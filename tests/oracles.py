@@ -36,10 +36,14 @@ sweeps, so they live with the tests:
   distributive law, by the full n^3 scan;
 * ``relation_of``: the relation on points (P, Q, R) of any inclusion,
   read off the join-irreducibles of its frames (Birkhoff);
-* ``element_check_T42``, ``element_check_C48`` and
-  ``element_check_C49``: the T42, C48 and C49 checks on lattice
-  elements, through the restricted spectrum and ``quasi_orbit_map``,
-  the oracles of the sweeps' checks on points.
+* ``element_check_T42``, ``element_check_T47``, ``element_check_C48``,
+  ``element_check_C49`` and ``element_check_C54``: the sweeps' checks
+  on lattice elements, through the ``check_*`` scans, the restricted
+  spectrum and ``quasi_orbit_map``, the oracles of the sweeps' checks
+  on points;
+* ``element_quasi_orbit_agreement``: T62 on elements, the classes of
+  ``quasi_orbit_space`` pulled back through the soberification unit,
+  the oracle of ``action_quasi_orbit_agreement``.
 """
 
 from stonekit import (
@@ -53,25 +57,34 @@ from stonekit import (
     MonotoneMap,
     NotAPoset,
     ShapeMismatch,
+    PointMap,
+    action_inclusion_data,
     adjunct_point_map,
     check_C1,
     check_C2,
     check_JR,
+    check_MI,
+    check_MIf,
     downset_lattice,
     is_homeomorphism,
     is_join_preserving,
     is_meet_preserving,
     is_open_map,
     is_surjective,
+    is_symmetric,
     opens_lattice,
+    orbit_closure_relation,
     pi_map,
     quasi_orbit_map,
+    quasi_orbit_space,
+    restricted_prime_map,
     separates,
+    soberification,
+    to_inclusion_data,
 )
 from stonekit._kernels import bits
 from stonekit._record import Record
 from stonekit.conformance import (
-    _GaloisSeed,
     _monotone_values,
     _poset_classes,
     all_frame_posets,
@@ -365,7 +378,7 @@ def monotone_maps(src: FiniteLattice, dst: FiniteLattice):
     yield from _monotone_values(src.order, dst)
 
 
-def all_connections(k: int) -> list[_GaloisSeed]:
+def all_connections(k: int) -> list[PointRelation]:
     """The census: every connection between the down-set frames of two
     posets on 1..k points, one poset per isomorphism class a side.
 
@@ -373,7 +386,8 @@ def all_connections(k: int) -> list[_GaloisSeed]:
     map, which preserves joins and so is fixed by its values on the
     down-sets of single points: a monotone assignment of down-sets of Q
     to the points of P. Every such assignment is enumerated, as the
-    ``_GaloisSeed`` the sweeps compile (``conformance._compile_seed``).
+    relation on points a galois seed is, which the sweeps decide on and
+    compile to elements (``conformance._compile_seed``).
     """
     reps = _poset_classes(k)
     out = []
@@ -381,7 +395,7 @@ def all_connections(k: int) -> list[_GaloisSeed]:
         for target in reps:
             lb = downset_lattice(target)
             for values in _monotone_values(source, lb):
-                out.append(_GaloisSeed(source, target, tuple(lb.labels[v] for v in values)))
+                out.append(PointRelation(source, target, tuple(lb.labels[v] for v in values)))
     return out
 
 
@@ -470,3 +484,35 @@ def element_check_C49(d):
     """C49 on elements: rho is a homeomorphism iff the connection
     separates."""
     return _element_check_rho(d, lambda d, rho: is_homeomorphism(rho) == separates(d.gc))
+
+
+def element_check_T47(d):
+    """T47 on elements: MI and C2 iff r cuts down to an open surjection
+    of prime spaces."""
+    rpm = restricted_prime_map(d)
+    right = isinstance(rpm, PointMap) and is_open_map(rpm) and is_surjective(rpm)
+    return True, (check_MI(d) and check_C2(d)) == right
+
+
+def element_check_C54(m):
+    """C54 on elements: where every restricted element of the matrix's
+    inclusion is a symmetric summand set, JR, C1 and MIf hold."""
+    if not m.is_injective:
+        return False, True
+    d = to_inclusion_data(m)
+    if not all(is_symmetric(m, d.lattice_a.labels[x]) for x in d.restricted):
+        return False, True
+    return True, check_JR(d) and check_C1(d) and check_MIf(d)
+
+
+def element_quasi_orbit_agreement(a) -> bool:
+    """T62 on elements: the classes of ``quasi_orbit_space``, matched to
+    the points through the soberification unit, are the orbit
+    closures."""
+    qos = quasi_orbit_space(action_inclusion_data(a))
+    unit = soberification(a.space)
+    classes = {}
+    for x in range(a.space.n):
+        c = qos.class_of[unit.values[x]]
+        classes[c] = classes.get(c, 0) | (1 << x)
+    return set(classes.values()) == set(orbit_closure_relation(a))

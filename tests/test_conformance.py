@@ -373,10 +373,10 @@ class TestSweeps:
         assert '"tag": "L51"' in body
 
     def test_point_sweeps_build_no_lattice_connection_or_inclusion(self, monkeypatch, one_cpu):
-        # T42, C48 and C49 decide on the relation (P, Q, R) of each
-        # instance. The counters watch every record build, certified or
-        # trusted, and every down-set lattice; one CPU keeps the sweep in
-        # this process, since a forked share cannot report its counts
+        # T42, C48, C49, C54 and T62 decide on the relation (P, Q, R) of
+        # each instance. The counters watch every record build, certified
+        # or trusted, and every down-set lattice; one CPU keeps the sweep
+        # in this process, since a forked share cannot report its counts
         built = []
         watched = (FiniteLattice, GaloisConnection, InclusionData, PrimeSpectrum)
         real_init, real_trusted = Record.__init__, Record._trusted.__func__
@@ -402,10 +402,25 @@ class TestSweeps:
         for tag in ("T42", "C48", "C49"):
             report = sweep_theorem(tag, budget=100)
             assert report.applicable > 0
+        assert sweep_theorem("C54").applicable == 95
+        assert sweep_theorem("T62").checked == 8223
         assert built == []
         # the counters see the element route's builds
         sweep_theorem("T47", budget=1)
         assert {"downset_lattice", "FiniteLattice", "GaloisConnection", "InclusionData"} <= set(built)
+
+    def test_t47_builds_its_inclusions_but_scans_no_condition(self, monkeypatch, one_cpu):
+        # T47 reads MI and C2 off each relation; the InclusionData it
+        # builds serves only restricted_prime_map, so no condition scan
+        # of the element route runs
+        scans, built = [], []
+        for name in ("_jr_bad", "_c1_bad", "_mif_bad", "_mi_bad", "_c2_bad"):
+            monkeypatch.setattr(InclusionData, name, property(lambda d, name=name: scans.append(name)))
+        real = InclusionData.__post_init__
+        monkeypatch.setattr(InclusionData, "__post_init__", lambda d: built.append(d) or real(d))
+        assert sweep_theorem("T47", budget=200).applicable == 200
+        assert len(built) == 200
+        assert scans == []
 
     def test_sweeps_build_their_records_positionally(self, monkeypatch, one_cpu):
         # Record._bind, the constructor's path for keywords and
@@ -501,6 +516,7 @@ class TestT62BySymmetry:
             for rep in _poset_classes(5)
         ) == 403
 
+    @pytest.mark.trusts_by_design
     def test_one_automorphism_search_per_representative(self, monkeypatch, one_cpu):
         # each representative's automorphisms are searched once, and each
         # subgroup closed once: the actions keep the enumeration's closure
@@ -658,11 +674,11 @@ def _opens(poset):
 # shrinker and serializer of the randomized sweeps runs. The last two
 # rows break a cross-check (AssertionError) inside T42 and T62, which
 # counts as a violation for every tag; T62 reports the labeled census.
-# T42, C48 and C49 decide on points, so their faults patch the point
-# verdicts and pick instances by their relation (P, Q, R), the same
-# instances the element faults picked: |O(P)| and |O(Q)| are the sizes
-# of the element route's lattice_a and lattice_b; rows that are exactly
-# the principal down-sets of Q hold for every action and for neither
+# T42, T47, C48 and C49 decide on points, so their faults patch the
+# point verdicts and pick instances by their relation (P, Q, R), the
+# same instances the element faults picked: |O(P)| and |O(Q)| are the
+# sizes of the element route's lattice_a and lattice_b; rows that are
+# exactly the principal down-sets of Q hold for every action and for neither
 # earlier instance of the C48 stream, as an upper map equal to the
 # labels of lattice_b did; and C49's upper map, one value per element
 # of B, never equalled the labels of a smaller A, so that clause of its
@@ -696,8 +712,8 @@ _INJECTED_VIOLATIONS = [
     (
         "T47",
         100,
-        "check_C2",
-        _flip_where(lambda d: d.lattice_b.n == 3),
+        "_holds_C2",
+        _flip_where(lambda rel: _opens(rel.target) == 3),
         "T47: violation at instance 60 (seed 0)",
         (61, 61, "galois", {"source": _chain(2), "target": _chain(3), "lower": [0, 2]}),
     ),

@@ -261,6 +261,7 @@ class TestConnectionConstruction:
         with pytest.raises(AdjunctionFailure):
             GaloisConnection.from_lower(MonotoneMap(lat, lat, (0, 1, 1, 3)))
 
+    @pytest.mark.trusts_by_design
     def test_the_law_is_checked_once_per_connection(self, monkeypatch):
         real = galois_module._adjunction_witness
         calls = []

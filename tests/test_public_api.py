@@ -17,7 +17,8 @@ pass errs towards keeping code.
    name), or is named in README.md outside its list of removed names.
 2. Every module-level definition of the package is reached from those
    roots or from a public name.
-3. ``raise AssertionError`` appears once in each of six lookup guards
+3. ``raise AssertionError`` appears once in each of the seven lookup
+   guards of ``LOOKUP_GUARDS``, the last of them ``quasiorbit._rho``,
    and nowhere else. Each guards a lookup that would otherwise crash,
    so that the sweep engine can minimize the instance as a violation.
    A value computed a second way and compared with the first belongs

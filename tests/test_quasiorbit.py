@@ -5,9 +5,11 @@ not take is an oracle here (TestEachRouteAgainstItsOracle), run on the
 sweeps' streams, the T62 representatives, the paper's fixtures and the
 census of every connection between frames of posets on at most three
 points (``all_connections(3)``), which TestConnectionCensus pins.
-TestPointRoute compares the sweeps' verdicts on points (T42, C48 and
-C49 decide on the relation (P, Q, R) of each instance) with the element
-route, component by component, on the same corpus.
+TestPointRoute compares the sweeps' verdicts on points (every sweep
+that reads a condition or a quasi-orbit class decides on the relation
+(P, Q, R) of its instance) with the element route, component by
+component, on the same corpus, and the T47, C54 and T62 checks verdict
+for verdict on their own streams and censuses.
 
 Hand-built fixtures pin every branch of the calculus:
 
@@ -63,8 +65,11 @@ from stonekit import (
     check_MI,
     check_MIf,
     action_inclusion_data,
+    action_quasi_orbit_agreement,
     adjunct_point_map,
+    all_posets,
     all_spaces,
+    binary_matrices,
     detects,
     downset_lattice,
     induced_prime_map,
@@ -79,6 +84,7 @@ from stonekit import (
     restricted_prime_map,
     primes,
     separates,
+    small_group_actions,
     soberification,
     sweep_theorem,
     theorem33_check,
@@ -90,7 +96,10 @@ from oracles import (
     definitional_open_of,
     element_check_C48,
     element_check_C49,
+    element_check_C54,
     element_check_T42,
+    element_check_T47,
+    element_quasi_orbit_agreement,
     is_adjoint_pair,
     open_map_by_opens,
     opposite,
@@ -113,8 +122,10 @@ from stonekit.quasiorbit import (
 from stonekit.conformance import (
     _MASK64,
     InstanceGenerator,
+    _SWEEPS,
     _check_C48,
     _check_C49,
+    _check_C54,
     _check_T42,
     _check_T47,
     _compile_seed,
@@ -122,7 +133,6 @@ from stonekit.conformance import (
     _inclusion,
     _poset_classes,
     _relation,
-    _seed_relation,
     _subgroup_classes,
 )
 from stonekit._kernels import bits
@@ -590,7 +600,7 @@ def census_pairs():
     """Every connection between the down-set frames of two posets on
     1..3 points (one poset per isomorphism class a side), as the pair
     (relation on points, inclusion) the sweeps compile a seed to."""
-    out = [(_seed_relation(seed), _compile_seed(seed)) for seed in all_connections(3)]
+    out = [(seed, _compile_seed(seed)) for seed in all_connections(3)]
     assert len(out) == 2986
     return out
 
@@ -671,15 +681,15 @@ class TestConnectionCensus:
         }
 
     def test_sweep_checks_hold_on_every_connection(self, census_pairs):
-        # on points for T42, C48 and C49, on elements for T47, and the
-        # element checks of the first three as their oracles
+        # on points, and the element checks as their oracles
         applicable = {}
         for name, check, on_points in (
             ("T42", _check_T42, True),
-            ("T47", _check_T47, False),
+            ("T47", _check_T47, True),
             ("C48", _check_C48, True),
             ("C49", _check_C49, True),
             ("T42 on elements", element_check_T42, False),
+            ("T47 on elements", element_check_T47, False),
             ("C48 on elements", element_check_C48, False),
             ("C49 on elements", element_check_C49, False),
         ):
@@ -692,6 +702,7 @@ class TestConnectionCensus:
             "C48": 329,
             "C49": 329,
             "T42 on elements": 1468,
+            "T47 on elements": 2986,
             "C48 on elements": 329,
             "C49 on elements": 329,
         }
@@ -917,11 +928,13 @@ class TestEachRouteAgainstItsOracle:
 
 
 class TestPointRoute:
-    """T42, C48 and C49 decide on the relation (P, Q, R) of each instance
-    (``quasiorbit.PointRelation``); every component of their verdicts is
+    """Every sweep that reads a condition or a quasi-orbit class decides
+    on the relation (P, Q, R) of its instance
+    (``quasiorbit.PointRelation``); every component of the verdicts is
     compared with the element route, on every pair of the point corpus
-    (the census included). The element checks are the oracles in
-    tests/oracles.py."""
+    (the census included), and the T47, C54 and T62 checks verdict for
+    verdict on their own streams and censuses. The element checks are
+    the oracles in tests/oracles.py."""
 
     def test_every_component_agrees_with_the_element_route(self, point_corpus):
         seen = {}
@@ -983,6 +996,38 @@ class TestPointRoute:
                 assert _rho(rel).target.n == len(fibers)
             collapsed.add(len(fibers) < rel.source.n)
         assert collapsed == {True, False}
+
+    def test_t47_on_its_streams_and_the_census(self, census_pairs):
+        # MI and C2 decided on points against the element scans, with
+        # restricted_prime_map on elements on both sides
+        pairs = list(census_pairs)
+        for seed in (0, 3, 11, 99):
+            for k in range(_SWEEPS["T47"][0]):
+                child = (seed ^ (0x9E3779B97F4A7C15 * (k + 1))) & _MASK64
+                rel = _draw(InstanceGenerator(child, "random-galois", 6))
+                pairs.append((rel, _compile_seed(rel)))
+        assert len(pairs) == 2986 + 4000
+        lefts = set()
+        for rel, d in pairs:
+            assert _check_T47(rel) == element_check_T47(d) == (True, True), rel
+            left = _holds_MI(rel) and _holds_C2(rel)
+            assert left == (check_MI(d) and check_C2(d)), rel
+            lefts.add(left)
+        assert lefts == {True, False}
+
+    def test_c54_on_every_budget_3_matrix(self):
+        verdicts = [(_check_C54(m), element_check_C54(m)) for m in binary_matrices(3, 3)]
+        assert all(got == want for got, want in verdicts)
+        assert len(verdicts) == 441
+        assert sum(applies for (applies, _), _ in verdicts) == 95
+
+    def test_t62_on_every_labeled_action(self):
+        count = 0
+        for poset in all_posets(5):
+            for action in small_group_actions(FiniteT0Space(poset)):
+                assert action_quasi_orbit_agreement(action) == element_quasi_orbit_agreement(action) is True
+                count += 1
+        assert count == 8223
 
     def test_jr_refuses_an_empty_row(self):
         # the bottom is restricted only when no row is empty

@@ -9,7 +9,7 @@ here as oracles, certified through the checking constructors:
   opens above;
 * bundles: the preimage below, and above the interior of what the image
   of the complement misses;
-* random seeds: ``from_lower`` of the unions of the point values.
+* random seeds: ``from_lower`` of the unions of the rows.
 
 The builder must agree with them on the sweeps' streams and on every
 small instance, and refuse, with a typed witness, a relation whose
@@ -47,7 +47,8 @@ from stonekit import (
 )
 from oracles import invariant_opens, verify_prop26
 from stonekit._kernels import image, inside
-from stonekit.conformance import _MASK64, InstanceGenerator, _draw, _GaloisSeed, _inclusion, all_spaces
+from stonekit.conformance import _MASK64, InstanceGenerator, _draw, _inclusion, all_spaces
+from stonekit.quasiorbit import PointRelation
 
 
 def matrix_oracle(m):
@@ -92,12 +93,12 @@ def bundle_oracle(bm):
 
 def seed_oracle(seed):
     la, lb = downset_lattice(seed.source), downset_lattice(seed.target)
-    values = tuple(lb.index_of_label(image(seed.point_values, u)) for u in la.labels)
+    values = tuple(lb.index_of_label(image(seed.rows, u)) for u in la.labels)
     return GaloisConnection.from_lower(MonotoneMap(la, lb, values))
 
 
 ORACLES = {
-    _GaloisSeed: seed_oracle,
+    PointRelation: seed_oracle,
     MultiplicityInclusion: matrix_oracle,
     FiniteGroupAction: action_oracle,
     BundleMap: bundle_oracle,
