@@ -22,8 +22,10 @@ straight to one; a matrix is one on two antichains. T42, C48, C49, C54
 and T62 decide with no lattice, connection, inclusion or spectrum. T47
 decides MI and C2 on the relation too, and materializes the instance's
 ``InclusionData`` only for ``restricted_prime_map``, the other side of
-its biconditional. T33 decides on the elements of its morphisms, and
-L51 on the matrix.
+its biconditional. T33 enumerates each locale morphism as the relation
+of its continuous map X -> P and decides Theorem 3.3 on points, with no
+lattice, connection or spectrum either (``_locale_morphisms``,
+``_check_T33``); L51 decides on the matrix.
 
 The counting pass is split across the CPUs the process may run on
 (``os.sched_getaffinity``), by ``_in_shares``: with W of them, share w
@@ -42,8 +44,8 @@ exception and reruns as the labeled census, whose loop reports it.
 
 Sweep tags and their budgets:
 
-  T33  equivalence_verified on every locale morphism from a frame with
-       at most ``budget`` elements into O(X), X a space with <= 3 points;
+  T33  Theorem 3.3 on every locale morphism from a frame with at most
+       ``budget`` elements into O(X), X a space with <= 3 points;
        the frames are the down-set frames of one poset per isomorphism
        class, taken from ``_poset_classes``
   T42  under join-closure, the first meet identity iff the point map of
@@ -85,13 +87,12 @@ from itertools import combinations, islice
 from math import factorial
 
 from . import _accel
-from ._kernels import bits, image
+from ._kernels import bits, image, inside
 from ._record import Record
 from .documents import document_for, inclusion_data_for
 from .errors import ClosureTooLarge, StonekitError, SweepFailed
-from .galois import GaloisConnection, is_meet_preserving
+from .galois import GaloisConnection
 from .lattice import (
-    FiniteLattice,
     FinitePoset,
     _invariant_keys,
     downset_lattice,
@@ -110,6 +111,7 @@ from .quasiorbit import (
     PointRelation,
     _holds_C1,
     _holds_C2,
+    _holds_frobenius,
     _holds_JR,
     _holds_MI,
     _holds_MIf,
@@ -124,8 +126,6 @@ from .spectrum import (
     is_homeomorphism,
     is_open_map,
     is_surjective,
-    opens_lattice,
-    theorem33_check,
 )
 from .topo_models import (
     BundleMap,
@@ -399,8 +399,10 @@ def all_frame_posets(max_size: int) -> list[FinitePoset]:
     ]
 
 
-def _monotone_values(poset: FinitePoset, dst: FiniteLattice):
-    """Every monotone assignment of ``dst`` elements to the points."""
+def _monotone_values(poset: FinitePoset, dst):
+    """Every monotone assignment of ``dst`` elements to the points of
+    ``poset``, as value tuples; ``dst`` is any order with ``n`` and
+    ``leq``, a poset or a lattice."""
     order = _linear_extension(poset)
     preds = [
         [q for q in order[:k] if poset.leq(q, order[k])] for k in range(len(order))
@@ -591,30 +593,17 @@ def _shrink_bundle(b: BundleMap):
             yield BundleMap(b.total, sub, PointMap(b.total, sub, moved))
 
 
-class _Morphism(Record):
-    """A T33 instance: a locale morphism into the opens of a space, as
-    the lower map of its connection."""
-
-    _fields = ("gc", "space")
-
-
 def _same(model):
     return model
 
 
-def _morphism_model(m: _Morphism) -> InclusionData:
-    return InclusionData(m.gc)
-
-
 # instance kind -> (shrinker, the model its document describes, its
-# relation on points or None); a T33 morphism has no shrinker and is
-# reported as enumerated
+# relation on points)
 _KINDS = {
     PointRelation: (_shrink_seed, _compile_seed, _same),
     MultiplicityInclusion: (_shrink_matrix, _same, _matrix_relation),
     FiniteGroupAction: (_shrink_action, _same, action_relation),
     BundleMap: (_shrink_bundle, _same, bundle_relation),
-    _Morphism: (lambda m: (), _morphism_model, None),
 }
 
 
@@ -626,8 +615,45 @@ def _relation(instance) -> PointRelation:
     return _KINDS[type(instance)][2](instance)
 
 
-def _check_T33(m: _Morphism):
-    return True, theorem33_check(m.gc.lower, m.space).equivalence_verified
+def _theorem33_sides(rel: PointRelation):
+    """The sides of Theorem 3.3 for the locale morphism G = i of
+    ``rel``, on points: (Eq. (3.2), G injective, pi open, pi onto), or
+    None when some column T_x is not a principal up-set of P.
+
+    Proof. A column is an up-set of P, since the rows are monotone, so
+    it is principal iff it is ↑p for one of its points p. Let every
+    column be T_x = ↑f(x). Then rows[p] = {x : f(x) <= p}, so G(U) =
+    f^-1(U) for every down-set U; f is monotone, since the rows are
+    down-sets of X, and G is a locale morphism. The adjunct point map
+    sends x to the join of the U with x outside G(U), that is
+    P - ↑f(x), the prime of the point f(x): so pi = f. On the dual
+    relation X -> P with rows ↓f(x), r(U) = {x : ↓f(x) inside U} =
+    G(U), so its lower map i is G's lower adjoint F, which exists by
+    construction. G is injective iff that r is, which is
+    ``_holds_separation`` of the dual, and Eq. (3.2), F(G(U) & V) =
+    U & F(V), is ``_holds_frobenius`` of the dual. pi is f as a point
+    map, built trusted since f is monotone, and ``is_open_map`` and
+    ``is_surjective`` decide it on points; they read no opens, so both
+    spaces are built trusted too. Every enumerated morphism applies
+    (``_locale_morphisms``); a shrunk one need not.
+    """
+    above = rel.source.above()
+    values = tuple([next((p for p in bits(column) if above[p] == column), -1) for column in rel._columns])
+    if -1 in values:
+        return None
+    dual = PointRelation(rel.target, rel.source, tuple([rel.source.below[v] for v in values]))
+    pi = PointMap._trusted(FiniteT0Space._trusted(rel.target), FiniteT0Space._trusted(rel.source), values)
+    return _holds_frobenius(dual), _holds_separation(dual), is_open_map(pi), is_surjective(pi)
+
+
+def _check_T33(rel: PointRelation):
+    # Theorem 3.3: F exists, so Eq. (3.2) with G injective iff pi is an
+    # open surjection
+    sides = _theorem33_sides(rel)
+    if sides is None:
+        return False, True
+    eq32, injective, pi_open, pi_onto = sides
+    return True, (eq32 and injective) == (pi_open and pi_onto)
 
 
 def _check_T42(rel: PointRelation):
@@ -855,52 +881,44 @@ def _run_matrices(tag, check, budget: int, seed: int) -> SweepReport:
 
 
 def _frame_space_pairs(budget: int) -> list:
-    """(poset, its down-set frame, space) for every frame of at most
-    ``budget`` elements and every space of at most 3 points."""
+    """(poset, space) for the down-set frame of every poset in
+    ``all_frame_posets(budget)`` and every space of at most 3 points."""
     spaces = all_spaces(3)
-    pairs = []
-    for poset in all_frame_posets(budget):
-        la = downset_lattice(poset)
-        pairs.extend((poset, la, space) for space in spaces)
-    return pairs
+    return [(poset, space) for poset in all_frame_posets(budget) for space in spaces]
 
 
 def _locale_morphisms(pairs):
-    """Every locale morphism from the frame into the opens of the space,
-    pair by pair, each built from points as
-    ``GaloisConnection.from_relation(la, lb, rows)``.
+    """Every locale morphism G: O(P) -> O(X), pair by pair, as the
+    relation (P, X, rows) of its continuous map f: X -> P, with rows[p]
+    = G(↓p) = f^-1(↓p).
 
-    A join-preserving map out of the down-set frame of a poset P is
-    fixed by the open it assigns to each point p, and each monotone
-    assignment extends to one by unions. With ``rows[p]`` the open
-    assigned to p, the relation's lower map is that extension, and its
-    values always land. The image of a down-set is a union of rows,
-    each an open of the space, so it is an open. The points whose rows
-    lie inside a mask form a down-set of P, since the rows are
-    monotone in p: if p' <= p and row p lies inside, so does row p'.
-    So joins are preserved by construction; meets decide.
+    Stone duality for finite T0 spaces: G is f^-1 for exactly one
+    monotone f. For a point x, the p with x in G(↓p) form an up-set T_x
+    of P. It is nonempty, since G keeps the top, the union of the ↓p;
+    and it is down-directed, since G(↓p) & G(↓q) = G(↓p & ↓q) and
+    ↓p & ↓q is the union of the ↓r below both. So T_x = ↑f(x) for its
+    least point f(x), G(↓p) = f^-1(↓p), and f is monotone as each G(↓p)
+    is a down-set of X. Conversely each f^-1 keeps unions and
+    intersections, and gives f back as those least points. So the
+    monotone maps X -> P (``_monotone_values``) give each morphism once,
+    and a relation's element model (``_compile_seed``) is the
+    morphism's connection.
     """
-    for poset, la, space in pairs:
-        lb = opens_lattice(space)
-        for assigned in _monotone_values(poset, lb):
-            gc = GaloisConnection.from_relation(la, lb, tuple([lb.labels[v] for v in assigned]))
-            if is_meet_preserving(gc.lower):
-                yield _Morphism(gc, space)
+    for poset, space in pairs:
+        for values in _monotone_values(space.points, poset):
+            hit = [1 << v for v in values]
+            yield PointRelation(poset, space.points, tuple([inside(hit, down) for down in poset.below]))
 
 
 def _run_T33(budget: int, seed: int) -> SweepReport:
     # the units are the (frame, space) pairs, so a share also enumerates
     # only the morphisms it checks
     pairs = _frame_space_pairs(budget)
-    return _sweep(
-        "T33",
-        budget,
-        seed,
-        lambda start, step: _locale_morphisms(pairs[start::step]),
-        _check_T33,
-        "morphism {n}",
-        len(pairs),
-    )
+
+    def morphisms(start, step):
+        return _locale_morphisms(pairs[start::step])
+
+    return _sweep("T33", budget, seed, morphisms, _check_T33, "morphism {n}", len(pairs))
 
 
 def _run_T62(budget: int, seed: int) -> SweepReport:

@@ -8,8 +8,8 @@ upper adjoint it synthesizes while synthesizing it, so neither path
 trusts an unchecked pair. A third path, from_relation, builds both
 maps from one relation between the points of A and of B, and its law
 is a theorem once every value lands; every model compiler (matrices,
-actions, bundles, random seeds) and the locale morphisms of the T33
-sweep go through it. from_lower serves only the lower tables of
+actions, bundles, random seeds, and so the counterexamples of every
+sweep) goes through it. from_lower serves only the lower tables of
 ``galois`` documents, and the constructor the identity connection of a
 ``lattice`` document. Missing adjoints are reported as values carrying
 a witness pair, not as exceptions, since absence is a legitimate

@@ -37,15 +37,14 @@ GaloisConnection was built: by the law scan of its constructor (the
 identity connection of a ``lattice`` document) or of from_lower (the
 lower table of a ``galois`` document), and by theorem, once every
 value lands, for the (image, inside) pair of a relation
-(from_relation: a model's, or a locale morphism of the T33 sweep read
-off its points). The eight structural laws of Prop 2.6 follow from it
-and are checked by the tests' oracle (``verify_prop26`` in
-tests/oracles.py), not on construction; the fixed-point lattices are
-read off the ambient masks by the same laws (restricted: ambient
-meets, closed joins; induced: ambient joins, opened meets), with no
-scan for an escaping pair. C2 needs only F's values in the target, the
-least induced covers, so it does not build F as a map into the induced
-lattice.
+(from_relation: a model's, read off its points). The eight
+structural laws of Prop 2.6 follow from it and are checked by the
+tests' oracle (``verify_prop26`` in tests/oracles.py), not on
+construction; the fixed-point lattices are read off the ambient masks
+by the same laws (restricted: ambient meets, closed joins; induced:
+ambient joins, opened meets), with no scan for an escaping pair. C2
+needs only F's values in the target, the least induced covers, so it
+does not build F as a map into the induced lattice.
 
 Each value has one route, and the route it does not take is a test
 oracle. pi is the join of the restricted elements below each prime;
@@ -75,7 +74,11 @@ Each biconditional a sweep checks compares two formulas computed
 independently: C1 against pi open, C2 against rho an open surjection,
 separation against rho a homeomorphism on R, and in T47 MI and C2 on R
 against restricted_prime_map on elements, which needs no JR and whose
-restricted lattice need not be distributive. The element checks of
+restricted lattice need not be distributive. Theorem 3.3 reads a
+locale morphism O(P) -> O(X) as its continuous map f: X -> P and
+decides on the dual relation X -> P with rows ↓f(x): Eq. (3.2)
+(``_holds_frobenius``) and separation against f open and onto
+(``conformance._theorem33_sides``). The element checks of
 the sweeps are the oracles in tests/oracles.py; the element
 constructions here (``check_*``, ``quasi_orbit_space``,
 ``quasi_orbit_map``) serve the command line and the library.
@@ -679,6 +682,23 @@ def _holds_separation(rel: PointRelation) -> bool:
     """
     rows = rel.rows
     return all(_union_of_rows(rows, down) for down in rel.target.below)
+
+
+def _holds_frobenius(rel: PointRelation) -> bool:
+    """Eq. (3.2) on points, where r keeps unions: i(r(↓q) & ↓p) =
+    ↓q & i(↓p) for every p in P and q in Q.
+
+    Eq. (3.2) reads i(r(U) & V) = U & i(V) for U in O(Q) and V in O(P).
+    Both sides keep unions in V, since i does and & distributes over |.
+    In U the right side keeps them, and so does the left where r does,
+    as when every row is a principal down-set ↓f(p): r(U) is then
+    f^-1(U). Every down-set is the union of the principal ones inside
+    it, so the principal pairs decide. Theorem 3.3 reads it on the dual
+    of a locale morphism (``conformance._theorem33_sides``).
+    """
+    rows = rel.rows
+    downs = [(v, image(rows, v)) for v in rel.source.below]
+    return all(image(rows, inside(rows, u) & v) == u & iv for u in rel.target.below for v, iv in downs)
 
 
 def _pi_is_open(rel: PointRelation) -> bool:

@@ -19,7 +19,8 @@ sweeps, so they live with the tests:
   every irreducible closed set the closure of exactly one point;
 * ``open_map_by_opens``: openness of a point map, open by open;
 * ``join_extension``: a join-preserving map out of a down-set frame,
-  extended from its point values by element joins;
+  extended from its point values by element joins; with the meet
+  filter, the oracle of the T33 sweep's enumeration;
 * ``adjunct_pi``: pi as the point map adjunct to the restricted
   insertion (Theorem 3.3);
 * ``sublattice``: the induced order on a subset, certified by the
@@ -40,7 +41,8 @@ sweeps, so they live with the tests:
   ``element_check_C49`` and ``element_check_C54``: the sweeps' checks
   on lattice elements, through the ``check_*`` scans, the restricted
   spectrum and ``quasi_orbit_map``, the oracles of the sweeps' checks
-  on points;
+  on points; ``element_check_T33``: ``theorem33_check`` of a T33
+  morphism, the oracle of the sides T33 reads on points;
 * ``element_quasi_orbit_agreement``: T62 on elements, the classes of
   ``quasi_orbit_space`` pulled back through the soberification unit,
   the oracle of ``action_quasi_orbit_agreement``.
@@ -80,11 +82,13 @@ from stonekit import (
     restricted_prime_map,
     separates,
     soberification,
+    theorem33_check,
     to_inclusion_data,
 )
 from stonekit._kernels import bits
 from stonekit._record import Record
 from stonekit.conformance import (
+    _compile_seed,
     _monotone_values,
     _poset_classes,
     all_frame_posets,
@@ -324,8 +328,8 @@ def join_extension(la: FiniteLattice, lb: FiniteLattice, assigned) -> tuple[int,
     """The values of the join-preserving map out of the down-set frame
     ``la`` that sends each point p to ``assigned[p]``, an element of
     ``lb``: each down-set goes to the join of the values of its points.
-    The oracle of the lower maps the T33 sweep builds with
-    ``GaloisConnection.from_relation``."""
+    The oracle of the lower maps ``GaloisConnection.from_relation``
+    builds out of a down-set frame."""
     return tuple(lb.big_join(assigned[p] for p in bits(u)) for u in la.labels)
 
 
@@ -492,6 +496,14 @@ def element_check_T47(d):
     rpm = restricted_prime_map(d)
     right = isinstance(rpm, PointMap) and is_open_map(rpm) and is_surjective(rpm)
     return True, (check_MI(d) and check_C2(d)) == right
+
+
+def element_check_T33(rel):
+    """T33 on elements: the ``Theorem33Report`` of the locale morphism
+    whose relation on points is ``rel``, the lower map of its element
+    model (``conformance._compile_seed``) into the opens of the space
+    on ``rel.target``; the oracle of ``conformance._theorem33_sides``."""
+    return theorem33_check(_compile_seed(rel).gc.lower, FiniteT0Space(rel.target))
 
 
 def element_check_C54(m):

@@ -27,7 +27,6 @@ from stonekit import (
     MonotoneMap,
     SweepFailed,
     SweepReport,
-    Theorem33Report,
     all_posets,
     all_spaces,
     binary_matrices,
@@ -41,11 +40,12 @@ from stonekit import (
     small_group_actions,
     sweep_theorem,
 )
-from oracles import all_frames, join_extension, monotone_maps, verify_prop26
+from oracles import all_frames, element_check_T33, join_extension, monotone_maps, verify_prop26
 import stonekit.conformance as conformance_module
 import stonekit.topo_models as topo_models_module
 from stonekit.conformance import (
     _SWEEPS,
+    _check_T33,
     _compile_seed,
     _frame_space_pairs,
     _greedy_minimize,
@@ -60,10 +60,11 @@ from stonekit.conformance import (
     _shrink_seed,
     _subgroup_classes,
     _sweep,
+    _theorem33_sides,
 )
 from stonekit._record import Record
 from stonekit.lattice import _downsets, boolean_lattice, downset_lattice, poset_isomorphism
-from stonekit.quasiorbit import InclusionData, _holds_JR, check_JR
+from stonekit.quasiorbit import InclusionData, PointRelation, _holds_JR, check_JR
 from stonekit.errors import ClosureTooLarge
 from stonekit.spectrum import PointMap, PrimeSpectrum
 from stonekit.topo_models import BundleMap, FiniteGroupAction, group_closure
@@ -229,25 +230,33 @@ class TestMonotoneMaps:
             next(monotone_maps(boolean_lattice(3), boolean_lattice(4)))
 
     def test_relation_lower_maps_are_the_join_extensions(self):
-        # the route the T33 sweep no longer takes: on each of its (frame,
-        # space) pairs, every monotone assignment to the points, extended
-        # by element joins, is from_relation's lower map and preserves
-        # joins; the meet filter then keeps the sweep's morphisms
+        # the oracle of the T33 enumeration: on each of its (frame,
+        # space) pairs, every monotone assignment of opens to the points,
+        # extended by element joins, is from_relation's lower map and
+        # preserves joins, and the meet filter keeps the morphisms the
+        # sweep enumerates as continuous maps X -> P. The sweep's order
+        # is its own, so each pair is compared as a set
         pairs = _frame_space_pairs(_SWEEPS["T33"][0])
-        kept = []
-        for poset, la, space in pairs:
-            lb = opens_lattice(space)
+        candidates = kept = 0
+        for poset, space in pairs:
+            la, lb = downset_lattice(poset), opens_lattice(space)
+            filtered = set()
             for assigned in _monotone_values(poset, lb):
                 values = join_extension(la, lb, assigned)
                 rows = tuple(lb.labels[v] for v in assigned)
                 assert GaloisConnection.from_relation(la, lb, rows).lower.values == values
                 g = MonotoneMap(la, lb, values)
                 assert is_join_preserving(g)
+                candidates += 1
                 if is_meet_preserving(g):
-                    kept.append((values, space))
-        got = [(m.gc.lower.values, m.space) for m in _locale_morphisms(pairs)]
-        assert got == kept
-        assert len(kept) == 1628
+                    filtered.add(rows)
+            rels = list(_locale_morphisms([(poset, space)]))
+            assert all(rel.source is poset and rel.target is space.points for rel in rels)
+            got = [rel.rows for rel in rels]
+            assert len(set(got)) == len(got)
+            assert set(got) == filtered
+            kept += len(got)
+        assert (candidates, kept) == (4973, 1628)
 
 
 class TestGroupEnumeration:
@@ -321,6 +330,47 @@ class TestSweeps:
         assert report.violations == 0
         assert report.checked == report.applicable == 133
 
+    def test_t33_at_its_cap(self, monkeypatch):
+        # inline and in two shares
+        for cpus in (1, 2):
+            pin_cpus(monkeypatch, cpus)
+            report = sweep_theorem("T33", budget=6)
+            assert (report.checked, report.applicable, report.violations) == (4680, 4680, 0)
+
+    def test_t33_skips_a_column_that_is_not_principal(self):
+        # a shrunk relation need not be a locale morphism: here the one
+        # point of X lies in the rows of both points of a two-point
+        # antichain P, so its column has no least point; an empty column
+        # has none either
+        one = FinitePoset.chain(1)
+        assert _check_T33(PointRelation(FinitePoset.antichain(2), one, (1, 1))) == (False, True)
+        assert _check_T33(PointRelation(one, FinitePoset.antichain(2), (0b01,))) == (False, True)
+        assert _check_T33(PointRelation(FinitePoset.chain(2), one, (1, 1))) == (True, True)
+
+    def test_t33_counterexamples_shrink_like_every_relation(self):
+        # a T33 morphism is a PointRelation, so the engine shrinks it with
+        # _shrink_seed; here a non-injective morphism out of the 3-chain
+        # into a 3-point space shrinks to a least one: one point sent to
+        # the top of a 2-chain, reached past candidates whose columns are
+        # not principal
+        assert conformance_module._KINDS[PointRelation][0] is _shrink_seed
+
+        tried = []
+
+        def not_injective(rel):
+            tried.append(_theorem33_sides(rel))
+            return tried[-1] is not None and not tried[-1][1]
+
+        big = next(
+            rel
+            for rel in _locale_morphisms(_frame_space_pairs(4))
+            if (rel.source.n, rel.target.n) == (3, 3) and not_injective(rel)
+        )
+        tried.clear()
+        small = _greedy_minimize(big, _shrink_seed, not_injective)
+        assert None in tried
+        assert small == PointRelation(FinitePoset.from_pairs(2, [(1, 0)]), FinitePoset.chain(1), (1, 0))
+
     def test_t42_reports_are_reproducible(self):
         a = sweep_theorem("T42", budget=60, seed=7)
         b = sweep_theorem("T42", budget=60, seed=7)
@@ -373,8 +423,8 @@ class TestSweeps:
         assert '"tag": "L51"' in body
 
     def test_point_sweeps_build_no_lattice_connection_or_inclusion(self, monkeypatch, one_cpu):
-        # T42, C48, C49, C54 and T62 decide on the relation (P, Q, R) of
-        # each instance. The counters watch every record build, certified
+        # T33, T42, C48, C49, C54 and T62 decide on the relation (P, Q, R)
+        # of each instance. The counters watch every record build, certified
         # or trusted, and every down-set lattice; one CPU keeps the sweep
         # in this process, since a forked share cannot report its counts
         built = []
@@ -402,6 +452,7 @@ class TestSweeps:
         for tag in ("T42", "C48", "C49"):
             report = sweep_theorem(tag, budget=100)
             assert report.applicable > 0
+        assert sweep_theorem("T33").applicable == 1628
         assert sweep_theorem("C54").applicable == 95
         assert sweep_theorem("T62").checked == 8223
         assert built == []
@@ -643,19 +694,13 @@ def _raise_where(condition):
 
 
 def _t33_fault(real):
-    # non-injective morphisms from the 3-element chain into a 2-point space
-    def fake(g, space):
-        report = real(g, space)
-        if space.n == 2 and g.source.n == 3 and not report.g_injective:
-            return Theorem33Report(
-                report.has_lower_adjoint_F,
-                report.eq32_holds,
-                report.g_injective,
-                report.pi_open,
-                report.pi_surjective,
-                equivalence_verified=False,
-            )
-        return report
+    # non-injective morphisms from the 3-element chain into a 2-point
+    # space, the element route's verdict on injectivity
+    def fake(rel):
+        applicable, ok = real(rel)
+        if applicable and rel.target.n == 2 and _opens(rel.source) == 3:
+            return applicable, ok and element_check_T33(rel).g_injective
+        return applicable, ok
 
     return fake
 
@@ -687,7 +732,7 @@ _INJECTED_VIOLATIONS = [
     (
         "T33",
         3,
-        "theorem33_check",
+        "_check_T33",
         _t33_fault,
         "T33: violation at morphism 26",
         (

@@ -8,8 +8,9 @@ points (``all_connections(3)``), which TestConnectionCensus pins.
 TestPointRoute compares the sweeps' verdicts on points (every sweep
 that reads a condition or a quasi-orbit class decides on the relation
 (P, Q, R) of its instance) with the element route, component by
-component, on the same corpus, and the T47, C54 and T62 checks verdict
-for verdict on their own streams and censuses.
+component, on the same corpus, the T47, C54 and T62 checks verdict for
+verdict on their own streams and censuses, and the sides of Theorem 3.3
+field by field on every locale morphism of the T33 sweep.
 
 Hand-built fixtures pin every branch of the calculus:
 
@@ -25,6 +26,8 @@ Hand-built fixtures pin every branch of the calculus:
 * bundle: opens of the two-point discrete space over the Sierpinski
   base; MI holds, C2 fails, rho is surjective but not open.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +100,7 @@ from oracles import (
     element_check_C48,
     element_check_C49,
     element_check_C54,
+    element_check_T33,
     element_check_T42,
     element_check_T47,
     element_quasi_orbit_agreement,
@@ -126,14 +130,18 @@ from stonekit.conformance import (
     _check_C48,
     _check_C49,
     _check_C54,
+    _check_T33,
     _check_T42,
     _check_T47,
     _compile_seed,
     _draw,
+    _frame_space_pairs,
     _inclusion,
+    _locale_morphisms,
     _poset_classes,
     _relation,
     _subgroup_classes,
+    _theorem33_sides,
 )
 from stonekit._kernels import bits
 from stonekit.topo_models import action_relation
@@ -650,10 +658,15 @@ def route_corpus(point_corpus):
 
 @pytest.fixture(scope="module")
 def t33_morphisms():
-    """Every locale morphism the T33 sweep checks at its default budget."""
+    """Every locale morphism the T33 sweep checks at its default budget,
+    as (G, X): the lower map of the relation's element connection and
+    the space on its target."""
     budget = conformance_module._SWEEPS["T33"][0]
     pairs = conformance_module._frame_space_pairs(budget)
-    out = list(conformance_module._locale_morphisms(pairs))
+    out = [
+        (_compile_seed(rel).gc.lower, FiniteT0Space(rel.target))
+        for rel in conformance_module._locale_morphisms(pairs)
+    ]
     assert (budget, len(out)) == (5, 1628)
     return out
 
@@ -808,7 +821,7 @@ class TestEachRouteAgainstItsOracle:
                 maps.append(quasi_orbit_map(d))
             except ConditionViolated:
                 pass
-        maps += [adjunct_point_map(m.gc.lower, m.space) for m in t33_morphisms]
+        maps += [adjunct_point_map(g, space) for g, space in t33_morphisms]
         verdicts = set()
         for f in maps:
             want = open_map_by_opens(f)
@@ -903,9 +916,8 @@ class TestEachRouteAgainstItsOracle:
 
     def test_adjunct_point_map_pulls_each_u_i_back_to_g_i(self, t33_morphisms):
         # Theorem 3.3: G(I) = pi^{-1}(U_I) for every I
-        for m in t33_morphisms:
-            g = m.gc.lower
-            pi = adjunct_point_map(g, m.space)
+        for g, space in t33_morphisms:
+            pi = adjunct_point_map(g, space)
             open_of = primes(g.source).open_of
             for i, v in enumerate(g.values):
                 assert pi.preimage(open_of[i]) == g.target.labels[v]
@@ -914,12 +926,11 @@ class TestEachRouteAgainstItsOracle:
         # Theorem 3.3: open images are computed by the lower adjoint,
         # pi(V) = U_F(V), whenever pi is an open surjection
         checked = 0
-        for m in t33_morphisms:
-            g = m.gc.lower
-            report = theorem33_check(g, m.space)
+        for g, space in t33_morphisms:
+            report = theorem33_check(g, space)
             if not (report.pi_open and report.pi_surjective):
                 continue
-            pi, f = adjunct_point_map(g, m.space), lower_adjoint(g)
+            pi, f = adjunct_point_map(g, space), lower_adjoint(g)
             open_of = primes(g.source).open_of
             for v, u in enumerate(g.target.labels):
                 assert pi.image_mask(u) == open_of[f.values[v]]
@@ -932,9 +943,9 @@ class TestPointRoute:
     on the relation (P, Q, R) of its instance
     (``quasiorbit.PointRelation``); every component of the verdicts is
     compared with the element route, on every pair of the point corpus
-    (the census included), and the T47, C54 and T62 checks verdict for
-    verdict on their own streams and censuses. The element checks are
-    the oracles in tests/oracles.py."""
+    (the census included), and the T33, T47, C54 and T62 checks on
+    their own enumerations, streams and censuses. The element checks
+    are the oracles in tests/oracles.py."""
 
     def test_every_component_agrees_with_the_element_route(self, point_corpus):
         seen = {}
@@ -996,6 +1007,32 @@ class TestPointRoute:
                 assert _rho(rel).target.n == len(fibers)
             collapsed.add(len(fibers) < rel.source.n)
         assert collapsed == {True, False}
+
+    def test_t33_sides_agree_with_the_element_route(self):
+        # every locale morphism of the T33 sweep at its cap, which holds
+        # those of its default budget: Eq. (3.2), G injective, pi open and
+        # pi onto read on points against theorem33_check, field by field
+        morphisms = list(_locale_morphisms(_frame_space_pairs(6)))
+        default = set(_locale_morphisms(_frame_space_pairs(5)))
+        assert (len(morphisms), len(default)) == (4680, 1628)
+        assert default <= set(morphisms)
+        seen = Counter()
+        for rel in morphisms:
+            report = element_check_T33(rel)
+            assert report.has_lower_adjoint_F
+            want = (report.eq32_holds, report.g_injective, report.pi_open, report.pi_surjective)
+            assert _theorem33_sides(rel) == want, rel
+            assert _check_T33(rel) == (True, report.equivalence_verified) == (True, True)
+            if rel in default:
+                seen[want] += 1
+        # at the default budget every side is met both ways, and so is
+        # each combination of pi open and pi onto
+        for k in range(4):
+            assert {want[k] for want in seen} == {True, False}
+        open_onto = Counter()
+        for (_, _, pi_open, pi_onto), count in seen.items():
+            open_onto[pi_open, pi_onto] += count
+        assert open_onto == {(True, True): 93, (False, False): 1093, (True, False): 338, (False, True): 104}
 
     def test_t47_on_its_streams_and_the_census(self, census_pairs):
         # MI and C2 decided on points against the element scans, with

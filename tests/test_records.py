@@ -44,7 +44,6 @@ from stonekit import (
 )
 from oracles import verify_prop26
 from stonekit._record import Record
-from stonekit.conformance import _Morphism
 from stonekit.quasiorbit import PointRelation
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -91,7 +90,6 @@ BUILDERS = {
     "JPairLattice": lambda: j_pairs(FiniteGraph(2, ((0, 1),)), j_x(FiniteGraph(2, ((0, 1),)))),
     "InstanceDocument": lambda: InstanceDocument("graph", {"vertices": 1}, "one"),
     "InstanceGenerator": lambda: InstanceGenerator(seed=3),
-    "_Morphism": lambda: _Morphism(_identity(), _space()),
     "PointRelation": lambda: PointRelation(FinitePoset.chain(2), FinitePoset.antichain(1), (0, 1)),
     "SweepReport": lambda: SweepReport("T42", 1, 5, 3, 2, 0),
 }

@@ -351,12 +351,12 @@ class TestTheorem33:
         budget = conformance_module._SWEEPS["T33"][0]
         verdicts = []
         pairs = conformance_module._frame_space_pairs(budget)
-        for m in conformance_module._locale_morphisms(pairs):
-            g = m.gc.lower
+        for rel in conformance_module._locale_morphisms(pairs):
+            g = conformance_module._compile_seed(rel).gc.lower
             args = (g.source, range(g.source.n), g.values, g.target, lower_adjoint(g).values)
             want = meets_commute_by_table(*args)
             assert lattice_module._meets_commute(*args) == want
-            assert theorem33_check(g, m.space).eq32_holds == (want is None)
+            assert theorem33_check(g, FiniteT0Space(rel.target)).eq32_holds == (want is None)
             verdicts.append(want is None)
         assert verdicts.count(True) and verdicts.count(False)
 
