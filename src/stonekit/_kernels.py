@@ -10,12 +10,12 @@ its universal image ``inside`` are the two halves of one Galois
 connection, and every model's induction and restriction is that pair
 for its own relation: ``multiplicity.induce``/``restrict`` over the
 matrix's row supports, ``graph_pairs.x_forward``/``x_inverse`` over
-the edge ranges, ``spectrum.PointMap.image_mask``/``preimage`` over the
-graph of the map, and the saturation of a group action over its
-orbits. ``galois.GaloisConnection.from_relation`` builds the model
-connections from these two kernels: a matrix's row supports, a point's
-saturated down-set under an action, the preimage of a base point's
-down-set under a bundle, a random seed's point values.
+the edge ranges, and ``spectrum.PointMap.image_mask``/``preimage`` over
+the graph of the map. ``galois.GaloisConnection.from_relation`` builds
+the model connections from these two kernels: a matrix's row supports,
+the orbits that meet a point's down-set under an action, the preimage
+of a base point's down-set under a bundle, a random seed's point
+values.
 """
 
 

@@ -91,11 +91,9 @@ from ._kernels import bits, image, inside
 from ._record import Record
 from .documents import document_for, inclusion_data_for
 from .errors import ClosureTooLarge, StonekitError, SweepFailed
-from .galois import GaloisConnection
 from .lattice import (
     FinitePoset,
     _invariant_keys,
-    downset_lattice,
     order_automorphisms,
     poset_isomorphism,
 )
@@ -118,6 +116,7 @@ from .quasiorbit import (
     _holds_separation,
     _pi_is_open,
     _rho,
+    relation_inclusion_data,
     restricted_prime_map,
 )
 from .spectrum import (
@@ -231,14 +230,6 @@ def _random_galois_seed(rng: random.Random, max_points: int) -> PointRelation:
         floor = image(values, source.below[p] & ~(1 << p))
         values[p] = rng.choice([m for m in downs if m & floor == floor])
     return PointRelation(source, target, tuple(values))
-
-
-def _compile_seed(seed: PointRelation) -> InclusionData:
-    # the element model of a galois seed, for its document and for T47's
-    # restricted prime map
-    la = downset_lattice(seed.source)
-    lb = downset_lattice(seed.target)
-    return InclusionData(GaloisConnection.from_relation(la, lb, seed.rows))
 
 
 def _matrix_relation(m: MultiplicityInclusion) -> PointRelation:
@@ -600,7 +591,7 @@ def _same(model):
 # instance kind -> (shrinker, the model its document describes, its
 # relation on points)
 _KINDS = {
-    PointRelation: (_shrink_seed, _compile_seed, _same),
+    PointRelation: (_shrink_seed, relation_inclusion_data, _same),
     MultiplicityInclusion: (_shrink_matrix, _same, _matrix_relation),
     FiniteGroupAction: (_shrink_action, _same, action_relation),
     BundleMap: (_shrink_bundle, _same, bundle_relation),
@@ -901,8 +892,8 @@ def _locale_morphisms(pairs):
     is a down-set of X. Conversely each f^-1 keeps unions and
     intersections, and gives f back as those least points. So the
     monotone maps X -> P (``_monotone_values``) give each morphism once,
-    and a relation's element model (``_compile_seed``) is the
-    morphism's connection.
+    and a relation's element model (``quasiorbit.relation_inclusion_data``)
+    is the morphism's connection.
     """
     for poset, space in pairs:
         for values in _monotone_values(space.points, poset):

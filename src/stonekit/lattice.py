@@ -23,8 +23,9 @@ its prime spectrum both read it. No lattice holds an n x n table;
 FiniteLattice is a record of its order and labels, and its constructor
 certifies an arbitrary order with the same lookups that answer its
 meets and joins. The builders whose orders are lattices by construction
-(downset_lattice, fixed_point_lattice, graph_pairs.j_pairs) skip that
-check through ``FiniteLattice._of``.
+(downset_lattice; fixed_point_lattice, the fixed points of a closure or
+an interior operator; graph_pairs.j_pairs) skip that check through
+``FiniteLattice._of``.
 
 The element count is soft-capped (default 4096, override with the
 STONE_MAX_LATTICE environment variable, read per call).
@@ -182,17 +183,18 @@ class FiniteLattice(Record):
     * A down-set frame (downset_lattice) uses its labels, the down-sets
       themselves, as meet masks and their complements as co-masks: by
       Birkhoff, meet is intersection and join is union there.
-    * A fixed-point lattice (fixed_point_lattice) keeps the ambient
-      masks on the side whose operation it shares with the ambient
-      lattice.
+    * A fixed-point lattice (fixed_point_lattice), the fixed points of
+      a closure or an interior operator, keeps the ambient masks on the
+      one side whose operation it shares with the ambient lattice: its
+      meets for a closure, its joins for an interior.
 
     ``meet_table`` and ``join_table`` are built on first read, for the
     definitional scans that serve as oracles and for the distributivity
     witness of a non-frame.
 
     ``labels`` optionally names each element (down-set masks for
-    Birkhoff duals, ambient indices for sublattices); it never affects
-    semantics and is stored as a tuple. A lattice is determined by its
+    Birkhoff duals, ambient indices for fixed-point lattices); it never
+    affects semantics and is stored as a tuple. A lattice is determined by its
     order, so it is a record of its order and its labels. What a
     lattice certifies about itself is cached on it: its Birkhoff dual
     (``_birkhoff``), computed once, from which both the frame
@@ -520,25 +522,25 @@ def boolean_lattice(k: int) -> FiniteLattice:
     return lat
 
 
-def fixed_point_lattice(lat: FiniteLattice, elements, closes=None) -> FiniteLattice:
-    """A sublattice read straight off the ambient masks.
+def fixed_point_lattice(lat: FiniteLattice, elements, closes) -> FiniteLattice:
+    """A lattice of fixed points read straight off the ambient masks.
 
     ``elements`` are ascending ambient indices. ``closes`` names the
     operation the subset closes instead of keeping the ambient one:
     "join" for the fixed points of a closure operator, which keep
-    ambient meets and close joins up, "meet" for those of an interior
-    operator, which keep ambient joins and open meets down, and None for
-    a subset closed under both. The result equals the induced order on
-    ``elements`` certified by the FiniteLattice constructor, labeled by
-    the ambient indices, whenever that description is true, at O(k^2)
-    mask operations with no bound search and no table.
+    ambient meets and close joins up, and "meet" for those of an
+    interior operator, which keep ambient joins and open meets down.
+    The result equals the induced order on ``elements`` certified by
+    the FiniteLattice constructor, labeled by the ambient indices,
+    whenever that description is true, at O(k^2) mask operations with
+    no bound search and no table.
 
     The description is a precondition, not checked here, and a subset
-    that breaks it is not refused: every caller passes a subset that is
-    closed by theorem (the fixed points of the
-    closure and the interior of a certified Galois connection, by Prop
-    2.6, and the opens invariant under a group of homeomorphisms), and
-    the tests compare the result with that certified induced order.
+    that breaks it is not refused: the one caller
+    (``quasiorbit.InclusionData``) passes the fixed points of the
+    closure and of the interior of a certified Galois connection, closed
+    by Prop 2.6, and the tests compare the result with that certified
+    induced order.
 
     A side that keeps the ambient operation keeps the ambient masks of
     its elements; the side that ``closes`` names reads the rows of the

@@ -37,9 +37,11 @@ GaloisConnection was built: by the law scan of its constructor (the
 identity connection of a ``lattice`` document) or of from_lower (the
 lower table of a ``galois`` document), and by theorem, once every
 value lands, for the (image, inside) pair of a relation
-(from_relation: a model's, read off its points). The eight
-structural laws of Prop 2.6 follow from it and are checked by the
-tests' oracle (``verify_prop26`` in tests/oracles.py), not on
+(from_relation: a matrix's, over its boolean lattices, and that of
+every other model read on points, over the down-set frames of its
+``PointRelation``, by the one builder ``relation_inclusion_data``).
+The eight structural laws of Prop 2.6 follow from it and are checked
+by the tests' oracle (``verify_prop26`` in tests/oracles.py), not on
 construction; the fixed-point lattices are read off the ambient masks
 by the same laws (restricted: ambient meets, closed joins; induced:
 ambient joins, opened meets), with no scan for an escaping pair. C2
@@ -70,15 +72,18 @@ and every sweep that reads a condition or a quasi-orbit class decides
 on it: the five conditions, separation, whether pi is open, the
 classes and rho itself are read off R with no lattice, connection or
 spectrum (``_holds_JR`` ... ``_rho``, proofs in their docstrings).
-Each biconditional a sweep checks compares two formulas computed
-independently: C1 against pi open, C2 against rho an open surjection,
-separation against rho a homeomorphism on R, and in T47 MI and C2 on R
-against restricted_prime_map on elements, which needs no JR and whose
-restricted lattice need not be distributive. Theorem 3.3 reads a
-locale morphism O(P) -> O(X) as its continuous map f: X -> P and
-decides on the dual relation X -> P with rows ↓f(x): Eq. (3.2)
-(``_holds_frobenius``) and separation against f open and onto
-(``conformance._theorem33_sides``). The element checks of
+The element model of such a relation, for the command line and for
+T47's restricted prime map, is ``relation_inclusion_data``: a galois
+seed, an action on its orbit poset and a bundle are each built there
+from their relation. Each biconditional a sweep checks compares two
+formulas computed independently: C1 against pi open, C2 against rho an
+open surjection, separation against rho a homeomorphism on R, and in
+T47 MI and C2 on R against restricted_prime_map on elements, which
+needs no JR and whose restricted lattice need not be distributive.
+Theorem 3.3 reads a locale morphism O(P) -> O(X) as its continuous map
+f: X -> P and decides on the dual relation X -> P with rows ↓f(x):
+Eq. (3.2) (``_holds_frobenius``) and separation against f open and
+onto (``conformance._theorem33_sides``). The element checks of
 the sweeps are the oracles in tests/oracles.py; the element
 constructions here (``check_*``, ``quasi_orbit_space``,
 ``quasi_orbit_map``) serve the command line and the library.
@@ -96,10 +101,11 @@ from .errors import (
     MIViolated,
     NotAFrame,
 )
-from .galois import MonotoneMap
+from .galois import GaloisConnection, MonotoneMap
 from .lattice import (
     FiniteLattice,
     _meets_commute,
+    downset_lattice,
     escaping_pair,
     fixed_point_lattice,
     is_frame,
@@ -557,6 +563,17 @@ class PointRelation(Record):
     def closure(self, mask: int) -> int:
         """c(U) = r(i(U)) for a down-set mask U of P."""
         return inside(self.rows, image(self.rows, mask))
+
+
+def relation_inclusion_data(rel: PointRelation) -> InclusionData:
+    """The element model of ``rel``: the connection (image, inside) of
+    its rows between the down-set frames O(P) and O(Q), certified by
+    ``GaloisConnection.from_relation``. The one builder of every model
+    read on points: a galois seed, a group action (over its orbit
+    poset) and a bundle projection."""
+    return InclusionData(
+        GaloisConnection.from_relation(downset_lattice(rel.source), downset_lattice(rel.target), rel.rows)
+    )
 
 
 def _holds_JR(rel: PointRelation) -> bool:

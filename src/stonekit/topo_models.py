@@ -3,18 +3,22 @@
 Two concrete sources of connections between open-set lattices:
 
 * a finite group acting on a finite T0 space by homeomorphisms, where
-  the restricted side is the lattice of invariant opens (saturation is
-  the lower map, insertion the upper), and
+  the target is the frame of the orbit poset, whose down-sets are the
+  invariant opens read as sets of orbits, and the restricted opens are
+  the invariant ones (saturation is the lower map, insertion the
+  upper), and
 
 * a continuous projection between two spaces, where induction is the
   open preimage and restriction the largest open whose preimage lies
   inside a given open.
 
-Each is the (image, inside) pair of one relation from points to point
-masks, built by ``GaloisConnection.from_relation``: a point goes to the
-saturation of its down-set, or to the preimage of its down-set. The
-sweeps read each as a ``PointRelation`` between posets instead
-(``action_relation``, over the orbit poset, and ``bundle_relation``).
+Each is one relation between posets, a ``PointRelation``
+(``action_relation``, from the points to the orbit poset, and
+``bundle_relation``, from the base to the total space): a point goes to
+the orbits that meet its down-set, or to the preimage of its down-set.
+The sweeps decide on that relation, and its element model is the
+(image, inside) pair between the two down-set frames
+(``quasiorbit.relation_inclusion_data``).
 
 The quasi-orbit machinery then applies to either.  For actions, the
 quotient agrees with the classical orbit-closure picture; the agreement
@@ -30,10 +34,8 @@ from functools import cached_property
 from ._kernels import bits, image
 from ._record import Record, _store
 from .errors import ClosureTooLarge, NotContinuous, ShapeMismatch
-from .galois import GaloisConnection
-from .lattice import FiniteLattice, FinitePoset, fixed_point_lattice
-from .quasiorbit import InclusionData, PointRelation, _classes, _holds_JR
-from .spectrum import opens_lattice
+from .lattice import FinitePoset
+from .quasiorbit import InclusionData, PointRelation, _classes, _holds_JR, relation_inclusion_data
 
 _MAX_ORDER = 10_000
 
@@ -117,42 +119,23 @@ class FiniteGroupAction(Record):
                 out[x] |= 1 << gx
         return tuple(out)
 
-    def image_mask(self, g: tuple[int, ...], mask: int) -> int:
-        return image([1 << gx for gx in g], mask & ((1 << self.space.n) - 1))
-
     def orbit_mask(self, point: int) -> int:
         return self._orbits[point]
 
-    def saturate(self, mask: int) -> int:
-        """The least invariant superset; invariant since closure is a group."""
-        return image(self._orbits, mask)
-
-    def is_invariant(self, mask: int) -> bool:
-        return all(self.image_mask(g, mask) == mask for g in self.generators)
-
-
-def _invariant_lattice(a: FiniteGroupAction) -> FiniteLattice:
-    # Each generator is a bijection, so invariant opens are closed under
-    # union and intersection and contain both bounds: the sublattice
-    # keeps the ambient meets and joins, and with them the ambient open
-    # masks as its meet masks, read off with no escape scan.
-    olat = opens_lattice(a.space)
-    return fixed_point_lattice(olat, [k for k, u in enumerate(olat.labels) if a.is_invariant(u)])
-
 
 def action_inclusion_data(a: FiniteGroupAction) -> InclusionData:
-    """Saturation below, insertion above; restricted = invariant opens.
+    """Saturation below, insertion above: ``action_relation`` between
+    O(X) and O(Q), Q the orbit poset.
 
-    The relation sends point p to the saturation of its down-set: its
-    image of an open U is the saturation of U, and the interior of an
-    invariant open V is V itself (saturate(down p) lies in V iff p is
-    in V), so the upper values are the ambient indices that label the
-    invariant opens and the restricted lattice is ``lattice_b``.
+    O(Q) is the lattice of invariant opens, each read as the set of the
+    orbits it holds (see ``action_relation``), so the target primes are
+    labeled by sets of orbits, numbered by least point. The lower map
+    sends an open U to the orbits that meet it, and the upper map a
+    down-set of Q to the union of its orbits, an invariant open. So
+    r(i(U)) is the saturation of U, the least invariant open around
+    it, and the restricted opens are the invariant ones.
     """
-    rows = tuple(map(a.saturate, a.space.points.below))
-    return InclusionData(
-        GaloisConnection.from_relation(opens_lattice(a.space), _invariant_lattice(a), rows)
-    )
+    return relation_inclusion_data(action_relation(a))
 
 
 def action_relation(a: FiniteGroupAction) -> PointRelation:
@@ -180,8 +163,7 @@ def action_relation(a: FiniteGroupAction) -> PointRelation:
     (an orbit below one of them meets the saturation of a down-set it
     holds); conversely the union of the orbits of a down-set of Q is
     invariant and down-closed. R's image of an open U is the set of
-    orbits that meet U, the invariant open ``saturate(U)`` read on Q,
-    so this is ``action_inclusion_data`` on points.
+    orbits that meet U, the saturation of U read on Q.
     """
     points = a.space.points
     orbit_of = [-1] * points.n
@@ -238,13 +220,9 @@ def bundle_relation(b: BundleMap) -> PointRelation:
 def bundle_inclusion_data(b: BundleMap) -> InclusionData:
     """Preimage below; above, the largest open whose preimage lies inside.
 
-    The relation sends base point p to the preimage of its down-set:
-    its image of an open U is the preimage of U, and its interior of a
-    total open V is the set of base points whose down-set pulls back
-    into V, itself a down-set and so open. ``from_relation`` certifies
-    the pair by theorem once both land.
+    ``bundle_relation`` between the down-set frames of the base and the
+    total space: its image of an open U is the preimage of U, and its
+    interior of a total open V is the set of base points whose down-set
+    pulls back into V, itself a down-set and so open.
     """
-    rows = bundle_relation(b).rows
-    return InclusionData(
-        GaloisConnection.from_relation(opens_lattice(b.base), opens_lattice(b.total), rows)
-    )
+    return relation_inclusion_data(bundle_relation(b))

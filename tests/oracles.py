@@ -31,8 +31,13 @@ sweeps, so they live with the tests:
   two small posets, as the sweeps' seeds (the census);
 * ``opposite``: a connection between the opposite frames, with the
   roles of its two maps swapped;
-* ``invariant_opens``: the invariant opens of an action with their
-  insertion into O(X), certified as a ``MonotoneMap``;
+* ``invariant_lattice``, ``invariant_opens``, ``invariant_connection``
+  and ``through_orbits``: an action read on its invariant opens, the
+  sublattice of O(X) they span, with their insertion into O(X) and the
+  saturation onto them, certified by the checking constructors; and
+  the action's connection on the orbit poset carried onto them by
+  S -> the union of the orbits in S, the oracle of
+  ``action_inclusion_data``;
 * ``distributive_witness_by_scan``: the first triple breaking the
   distributive law, by the full n^3 scan;
 * ``relation_of``: the relation on points (P, Q, R) of any inclusion,
@@ -88,14 +93,12 @@ from stonekit import (
 from stonekit._kernels import bits
 from stonekit._record import Record
 from stonekit.conformance import (
-    _compile_seed,
     _monotone_values,
     _poset_classes,
     all_frame_posets,
 )
 from stonekit.lattice import join_irreducibles
-from stonekit.quasiorbit import PointRelation
-from stonekit.topo_models import _invariant_lattice
+from stonekit.quasiorbit import PointRelation, relation_inclusion_data
 
 
 class LawReport(Record):
@@ -391,7 +394,7 @@ def all_connections(k: int) -> list[PointRelation]:
     down-sets of single points: a monotone assignment of down-sets of Q
     to the points of P. Every such assignment is enumerated, as the
     relation on points a galois seed is, which the sweeps decide on and
-    compile to elements (``conformance._compile_seed``).
+    compile to elements (``quasiorbit.relation_inclusion_data``).
     """
     reps = _poset_classes(k)
     out = []
@@ -413,6 +416,31 @@ def opposite(gc: GaloisConnection) -> GaloisConnection:
     return GaloisConnection(MonotoneMap(b, a, gc.upper.values), MonotoneMap(a, b, gc.lower.values))
 
 
+def moved(g, mask: int) -> int:
+    """The image of a point mask under the permutation ``g``."""
+    return sum(1 << g[x] for x in bits(mask))
+
+
+def saturation(a: FiniteGroupAction, mask: int) -> int:
+    """The saturation of a point mask: the union of its images g(mask)
+    over the whole group."""
+    out = 0
+    for g in a.closure:
+        out |= moved(g, mask)
+    return out
+
+
+def invariant_lattice(a: FiniteGroupAction) -> FiniteLattice:
+    """The opens U of X with g(U) = U for every generator g, as the
+    sublattice of O(X) they span (``sublattice``), labeled by ambient
+    indices. Each generator is a bijection, so they are closed under
+    union and intersection and hold both bounds."""
+    olat = opens_lattice(a.space)
+    return sublattice(
+        olat, [k for k, u in enumerate(olat.labels) if all(moved(g, u) == u for g in a.generators)]
+    )
+
+
 def invariant_opens(a: FiniteGroupAction) -> tuple[FiniteLattice, MonotoneMap]:
     """The sublattice of invariant opens with its insertion into O(X).
 
@@ -420,8 +448,44 @@ def invariant_opens(a: FiniteGroupAction) -> tuple[FiniteLattice, MonotoneMap]:
     the insertion, a locale morphism by construction, is certified here
     by the ``MonotoneMap`` constructor.
     """
-    inv = _invariant_lattice(a)
+    inv = invariant_lattice(a)
     return inv, MonotoneMap(inv, opens_lattice(a.space), inv.labels)
+
+
+def invariant_connection(a: FiniteGroupAction) -> GaloisConnection:
+    """The action's connection read on its invariant opens: below, the
+    saturation of an open, the union of its images under the whole
+    group; above, the insertion. Certified by the checking
+    constructors."""
+    olat = opens_lattice(a.space)
+    inv, insertion = invariant_opens(a)
+    saturated = (saturation(a, u) for u in olat.labels)
+    lower = MonotoneMap(olat, inv, tuple(inv.index_of_label(olat.index_of_label(u)) for u in saturated))
+    return GaloisConnection(lower, insertion)
+
+
+def through_orbits(a: FiniteGroupAction, gc: GaloisConnection) -> GaloisConnection:
+    """A connection O(X) -> O(Q) of the action ``a``, Q its orbit poset
+    with the orbits numbered by least point, carried onto the invariant
+    opens (``invariant_lattice``) by S -> the union of the orbits in S
+    and certified there by the checking constructors. Raises ValueError
+    when that map is no bijection onto the invariant opens."""
+    olat = opens_lattice(a.space)
+    inv = invariant_lattice(a)
+    orbits = []
+    for x in range(a.space.n):
+        if not any(o >> x & 1 for o in orbits):
+            orbits.append(saturation(a, 1 << x))
+    iso = [
+        inv.index_of_label(olat.index_of_label(sum(orbits[o] for o in bits(s))))
+        for s in gc.lattice_b.labels
+    ]
+    if sorted(iso) != list(range(inv.n)):
+        raise ValueError("the unions of orbits are not the invariant opens, once each")
+    back = {k: y for y, k in enumerate(iso)}
+    lower = MonotoneMap(gc.lattice_a, inv, tuple(iso[v] for v in gc.lower.values))
+    upper = MonotoneMap(inv, gc.lattice_a, tuple(gc.upper.values[back[k]] for k in range(inv.n)))
+    return GaloisConnection(lower, upper)
 
 
 def distributive_witness_by_scan(meet, join):
@@ -501,9 +565,10 @@ def element_check_T47(d):
 def element_check_T33(rel):
     """T33 on elements: the ``Theorem33Report`` of the locale morphism
     whose relation on points is ``rel``, the lower map of its element
-    model (``conformance._compile_seed``) into the opens of the space
-    on ``rel.target``; the oracle of ``conformance._theorem33_sides``."""
-    return theorem33_check(_compile_seed(rel).gc.lower, FiniteT0Space(rel.target))
+    model (``quasiorbit.relation_inclusion_data``) into the opens of the
+    space on ``rel.target``; the oracle of
+    ``conformance._theorem33_sides``."""
+    return theorem33_check(relation_inclusion_data(rel).gc.lower, FiniteT0Space(rel.target))
 
 
 def element_check_C54(m):

@@ -7,6 +7,10 @@ a 4 s timeout, at least twice what it takes on 2 vCPUs:
   the default cap. ``analyze --json`` must print the pinned copy
   ``golden/analyze_1x12.json`` byte for byte; it was written by the
   table-based lattices that preceded the mask representation;
+* a 12-point antichain with 4096 opens, exactly the cap, as an
+  ``action`` document under k -> k xor 1: its six orbits give a
+  64-element target, the frame of the orbit poset. ``analyze --json``
+  and ``spectrum --dot`` each take about 0.2 s in a fresh process;
 * a 500-point chain, its points shuffled, as a ``lattice`` document:
   ``analyze --json`` validates it with O(n^2) mask lookups (about
   1.3 s in all), where a bound search per pair costs O(n^3) (about 9 s);
@@ -87,6 +91,29 @@ def chain_order(n, seed=None):
 def test_analyze_at_the_cap_matches_the_pinned_bytes(tmp_path):
     doc = {"kind": "multiplicity", "payload": {"matrix": [[1] * 12]}}
     assert run_cli(tmp_path, doc, "analyze", "--json") == PINNED.read_bytes()
+
+
+def test_action_at_the_cap(tmp_path):
+    doc = {
+        "kind": "action",
+        "payload": {"space": {"points": 12, "covers": []}, "generators": [[k ^ 1 for k in range(12)]]},
+    }
+    report = json.loads(run_cli(tmp_path, doc, "analyze", "--json"))
+    assert report["sizes"] == {"lattice_a": 4096, "lattice_b": 64, "restricted": 64, "induced": 64}
+    assert set(report["conditions"].values()) == {True}
+    assert report["detects"] and report["separates"]
+    dot = tmp_path / "spectrum.dot"
+    run_cli(tmp_path, doc, "spectrum", "--dot", str(dot))
+    text = dot.read_text()
+    # the twelve source primes, X minus a point, fall into six
+    # quasi-orbit classes, one per orbit {2k, 2k + 1}; each target prime
+    # is the set of the orbits but one
+    assert len(re.findall(r"^    s\d+ \[label=", text, re.M)) == 12
+    targets = re.findall(r'^    t\d+ \[label="(.*)"\];$', text, re.M)
+    assert targets == ["{" + ",".join(str(o) for o in range(6) if o != k) + "}" for k in (5, 4, 3, 2, 1, 0)]
+    classes = re.findall(r'^    q\d+ \[label="(.*)"\];$', text, re.M)
+    assert classes == [f"{{{2 * k},{2 * k + 1}}}" for k in range(6)]
+    assert len(re.findall(r'^  t\d+ -> q\d+ \[style=dotted, label="rho"\];$', text, re.M)) == 6
 
 
 def test_shuffled_chain_lattice_document(tmp_path):

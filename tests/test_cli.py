@@ -22,6 +22,7 @@ from stonekit import (
     SweepFailed,
     SweepReport,
     InstanceGenerator,
+    action_inclusion_data,
     check_C1,
     check_C2,
     check_JR,
@@ -35,7 +36,8 @@ from stonekit import (
     separates,
     to_inclusion_data,
 )
-from stonekit.cli import main
+from stonekit._kernels import bits
+from stonekit.cli import _set_str, main
 from stonekit.lattice import escaping_pair, join_irreducibles
 
 
@@ -308,6 +310,25 @@ class TestSpectrum:
         assert len(node_lines(dot, "q")) == 1
         assert dot.count("-> q0 [style=dashed]") == 3
         assert dot.count('label="rho"') == 1
+
+    def test_action_target_primes_are_labeled_by_sets_of_orbits(self, tmp_path):
+        # two chains 0 < 2 and 1 < 3, swapped, and a fixed point 4: the
+        # orbits, numbered by least point, are {0,1} < {2,3} and {4}.
+        # Each target prime is a down-set of that orbit poset, printed as
+        # the set of orbits it holds, whose union is an invariant open
+        doc = {"space": {"points": 5, "covers": [[0, 2], [1, 3]]}, "generators": [[1, 0, 3, 2, 4]]}
+        path = write_raw(tmp_path, "a.json", json.dumps({"kind": "action", "payload": doc}))
+        dot = self.run_dot(tmp_path, path)
+        labels = re.findall(r'^    t\d+ \[label="(.*)"\];$', dot, flags=re.M)
+        assert labels == ["{0,1}", "{2}", "{0,2}"]
+        space = FiniteT0Space(FinitePoset.from_pairs(5, doc["space"]["covers"]))
+        d = action_inclusion_data(FiniteGroupAction(space, doc["generators"]))
+        spec = d.spectrum_b
+        assert labels == [_set_str(spec.locale.labels[p]) for p in spec.primes]
+        orbits = (0b00011, 0b01100, 0b10000)
+        unions = [sum(orbits[o] for o in bits(spec.locale.labels[p])) for p in spec.primes]
+        assert unions == [0b01111, 0b10000, 0b10011]
+        assert unions == [d.lattice_a.labels[d.gc.upper.values[p]] for p in spec.primes]
 
     def test_single_point_lattice_is_a_single_node(self, tmp_path):
         path = write_raw(tmp_path, "c.json", CHAIN_DOC)

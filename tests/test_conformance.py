@@ -46,7 +46,6 @@ import stonekit.topo_models as topo_models_module
 from stonekit.conformance import (
     _SWEEPS,
     _check_T33,
-    _compile_seed,
     _frame_space_pairs,
     _greedy_minimize,
     _locale_morphisms,
@@ -64,7 +63,7 @@ from stonekit.conformance import (
 )
 from stonekit._record import Record
 from stonekit.lattice import _downsets, boolean_lattice, downset_lattice, poset_isomorphism
-from stonekit.quasiorbit import InclusionData, PointRelation, _holds_JR, check_JR
+from stonekit.quasiorbit import InclusionData, PointRelation, _holds_JR, check_JR, relation_inclusion_data
 from stonekit.errors import ClosureTooLarge
 from stonekit.spectrum import PointMap, PrimeSpectrum
 from stonekit.topo_models import BundleMap, FiniteGroupAction, group_closure
@@ -984,11 +983,11 @@ class TestMinimization:
         seed = next(
             s
             for s in (_random_galois_seed(rng, 6) for _ in range(80))
-            if s.source.n + s.target.n > 4 and check_JR(_compile_seed(s))
+            if s.source.n + s.target.n > 4 and check_JR(relation_inclusion_data(s))
         )
 
         def reproduces(cand):
-            return check_JR(_compile_seed(cand))
+            return check_JR(relation_inclusion_data(cand))
 
         small = _greedy_minimize(seed, _shrink_seed, reproduces)
         assert small.source.n == 1 and small.target.n == 1
@@ -998,7 +997,7 @@ class TestMinimization:
         rng = random.Random("compile")
         seed = _random_galois_seed(rng, 5)
         for cand in _shrink_seed(seed):
-            assert verify_prop26(_compile_seed(cand).gc).all_ok
+            assert verify_prop26(relation_inclusion_data(cand).gc).all_ok
 
     def test_action_shrink_drops_generators_then_fixed_points(self):
         space = FiniteT0Space(FinitePoset.antichain(3))

@@ -122,6 +122,7 @@ from stonekit.quasiorbit import (
     _holds_separation,
     _pi_is_open,
     _rho,
+    relation_inclusion_data,
 )
 from stonekit.conformance import (
     _MASK64,
@@ -133,7 +134,6 @@ from stonekit.conformance import (
     _check_T33,
     _check_T42,
     _check_T47,
-    _compile_seed,
     _draw,
     _frame_space_pairs,
     _inclusion,
@@ -608,7 +608,7 @@ def census_pairs():
     """Every connection between the down-set frames of two posets on
     1..3 points (one poset per isomorphism class a side), as the pair
     (relation on points, inclusion) the sweeps compile a seed to."""
-    out = [(seed, _compile_seed(seed)) for seed in all_connections(3)]
+    out = [(seed, relation_inclusion_data(seed)) for seed in all_connections(3)]
     assert len(out) == 2986
     return out
 
@@ -664,7 +664,7 @@ def t33_morphisms():
     budget = conformance_module._SWEEPS["T33"][0]
     pairs = conformance_module._frame_space_pairs(budget)
     out = [
-        (_compile_seed(rel).gc.lower, FiniteT0Space(rel.target))
+        (relation_inclusion_data(rel).gc.lower, FiniteT0Space(rel.target))
         for rel in conformance_module._locale_morphisms(pairs)
     ]
     assert (budget, len(out)) == (5, 1628)
@@ -1042,7 +1042,7 @@ class TestPointRoute:
             for k in range(_SWEEPS["T47"][0]):
                 child = (seed ^ (0x9E3779B97F4A7C15 * (k + 1))) & _MASK64
                 rel = _draw(InstanceGenerator(child, "random-galois", 6))
-                pairs.append((rel, _compile_seed(rel)))
+                pairs.append((rel, relation_inclusion_data(rel)))
         assert len(pairs) == 2986 + 4000
         lefts = set()
         for rel, d in pairs:

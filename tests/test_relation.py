@@ -6,7 +6,8 @@ here as oracles, certified through the checking constructors:
 
 * matrices: the ``induce`` and ``restrict`` tables, checked as a pair;
 * actions: saturation below, the certified insertion of the invariant
-  opens above;
+  opens above, compared through S -> the union of the orbits in S, the
+  isomorphism of the orbit poset's frame onto the invariant opens;
 * bundles: the preimage below, and above the interior of what the image
   of the complement misses;
 * random seeds: ``from_lower`` of the unions of the rows.
@@ -45,7 +46,7 @@ from stonekit import (
     restrict,
     small_group_actions,
 )
-from oracles import invariant_opens, verify_prop26
+from oracles import invariant_connection, through_orbits, verify_prop26
 from stonekit._kernels import image, inside
 from stonekit.conformance import _MASK64, InstanceGenerator, _draw, _inclusion, all_spaces
 from stonekit.quasiorbit import PointRelation
@@ -56,17 +57,6 @@ def matrix_oracle(m):
     lower = MonotoneMap(a, b, tuple(b.index_of_label(induce(m, s)) for s in a.labels))
     upper = MonotoneMap(b, a, tuple(a.index_of_label(restrict(m, t)) for t in b.labels))
     return GaloisConnection(lower, upper)
-
-
-def action_oracle(act):
-    olat = opens_lattice(act.space)
-    inv, insertion = invariant_opens(act)
-    lower = MonotoneMap(
-        olat,
-        inv,
-        tuple(inv.index_of_label(olat.index_of_label(act.saturate(u))) for u in olat.labels),
-    )
-    return GaloisConnection(lower, insertion)
 
 
 def bundle_oracle(bm):
@@ -100,14 +90,17 @@ def seed_oracle(seed):
 ORACLES = {
     PointRelation: seed_oracle,
     MultiplicityInclusion: matrix_oracle,
-    FiniteGroupAction: action_oracle,
+    FiniteGroupAction: invariant_connection,
     BundleMap: bundle_oracle,
 }
 
 
 def assert_matches_the_oracle(instance):
     d = _inclusion(instance)
-    assert d.gc == ORACLES[type(instance)](instance)
+    # an action's target is O(Q), Q its orbit poset, and its oracle's the
+    # invariant opens: compare through S -> the union of the orbits in S
+    got = through_orbits(instance, d.gc) if isinstance(instance, FiniteGroupAction) else d.gc
+    assert got == ORACLES[type(instance)](instance)
     assert verify_prop26(d.gc).all_ok
     # the galois export, certified again through from_lower
     rebuilt = compile_document(parse_document(dumps_document(document_for(d)))).gc

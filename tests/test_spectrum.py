@@ -352,7 +352,7 @@ class TestTheorem33:
         verdicts = []
         pairs = conformance_module._frame_space_pairs(budget)
         for rel in conformance_module._locale_morphisms(pairs):
-            g = conformance_module._compile_seed(rel).gc.lower
+            g = quasiorbit_module.relation_inclusion_data(rel).gc.lower
             args = (g.source, range(g.source.n), g.values, g.target, lower_adjoint(g).values)
             want = meets_commute_by_table(*args)
             assert lattice_module._meets_commute(*args) == want

@@ -22,6 +22,7 @@ from stonekit import (
     FiniteGroupAction,
     FinitePoset,
     FiniteT0Space,
+    InclusionData,
     NotContinuous,
     PointMap,
     ShapeMismatch,
@@ -32,13 +33,24 @@ from stonekit import (
     check_C2,
     check_JR,
     check_MI,
+    check_MIf,
+    detects,
     is_open_map,
     is_surjective,
     opens_lattice,
     orbit_closure_relation,
+    quasi_orbit_space,
     restricted_prime_map,
+    separates,
 )
-from oracles import invariant_opens
+from oracles import (
+    invariant_connection,
+    invariant_lattice,
+    invariant_opens,
+    moved,
+    saturation,
+    through_orbits,
+)
 from stonekit.conformance import all_spaces, small_group_actions
 from stonekit.lattice import _downsets
 from stonekit.topo_models import action_relation, group_closure
@@ -126,10 +138,13 @@ class TestInvariantOpens:
 
     def test_every_generator_counts(self):
         # two transpositions generate S3, which keeps only the bounds;
-        # the first alone would keep four opens
+        # the first alone would keep four opens, and two orbits
         a = FiniteGroupAction(discrete(3), ((1, 0, 2), (0, 2, 1)))
         inv, _ = invariant_opens(a)
         assert inv.n == 2
+        assert len(a.closure) == 6
+        assert action_relation(a).target.n == 1
+        assert action_inclusion_data(a).lattice_b.n == 2
 
     @settings(max_examples=60, deadline=None)
     @given(actions())
@@ -138,7 +153,7 @@ class TestInvariantOpens:
         olat = opens_lattice(a.space)
         for k in inv.labels:
             u = olat.labels[k]
-            assert all(a.image_mask(g, u) == u for g in a.closure)
+            assert all(moved(g, u) == u for g in a.closure)
 
 
 class TestOrbitClosures:
@@ -173,7 +188,7 @@ class TestOrbitClosures:
 
 
 class TestRelationRows:
-    """Orbits, saturation, image_mask and the bundle's upper map read the
+    """Orbits, the action's closure and the bundle's upper map read the
     relation kernels; the oracles are the unions over group elements and
     the complement of the closure of the complement."""
 
@@ -186,17 +201,11 @@ class TestRelationRows:
                     for g in a.closure:
                         want |= 1 << g[p]
                     assert a.orbit_mask(p) == want
-                for mask in range(1 << n):
-                    saturated = 0
-                    for g in a.closure:
-                        moved = 0
-                        for x in range(n):
-                            if (mask >> x) & 1:
-                                moved |= 1 << g[x]
-                        # bits past the last point are ignored
-                        assert a.image_mask(g, mask | 0b101 << n) == moved
-                        saturated |= moved
-                    assert a.saturate(mask) == saturated
+                # r(i(U)) is the saturation of U
+                d = action_inclusion_data(a)
+                closed = d.gc.closure_values()
+                for x, u in enumerate(d.lattice_a.labels):
+                    assert d.lattice_a.labels[closed[x]] == saturation(a, u)
 
     def test_bundle_upper_map_is_the_complement_of_the_closed_complement(self):
         # over the identity from the discrete space every mask is a
@@ -235,8 +244,8 @@ class TestActionOnPoints:
                 if (down >> o) & 1:
                     union |= members[o]
             unions.add(union)
-        invariant = {u for u in a.space.opens if a.is_invariant(u)}
-        assert unions == invariant
+        olat = opens_lattice(a.space)
+        assert unions == {olat.labels[k] for k in invariant_lattice(a).labels}
         return rel
 
     def test_invariant_opens_are_the_down_sets_of_the_orbit_poset(self):
@@ -260,6 +269,10 @@ class TestActionCompile:
         d = action_inclusion_data(a)
         inv, _ = invariant_opens(a)
         assert d.restricted == inv.labels
+        # the target is O(Q), Q the two orbits {0} < {1, 2}
+        assert d.lattice_b.labels == (0b00, 0b01, 0b11)
+        assert d.gc.lower.values == (0, 1, 2, 2, 2)
+        assert d.gc.upper.values == (0, 1, 4)
 
     @settings(max_examples=60, deadline=None)
     @given(actions())
@@ -267,6 +280,32 @@ class TestActionCompile:
         d = action_inclusion_data(a)
         assert check_JR(d) and check_C1(d)
         assert check_MI(d) and check_C2(d)
+
+
+class TestActionAgainstTheInvariantOpens:
+    """``action_inclusion_data`` reads the action on its orbit poset Q;
+    its oracle reads it on the invariant opens of X, the sublattice of
+    O(X) (``oracles.invariant_connection``). The two agree through
+    S -> the union of the orbits in S, orbits numbered by least point,
+    on every action of a group of order <= 6 on a space of <= 4
+    points."""
+
+    def test_every_small_action(self):
+        count = 0
+        for space in all_spaces(4):
+            for a in small_group_actions(space):
+                d = action_inclusion_data(a)
+                old = InclusionData(invariant_connection(a))
+                assert through_orbits(a, d.gc) == old.gc
+                assert (d.lattice_a.n, d.lattice_b.n) == (old.lattice_a.n, old.lattice_b.n)
+                assert (len(d.restricted), len(d.induced)) == (len(old.restricted), len(old.induced))
+                checks = (check_JR, check_C1, check_MIf, check_MI, check_C2)
+                assert [check(d) for check in checks] == [check(old) for check in checks]
+                assert (detects(d.gc), separates(d.gc)) == (detects(old.gc), separates(old.gc))
+                if check_JR(d):
+                    assert quasi_orbit_space(d).classes == quasi_orbit_space(old).classes
+                count += 1
+        assert count == 426
 
 
 class TestAgreement:
